@@ -3,15 +3,15 @@
 from .influence import (
     Graph,
     influence_exact,
-    influence_mc,
     influence_mc_stats,
+    live_mask_outcomes,
     realized_influence,
+    sample_live_mask,
     singleton_influence_table,
 )
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .model import (
     Action,
-    CascadeRealization,
     Instance,
     PolicyTrace,
     ProbeSequence,
@@ -37,19 +37,18 @@ from .oracle import (
     optimal_adaptive_value,
 )
 from .relaxation import (
-    DecisionMatrix,
     RelaxationConfig,
     action_set_utility,
+    check_fractional,
     continuous_greedy,
     default_beta_basic,
     default_beta_extended,
     estimate_marginals,
     solve_lp,
+    user_mass,
 )
 from .rounding import (
     Alg1Policy,
-    RoundedSet,
-    alg1,
     contention_resolve,
     execute_probe_set,
     independent_round,
@@ -66,7 +65,6 @@ from .sequencing import (
     alg2_plan,
     alg2_value,
     evaluate_policy,
-    stoch_cp,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,14 +1,16 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
-Spread values are computed exactly by enumerating live-edge realizations when
-the graph is small enough, and by seeded Monte Carlo otherwise.
+A live-edge realization is an int mask: bit i is set when edge i is live.
+This module owns that representation, its one sampler and its one exact
+enumerator.  Spread values are computed exactly by enumerating realizations
+when the graph is small enough, and by seeded Monte Carlo otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -88,19 +90,61 @@ def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
     return out
 
 
-def realized_influence(graph: Graph, seeds: Iterable[int], live_edges: Iterable[int]) -> int:
-    """Number of nodes reached from the seeds through one live-edge realization."""
-    seed_ids = _seed_list(graph, seeds)
-    if not seed_ids:
-        return 0
-    mask = 0
-    for i in live_edges:
-        mask |= 1 << int(i)
-    reach = graph.reach_masks(mask)
+def _reached(reach: tuple[int, ...], seed_ids: list[int]) -> int:
     union = 0
     for s in seed_ids:
         union |= reach[s]
     return union.bit_count()
+
+
+def realized_influence(graph: Graph, seeds: Iterable[int], live_mask: int) -> int:
+    """Number of nodes reached from the seeds through one live-edge realization.
+
+    Bit i of live_mask is set when edge i is live.
+    """
+    seed_ids = _seed_list(graph, seeds)
+    if not seed_ids:
+        return 0
+    return _reached(graph.reach_masks(live_mask), seed_ids)
+
+
+def sample_live_mask(graph: Graph, rng: np.random.Generator) -> int:
+    """Draw one live-edge realization as an int mask.
+
+    Edges with probability 1 are always live and edges with probability 0
+    never are; one uniform draw per uncertain edge, in edge order, decides
+    the rest.
+    """
+    mask = graph.forced_live_mask
+    unc = graph.uncertain_edges
+    if unc:
+        draws = rng.random(len(unc))
+        for j, i in enumerate(unc):
+            if draws[j] < graph.edges[i][2]:
+                mask |= 1 << i
+    return mask
+
+
+def live_mask_outcomes(graph: Graph) -> Iterator[tuple[float, int]]:
+    """Every live-edge realization as (probability, mask), one per subset of
+    the uncertain edges.
+
+    There are 2^len(graph.uncertain_edges) outcomes; callers bound that count
+    before iterating.
+    """
+    unc = graph.uncertain_edges
+    probs = [graph.edges[i][2] for i in unc]
+    base = graph.forced_live_mask
+    for combo in range(1 << len(unc)):
+        weight = 1.0
+        mask = base
+        for j, i in enumerate(unc):
+            if combo >> j & 1:
+                weight *= probs[j]
+                mask |= 1 << i
+            else:
+                weight *= 1.0 - probs[j]
+        yield weight, mask
 
 
 def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
@@ -117,35 +161,10 @@ def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
         raise ValueError(
             f"exact influence needs at most {EXACT_EDGE_LIMIT} uncertain edges, got {len(unc)}"
         )
-    probs = [graph.edges[i][2] for i in unc]
-    base = graph.forced_live_mask
     total = 0.0
-    for combo in range(1 << len(unc)):
-        weight = 1.0
-        mask = base
-        for j, i in enumerate(unc):
-            if combo >> j & 1:
-                weight *= probs[j]
-                mask |= 1 << i
-            else:
-                weight *= 1.0 - probs[j]
-        reach = graph.reach_masks(mask)
-        union = 0
-        for s in seed_ids:
-            union |= reach[s]
-        total += weight * union.bit_count()
+    for weight, mask in live_mask_outcomes(graph):
+        total += weight * _reached(graph.reach_masks(mask), seed_ids)
     return total
-
-
-def _sample_live_mask(graph: Graph, rng: np.random.Generator) -> int:
-    mask = graph.forced_live_mask
-    unc = graph.uncertain_edges
-    if unc:
-        draws = rng.random(len(unc))
-        for j, i in enumerate(unc):
-            if draws[j] < graph.edges[i][2]:
-                mask |= 1 << i
-    return mask
 
 
 def influence_mc_stats(
@@ -164,13 +183,8 @@ def influence_mc_stats(
     total = 0.0
     total_sq = 0.0
     for i in range(samples):
-        rng = np.random.default_rng([rng_seed, i])
-        mask = _sample_live_mask(graph, rng)
-        reach = graph.reach_masks(mask)
-        union = 0
-        for s in seed_ids:
-            union |= reach[s]
-        value = union.bit_count()
+        mask = sample_live_mask(graph, np.random.default_rng([rng_seed, i]))
+        value = _reached(graph.reach_masks(mask), seed_ids)
         total += value
         total_sq += value * value
     mean = total / samples
@@ -179,20 +193,17 @@ def influence_mc_stats(
     return mean, stderr
 
 
-def influence_mc(graph: Graph, seeds: Iterable[int], samples: int, rng_seed: int) -> float:
-    """Unbiased Monte Carlo estimate of the expected spread."""
-    return influence_mc_stats(graph, seeds, samples, rng_seed)[0]
-
-
 def singleton_influence_table(
     graph: Graph, samples: int = 20000, rng_seed: int = 0
 ) -> dict[int, float]:
-    """Expected spread of each single node, exact when the graph allows it."""
-    table: dict[int, float] = {}
-    exact = len(graph.uncertain_edges) <= EXACT_EDGE_LIMIT
-    for v in range(graph.node_count):
-        if exact:
-            table[v] = influence_exact(graph, [v])
-        else:
-            table[v] = influence_mc(graph, [v], samples, rng_seed + v)
-    return table
+    """Expected spread of each single node, exact when the graph allows it.
+
+    The exact table takes one pass over the live-edge outcomes for all nodes.
+    """
+    n = graph.node_count
+    if len(graph.uncertain_edges) > EXACT_EDGE_LIMIT:
+        return {v: influence_mc_stats(graph, [v], samples, rng_seed + v)[0] for v in range(n)}
+    totals = [0.0] * n
+    for weight, mask in live_mask_outcomes(graph):
+        totals = [t + weight * r.bit_count() for t, r in zip(totals, graph.reach_masks(mask))]
+    return dict(enumerate(totals))

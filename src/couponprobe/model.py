@@ -9,17 +9,29 @@ every larger value.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .influence import Graph
+from .influence import Graph, sample_live_mask
 
 COST_MODE_THRESHOLD = "threshold"
 COST_MODE_PAPER = "paper"
 COST_MODES = (COST_MODE_THRESHOLD, COST_MODE_PAPER)
+
+
+def _count(value, message: str) -> int:
+    """A non-negative integer of any integer type (numpy's too), as a plain int."""
+    try:
+        count = int(operator.index(value))
+    except TypeError:
+        raise ValueError(message) from None
+    if count < 0:
+        raise ValueError(message)
+    return count
 
 
 @dataclass(frozen=True)
@@ -66,12 +78,11 @@ class Instance:
                         f"{self.coupons[i - 1]} ({row[i - 1]}) to {self.coupons[i]} ({p}); "
                         "rows must be non-decreasing"
                     )
-        if not isinstance(self.K, int) or self.K < 0:
-            raise ValueError("K must be a non-negative integer")
+        object.__setattr__(self, "K", _count(self.K, "K must be a non-negative integer"))
         if not self.B > 0.0:
             raise ValueError("B must be positive")
-        if self.W is not None and (not isinstance(self.W, int) or self.W < 0):
-            raise ValueError("W must be a non-negative integer when given")
+        if self.W is not None:
+            object.__setattr__(self, "W", _count(self.W, "W must be a non-negative integer when given"))
 
     @property
     def n_users(self) -> int:
@@ -83,34 +94,17 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class CascadeRealization:
-    """One realization of edge liveness for the influence cascade."""
-
-    live_edges: frozenset[int]
-
-
-@dataclass(frozen=True)
 class World:
-    """A fully resolved random state: one threshold per user plus a cascade."""
+    """A fully resolved random state: one threshold per user plus the live
+    edges of the cascade, as an int mask (bit i set when edge i is live)."""
 
     thresholds: tuple[float, ...]
-    cascade: CascadeRealization
+    live_mask: int
 
 
 def sample_world(instance: Instance, rng: np.random.Generator) -> World:
     thresholds = tuple(float(x) for x in rng.random(instance.n_users))
-    live: list[int] = []
-    uncertain = instance.graph.uncertain_edges
-    draws = rng.random(len(uncertain)) if uncertain else ()
-    j = 0
-    for i, (_, _, p) in enumerate(instance.graph.edges):
-        if p == 1.0:
-            live.append(i)
-        elif p > 0.0:
-            if draws[j] < p:
-                live.append(i)
-            j += 1
-    return World(thresholds=thresholds, cascade=CascadeRealization(frozenset(live)))
+    return World(thresholds, sample_live_mask(instance.graph, rng))
 
 
 def realize(instance: Instance, world: World, user: int, coupon_index: int) -> bool:

@@ -14,10 +14,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from . import simplex
-from .influence import influence_exact, realized_influence
+from .influence import influence_exact, live_mask_outcomes, realized_influence
 from .model import (
     Action,
-    CascadeRealization,
     Instance,
     PolicyTrace,
     World,
@@ -140,8 +139,8 @@ def enumerate_worlds(instance: Instance) -> Iterator[tuple[float, World]]:
 
     Thresholds only matter through which coupons they admit, so each user
     contributes one cell per distinct attractiveness interval, represented by
-    the interval's right endpoint.  Cascades are enumerated edge subset by
-    edge subset.
+    the interval's right endpoint.  Cascades are the graph's live-edge
+    outcomes.
     """
     unc = instance.graph.uncertain_edges
     if len(unc) > MAX_ENUM_EDGES:
@@ -167,20 +166,7 @@ def enumerate_worlds(instance: Instance) -> Iterator[tuple[float, World]]:
     if total_cells > MAX_WORLD_CELLS:
         raise OracleSizeError(f"world enumeration would need {total_cells} cells")
 
-    forced = [i for i, (_, _, p) in enumerate(instance.graph.edges) if p == 1.0]
-    probs = [instance.graph.edges[i][2] for i in unc]
-    cascades: list[tuple[float, CascadeRealization]] = []
-    for combo in range(1 << len(unc)):
-        weight = 1.0
-        live = list(forced)
-        for j, i in enumerate(unc):
-            if combo >> j & 1:
-                weight *= probs[j]
-                live.append(i)
-            else:
-                weight *= 1.0 - probs[j]
-        if weight > 0.0:
-            cascades.append((weight, CascadeRealization(frozenset(live))))
+    cascades = [(w, mask) for w, mask in live_mask_outcomes(instance.graph) if w > 0.0]
 
     for combo in itertools.product(*user_cells):
         t_weight = 1.0
@@ -190,8 +176,8 @@ def enumerate_worlds(instance: Instance) -> Iterator[tuple[float, World]]:
             thresholds.append(rep)
         if t_weight == 0.0:
             continue
-        for c_weight, cascade in cascades:
-            yield t_weight * c_weight, World(tuple(thresholds), cascade)
+        for c_weight, mask in cascades:
+            yield t_weight * c_weight, World(tuple(thresholds), mask)
 
 
 def exact_policy_value(
@@ -201,9 +187,7 @@ def exact_policy_value(
     total = 0.0
     for weight, world in enumerate_worlds(instance):
         trace = trace_generator(world)
-        total += weight * realized_influence(
-            instance.graph, trace.seeds, world.cascade.live_edges
-        )
+        total += weight * realized_influence(instance.graph, trace.seeds, world.live_mask)
     return total
 
 

@@ -94,38 +94,23 @@ class RelaxationConfig:
         return 1.0 / float(n_actions * n_actions)
 
 
-class DecisionMatrix:
-    """Fractional assignment of mass to actions, at most one unit per user."""
+def user_mass(y: Mapping[Action, Fraction]) -> dict[int, Fraction]:
+    """Total fractional mass per user of a point y on the action space."""
+    mass: dict[int, Fraction] = {}
+    for action, value in y.items():
+        mass[action.user] = mass.get(action.user, Fraction(0)) + Fraction(value)
+    return mass
 
-    def __init__(self, values: Mapping[Action, object]):
-        self.values = dict(values)
 
-    def __getitem__(self, action: Action):
-        return self.values[action]
-
-    def get(self, action: Action, default=0):
-        return self.values.get(action, default)
-
-    def actions(self) -> list[Action]:
-        return sorted(self.values)
-
-    def user_mass(self) -> dict[int, Fraction]:
-        mass: dict[int, Fraction] = {}
-        for action, y in self.values.items():
-            mass[action.user] = mass.get(action.user, Fraction(0)) + Fraction(y)
-        return mass
-
-    def total_mass(self) -> Fraction:
-        return sum((Fraction(y) for y in self.values.values()), Fraction(0))
-
-    def validate(self) -> None:
-        for action, y in self.values.items():
-            fy = Fraction(y)
-            if fy < 0 or fy > 1:
-                raise ValueError(f"mass for {action} outside [0, 1]: {y}")
-        for user, mass in self.user_mass().items():
-            if mass > 1:
-                raise ValueError(f"user {user} carries fractional mass {mass} > 1")
+def check_fractional(y: Mapping[Action, Fraction]) -> None:
+    """Raise ValueError unless every mass lies in [0, 1] and no user carries
+    more than one unit."""
+    for action, value in y.items():
+        if not 0 <= Fraction(value) <= 1:
+            raise ValueError(f"mass for {action} outside [0, 1]: {value}")
+    for user, mass in user_mass(y).items():
+        if mass > 1:
+            raise ValueError(f"user {user} carries fractional mass {mass} > 1")
 
 
 def action_set_utility(instance: Instance, actions: Iterable[Action], world: World) -> int:
@@ -142,12 +127,12 @@ def action_set_utility(instance: Instance, actions: Iterable[Action], world: Wor
     seeds = [v for v, idx in best.items() if realize(instance, world, v, idx)]
     if not seeds:
         return 0
-    return realized_influence(instance.graph, seeds, world.cascade.live_edges)
+    return realized_influence(instance.graph, seeds, world.live_mask)
 
 
 def estimate_marginals(
     instance: Instance,
-    y: DecisionMatrix,
+    y: Mapping[Action, Fraction],
     config: RelaxationConfig,
     iteration: int = 0,
 ) -> dict[Action, float]:
@@ -158,7 +143,7 @@ def estimate_marginals(
     the estimates share their noise.  Marginals are non-negative sample by
     sample because adding an action can only improve a user's best coupon.
     """
-    actions = y.actions()
+    actions = sorted(y)
     probs = [float(y[a]) for a in actions]
     totals = [0.0] * len(actions)
     for s in range(config.marginal_samples):
@@ -187,7 +172,7 @@ def solve_lp(
     beta: float,
     use_W: bool = False,
     cost_mode: str = COST_MODE_THRESHOLD,
-) -> DecisionMatrix:
+) -> dict[Action, Fraction]:
     """Exact optimum of the direction-finding LP.
 
     Maximizes sum(weights * y) subject to: per-user mass at most 1, expected
@@ -217,15 +202,15 @@ def solve_lp(
         lhs.append([Fraction(1)] * len(actions))
         rhs.append(Fraction(beta) * Fraction(instance.W))
     _, x = simplex.maximize(objective, lhs, rhs)
-    return DecisionMatrix(dict(zip(actions, x)))
+    return dict(zip(actions, x))
 
 
 def continuous_greedy(
     instance: Instance,
     config: RelaxationConfig,
     use_W: bool = False,
-    on_step: Callable[[float, DecisionMatrix], None] | None = None,
-) -> DecisionMatrix:
+    on_step: Callable[[float, dict[Action, Fraction]], None] | None = None,
+) -> dict[Action, Fraction]:
     """Measured continuous greedy over the scaled feasible region.
 
     Runs ceil(1/delta) rounds; each round estimates marginals at the current
@@ -238,19 +223,17 @@ def continuous_greedy(
         raise ValueError("action space is empty; the fractional route has nothing to probe")
     beta = config.resolved_beta(use_W)
     delta = Fraction(config.resolved_delta(len(actions)))
-    y = DecisionMatrix({a: Fraction(0) for a in actions})
+    y = {a: Fraction(0) for a in actions}
     t = Fraction(0)
     iteration = 0
     while t < 1:
         step = min(delta, 1 - t)
         omega = estimate_marginals(instance, y, config, iteration=iteration)
         direction = solve_lp(omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode)
-        y = DecisionMatrix(
-            {a: y[a] + step * direction[a] for a in actions}
-        )
+        y = {a: y[a] + step * direction[a] for a in actions}
         t += step
         iteration += 1
         if on_step is not None:
             on_step(float(t), y)
-    y.validate()
+    check_fractional(y)
     return y

@@ -9,7 +9,7 @@ the run never overspends, whatever the randomness does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Collection, Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -21,40 +21,26 @@ from .model import (
     World,
     low_value_coupons,
     probe_user,
-    sample_world,
 )
-from .relaxation import DecisionMatrix, RelaxationConfig, continuous_greedy
-
-STAGE_RAW = "raw"
-STAGE_RESOLVED = "resolved"
+from .relaxation import RelaxationConfig, continuous_greedy
 
 
-@dataclass(frozen=True)
-class RoundedSet:
-    """Actions produced by rounding, tagged with their pipeline stage."""
+def independent_round(y: Mapping[Action, Fraction], rng) -> frozenset[Action]:
+    """Include each action independently with probability equal to its mass.
 
-    actions: frozenset[Action]
-    stage: str
-
-
-def independent_round(y: DecisionMatrix, rng) -> RoundedSet:
-    """Include each action independently with probability equal to its mass."""
-    y.validate()
+    y is taken as already checked (continuous_greedy checks its output).
+    """
     gen = np.random.default_rng(rng)
-    chosen = []
-    for action in y.actions():
-        if gen.random() < float(y[action]):
-            chosen.append(action)
-    return RoundedSet(frozenset(chosen), STAGE_RAW)
+    return frozenset(action for action in sorted(y) if gen.random() < float(y[action]))
 
 
 def contention_resolve(
-    raw: RoundedSet,
-    y: DecisionMatrix,
+    raw: Collection[Action],
+    y: Mapping[Action, Fraction],
     matroids: str = "one",
     W: int | None = None,
     rng=0,
-) -> RoundedSet:
+) -> frozenset[Action]:
     """Drop actions until the survivors are independent in every constraint matroid.
 
     Per user, one uniformly random contender survives.  In two-matroid mode an
@@ -62,17 +48,15 @@ def contention_resolve(
     action must be kept by both rules.  Both rules retain any element less
     often as the raw set grows, which is what makes their guarantees compose.
     """
-    if raw.stage != STAGE_RAW:
-        raise ValueError("contention_resolve expects a raw rounded set")
     if matroids not in ("one", "two"):
         raise ValueError("matroids must be 'one' or 'two'")
-    for action in raw.actions:
+    for action in raw:
         if Fraction(y.get(action, 0)) <= 0:
             raise ValueError(f"raw action {action} carries no mass in y; wrong matrix?")
     gen = np.random.default_rng(rng)
 
     by_user: dict[int, list[Action]] = {}
-    for action in sorted(raw.actions):
+    for action in sorted(raw):
         by_user.setdefault(action.user, []).append(action)
     survivors: set[Action] = set()
     for user in sorted(by_user):
@@ -82,7 +66,7 @@ def contention_resolve(
     if matroids == "two":
         if W is None:
             raise ValueError("two-matroid resolution needs W")
-        ordered = sorted(raw.actions)
+        ordered = sorted(raw)
         if len(ordered) > W:
             idx = gen.choice(len(ordered), size=W, replace=False)
             kept = {ordered[i] for i in idx}
@@ -90,22 +74,24 @@ def contention_resolve(
             kept = set(ordered)
         survivors &= kept
 
-    return RoundedSet(frozenset(survivors), STAGE_RESOLVED)
+    return frozenset(survivors)
 
 
 def execute_probe_set(
-    instance: Instance, resolved: RoundedSet, world: World, order_seed
+    instance: Instance, resolved: Collection[Action], world: World, order_seed
 ) -> PolicyTrace:
     """Probe the surviving actions in seeded random order behind the budget gate.
 
     An action is acted on only while the remaining budget is at least B/2;
     since every offered coupon is worth at most B/2, the run can never
-    overspend.  Sequences containing coupons above B/2 are rejected outright.
+    overspend.  Sets with two actions for one user, or with coupons above
+    B/2, are rejected outright.
     """
-    if resolved.stage != STAGE_RESOLVED:
-        raise ValueError("execute_probe_set expects a resolved set")
+    users = [action.user for action in resolved]
+    if len(set(users)) != len(users):
+        raise ValueError("execute_probe_set expects at most one action per user")
     half = instance.B / 2.0
-    for action in resolved.actions:
+    for action in resolved:
         for i in action.sequence.coupon_indices:
             if instance.coupons[i] > half:
                 raise ValueError(
@@ -113,7 +99,7 @@ def execute_probe_set(
                     f"{instance.coupons[i]} > B/2 = {half}"
                 )
     gen = np.random.default_rng(order_seed)
-    ordered = sorted(resolved.actions)
+    ordered = sorted(resolved)
     order = gen.permutation(len(ordered))
     trace = PolicyTrace()
     budget = instance.B
@@ -147,7 +133,7 @@ class Alg1Policy:
         self.use_W = use_W
         self.extended = use_W
         self.vacuous = not low_value_coupons(instance) or instance.K < 1
-        self.fractional: DecisionMatrix | None = None
+        self.fractional: dict[Action, Fraction] | None = None
         if not self.vacuous:
             self.fractional = continuous_greedy(instance, config, use_W=use_W)
 
@@ -165,14 +151,3 @@ class Alg1Policy:
         )
         return execute_probe_set(self.instance, resolved, world, gen)
 
-
-def alg1(
-    instance: Instance,
-    config: RelaxationConfig,
-    use_W: bool = False,
-    rng_seed: int = 0,
-) -> PolicyTrace:
-    """One full fractional-route run against a freshly sampled world."""
-    policy = Alg1Policy(instance, config, use_W=use_W)
-    world = sample_world(instance, np.random.default_rng([rng_seed, 0]))
-    return policy.generate(world, np.random.default_rng([rng_seed, 1]))

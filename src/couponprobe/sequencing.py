@@ -253,18 +253,6 @@ class StochCpPolicy:
         return trace
 
 
-def stoch_cp(
-    instance: Instance,
-    config: RelaxationConfig,
-    extended: bool = False,
-    rng_seed: int = 0,
-) -> PolicyTrace:
-    """One combiner run against a freshly sampled world."""
-    policy = StochCpPolicy(instance, config, extended=extended)
-    world = sample_world(instance, np.random.default_rng([rng_seed, 0]))
-    return policy.generate(world, np.random.default_rng([rng_seed, 1]))
-
-
 @dataclass
 class PolicyEvaluation:
     mean: float
@@ -294,9 +282,7 @@ def evaluate_policy(
     for i in range(worlds):
         world = sample_world(instance, np.random.default_rng([rng_seed, i, 0]))
         trace = generate(world, np.random.default_rng([rng_seed, i, 1]))
-        value = float(
-            realized_influence(instance.graph, trace.seeds, world.cascade.live_edges)
-        )
+        value = float(realized_influence(instance.graph, trace.seeds, world.live_mask))
         total += value
         total_sq += value * value
         if check_trace(instance, trace, extended=extended):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from couponprobe.influence import Graph
-from couponprobe.model import CascadeRealization, Instance, World
+from couponprobe.model import Instance, World
 from couponprobe.sequencing import first_accept_value
 
 
@@ -15,11 +15,8 @@ def edgeless(n: int) -> Graph:
     return Graph(node_count=n, edges=())
 
 
-def make_world(thresholds, live_edges=()) -> World:
-    return World(
-        thresholds=tuple(float(t) for t in thresholds),
-        cascade=CascadeRealization(live_edges=frozenset(live_edges)),
-    )
+def make_world(thresholds, live_mask: int = 0) -> World:
+    return World(thresholds=tuple(float(t) for t in thresholds), live_mask=live_mask)
 
 
 def single_user(p: float, coupon: float = 1.0, B: float = 1.0, K: int = 1,

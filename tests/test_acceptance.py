@@ -39,12 +39,12 @@ from couponprobe.oracle import (
     optimal_adaptive_value,
 )
 from couponprobe.relaxation import (
-    DecisionMatrix,
     RelaxationConfig,
     continuous_greedy,
     default_beta_basic,
     default_beta_extended,
     solve_lp,
+    user_mass,
 )
 from couponprobe.rounding import contention_resolve, independent_round
 from couponprobe.sequencing import (
@@ -244,12 +244,12 @@ def test_criterion_08_lp_and_extension_exactness() -> None:
     for use_W in (False, True):
         beta = F(config.resolved_beta(use_W))
         y = continuous_greedy(inst, config, use_W=use_W)
-        assert all(mass <= 1 for mass in y.user_mass().values())
-        assert all(0 <= y[a] <= 1 for a in y.actions())
-        spend = sum(y[a] * threshold_cost(inst, a) for a in y.actions())
+        assert all(mass <= 1 for mass in user_mass(y).values())
+        assert all(0 <= y[a] <= 1 for a in y)
+        spend = sum(y[a] * threshold_cost(inst, a) for a in y)
         assert spend <= beta * F(inst.B)
         if use_W:
-            assert y.total_mass() <= beta * F(inst.W)
+            assert sum(y.values()) <= beta * F(inst.W)
 
     wide = uniform_instance(
         2, (1.0, 1.2, 1.4), ((0.2, 0.4, 0.6), (0.3, 0.5, 0.7)), K=2, B=3.0,
@@ -322,7 +322,7 @@ def test_criterion_10_contention_survival_rates() -> None:
     )
     actions = build_action_space(inst)
     assert len(actions) == 12  # several contenders per user, not one
-    y = DecisionMatrix({a: beta / 6 for a in actions})
+    y = {a: beta / 6 for a in actions}
 
     for matroids, floor in (("one", 1 - beta), ("two", (1 - beta) ** 2)):
         gen_round = np.random.default_rng(10_000)
@@ -331,13 +331,13 @@ def test_criterion_10_contention_survival_rates() -> None:
         survived = 0
         for _ in range(100_000):
             raw = independent_round(y, gen_round)
-            if not raw.actions:
+            if not raw:
                 continue
             resolved = contention_resolve(
                 raw, y, matroids=matroids, W=inst.W, rng=gen_resolve,
             )
-            appeared += len(raw.actions)
-            survived += len(resolved.actions & raw.actions)
+            appeared += len(raw)
+            survived += len(resolved & raw)
         rate = survived / appeared
         assert rate >= float(floor) - 0.01
     print("criterion 10: PASS (survival above 1-beta and (1-beta)^2 floors)")

@@ -9,9 +9,10 @@ from couponprobe.influence import (
     EXACT_EDGE_LIMIT,
     Graph,
     influence_exact,
-    influence_mc,
     influence_mc_stats,
+    live_mask_outcomes,
     realized_influence,
+    sample_live_mask,
     singleton_influence_table,
 )
 
@@ -73,26 +74,26 @@ def test_graph_validation() -> None:
 
 def test_realized_influence_counts_reachable() -> None:
     g = Graph(node_count=3, edges=((0, 1, 0.5), (1, 2, 0.5)))
-    assert realized_influence(g, {0}, ()) == 1
-    assert realized_influence(g, {0}, (0,)) == 2
-    assert realized_influence(g, {0}, (0, 1)) == 3
-    assert realized_influence(g, {0}, (1,)) == 1
+    assert realized_influence(g, {0}, 0b00) == 1
+    assert realized_influence(g, {0}, 0b01) == 2
+    assert realized_influence(g, {0}, 0b11) == 3
+    assert realized_influence(g, {0}, 0b10) == 1
 
 
 def test_mc_full_seeding_saturates() -> None:
     g = Graph(node_count=4, edges=((0, 1, 0.3), (2, 3, 0.9)))
-    assert influence_mc(g, {0, 1, 2, 3}, samples=100, rng_seed=1) == 4.0
+    assert influence_mc_stats(g, {0, 1, 2, 3}, samples=100, rng_seed=1)[0] == 4.0
 
 
 def test_mc_no_propagation_is_exact() -> None:
     g = Graph(node_count=3, edges=((0, 1, 0.0), (1, 2, 0.0)))
-    assert influence_mc(g, {0}, samples=100, rng_seed=3) == 1.0
+    assert influence_mc_stats(g, {0}, samples=100, rng_seed=3)[0] == 1.0
 
 
 def test_mc_deterministic_per_seed() -> None:
     g = Graph(node_count=2, edges=((0, 1, 0.5),))
-    a = influence_mc(g, {0}, samples=5000, rng_seed=11)
-    b = influence_mc(g, {0}, samples=5000, rng_seed=11)
+    a = influence_mc_stats(g, {0}, samples=5000, rng_seed=11)[0]
+    b = influence_mc_stats(g, {0}, samples=5000, rng_seed=11)[0]
     assert a == b
 
 
@@ -111,7 +112,7 @@ def test_mc_matches_exact_within_four_stderr() -> None:
 def test_mc_requires_positive_samples() -> None:
     g = edgeless(1)
     with pytest.raises(ValueError):
-        influence_mc(g, {0}, samples=0, rng_seed=0)
+        influence_mc_stats(g, {0}, samples=0, rng_seed=0)
 
 
 def _all_small_graphs():
@@ -180,3 +181,32 @@ def test_singleton_table_star() -> None:
     assert table[0] == pytest.approx(2.0)
     assert table[1] == pytest.approx(1.0)
     assert table[2] == pytest.approx(1.0)
+
+
+def _mixed_graph() -> Graph:
+    # forced, dead and ten uncertain edges, interleaved in edge order
+    return Graph(node_count=7, edges=(
+        (0, 1, 1.0), (0, 2, 0.3), (1, 2, 0.0), (1, 3, 0.6), (2, 3, 0.5),
+        (2, 4, 1.0), (3, 4, 0.2), (3, 5, 0.0), (4, 5, 0.7), (4, 6, 0.4),
+        (5, 6, 1.0), (5, 0, 0.5), (6, 1, 0.8), (6, 3, 0.1), (1, 5, 0.45),
+    ))
+
+
+def test_live_masks_respect_forced_and_dead_edges() -> None:
+    g = _mixed_graph()
+    assert len(g.uncertain_edges) == 10
+    dead = sum(1 << i for i, (_, _, p) in enumerate(g.edges) if p == 0.0)
+    outcomes = list(live_mask_outcomes(g))
+    gen = np.random.default_rng(4)
+    sampled = [sample_live_mask(g, gen) for _ in range(500)]
+    for mask in [m for _, m in outcomes] + sampled:
+        assert mask & g.forced_live_mask == g.forced_live_mask
+        assert mask & dead == 0
+    assert len({m for _, m in outcomes}) == 1 << 10
+    assert sum(w for w, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_singleton_table_equals_exact_influence() -> None:
+    g = _mixed_graph()
+    table = singleton_influence_table(g)
+    assert table == {v: influence_exact(g, [v]) for v in range(g.node_count)}

@@ -63,6 +63,16 @@ def test_constraint_parameter_validation() -> None:
         uniform_instance(1, (1.0,), ((1.5,),), K=1, B=1.0)  # p out of range
 
 
+def test_numpy_integer_counts_are_stored_as_int() -> None:
+    inst = single_user(0.5, K=np.int64(2), W=np.int32(1))
+    assert inst.K == 2 and type(inst.K) is int
+    assert inst.W == 1 and type(inst.W) is int
+    with pytest.raises(ValueError):
+        single_user(0.5, K=1.5)
+    with pytest.raises(ValueError):
+        single_user(0.5, W=1.5)
+
+
 def test_probe_sequence_must_increase() -> None:
     with pytest.raises(ValueError):
         ProbeSequence(coupon_indices=(1, 0))

@@ -10,9 +10,9 @@ from couponprobe import simplex
 from couponprobe.model import Action, ProbeSequence, build_action_space
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
-    DecisionMatrix,
     RelaxationConfig,
     action_set_utility,
+    check_fractional,
     continuous_greedy,
     default_beta_basic,
     default_beta_extended,
@@ -140,7 +140,7 @@ def test_utility_ignores_budget() -> None:
 def test_marginals_at_zero_match_acceptance_probability() -> None:
     inst = uniform_instance(2, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9)), K=2, B=3.0)
     actions = build_action_space(inst)
-    y = DecisionMatrix({a: F(0) for a in actions})
+    y = {a: F(0) for a in actions}
     config = RelaxationConfig(marginal_samples=4000, rng_seed=5)
     omega = estimate_marginals(inst, y, config)
     for a in actions:
@@ -153,7 +153,7 @@ def test_marginals_at_zero_match_acceptance_probability() -> None:
 def test_marginal_of_dominated_action_is_zero_when_forced_in() -> None:
     inst = uniform_instance(1, (1.0, 1.2), ((0.3, 0.5),), K=1, B=3.0)
     big, small = _act(0, 1), _act(0, 0)
-    y = DecisionMatrix({big: F(1), small: F(0)})
+    y = {big: F(1), small: F(0)}
     omega = estimate_marginals(inst, y, RelaxationConfig(marginal_samples=500, rng_seed=2))
     # the larger coupon is always present, so adding the smaller changes nothing
     assert omega[small] == 0.0
@@ -165,7 +165,7 @@ def test_marginals_nonnegative_and_deterministic() -> None:
         edges=((0, 1, 0.5),),
     )
     actions = build_action_space(inst)
-    y = DecisionMatrix({a: F(1, 8) for a in actions})
+    y = {a: F(1, 8) for a in actions}
     config = RelaxationConfig(marginal_samples=300, rng_seed=7)
     first = estimate_marginals(inst, y, config)
     second = estimate_marginals(inst, y, config)
@@ -255,10 +255,10 @@ def test_config_validation_and_resolution() -> None:
 def test_decision_matrix_validation() -> None:
     a, b = _act(0, 0), _act(0, 1)
     with pytest.raises(ValueError):
-        DecisionMatrix({a: F(3, 4), b: F(1, 2)}).validate()
+        check_fractional({a: F(3, 4), b: F(1, 2)})
     with pytest.raises(ValueError):
-        DecisionMatrix({a: F(-1, 10)}).validate()
-    DecisionMatrix({a: F(3, 4), b: F(1, 4)}).validate()
+        check_fractional({a: F(-1, 10)})
+    check_fractional({a: F(3, 4), b: F(1, 4)})
 
 
 # ---------------------------------------------------------- continuous greedy
@@ -278,7 +278,7 @@ def test_greedy_iteration_count_and_monotone_trajectory() -> None:
         2, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9)), K=1, B=3.0,
         edges=((0, 1, 0.6),),
     )
-    snapshots: list[DecisionMatrix] = []
+    snapshots: list[dict] = []
     config = RelaxationConfig(delta=0.3, marginal_samples=200, rng_seed=1)
     continuous_greedy(inst, config, on_step=lambda t, y: snapshots.append(y))
     assert len(snapshots) == math.ceil(1 / 0.3)
@@ -286,7 +286,7 @@ def test_greedy_iteration_count_and_monotone_trajectory() -> None:
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert all(later[a] >= earlier[a] for a in actions)
     # exact multilinear value never decreases along the trajectory
-    values = [multilinear_value_exact(inst, snap.values) for snap in snapshots]
+    values = [multilinear_value_exact(inst, snap) for snap in snapshots]
     assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
 
 
@@ -311,7 +311,7 @@ def test_greedy_output_feasible_exactly() -> None:
 def test_greedy_zero_attractiveness_returns_zero_vector() -> None:
     inst = uniform_instance(2, (1.0,), ((0.0,), (0.0,)), K=1, B=3.0)
     y = continuous_greedy(inst, RelaxationConfig(delta=0.5, marginal_samples=50, rng_seed=0))
-    assert all(v == 0 for v in y.values.values())
+    assert all(v == 0 for v in y.values())
 
 
 def test_greedy_requires_actions() -> None:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from couponprobe.influence import singleton_influence_table
-from couponprobe.model import PolicyTrace
+from couponprobe.model import PolicyTrace, sample_world
 from couponprobe.relaxation import RelaxationConfig
 from couponprobe.sequencing import (
     Alg2Policy,
@@ -20,7 +20,6 @@ from couponprobe.sequencing import (
     budgeted_first_accept_plan,
     evaluate_policy,
     first_accept_value,
-    stoch_cp,
 )
 
 from helpers import dp_brute_force, make_world, uniform_instance
@@ -318,8 +317,12 @@ def test_combiner_reports_unsolvable_instances() -> None:
 def test_stoch_cp_one_shot_determinism() -> None:
     inst = _straddle_instance()
     config = RelaxationConfig(delta=0.25, marginal_samples=60, rng_seed=5)
-    first = stoch_cp(inst, config, rng_seed=4)
-    second = stoch_cp(inst, config, rng_seed=4)
+    first, second = (
+        StochCpPolicy(inst, config).generate(
+            sample_world(inst, np.random.default_rng([4, 0])), np.random.default_rng([4, 1])
+        )
+        for _ in range(2)
+    )
     assert first.steps == second.steps
     assert first.note == second.note
 
