@@ -2,6 +2,7 @@
 
 from .influence import (
     Graph,
+    InstanceError,
     influence_exact,
     influence_mc_stats,
     live_mask_outcomes,
@@ -23,7 +24,6 @@ from .model import (
     low_value_coupons,
     probe_user,
     realize,
-    run_fixed_plan,
     sample_world,
 )
 from .oracle import (

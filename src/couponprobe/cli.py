@@ -14,9 +14,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .instance_io import InstanceFormatError, load_instance
+from .instance_io import load_instance
 from .model import COST_MODE_THRESHOLD, COST_MODES, Instance
-from .oracle import OracleSizeError, optimal_adaptive_value
+from .oracle import optimal_adaptive_value
 from .relaxation import RelaxationConfig
 from .rounding import Alg1Policy
 from .sequencing import Alg2Policy, PolicyEvaluation, StochCpPolicy, evaluate_policy
@@ -231,10 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, OracleSizeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # InstanceFormatError and OracleSizeError included
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

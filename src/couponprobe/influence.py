@@ -18,6 +18,21 @@ import numpy as np
 EXACT_EDGE_LIMIT = 20
 
 
+class InstanceError(ValueError):
+    """A broken instance rule, naming the entry that breaks it.
+
+    `field` is the Graph or Instance field, `index` the entry's position in
+    it (None for a single value), and `first` the earlier position that a
+    duplicate entry repeats.
+    """
+
+    def __init__(self, message: str, field: str, index: int | None = None, first: int | None = None):
+        super().__init__(message)
+        self.field = field
+        self.index = index
+        self.first = first
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed graph with an independent activation probability per edge.
@@ -33,19 +48,19 @@ class Graph:
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
-            raise ValueError("node_count must be a positive integer")
+            raise InstanceError(f"node count must be positive, got {self.node_count}", "node_count")
         object.__setattr__(self, "edges", tuple((int(u), int(v), float(p)) for u, v, p in self.edges))
-        seen = set()
+        seen: dict[tuple[int, int], int] = {}
         for i, (u, v, p) in enumerate(self.edges):
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge {i}: endpoint out of range ({u}, {v})")
+                raise InstanceError(f"edge endpoint out of range ({u}, {v})", "edges", i)
             if u == v:
-                raise ValueError(f"edge {i}: self-loop at node {u}")
+                raise InstanceError(f"self-loop at node {u}", "edges", i)
             if (u, v) in seen:
-                raise ValueError(f"edge {i}: duplicate edge ({u}, {v})")
-            seen.add((u, v))
+                raise InstanceError(f"duplicate edge ({u}, {v})", "edges", i, first=seen[(u, v)])
+            seen[(u, v)] = i
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"edge {i}: probability {p} outside [0, 1]")
+                raise InstanceError(f"edge probability {p} outside [0, 1]", "edges", i)
 
     @cached_property
     def uncertain_edges(self) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Reading and writing the textual instance format.
 
-A file holds one instance as directive lines; '#' starts a comment anywhere:
+A file holds one instance as directive lines, in any order; '#' starts a
+comment anywhere:
 
     nodes 5
     edge 0 1 0.4          # source target probability
@@ -11,14 +12,29 @@ A file holds one instance as directive lines; '#' starts a comment anywhere:
     B 3.0
     W 2                   # optional cap on distinct users probed
 
-Errors carry the offending line number and, for attractiveness problems, the
-user and coupon values involved.
+The loader only parses: directive names, value counts, number syntax, and
+each single-valued directive appearing exactly once.  Graph and Instance
+check every rule of the model; the entry their InstanceError names is mapped
+back to its line, so every error carries the offending line number.
 """
 
 from __future__ import annotations
 
-from .influence import Graph
+from .influence import Graph, InstanceError
 from .model import Instance
+
+# directive -> (Graph/Instance field, token types: a tuple for a fixed count,
+# a single type for any number of values)
+_DIRECTIVES = {
+    "nodes": ("node_count", (int,)),
+    "edge": ("edges", (int, int, float)),
+    "coupons": ("coupons", float),
+    "attract": ("attractiveness", float),
+    "K": ("K", (int,)),
+    "B": ("B", (float,)),
+    "W": ("W", (int,)),
+}
+_REPEATED = ("edge", "attract")
 
 
 class InstanceFormatError(ValueError):
@@ -30,142 +46,63 @@ class InstanceFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _parse_int(path: str, lineno: int, token: str, what: str) -> int:
+def _parse(path: str, lineno: int, key: str, kind: type, token: str) -> int | float:
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
-        raise InstanceFormatError(path, lineno, f"{what} must be an integer, got {token!r}") from None
-
-
-def _parse_float(path: str, lineno: int, token: str, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise InstanceFormatError(path, lineno, f"{what} must be a number, got {token!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise InstanceFormatError(path, lineno, f"{key} value must be {what}, got {token!r}") from None
 
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
-    nodes: int | None = None
-    edges: list[tuple[int, int, float]] = []
-    edge_pairs: dict[tuple[int, int], int] = {}
-    coupons: list[float] | None = None
-    attract: list[tuple[float, ...]] = []
-    K: int | None = None
-    B: float | None = None
-    W: int | None = None
-
+    values: dict[str, object] = {"edge": [], "attract": []}
+    where: dict[tuple[str, int | None], int] = {}  # (field, entry index or None) -> line
     for lineno, raw in enumerate(lines, 1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue
-        parts = text.split()
-        key, args = parts[0], parts[1:]
-        if key == "nodes":
-            if nodes is not None:
-                raise InstanceFormatError(path, lineno, "duplicate 'nodes' directive")
-            if len(args) != 1:
-                raise InstanceFormatError(path, lineno, "'nodes' takes exactly one value")
-            nodes = _parse_int(path, lineno, args[0], "node count")
-            if nodes < 1:
-                raise InstanceFormatError(path, lineno, f"node count must be positive, got {nodes}")
-        elif key == "edge":
-            if nodes is None:
-                raise InstanceFormatError(path, lineno, "'edge' must come after 'nodes'")
-            if len(args) != 3:
-                raise InstanceFormatError(path, lineno, "'edge' takes: source target probability")
-            u = _parse_int(path, lineno, args[0], "edge source")
-            v = _parse_int(path, lineno, args[1], "edge target")
-            p = _parse_float(path, lineno, args[2], "edge probability")
-            if not (0 <= u < nodes and 0 <= v < nodes):
-                raise InstanceFormatError(path, lineno, f"edge endpoint out of range ({u}, {v})")
-            if u == v:
-                raise InstanceFormatError(path, lineno, f"self-loop at node {u}")
-            if (u, v) in edge_pairs:
-                raise InstanceFormatError(
-                    path, lineno, f"duplicate edge ({u}, {v}); first seen on line {edge_pairs[(u, v)]}"
-                )
-            if not 0.0 <= p <= 1.0:
-                raise InstanceFormatError(path, lineno, f"edge probability {p} outside [0, 1]")
-            edge_pairs[(u, v)] = lineno
-            edges.append((u, v, p))
-        elif key == "coupons":
-            if coupons is not None:
-                raise InstanceFormatError(path, lineno, "duplicate 'coupons' directive")
-            if not args:
-                raise InstanceFormatError(path, lineno, "'coupons' needs at least one value")
-            coupons = [_parse_float(path, lineno, t, "coupon value") for t in args]
-            for i, c in enumerate(coupons):
-                if c <= 0.0:
-                    raise InstanceFormatError(path, lineno, f"coupon value {c} is not positive")
-                if i > 0 and c <= coupons[i - 1]:
-                    raise InstanceFormatError(
-                        path, lineno, f"coupon values must be strictly increasing ({coupons[i-1]} then {c})"
-                    )
-        elif key == "attract":
-            if coupons is None:
-                raise InstanceFormatError(path, lineno, "'attract' must come after 'coupons'")
-            if nodes is None:
-                raise InstanceFormatError(path, lineno, "'attract' must come after 'nodes'")
-            user = len(attract)
-            if user >= nodes:
-                raise InstanceFormatError(path, lineno, f"more 'attract' rows than the {nodes} declared users")
-            if len(args) != len(coupons):
-                raise InstanceFormatError(
-                    path, lineno,
-                    f"user {user}: expected {len(coupons)} attractiveness values, got {len(args)}",
-                )
-            row = tuple(_parse_float(path, lineno, t, "attractiveness") for t in args)
-            for i, p in enumerate(row):
-                if not 0.0 <= p <= 1.0:
-                    raise InstanceFormatError(path, lineno, f"user {user}: attractiveness {p} outside [0, 1]")
-                if i > 0 and p < row[i - 1]:
-                    raise InstanceFormatError(
-                        path, lineno,
-                        f"user {user}: attractiveness drops from {row[i-1]} at coupon value "
-                        f"{coupons[i-1]} to {p} at coupon value {coupons[i]}; rows must be non-decreasing",
-                    )
-            attract.append(row)
-        elif key == "K":
-            if len(args) != 1:
-                raise InstanceFormatError(path, lineno, "'K' takes exactly one value")
-            K = _parse_int(path, lineno, args[0], "K")
-            if K < 0:
-                raise InstanceFormatError(path, lineno, f"K must be non-negative, got {K}")
-        elif key == "B":
-            if len(args) != 1:
-                raise InstanceFormatError(path, lineno, "'B' takes exactly one value")
-            B = _parse_float(path, lineno, args[0], "B")
-            if B <= 0.0:
-                raise InstanceFormatError(path, lineno, f"B must be positive, got {B}")
-        elif key == "W":
-            if len(args) != 1:
-                raise InstanceFormatError(path, lineno, "'W' takes exactly one value")
-            W = _parse_int(path, lineno, args[0], "W")
-            if W < 0:
-                raise InstanceFormatError(path, lineno, f"W must be non-negative, got {W}")
-        else:
+        key, *args = text.split()
+        if key not in _DIRECTIVES:
             raise InstanceFormatError(path, lineno, f"unknown directive {key!r}")
+        field, kinds = _DIRECTIVES[key]
+        if key not in _REPEATED and key in values:
+            raise InstanceFormatError(
+                path, lineno, f"duplicate {key!r} directive; first seen on line {where[(field, None)]}"
+            )
+        if not isinstance(kinds, tuple):
+            kinds = (kinds,) * len(args)
+        elif len(args) != len(kinds):
+            n = len(kinds)
+            raise InstanceFormatError(path, lineno, f"{key!r} takes {n} value{'s' * (n > 1)}, got {len(args)}")
+        parsed = tuple(_parse(path, lineno, key, kind, token) for kind, token in zip(kinds, args))
+        if key in _REPEATED:
+            where[(field, len(values[key]))] = lineno
+            values[key].append(parsed)
+        else:
+            where[(field, None)] = lineno
+            values[key] = parsed if key == "coupons" else parsed[0]
 
-    for name, value in (("nodes", nodes), ("coupons", coupons), ("K", K), ("B", B)):
-        if value is None:
-            raise InstanceFormatError(path, None, f"missing required directive {name!r}")
-    if len(attract) != nodes:
-        raise InstanceFormatError(
-            path, None, f"expected {nodes} 'attract' rows, found {len(attract)}"
+    for key in ("nodes", "coupons", "K", "B"):
+        if key not in values:
+            raise InstanceFormatError(path, None, f"missing required directive {key!r}")
+    try:
+        return Instance(
+            graph=Graph(node_count=values["nodes"], edges=tuple(values["edge"])),
+            coupons=values["coupons"],
+            attractiveness=tuple(values["attract"]),
+            K=values["K"],
+            B=values["B"],
+            W=values.get("W"),
         )
-
-    graph = Graph(node_count=nodes, edges=tuple(edges))
-    return Instance(
-        graph=graph,
-        coupons=tuple(coupons),
-        attractiveness=tuple(attract),
-        K=K,
-        B=B,
-        W=W,
-    )
+    except InstanceError as exc:
+        line = where.get((exc.field, exc.index), where.get((exc.field, None)))
+        message = str(exc)
+        if exc.first is not None:
+            message += f"; first seen on line {where[(exc.field, exc.first)]}"
+        raise InstanceFormatError(path, line, message) from None
 
 
 def save_instance(instance: Instance, path: str) -> None:

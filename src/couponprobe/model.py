@@ -9,28 +9,29 @@ every larger value.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .influence import Graph, sample_live_mask
+from .influence import Graph, InstanceError, sample_live_mask
 
 COST_MODE_THRESHOLD = "threshold"
 COST_MODE_PAPER = "paper"
 COST_MODES = (COST_MODE_THRESHOLD, COST_MODE_PAPER)
 
 
-def _count(value, message: str) -> int:
+def _count(value, field: str) -> int:
     """A non-negative integer of any integer type (numpy's too), as a plain int."""
     try:
         count = int(operator.index(value))
     except TypeError:
-        raise ValueError(message) from None
-    if count < 0:
-        raise ValueError(message)
+        count = None
+    if count is None or count < 0:
+        raise InstanceError(f"{field} must be a non-negative integer, got {value!r}", field)
     return count
 
 
@@ -41,6 +42,8 @@ class Instance:
     attractiveness[v][i] is the probability that user v accepts coupon i when
     offered it fresh.  Rows must be non-decreasing across coupons (a rational
     user never turns down a better deal they would have taken at a worse one).
+    Every rule is checked here; a broken one raises InstanceError naming the
+    entry.
     """
 
     graph: Graph
@@ -55,34 +58,44 @@ class Instance:
         object.__setattr__(
             self, "attractiveness", tuple(tuple(float(p) for p in row) for row in self.attractiveness)
         )
-        if not self.coupons:
-            raise ValueError("at least one coupon value is required")
-        for i, c in enumerate(self.coupons):
+        coupons = self.coupons
+        if not coupons:
+            raise InstanceError("at least one coupon value is required", "coupons")
+        for i, c in enumerate(coupons):
+            if not math.isfinite(c):
+                raise InstanceError(f"coupon value {c} is not finite", "coupons", i)
             if c <= 0.0:
-                raise ValueError(f"coupon {i} has non-positive value {c}")
-            if i > 0 and c <= self.coupons[i - 1]:
-                raise ValueError("coupon values must be strictly increasing")
-        if len(self.attractiveness) != self.graph.node_count:
-            raise ValueError(
-                f"expected {self.graph.node_count} attractiveness rows, got {len(self.attractiveness)}"
+                raise InstanceError(f"coupon value {c} is not positive", "coupons", i)
+            if i > 0 and c <= coupons[i - 1]:
+                raise InstanceError(
+                    f"coupon values must be strictly increasing ({coupons[i - 1]} then {c})", "coupons", i
+                )
+        n = self.graph.node_count
+        if len(self.attractiveness) != n:
+            raise InstanceError(
+                f"expected {n} attractiveness rows, one per user, got {len(self.attractiveness)}",
+                "attractiveness", min(n, len(self.attractiveness)),
             )
         for v, row in enumerate(self.attractiveness):
-            if len(row) != len(self.coupons):
-                raise ValueError(f"user {v}: expected {len(self.coupons)} attractiveness values")
+            if len(row) != len(coupons):
+                raise InstanceError(
+                    f"user {v}: expected {len(coupons)} attractiveness values, got {len(row)}",
+                    "attractiveness", v,
+                )
             for i, p in enumerate(row):
                 if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"user {v}: attractiveness {p} for coupon {i} outside [0, 1]")
+                    raise InstanceError(f"user {v}: attractiveness {p} outside [0, 1]", "attractiveness", v)
                 if i > 0 and p < row[i - 1]:
-                    raise ValueError(
-                        f"user {v}: attractiveness decreases from coupon value "
-                        f"{self.coupons[i - 1]} ({row[i - 1]}) to {self.coupons[i]} ({p}); "
-                        "rows must be non-decreasing"
+                    raise InstanceError(
+                        f"user {v}: attractiveness drops from {row[i - 1]} at coupon value "
+                        f"{coupons[i - 1]} to {p} at coupon value {coupons[i]}; rows must be non-decreasing",
+                        "attractiveness", v,
                     )
-        object.__setattr__(self, "K", _count(self.K, "K must be a non-negative integer"))
-        if not self.B > 0.0:
-            raise ValueError("B must be positive")
+        object.__setattr__(self, "K", _count(self.K, "K"))
+        if not (math.isfinite(self.B) and self.B > 0.0):
+            raise InstanceError(f"B must be positive and finite, got {self.B!r}", "B")
         if self.W is not None:
-            object.__setattr__(self, "W", _count(self.W, "W must be a non-negative integer when given"))
+            object.__setattr__(self, "W", _count(self.W, "W"))
 
     @property
     def n_users(self) -> int:
@@ -224,33 +237,6 @@ def probe_user(
         if accepted:
             return value, steps
     return None, steps
-
-
-def run_fixed_plan(instance: Instance, world: World, actions: Iterable[Action]) -> PolicyTrace:
-    """Execute actions in the given order under plain budget feasibility.
-
-    Each offer is made only while its coupon value still fits in the remaining
-    budget (offers are in increasing value order, so the first unaffordable
-    coupon ends that user's sequence).  No other gating is applied.
-    """
-    trace = PolicyTrace()
-    budget = instance.B
-    seeds: set[int] = set()
-    for action in actions:
-        for i in action.sequence.coupon_indices:
-            value = instance.coupons[i]
-            if value > budget:
-                break
-            accepted = realize(instance, world, action.user, i)
-            trace.steps.append(ProbeStep(action.user, value, accepted))
-            if accepted:
-                budget -= value
-                seeds.add(action.user)
-                trace.budget_after.append(budget)
-                break
-            trace.budget_after.append(budget)
-    trace.seeds = frozenset(seeds)
-    return trace
 
 
 def check_trace(instance: Instance, trace: PolicyTrace, extended: bool = False) -> list[str]:

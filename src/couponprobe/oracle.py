@@ -78,14 +78,7 @@ def optimal_adaptive_value(
 
     coupon_cost = [Fraction(c) for c in instance.coupons]
     budget = Fraction(instance.B)
-    spread_memo: dict[int, float] = {}
-
-    def spread(mask: int) -> float:
-        if mask not in spread_memo:
-            seeds = [v for v in range(n) if mask >> v & 1]
-            spread_memo[mask] = influence_exact(instance.graph, seeds) if seeds else 0.0
-        return spread_memo[mask]
-
+    spread = _spread_table(instance)
     memo: dict[PolicyState, float] = {}
 
     def best(state: PolicyState) -> float:
@@ -191,13 +184,14 @@ def exact_policy_value(
     return total
 
 
-def _spread_table_frac(instance: Instance) -> Callable[[int], Fraction]:
-    memo: dict[int, Fraction] = {0: Fraction(0)}
+def _spread_table(instance: Instance) -> Callable[[int], float]:
+    """Exact spread of a seed set given as a user bitmask, memoized per mask."""
+    memo: dict[int, float] = {0: 0.0}
 
-    def spread(mask: int) -> Fraction:
+    def spread(mask: int) -> float:
         if mask not in memo:
             seeds = [v for v in range(instance.n_users) if mask >> v & 1]
-            memo[mask] = Fraction(influence_exact(instance.graph, seeds))
+            memo[mask] = influence_exact(instance.graph, seeds)
         return memo[mask]
 
     return spread
@@ -208,7 +202,7 @@ def exact_action_set_value_frac(
 ) -> Fraction:
     """Exact expected spread of probing a fixed action set (no budget)."""
     if spread is None:
-        spread = _spread_table_frac(instance)
+        spread = _spread_table(instance)
     best: dict[int, int] = {}
     for action in actions:
         top = action.sequence.coupon_indices[-1]
@@ -227,7 +221,7 @@ def exact_action_set_value_frac(
             else:
                 weight *= 1 - q
         if weight:
-            total += weight * spread(mask)
+            total += weight * Fraction(spread(mask))
     return total
 
 
@@ -240,7 +234,7 @@ def _subset_value_table(instance: Instance, actions: list[Action]) -> list[Fract
         raise OracleSizeError(
             f"subset enumeration handles at most {MAX_LP_ACTIONS} actions, got {len(actions)}"
         )
-    spread = _spread_table_frac(instance)
+    spread = _spread_table(instance)
     table = []
     for mask in range(1 << len(actions)):
         subset = [actions[i] for i in range(len(actions)) if mask >> i & 1]

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
 from couponprobe.influence import Graph
-from couponprobe.model import Instance, World
+from couponprobe.model import Action, Instance, PolicyTrace, ProbeStep, World, realize
 from couponprobe.sequencing import first_accept_value
 
 
@@ -168,3 +169,30 @@ def dp_brute_force(probs, infl, W) -> Fraction:
                 )
                 best = max(best, value)
     return best
+
+
+def run_fixed_plan(instance: Instance, world: World, actions: Iterable[Action]) -> PolicyTrace:
+    """Execute actions in the given order under plain budget feasibility.
+
+    Each offer is made only while its coupon value still fits in the remaining
+    budget (offers are in increasing value order, so the first unaffordable
+    coupon ends that user's sequence).  No other gating is applied.
+    """
+    trace = PolicyTrace()
+    budget = instance.B
+    seeds: set[int] = set()
+    for action in actions:
+        for i in action.sequence.coupon_indices:
+            value = instance.coupons[i]
+            if value > budget:
+                break
+            accepted = realize(instance, world, action.user, i)
+            trace.steps.append(ProbeStep(action.user, value, accepted))
+            if accepted:
+                budget -= value
+                seeds.add(action.user)
+                trace.budget_after.append(budget)
+                break
+            trace.budget_after.append(budget)
+    trace.seeds = frozenset(seeds)
+    return trace

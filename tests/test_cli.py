@@ -90,6 +90,107 @@ def test_missing_directive_is_reported(tmp_path) -> None:
         load_instance(_write(tmp_path, TINY.replace("B 3.0\n", "")))
 
 
+# Lines: 1 nodes / 2 edge / 3 coupons / 4-5 attract / 6 K / 7 B
+TWO = """\
+nodes 2
+edge 0 1 0.5
+coupons 1.0 2.0
+attract 0.4 0.6
+attract 0.5 0.7
+K 1
+B 3.0
+"""
+
+
+def _two(old: str, new: str) -> str:
+    assert old in TWO
+    return TWO.replace(old, new, 1)
+
+
+# (file text, expected line or None for a whole-file error, key phrase)
+LOADER_ERRORS = [
+    # structure
+    pytest.param(TWO + "budget 3\n", 8, "unknown directive 'budget'", id="unknown-directive"),
+    pytest.param(_two("nodes 2", "nodes 2 3"), 1, "'nodes' takes", id="arity-nodes"),
+    pytest.param(_two("edge 0 1 0.5", "edge 0 1"), 2, "'edge' takes", id="arity-edge"),
+    pytest.param(_two("K 1", "K 1 2"), 6, "'K' takes", id="arity-K"),
+    pytest.param(_two("B 3.0", "B"), 7, "'B' takes", id="arity-B"),
+    pytest.param(TWO + "W\n", 8, "'W' takes", id="arity-W"),
+    pytest.param(_two("nodes 2", "nodes two"), 1, "must be an integer, got 'two'", id="int-nodes"),
+    pytest.param(_two("edge 0 1", "edge x 1"), 2, "must be an integer, got 'x'", id="int-edge"),
+    pytest.param(_two("K 1", "K 1.5"), 6, "must be an integer, got '1.5'", id="int-K"),
+    pytest.param(TWO + "W many\n", 8, "must be an integer, got 'many'", id="int-W"),
+    pytest.param(_two("0 1 0.5", "0 1 half"), 2, "must be a number, got 'half'", id="float-edge"),
+    pytest.param(_two("coupons 1.0 2.0", "coupons 1.0 two"), 3, "must be a number, got 'two'",
+                 id="float-coupons"),
+    pytest.param(_two("0.4 0.6", "0.4 high"), 4, "must be a number, got 'high'", id="float-attract"),
+    pytest.param(_two("B 3.0", "B lots"), 7, "must be a number, got 'lots'", id="float-B"),
+    pytest.param(TWO + "nodes 2\n", 8, "duplicate 'nodes' directive", id="duplicate-nodes"),
+    pytest.param(TWO + "coupons 1.0\n", 8, "duplicate 'coupons' directive", id="duplicate-coupons"),
+    pytest.param(TWO + "K 2\n", 8, "duplicate 'K' directive; first seen on line 6", id="duplicate-K"),
+    pytest.param(TWO + "B 4.0\n", 8, "duplicate 'B' directive; first seen on line 7", id="duplicate-B"),
+    pytest.param(TWO + "W 1\nW 2\n", 9, "duplicate 'W' directive; first seen on line 8",
+                 id="duplicate-W"),
+    pytest.param("coupons 1.0\nK 1\nB 3.0\n", None, "missing required directive 'nodes'",
+                 id="missing-nodes"),
+    pytest.param("nodes 1\nK 1\nB 3.0\n", None, "missing required directive 'coupons'",
+                 id="missing-coupons"),
+    pytest.param(_two("K 1\n", ""), None, "missing required directive 'K'", id="missing-K"),
+    pytest.param(_two("B 3.0\n", ""), None, "missing required directive 'B'", id="missing-B"),
+    # graph rules
+    pytest.param("nodes 0\ncoupons 1.0\nK 1\nB 3.0\n", 1, "must be positive", id="nodes-zero"),
+    pytest.param(_two("edge 0 1", "edge 0 5"), 2, "out of range", id="edge-range"),
+    pytest.param(_two("edge 0 1", "edge 1 1"), 2, "self-loop at node 1", id="edge-self-loop"),
+    pytest.param(_two("edge 0 1 0.5", "edge 0 1 0.5\nedge 0 1 0.3"), 3,
+                 "duplicate edge (0, 1); first seen on line 2", id="edge-duplicate"),
+    pytest.param(_two("0 1 0.5", "0 1 1.5"), 2, "outside [0, 1]", id="edge-probability-high"),
+    pytest.param(_two("0 1 0.5", "0 1 -0.1"), 2, "outside [0, 1]", id="edge-probability-low"),
+    pytest.param(_two("0 1 0.5", "0 1 nan"), 2, "outside [0, 1]", id="edge-probability-nan"),
+    # coupon rules
+    pytest.param(_two("coupons 1.0", "coupons -1.0"), 3, "not positive", id="coupon-negative"),
+    pytest.param(_two("coupons 1.0", "coupons 0.0"), 3, "not positive", id="coupon-zero"),
+    pytest.param(_two("coupons 1.0 2.0", "coupons 2.0 1.0"), 3, "strictly increasing",
+                 id="coupons-decreasing"),
+    pytest.param(_two("coupons 1.0 2.0", "coupons 1.0 1.0"), 3, "strictly increasing",
+                 id="coupons-repeated"),
+    pytest.param(_two("coupons 1.0 2.0", "coupons 1.0 nan"), 3, "not finite", id="coupon-nan"),
+    pytest.param(_two("coupons 1.0 2.0", "coupons 1.0 inf"), 3, "not finite", id="coupon-inf"),
+    # attractiveness rules
+    pytest.param(_two("attract 0.5 0.7\n", "attract 0.5 0.7\nattract 0.1 0.2\n"), 6, "rows",
+                 id="attract-extra-row"),
+    pytest.param(_two("attract 0.5 0.7\n", ""), None, "rows", id="attract-missing-row"),
+    pytest.param(_two("attract 0.4 0.6", "attract 0.4"), 4,
+                 "user 0: expected 2 attractiveness values, got 1", id="attract-short-row"),
+    pytest.param(_two("attract 0.5 0.7", "attract 0.5 0.7 0.9"), 5,
+                 "user 1: expected 2 attractiveness values, got 3", id="attract-long-row"),
+    pytest.param(_two("0.5 0.7", "0.5 1.4"), 5, "user 1: attractiveness 1.4 outside [0, 1]",
+                 id="attract-range"),
+    pytest.param(_two("0.4 0.6", "0.9 0.2"), 4, "user 0: attractiveness drops", id="attract-drops"),
+    # constraint rules
+    pytest.param(_two("K 1", "K -1"), 6, "non-negative", id="K-negative"),
+    pytest.param(_two("B 3.0", "B 0.0"), 7, "B must be positive", id="B-zero"),
+    pytest.param(_two("B 3.0", "B -2.0"), 7, "B must be positive", id="B-negative"),
+    pytest.param(_two("B 3.0", "B nan"), 7, "finite", id="B-nan"),
+    pytest.param(_two("B 3.0", "B inf"), 7, "finite", id="B-inf"),
+    pytest.param(TWO + "W -1\n", 8, "non-negative", id="W-negative"),
+]
+
+
+@pytest.mark.parametrize("text, line, phrase", LOADER_ERRORS)
+def test_loader_error_names_line_and_rule(tmp_path, text, line, phrase) -> None:
+    path = _write(tmp_path, text)
+    with pytest.raises(InstanceFormatError) as err:
+        load_instance(path)
+    where = f"{path}: " if line is None else f"{path}:{line}: "
+    assert str(err.value).startswith(where)
+    assert phrase in str(err.value)
+
+
+def test_directives_may_come_in_any_order(tmp_path) -> None:
+    reordered = "B 3.0\nK 1\nattract 0.4 0.6\nedge 0 1 0.5\nattract 0.5 0.7\ncoupons 1.0 2.0\nnodes 2\n"
+    assert load_instance(_write(tmp_path, reordered)) == load_instance(_write(tmp_path, TWO, "two.txt"))
+
+
 # ------------------------------------------------------------------- validate
 
 

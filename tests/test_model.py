@@ -19,11 +19,10 @@ from couponprobe.model import (
     low_value_coupons,
     probe_user,
     realize,
-    run_fixed_plan,
     sample_world,
 )
 
-from helpers import edgeless, make_world, single_user, uniform_instance
+from helpers import edgeless, make_world, run_fixed_plan, single_user, uniform_instance
 
 
 def _act(user: int, *indices: int) -> Action:
@@ -48,11 +47,17 @@ def test_coupons_must_be_strictly_increasing_and_positive() -> None:
         uniform_instance(1, (1.0, 1.0), ((0.5, 0.5),), K=1, B=3.0)
     with pytest.raises(ValueError):
         uniform_instance(1, (-1.0,), ((0.5,),), K=1, B=3.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            uniform_instance(1, (1.0, bad), ((0.5, 0.5),), K=1, B=3.0)
 
 
 def test_constraint_parameter_validation() -> None:
     with pytest.raises(ValueError):
         single_user(0.5, B=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            single_user(0.5, B=bad)
     with pytest.raises(ValueError):
         single_user(0.5, K=-1)
     with pytest.raises(ValueError):
