@@ -54,9 +54,9 @@ def make_policy(name: str, instance: Instance, config: RelaxationConfig, extende
     """Instantiate a policy by CLI name; 'e-' prefixes force extended mode."""
     base, extended = _resolve_policy_name(name, extended_flag)
     if base == "alg1":
-        return Alg1Policy(instance, config, use_W=extended)
+        return Alg1Policy(instance, config, extended=extended)
     if base == "alg2":
-        return Alg2Policy(instance, W=instance.W if extended else None)
+        return Alg2Policy(instance, extended=extended)
     if base == "stoch-cp":
         return StochCpPolicy(instance, config, extended=extended)
     raise ValueError(f"policy {name!r} is not world-simulated; use the oracle subcommand")

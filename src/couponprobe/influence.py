@@ -16,6 +16,9 @@ import numpy as np
 
 # 2^20 live-edge realizations is the largest enumeration we are willing to run.
 EXACT_EDGE_LIMIT = 20
+# Graph.reach_masks caches at most this many live masks (~0.5 KB each on 16
+# nodes); at least 2^15, so a 15-uncertain-edge singleton table stays cached.
+REACH_CACHE_LIMIT = 1 << 16
 
 
 class InstanceError(ValueError):
@@ -43,7 +46,7 @@ class Graph:
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
-    # reach cache keyed by live-edge bitmask; excluded from ==/hash
+    # bounded reach cache keyed by live-edge bitmask; excluded from ==/hash
     _reach: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -93,7 +96,8 @@ class Graph:
                         stack.append(nxt)
             masks.append(seen_mask)
         out = tuple(masks)
-        self._reach[live_mask] = out
+        if len(self._reach) < REACH_CACHE_LIMIT:
+            self._reach[live_mask] = out
         return out
 
 

@@ -175,16 +175,18 @@ def low_value_coupons(instance: Instance) -> list[int]:
 def build_action_space(instance: Instance) -> list[Action]:
     """All (user, sequence) actions over low-value coupons, sequences of length 1..K.
 
+    Sorted by user, then by coupon indices: the one action order, which y, its
+    marginals and the LP direction inherit and every draw over them follows.
     Empty when there are no low-value coupons or no probes are allowed; callers
     treat an empty space as "this route has nothing to offer".
     """
     low = low_value_coupons(instance)
-    actions: list[Action] = []
-    for user in range(instance.n_users):
-        for k in range(1, min(instance.K, len(low)) + 1):
-            for combo in itertools.combinations(low, k):
-                actions.append(Action(user, ProbeSequence(combo)))
-    return actions
+    sequences = sorted(
+        ProbeSequence(combo)
+        for k in range(1, min(instance.K, len(low)) + 1)
+        for combo in itertools.combinations(low, k)
+    )
+    return [Action(user, seq) for user in range(instance.n_users) for seq in sequences]
 
 
 def expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> float:

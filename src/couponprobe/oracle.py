@@ -249,7 +249,7 @@ def concave_extension_exact(instance: Instance, y: Mapping[Action, object]) -> F
     subsets so that each action's total inclusion stays within y, maximizing
     expected utility.
     """
-    actions = sorted(y)
+    actions = list(y)
     table = _subset_value_table(instance, actions)
     n_sub = len(table)
     objective = table
@@ -267,7 +267,7 @@ def concave_extension_exact(instance: Instance, y: Mapping[Action, object]) -> F
 
 def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> Fraction:
     """Exact expected utility of independently rounding y, by enumeration."""
-    actions = sorted(y)
+    actions = list(y)
     table = _subset_value_table(instance, actions)
     total = Fraction(0)
     for mask in range(len(table)):

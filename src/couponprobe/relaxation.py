@@ -140,11 +140,13 @@ def estimate_marginals(
 
     Sample s keys its RNG stream by (rng_seed, iteration, s); within one
     sample the same world and the same random base set serve every action, so
-    the estimates share their noise.  Marginals are non-negative sample by
-    sample because adding an action can only improve a user's best coupon.
+    the estimates share their noise.  The base-set draws follow y's iteration
+    order, which for continuous_greedy's y is build_action_space's order.
+    Marginals are non-negative sample by sample because adding an action can
+    only improve a user's best coupon.
     """
-    actions = sorted(y)
-    probs = [float(y[a]) for a in actions]
+    actions = list(y)
+    probs = [float(p) for p in y.values()]
     totals = [0.0] * len(actions)
     for s in range(config.marginal_samples):
         rng = np.random.default_rng([config.rng_seed, iteration, s])
@@ -179,7 +181,7 @@ def solve_lp(
     cost at most beta*B, every coordinate in [0, 1], and (when use_W is set)
     total mass at most beta*W.  The solution is returned as exact rationals.
     """
-    actions = sorted(weights)
+    actions = list(weights)
     for a in actions:
         if not math.isfinite(weights[a]):
             raise ValueError(f"non-finite weight for {a}")

@@ -10,7 +10,6 @@ the run never overspends, whatever the randomness does.
 from __future__ import annotations
 
 from collections.abc import Collection, Mapping
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,18 +24,18 @@ from .model import (
 from .relaxation import RelaxationConfig, continuous_greedy
 
 
-def independent_round(y: Mapping[Action, Fraction], rng) -> frozenset[Action]:
+def independent_round(y: Mapping[Action, float], rng) -> frozenset[Action]:
     """Include each action independently with probability equal to its mass.
 
-    y is taken as already checked (continuous_greedy checks its output).
+    One uniform draw per action, in y's iteration order.  y is taken as
+    already checked (continuous_greedy checks its output).
     """
-    gen = np.random.default_rng(rng)
-    return frozenset(action for action in sorted(y) if gen.random() < float(y[action]))
+    draws = np.random.default_rng(rng).random(len(y)).tolist()
+    return frozenset(action for (action, p), u in zip(y.items(), draws) if u < p)
 
 
 def contention_resolve(
     raw: Collection[Action],
-    y: Mapping[Action, Fraction],
     matroids: str = "one",
     W: int | None = None,
     rng=0,
@@ -50,23 +49,19 @@ def contention_resolve(
     """
     if matroids not in ("one", "two"):
         raise ValueError("matroids must be 'one' or 'two'")
-    for action in raw:
-        if Fraction(y.get(action, 0)) <= 0:
-            raise ValueError(f"raw action {action} carries no mass in y; wrong matrix?")
     gen = np.random.default_rng(rng)
 
+    ordered = sorted(raw)
     by_user: dict[int, list[Action]] = {}
-    for action in sorted(raw):
+    for action in ordered:
         by_user.setdefault(action.user, []).append(action)
     survivors: set[Action] = set()
-    for user in sorted(by_user):
-        group = by_user[user]
+    for group in by_user.values():  # ascending user, as ordered is sorted
         survivors.add(group[gen.integers(len(group))] if len(group) > 1 else group[0])
 
     if matroids == "two":
         if W is None:
             raise ValueError("two-matroid resolution needs W")
-        ordered = sorted(raw)
         if len(ordered) > W:
             idx = gen.choice(len(ordered), size=W, replace=False)
             kept = {ordered[i] for i in idx}
@@ -121,21 +116,21 @@ def execute_probe_set(
 
 
 class Alg1Policy:
-    """Fractional-route policy: relax once, then round and execute per world."""
+    """Fractional-route policy: relax once, then round its float plan and execute per world."""
 
     name = "alg1"
 
-    def __init__(self, instance: Instance, config: RelaxationConfig, use_W: bool = False):
-        if use_W and instance.W is None:
+    def __init__(self, instance: Instance, config: RelaxationConfig, extended: bool = False):
+        if extended and instance.W is None:
             raise ValueError("extended mode requires an instance with W set")
         self.instance = instance
         self.config = config
-        self.use_W = use_W
-        self.extended = use_W
+        self.extended = extended
         self.vacuous = not low_value_coupons(instance) or instance.K < 1
-        self.fractional: dict[Action, Fraction] | None = None
+        self.fractional: dict[Action, float] | None = None
         if not self.vacuous:
-            self.fractional = continuous_greedy(instance, config, use_W=use_W)
+            y = continuous_greedy(instance, config, use_W=extended)
+            self.fractional = {action: float(mass) for action, mass in y.items()}
 
     def generate(self, world: World, rng) -> PolicyTrace:
         if self.vacuous:
@@ -144,10 +139,8 @@ class Alg1Policy:
         raw = independent_round(self.fractional, gen)
         resolved = contention_resolve(
             raw,
-            self.fractional,
-            matroids="two" if self.use_W else "one",
-            W=self.instance.W if self.use_W else None,
+            matroids="two" if self.extended else "one",
+            W=self.instance.W if self.extended else None,
             rng=gen,
         )
         return execute_probe_set(self.instance, resolved, world, gen)
-

@@ -168,14 +168,16 @@ def alg2_dp(
 
 
 class Alg2Policy:
-    """Largest-coupon route; caps the candidate set at W when given one."""
+    """Largest-coupon route; in extended mode probes at most W users, chosen by the DP."""
 
     def __init__(
         self,
         instance: Instance,
         singleton_table: Mapping[int, float] | None = None,
-        W: int | None = None,
+        extended: bool = False,
     ):
+        if extended and instance.W is None:
+            raise ValueError("extended mode requires an instance with W set")
         value = instance.coupons[instance.c_max_index]
         if value > instance.B:
             raise ValueError(
@@ -183,18 +185,15 @@ class Alg2Policy:
             )
         if instance.K < 1:
             raise ValueError("probing requires K >= 1")
-        if W is not None and W < 0:
-            raise ValueError("W must be non-negative")
         self.instance = instance
         self.table = dict(singleton_table) if singleton_table is not None else singleton_influence_table(instance.graph)
-        self.W = W
-        self.extended = W is not None
-        self.name = "e-alg2" if self.extended else "alg2"
-        if W is None:
+        self.extended = extended
+        self.name = "e-alg2" if extended else "alg2"
+        if extended:
+            self.dp_table, self.order = alg2_dp(instance, self.table, instance.W)
+        else:
             self.order = alg2_plan(instance, self.table)
             self.dp_table = None
-        else:
-            self.dp_table, self.order = alg2_dp(instance, self.table, W)
 
     def generate(self, world: World, rng) -> PolicyTrace:
         return alg2_execute(self.instance, self.order, world)
@@ -211,8 +210,6 @@ class StochCpPolicy:
     """
 
     def __init__(self, instance: Instance, config: RelaxationConfig, extended: bool = False):
-        if extended and instance.W is None:
-            raise ValueError("extended mode requires an instance with W set")
         self.instance = instance
         self.extended = extended
         self.name = "e-stoch-cp" if extended else "stoch-cp"
@@ -233,13 +230,9 @@ class StochCpPolicy:
         else:
             self.alg1_weight = 0.5
         self.branch_alg1 = (
-            Alg1Policy(instance, config, use_W=extended) if self.alg1_weight > 0.0 else None
+            Alg1Policy(instance, config, extended=extended) if self.alg1_weight > 0.0 else None
         )
-        self.branch_alg2 = (
-            Alg2Policy(instance, W=instance.W if extended else None)
-            if self.alg1_weight < 1.0
-            else None
-        )
+        self.branch_alg2 = Alg2Policy(instance, extended=extended) if self.alg1_weight < 1.0 else None
 
     def generate(self, world: World, rng) -> PolicyTrace:
         gen = np.random.default_rng(rng)

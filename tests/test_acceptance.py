@@ -334,7 +334,7 @@ def test_criterion_10_contention_survival_rates() -> None:
             if not raw:
                 continue
             resolved = contention_resolve(
-                raw, y, matroids=matroids, W=inst.W, rng=gen_resolve,
+                raw, matroids=matroids, W=inst.W, rng=gen_resolve,
             )
             appeared += len(raw)
             survived += len(resolved & raw)

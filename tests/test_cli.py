@@ -313,6 +313,14 @@ def test_compare_rows_and_error_isolation(tmp_path, capsys) -> None:
     assert again == out
 
 
+@pytest.mark.parametrize("policy", ["e-alg1", "e-alg2", "e-stoch-cp"])
+def test_compare_extended_policy_needs_w(tmp_path, capsys, policy) -> None:
+    path = _write(tmp_path, TOY)  # no W directive
+    code, out, _ = _run(capsys, ["compare", path, "--policy", f"alg2,{policy}", "--worlds", "50"])
+    assert code == 0
+    assert out.splitlines()[-1] == f"{policy},,,,extended mode requires an instance with W set"
+
+
 def test_compare_stoch_cp_mean_sits_between_branches(tmp_path, capsys) -> None:
     path = _write(tmp_path, TOY)
     code, out, _ = _run(

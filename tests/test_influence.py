@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from couponprobe import influence
 from couponprobe.influence import (
     EXACT_EDGE_LIMIT,
     Graph,
@@ -209,4 +210,13 @@ def test_live_masks_respect_forced_and_dead_edges() -> None:
 def test_singleton_table_equals_exact_influence() -> None:
     g = _mixed_graph()
     table = singleton_influence_table(g)
+    assert table == {v: influence_exact(g, [v]) for v in range(g.node_count)}
+
+
+def test_reach_cache_stops_at_its_limit(monkeypatch) -> None:
+    monkeypatch.setattr(influence, "REACH_CACHE_LIMIT", 8)
+    g = Graph(node_count=5, edges=((0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (4, 0, 0.7)))
+    assert len(g.uncertain_edges) == 5
+    table = singleton_influence_table(g)
+    assert len(g._reach) <= 8
     assert table == {v: influence_exact(g, [v]) for v in range(g.node_count)}

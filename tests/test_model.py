@@ -154,6 +154,7 @@ def test_action_space_counts() -> None:
     actions = build_action_space(three_low)
     assert len(actions) == 2 * (3 + 3)
     assert len(set(actions)) == len(actions)
+    assert actions == sorted(actions)
 
     capped = uniform_instance(1, (1.0, 1.2), ((0.3, 0.4),), K=5, B=3.0)
     assert len(build_action_space(capped)) == 3

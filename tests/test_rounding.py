@@ -67,36 +67,26 @@ def test_round_is_deterministic_per_seed() -> None:
 
 def test_resolve_keeps_independent_sets_in_one_matroid_mode() -> None:
     a, b = _act(0, 0), _act(1, 0)
-    y = {a: F(1, 2), b: F(1, 2)}
-    resolved = contention_resolve(frozenset({a, b}), y, matroids="one")
+    resolved = contention_resolve(frozenset({a, b}), matroids="one")
     assert resolved == {a, b}
 
 
 def test_resolve_picks_one_action_per_user() -> None:
     a, b = _act(0, 0), _act(0, 1)
-    y = {a: F(1, 2), b: F(1, 2)}
     raw = frozenset({a, b})
     seen = set()
     for seed in range(40):
-        resolved = contention_resolve(raw, y, matroids="one", rng=seed)
+        resolved = contention_resolve(raw, matroids="one", rng=seed)
         assert len(resolved) == 1
         seen |= resolved
     assert seen == {a, b}  # both get picked across seeds
 
 
-def test_resolve_rejects_actions_with_no_mass() -> None:
-    a, b = _act(0, 0), _act(1, 0)
-    y = {a: F(1, 2), b: F(0)}
-    with pytest.raises(ValueError):
-        contention_resolve(frozenset({a, b}), y, matroids="one")
-
-
 def test_resolve_two_matroid_caps_cardinality() -> None:
     actions = [_act(v, 0) for v in range(4)]
-    y = {a: F(1, 8) for a in actions}
     raw = frozenset(actions)
     for seed in range(30):
-        resolved = contention_resolve(raw, y, matroids="two", W=2, rng=seed)
+        resolved = contention_resolve(raw, matroids="two", W=2, rng=seed)
         assert len(resolved) <= 2
         assert len({a.user for a in resolved}) == len(resolved)
 
@@ -112,7 +102,7 @@ def test_resolve_survival_rate_smoke() -> None:
     survived = {a: 0 for a in actions}
     for _ in range(20_000):
         raw = independent_round(y, gen)
-        resolved = contention_resolve(raw, y, matroids="one", rng=gen)
+        resolved = contention_resolve(raw, matroids="one", rng=gen)
         for a in raw:
             included[a] += 1
             if a in resolved:
@@ -173,7 +163,7 @@ def test_execute_never_overspends_on_random_runs() -> None:
     for trial in range(300):
         y = {a: F(1, 16) for a in actions}
         raw = independent_round(y, gen)
-        resolved = contention_resolve(raw, y, matroids="one", rng=gen)
+        resolved = contention_resolve(raw, matroids="one", rng=gen)
         world = sample_world(inst, gen)
         trace = execute_probe_set(inst, resolved, world, order_seed=gen)
         assert check_trace(inst, trace) == []
@@ -194,7 +184,7 @@ def test_budget_gate_discard_probability_markov_bound() -> None:
     discarded = 0
     for _ in range(10_000):
         raw = independent_round(y, gen)
-        resolved = contention_resolve(raw, y, matroids="one", rng=gen)
+        resolved = contention_resolve(raw, matroids="one", rng=gen)
         world = sample_world(inst, gen)
         trace = execute_probe_set(inst, resolved, world, order_seed=gen)
         probed = {s.user for s in trace.steps}
@@ -250,7 +240,7 @@ def test_alg1_extended_respects_w() -> None:
         3, (1.0,), ((0.9,), (0.9,), (0.9,)), K=1, B=3.0, W=1,
     )
     config = RelaxationConfig(delta=0.25, marginal_samples=80, rng_seed=1)
-    policy = Alg1Policy(inst, config, use_W=True)
+    policy = Alg1Policy(inst, config, extended=True)
     gen = np.random.default_rng(0)
     for seed in range(50):
         trace = policy.generate(sample_world(inst, gen), rng=seed)
