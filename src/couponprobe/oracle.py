@@ -203,18 +203,30 @@ def exact_action_set_value_frac(
     """Exact expected spread of probing a fixed action set (no budget)."""
     if spread is None:
         spread = _spread_table(instance)
+    return _top_coupon_value(instance, _top_coupons(actions), spread)
+
+
+def _top_coupons(actions: Iterable[Action]) -> dict[int, int]:
+    """Each probed user's largest offered coupon index: all the value depends on."""
     best: dict[int, int] = {}
     for action in actions:
         top = action.sequence.coupon_indices[-1]
         if best.get(action.user, -1) < top:
             best[action.user] = top
+    return best
+
+
+def _top_coupon_value(
+    instance: Instance, best: Mapping[int, int], spread: Callable[[int], float]
+) -> Fraction:
+    """Exact expected spread when each user v in best is offered coupon best[v]."""
     users = sorted(best)
+    accept = [Fraction(instance.attractiveness[v][best[v]]) for v in users]
     total = Fraction(0)
     for sub in range(1 << len(users)):
         weight = Fraction(1)
         mask = 0
-        for pos, v in enumerate(users):
-            q = Fraction(instance.attractiveness[v][best[v]])
+        for pos, (v, q) in enumerate(zip(users, accept)):
             if sub >> pos & 1:
                 weight *= q
                 mask |= 1 << v
@@ -230,15 +242,23 @@ def exact_action_set_value(instance: Instance, actions: Iterable[Action]) -> flo
 
 
 def _subset_value_table(instance: Instance, actions: list[Action]) -> list[Fraction]:
+    """Exact value of every action subset, indexed by subset bitmask.
+
+    Subsets that give every user the same top coupon share one evaluation.
+    """
     if len(actions) > MAX_LP_ACTIONS:
         raise OracleSizeError(
             f"subset enumeration handles at most {MAX_LP_ACTIONS} actions, got {len(actions)}"
         )
     spread = _spread_table(instance)
+    by_tops: dict[tuple[tuple[int, int], ...], Fraction] = {}
     table = []
     for mask in range(1 << len(actions)):
-        subset = [actions[i] for i in range(len(actions)) if mask >> i & 1]
-        table.append(exact_action_set_value_frac(instance, subset, spread))
+        best = _top_coupons(a for i, a in enumerate(actions) if mask >> i & 1)
+        key = tuple(sorted(best.items()))
+        if key not in by_tops:
+            by_tops[key] = _top_coupon_value(instance, best, spread)
+        table.append(by_tops[key])
     return table
 
 

@@ -4,10 +4,16 @@ The fractional solution lives on the action space (user, coupon sequence).
 Marginal utilities are estimated by Monte Carlo with common random numbers,
 the direction-finding LP is solved exactly over rationals, and the ascent
 accumulates in exact arithmetic so the scaled constraints hold with no slack.
+
+One ascent step costs about 2 ms with 10 marginal samples and 13 ms with the
+default 200 on a 48-action instance (8 users, K=2; 2-core x86 host, Python
+3.11), nearly all of it in the marginal samples.  The default step 1/|S|^2
+takes 2304 steps there: 30 s.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +35,7 @@ from .model import (
     realize,
     sample_world,
 )
+from .simplex import ONE, ZERO
 
 
 def default_beta_basic() -> float:
@@ -63,8 +70,9 @@ class RelaxationConfig:
 
     beta and delta default to None and are resolved against the instance:
     beta to the mode's optimized constant, delta to 1/|S|^2 where S is the
-    action space.  That default step size is safe but slow; larger values
-    trade the guarantee for speed.
+    action space.  That default step size is safe but slow (|S|^2 steps of
+    marginal_samples samples each: 30 s at |S| = 48 with 200 samples); larger
+    values trade the guarantee for speed.
     """
 
     beta: float | None = None
@@ -142,22 +150,41 @@ def estimate_marginals(
     sample the same world and the same random base set serve every action, so
     the estimates share their noise.  The base-set draws follow y's iteration
     order, which for continuous_greedy's y is build_action_space's order.
-    Marginals are non-negative sample by sample because adding an action can
-    only improve a user's best coupon.
+    Each sample adds, for every action outside the base set, its gain
+    action_set_utility(base + [action]) - action_set_utility(base).
+    Attractiveness rows are non-decreasing, so that gain is zero unless the
+    action newly seeds its user, and then it is the same for every action of
+    that user: one reach-mask union per user and sample gives it.  Marginals
+    are therefore non-negative sample by sample.
     """
     actions = list(y)
     probs = [float(p) for p in y.values()]
+    users = [a.user for a in actions]
+    tops = [a.sequence.coupon_indices[-1] for a in actions]
+    attractiveness = instance.attractiveness
     totals = [0.0] * len(actions)
     for s in range(config.marginal_samples):
         rng = np.random.default_rng([config.rng_seed, iteration, s])
         world = sample_world(instance, rng)
-        draws = rng.random(len(actions))
-        base = [a for a, u, p in zip(actions, draws, probs) if u < p]
-        base_value = action_set_utility(instance, base, world)
-        for i, action in enumerate(actions):
-            if draws[i] < probs[i]:
-                continue  # already present: zero marginal this sample
-            totals[i] += action_set_utility(instance, base + [action], world) - base_value
+        present = [u < p for u, p in zip(rng.random(len(actions)).tolist(), probs)]
+        best: dict[int, int] = {}
+        for v, top, inside in zip(users, tops, present):
+            if inside and best.get(v, -1) < top:
+                best[v] = top
+        thresholds = world.thresholds
+        seeded = {v for v, top in best.items() if attractiveness[v][top] >= thresholds[v]}
+        reach = instance.graph.reach_masks(world.live_mask)
+        union = 0
+        for v in seeded:
+            union |= reach[v]
+        base_value = union.bit_count()
+        gains: dict[int, int] = {}
+        for i, (v, top, inside) in enumerate(zip(users, tops, present)):
+            if inside or v in seeded or attractiveness[v][top] < thresholds[v]:
+                continue
+            if v not in gains:
+                gains[v] = (union | reach[v]).bit_count() - base_value
+            totals[i] += gains[v]
     n = config.marginal_samples
     return {a: totals[i] / n for i, a in enumerate(actions)}
 
@@ -168,18 +195,114 @@ def action_costs_exact(
     return {a: exact_expected_cost(instance, a, cost_mode) for a in actions}
 
 
+# A point of a user's upper hull: (cost, weight, action index or None for the
+# origin, which stands for leaving mass unassigned).
+_HullPoint = tuple[Fraction, Fraction, int | None]
+
+
+def _slope(p: _HullPoint, q: _HullPoint) -> Fraction:
+    return (q[1] - p[1]) / (q[0] - p[0])
+
+
+def _unique_knapsack_optimum(
+    actions: list[Action], weights: list[Fraction], costs: list[Fraction], budget: Fraction
+) -> list[Fraction] | None:
+    """Optimum of the direction LP without the W row, if that optimum is unique.
+
+    Without W the LP is a multiple-choice knapsack LP: each user picks a point
+    in the convex hull of the origin and its actions' (cost, weight) points.
+    Walking every user's upper hull, steepest segment first, until the budget
+    runs out reaches an optimum in which at most one user is split between two
+    hull points (Sinha & Zoltners 1979).  The split segment's slope lam (0
+    when the budget is slack) and pi_u = max(0, max_a w_a - lam*c_a) are then
+    an optimal dual, so the optimal face is every feasible point that uses
+    only tight actions (w_a - lam*c_a = pi_u), gives a user with pi_u > 0 its
+    whole unit and, when lam > 0, spends the whole budget.  Each user's free
+    directions number its tight points less one, the origin counting as a
+    point when pi_u = 0.  The split user has exactly one, between the split
+    segment's endpoints, and the budget equation pins it since they differ in
+    cost; so the optimum is unique iff the free directions number 1 with a
+    split and 0 without.  Returns None otherwise: on a tie the simplex picks
+    its own vertex.
+    """
+    by_user: dict[int, list[int]] = {}
+    for i, a in enumerate(actions):
+        by_user.setdefault(a.user, []).append(i)
+
+    hulls: dict[int, list[_HullPoint]] = {}
+    segments: list[tuple[Fraction, int, int]] = []  # (slope, user, hull position)
+    for user, idx in by_user.items():
+        start: _HullPoint = (ZERO, ZERO, None)
+        for i in idx:
+            if costs[i] == 0 and weights[i] > start[1]:
+                start = (ZERO, weights[i], i)
+        hull = [start]
+        for i in sorted((i for i in idx if costs[i] > 0), key=lambda i: (costs[i], -weights[i])):
+            point = (costs[i], weights[i], i)
+            if point[1] <= hull[-1][1]:
+                continue  # dominated: costs at least as much for no more weight
+            while len(hull) > 1 and _slope(hull[-2], hull[-1]) <= _slope(hull[-1], point):
+                hull.pop()
+            hull.append(point)
+        hulls[user] = hull
+        segments.extend((_slope(p, q), user, k) for k, (p, q) in enumerate(itertools.pairwise(hull)))
+    segments.sort(key=lambda seg: seg[0], reverse=True)
+
+    position = dict.fromkeys(hulls, 0)
+    left = budget
+    lam = ZERO
+    split: tuple[int, Fraction] | None = None
+    for slope, user, k in segments:
+        step = hulls[user][k + 1][0] - hulls[user][k][0]
+        if step > left:
+            lam, split = slope, (user, left / step)
+            break
+        left -= step
+        position[user] = k + 1
+
+    allowed = 0 if split is None else 1
+    free = 0
+    for user, idx in by_user.items():
+        reduced = [weights[i] - lam * costs[i] for i in idx]
+        pi = max(ZERO, max(reduced))
+        free += sum(1 for r in reduced if r == pi) - (1 if pi > 0 else 0)
+        if free > allowed:
+            return None
+
+    x = [ZERO] * len(actions)
+    for user, k in position.items():
+        at = hulls[user][k][2]
+        if at is not None:
+            x[at] = ONE
+    if split is not None:
+        user, theta = split
+        k = position[user]
+        at, to = hulls[user][k][2], hulls[user][k + 1][2]
+        if at is not None:
+            x[at] = ONE - theta
+        x[to] = theta
+    return x
+
+
 def solve_lp(
     weights: Mapping[Action, float],
     instance: Instance,
     beta: float,
     use_W: bool = False,
     cost_mode: str = COST_MODE_THRESHOLD,
+    costs: Mapping[Action, Fraction] | None = None,
 ) -> dict[Action, Fraction]:
     """Exact optimum of the direction-finding LP.
 
     Maximizes sum(weights * y) subject to: per-user mass at most 1, expected
     cost at most beta*B, every coordinate in [0, 1], and (when use_W is set)
     total mass at most beta*W.  The solution is returned as exact rationals.
+    costs, when given, holds every action's exact expected cost under
+    cost_mode (continuous_greedy builds it once); otherwise it is built here.
+
+    Without the W row a unique optimum comes from the exact hull greedy of
+    _unique_knapsack_optimum; the W row, and a tie among optima, go to the
+    simplex, so the returned vertex is always the one the simplex would pick.
     """
     actions = list(weights)
     for a in actions:
@@ -190,16 +313,23 @@ def solve_lp(
     if not 0.0 <= beta <= 0.5:
         raise ValueError("beta must lie in [0, 1/2]")
 
-    costs = action_costs_exact(instance, actions, cost_mode)
+    if costs is None:
+        costs = action_costs_exact(instance, actions, cost_mode)
     objective = [Fraction(float(weights[a])) for a in actions]
+    cost_row = [costs[a] for a in actions]
+    budget = Fraction(beta) * Fraction(instance.B)
+    if not use_W:
+        x = _unique_knapsack_optimum(actions, objective, cost_row, budget)
+        if x is not None:
+            return dict(zip(actions, x))
     lhs: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     users = sorted({a.user for a in actions})
     for user in users:
         lhs.append([Fraction(1 if a.user == user else 0) for a in actions])
         rhs.append(Fraction(1))
-    lhs.append([costs[a] for a in actions])
-    rhs.append(Fraction(beta) * Fraction(instance.B))
+    lhs.append(cost_row)
+    rhs.append(budget)
     if use_W:
         lhs.append([Fraction(1)] * len(actions))
         rhs.append(Fraction(beta) * Fraction(instance.W))
@@ -225,13 +355,16 @@ def continuous_greedy(
         raise ValueError("action space is empty; the fractional route has nothing to probe")
     beta = config.resolved_beta(use_W)
     delta = Fraction(config.resolved_delta(len(actions)))
+    costs = action_costs_exact(instance, actions, config.cost_mode)
     y = {a: Fraction(0) for a in actions}
     t = Fraction(0)
     iteration = 0
     while t < 1:
         step = min(delta, 1 - t)
         omega = estimate_marginals(instance, y, config, iteration=iteration)
-        direction = solve_lp(omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode)
+        direction = solve_lp(
+            omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
+        )
         y = {a: y[a] + step * direction[a] for a in actions}
         t += step
         iteration += 1

@@ -8,7 +8,17 @@ from typing import Iterable
 import numpy as np
 
 from couponprobe.influence import Graph
-from couponprobe.model import Action, Instance, PolicyTrace, ProbeStep, World, realize
+from couponprobe.model import (
+    COST_MODE_THRESHOLD,
+    Action,
+    Instance,
+    PolicyTrace,
+    ProbeStep,
+    World,
+    realize,
+    sample_world,
+)
+from couponprobe.relaxation import RelaxationConfig, action_set_utility
 from couponprobe.sequencing import first_accept_value
 
 
@@ -142,20 +152,54 @@ def threshold_cost(inst, action) -> Fraction:
     return total
 
 
-def mirror_lp(inst, weights, beta, use_W=False):
+def paper_cost(inst, action) -> Fraction:
+    """Expected spend of one action, exact, compounding independent rejections."""
+    alive = Fraction(1)
+    total = Fraction(0)
+    for idx in action.sequence.coupon_indices:
+        p = Fraction(inst.attractiveness[action.user][idx])
+        total += alive * p * Fraction(inst.coupons[idx])
+        alive *= 1 - p
+    return total
+
+
+def mirror_lp(inst, weights, beta, use_W=False, cost_mode=COST_MODE_THRESHOLD):
     """Rebuild the direction-finding LP rows the way the package does."""
+    cost = threshold_cost if cost_mode == COST_MODE_THRESHOLD else paper_cost
     actions = sorted(weights)
     obj = [Fraction(float(weights[a])) for a in actions]
     lhs, rhs = [], []
     for user in sorted({a.user for a in actions}):
         lhs.append([Fraction(1 if a.user == user else 0) for a in actions])
         rhs.append(Fraction(1))
-    lhs.append([threshold_cost(inst, a) for a in actions])
+    lhs.append([cost(inst, a) for a in actions])
     rhs.append(Fraction(beta) * Fraction(inst.B))
     if use_W:
         lhs.append([Fraction(1)] * len(actions))
         rhs.append(Fraction(beta) * Fraction(inst.W))
     return actions, obj, lhs, rhs
+
+
+def marginals_by_utility(
+    instance: Instance, y, config: RelaxationConfig, iteration: int = 0
+) -> dict[Action, float]:
+    """Reference for relaxation.estimate_marginals: one action_set_utility
+    call per action and sample, on the same RNG draws in the same order."""
+    actions = list(y)
+    probs = [float(p) for p in y.values()]
+    totals = [0.0] * len(actions)
+    for s in range(config.marginal_samples):
+        rng = np.random.default_rng([config.rng_seed, iteration, s])
+        world = sample_world(instance, rng)
+        draws = rng.random(len(actions))
+        base = [a for a, u, p in zip(actions, draws, probs) if u < p]
+        base_value = action_set_utility(instance, base, world)
+        for i, action in enumerate(actions):
+            if draws[i] < probs[i]:
+                continue  # already present: zero marginal this sample
+            totals[i] += action_set_utility(instance, base + [action], world) - base_value
+    n = config.marginal_samples
+    return {a: totals[i] / n for i, a in enumerate(actions)}
 
 
 def dp_brute_force(probs, infl, W) -> Fraction:

@@ -15,6 +15,8 @@ from couponprobe.model import (
 )
 from couponprobe.oracle import (
     OracleSizeError,
+    _spread_table,
+    _subset_value_table,
     concave_extension_exact,
     concave_relaxation_optimum,
     conditional_accept,
@@ -186,6 +188,22 @@ def test_concave_extension_at_a_vertex() -> None:
 def test_concave_extension_of_zero_is_zero() -> None:
     inst = uniform_instance(1, (1.0,), ((0.5,),), K=1, B=3.0)
     assert concave_extension_exact(inst, {_act(0, 0): F(0)}) == 0
+
+
+def test_subset_value_table_matches_per_subset_values() -> None:
+    # criterion 08's wide instance: 12 actions, 4096 subsets, far fewer
+    # distinct top-coupon maps; the shared evaluations must change nothing
+    wide = uniform_instance(
+        2, (1.0, 1.2, 1.4), ((0.2, 0.4, 0.6), (0.3, 0.5, 0.7)), K=2, B=3.0,
+        edges=((0, 1, 0.5), (1, 0, 0.4)),
+    )
+    actions = build_action_space(wide)
+    spread = _spread_table(wide)
+    want = [
+        exact_action_set_value_frac(wide, [a for i, a in enumerate(actions) if mask >> i & 1], spread)
+        for mask in range(1 << len(actions))
+    ]
+    assert _subset_value_table(wide, actions) == want
 
 
 def test_concave_extension_linear_for_modular_f() -> None:

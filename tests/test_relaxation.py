@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from couponprobe import simplex
-from couponprobe.model import Action, ProbeSequence, build_action_space
+from couponprobe.model import COST_MODES, Action, ProbeSequence, build_action_space
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
     RelaxationConfig,
@@ -22,6 +22,7 @@ from couponprobe.relaxation import (
 
 from helpers import (
     make_world,
+    marginals_by_utility,
     mirror_lp,
     single_user,
     threshold_cost,
@@ -175,6 +176,26 @@ def test_marginals_nonnegative_and_deterministic() -> None:
     assert shifted != first  # distinct per-iteration sample streams
 
 
+def test_marginals_match_the_per_action_utility_loop() -> None:
+    # forced (1.0), dead (0.0) and uncertain edges; user 0 never takes coupon 0
+    inst = uniform_instance(
+        4, (1.0, 1.5, 2.0),
+        ((0.0, 0.3, 0.6), (0.2, 0.5, 0.9), (0.1, 0.1, 0.4), (0.5, 0.7, 1.0)),
+        K=2, B=5.0,
+        edges=((0, 1, 1.0), (1, 2, 0.0), (2, 3, 0.5), (3, 0, 0.35), (1, 3, 0.6)),
+    )
+    actions = build_action_space(inst)
+    assert len(actions) == 24
+    masses = (F(0), F(1), F(1, 3), F(0), F(1, 8), F(1, 2), F(0))
+    y = {a: masses[i % len(masses)] for i, a in enumerate(actions)}
+    for rng_seed, iteration in ((0, 0), (1, 3), (17, 1)):
+        config = RelaxationConfig(marginal_samples=300, rng_seed=rng_seed)
+        got = estimate_marginals(inst, y, config, iteration)
+        want = marginals_by_utility(inst, y, config, iteration)
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
 # ------------------------------------------------------------------ solve_lp
 
 
@@ -220,6 +241,76 @@ def test_lp_matches_vertex_enumeration() -> None:
             acts, obj, lhs, rhs = mirror_lp(inst, weights, 0.3, use_W)
             want = vertex_enumerate_max(obj, lhs, rhs)
             assert got == want, f"trial {trial} use_W={use_W}"
+
+
+def _count_simplex_calls(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    maximize = simplex.maximize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "maximize", counted)
+    return calls
+
+
+def _gridded_instance(gen: np.random.Generator):
+    # attractiveness on a 0.05 grid, with p0 = 0 in about half the rows: zero
+    # costs, and equal costs for (1,) and (0, 1) in threshold mode
+    n = int(gen.integers(1, 4))
+    m = int(gen.integers(2, 4))
+    coupons = sorted(int(c) for c in gen.choice([1, 2, 3, 4], size=m, replace=False))
+    rows = []
+    for _ in range(n):
+        row = sorted(round(0.05 * int(k), 2) for k in gen.integers(0, 21, size=m))
+        if gen.random() < 0.5:
+            row[0] = 0.0
+        rows.append(row)
+    K = int(gen.integers(1, m + 1))
+    return uniform_instance(n, coupons, rows, K=K, B=float(gen.choice([2.0, 4.0, 8.0])))
+
+
+def _gridded_weights(gen: np.random.Generator, actions) -> dict:
+    # weights on a 0.1 grid; like marginals, which depend only on each user's
+    # top coupon, most actions that share one share a weight
+    shared: dict = {}
+    weights = {}
+    for a in actions:
+        key = (a.user, a.sequence.coupon_indices[-1])
+        shared.setdefault(key, round(0.1 * int(gen.integers(0, 11)), 1))
+        weights[a] = shared[key] if gen.random() < 0.7 else round(0.1 * int(gen.integers(0, 11)), 1)
+    return weights
+
+
+def test_lp_without_w_returns_the_simplex_vertex_on_ties(monkeypatch) -> None:
+    maximize = simplex.maximize
+    calls = _count_simplex_calls(monkeypatch)
+    gen = np.random.default_rng(2024)
+    solved = 0
+    for _ in range(300):
+        inst = _gridded_instance(gen)
+        weights = _gridded_weights(gen, build_action_space(inst))
+        beta = float(gen.choice([0.25, 0.5]))
+        for cost_mode in COST_MODES:
+            y = solve_lp(weights, inst, beta, use_W=False, cost_mode=cost_mode)
+            acts, obj, lhs, rhs = mirror_lp(inst, weights, beta, cost_mode=cost_mode)
+            _, x = maximize(obj, lhs, rhs)
+            assert y == dict(zip(acts, x))
+            solved += 1
+    # ties are common on these grids and go to the simplex; most LPs are untied
+    assert 0 < len(calls) < solved / 2
+
+
+def test_untied_lp_without_w_makes_no_simplex_call(monkeypatch) -> None:
+    calls = _count_simplex_calls(monkeypatch)
+    inst = uniform_instance(2, (1.0, 1.4), ((0.35, 0.6), (0.25, 0.8)), K=2, B=3.0)
+    actions = build_action_space(inst)
+    weights = {a: 0.3 + 0.17 * i for i, a in enumerate(actions)}
+    y = solve_lp(weights, inst, beta=0.3)
+    assert calls == []
+    acts, obj, lhs, rhs = mirror_lp(inst, weights, 0.3)
+    assert sum(F(float(weights[a])) * y[a] for a in acts) == vertex_enumerate_max(obj, lhs, rhs)
 
 
 # --------------------------------------------------------------------- config
