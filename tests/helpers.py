@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from couponprobe.influence import Graph
+from couponprobe.influence import Graph, live_mask_outcomes
 from couponprobe.model import (
     COST_MODE_THRESHOLD,
     Action,
@@ -200,6 +200,20 @@ def marginals_by_utility(
             totals[i] += action_set_utility(instance, base + [action], world) - base_value
     n = config.marginal_samples
     return {a: totals[i] / n for i, a in enumerate(actions)}
+
+
+def exact_spreads_by_mask(graph: Graph, seed_sets) -> list[float]:
+    """Reference for the exact spread kernel: one reach_masks search per live
+    mask, summed as `total += weight * reached` in live_mask_outcomes order."""
+    totals = [0.0] * len(seed_sets)
+    for weight, mask in live_mask_outcomes(graph):
+        reach = graph.reach_masks(mask)
+        for k, seeds in enumerate(seed_sets):
+            union = 0
+            for s in seeds:
+                union |= reach[s]
+            totals[k] += weight * union.bit_count()
+    return totals
 
 
 def dp_brute_force(probs, infl, W) -> Fraction:

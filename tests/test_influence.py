@@ -17,7 +17,7 @@ from couponprobe.influence import (
     singleton_influence_table,
 )
 
-from helpers import edgeless
+from helpers import edgeless, exact_spreads_by_mask
 
 
 def test_single_edge_half() -> None:
@@ -166,6 +166,18 @@ def test_monotone_and_submodular_exhaustively() -> None:
                     assert gain_s >= gain_t - 1e-9
 
 
+def test_sample_live_mask_draws_once_per_uncertain_edge() -> None:
+    g = _mixed_graph()
+    gen, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(200):
+        draws = ref.random(len(g.uncertain_edges))
+        expected = g.forced_live_mask
+        for j, i in enumerate(g.uncertain_edges):
+            if draws[j] < g.edges[i][2]:
+                expected |= 1 << i
+        assert sample_live_mask(g, gen) == expected
+
+
 def test_singleton_table_deterministic_edge() -> None:
     g = Graph(node_count=2, edges=((0, 1, 1.0),))
     assert singleton_influence_table(g) == {0: 2.0, 1: 1.0}
@@ -207,16 +219,97 @@ def test_live_masks_respect_forced_and_dead_edges() -> None:
     assert sum(w for w, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_singleton_table_equals_exact_influence() -> None:
-    g = _mixed_graph()
+def _sim16_shaped_graph() -> Graph:
+    # 16 nodes, 3 forced and 15 uncertain edges, like the sim16 benchmark
+    gen = np.random.default_rng(16)
+    pairs = [(u, v) for u in range(16) for v in range(16) if u != v]
+    picks = gen.choice(len(pairs), size=18, replace=False)
+    edges = [(*pairs[k], 1.0 if n < 3 else round(float(gen.uniform(0.1, 0.7)), 3))
+             for n, k in enumerate(picks)]
+    return Graph(node_count=16, edges=tuple(edges))
+
+
+def _wide_graph() -> Graph:
+    # 130 nodes, so each reach spans three 64-bit words; uncertain edges
+    # cross the word boundaries at 63/64 and 127/128
+    edges = [(i, i + 1, 1.0) for i in range(0, 129, 2)]
+    edges += [(63, 64, 0.5), (127, 128, 0.3), (1, 2, 0.6), (64, 0, 0.25), (5, 100, 0.9),
+              (100, 127, 0.4), (129, 7, 0.7), (66, 65, 0.0), (128, 3, 0.35)]
+    return Graph(node_count=130, edges=tuple(edges))
+
+
+_REFERENCE_CASES = {
+    "mixed": _mixed_graph,
+    "edgeless": lambda: edgeless(3),
+    "sim16-shaped": _sim16_shaped_graph,
+    "wide": _wide_graph,
+}
+
+
+def _check_against_reference(g: Graph) -> None:
+    n = g.node_count
+    gen = np.random.default_rng(n)
+    seed_sets = [sorted(set(gen.integers(0, n, size=r).tolist())) for r in (2, 3, 5)]
+    seed_sets.append(list(range(n)))
+    singletons = [[v] for v in range(n)]
+    expected = exact_spreads_by_mask(Graph(n, g.edges), singletons + seed_sets)
     table = singleton_influence_table(g)
-    assert table == {v: influence_exact(g, [v]) for v in range(g.node_count)}
+    assert list(table) == list(range(n))
+    assert [x.hex() for x in table.values()] == [x.hex() for x in expected[:n]]
+    exact = [influence_exact(g, seeds) for seeds in singletons + seed_sets]
+    assert [x.hex() for x in exact] == [x.hex() for x in expected]
+
+
+@pytest.mark.parametrize("name", list(_REFERENCE_CASES))
+def test_exact_spreads_match_per_mask_reference(name) -> None:
+    g = _REFERENCE_CASES[name]()
+    _check_against_reference(g)
+    assert g._reach == {}
+
+
+@pytest.mark.parametrize("kernel_bytes", [1, 1500])
+def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes) -> None:
+    # 1 byte floors the chunk at one outcome; 1500 bytes gives chunks of a
+    # few outcomes, which do not divide the 2^10 outcomes evenly
+    monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
+    _check_against_reference(_mixed_graph())
+
+
+def test_realized_influence_matches_reach_masks_union() -> None:
+    gen = np.random.default_rng(5)
+    for g in (_mixed_graph(), _sim16_shaped_graph(), _wide_graph()):
+        reference = Graph(g.node_count, g.edges)
+        n, e = g.node_count, len(g.edges)
+        for _ in range(200):
+            mask = sum(1 << int(i) for i in np.flatnonzero(gen.random(e) < 0.5))
+            seeds = gen.integers(0, n, size=int(gen.integers(0, 5))).tolist()
+            seeds += seeds[:1]  # a duplicate seed whenever there is a seed
+            reach = reference.reach_masks(mask)
+            union = 0
+            for s in seeds:
+                union |= reach[s]
+            assert realized_influence(g, seeds, mask) == union.bit_count()
+        assert realized_influence(g, [], (1 << e) - 1) == 0
+        assert g._reach == {}
+
+
+def test_mc_fallback_leaves_reach_cache_empty() -> None:
+    edges = tuple((0, t, 0.5) for t in range(1, EXACT_EDGE_LIMIT + 2))
+    g = Graph(node_count=EXACT_EDGE_LIMIT + 2, edges=edges)
+    table = singleton_influence_table(g, samples=50, rng_seed=3)
+    assert table[1] == 1.0
+    assert 1.0 < table[0] < EXACT_EDGE_LIMIT + 2
+    assert g._reach == {}
 
 
 def test_reach_cache_stops_at_its_limit(monkeypatch) -> None:
-    monkeypatch.setattr(influence, "REACH_CACHE_LIMIT", 8)
-    g = Graph(node_count=5, edges=((0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (4, 0, 0.7)))
-    assert len(g.uncertain_edges) == 5
-    table = singleton_influence_table(g)
-    assert len(g._reach) <= 8
-    assert table == {v: influence_exact(g, [v]) for v in range(g.node_count)}
+    # the limit counts node entries: 20 entries on 5 nodes is 4 live masks
+    monkeypatch.setattr(influence, "REACH_CACHE_LIMIT", 20)
+    edges = ((0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (4, 0, 0.7))
+    g = Graph(node_count=5, edges=edges)
+    first = [g.reach_masks(mask) for mask in range(1 << 5)]
+    assert list(g._reach) == [0, 1, 2, 3]
+    again = [g.reach_masks(mask) for mask in range(1 << 5)]
+    fresh = [Graph(node_count=5, edges=edges).reach_masks(mask) for mask in range(1 << 5)]
+    assert first == again == fresh
+    assert first[0b11111] == (0b11111,) * 5
