@@ -2,19 +2,21 @@
 
 Everything here is brute force on purpose: the optimal adaptive policy by
 memoized backward induction, policy values by exhausting the world space, and
-the concave relaxation by an exact LP over all action subsets.  These are the
-reference points the fast paths are tested against.
+the concave relaxation by an exact LP over action profiles, at most one
+action per user.  These are the reference points the fast paths are tested
+against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from . import simplex
-from .influence import influence_exact, live_mask_outcomes, realized_influence
+from .influence import _exact_spreads, live_mask_outcomes, realized_influence
 from .model import (
     Action,
     Instance,
@@ -28,7 +30,7 @@ MAX_ORACLE_USERS = 4
 MAX_ORACLE_COUPONS = 3
 MAX_ORACLE_PROBES = 2
 MAX_ENUM_EDGES = 12
-MAX_LP_ACTIONS = 12
+MAX_LP_COLUMNS = 4096
 MAX_WORLD_CELLS = 2_000_000
 
 
@@ -78,7 +80,7 @@ def optimal_adaptive_value(
 
     coupon_cost = [Fraction(c) for c in instance.coupons]
     budget = Fraction(instance.B)
-    spread = _spread_table(instance)
+    spread = _spread_table(instance, range(n))
     memo: dict[PolicyState, float] = {}
 
     def best(state: PolicyState) -> float:
@@ -95,7 +97,7 @@ def optimal_adaptive_value(
             if offers > 0:
                 probed += 1
         remaining = budget - spent
-        value = spread(accepted_mask)  # stopping is always allowed
+        value = spread[accepted_mask]  # stopping is always allowed
         for v, (offers, rej, acc) in enumerate(state.users):
             if acc >= 0 or offers >= instance.K:
                 continue
@@ -184,122 +186,121 @@ def exact_policy_value(
     return total
 
 
-def _spread_table(instance: Instance) -> Callable[[int], float]:
-    """Exact spread of a seed set given as a user bitmask, memoized per mask."""
-    memo: dict[int, float] = {0: 0.0}
-
-    def spread(mask: int) -> float:
-        if mask not in memo:
-            seeds = [v for v in range(instance.n_users) if mask >> v & 1]
-            memo[mask] = influence_exact(instance.graph, seeds)
-        return memo[mask]
-
-    return spread
+def _spread_table(instance: Instance, users: Collection[int]) -> dict[int, float]:
+    """Exact spread of every subset of the users, keyed by user bitmask, from
+    one call of the reach kernel."""
+    seed_sets = [list(s) for r in range(1, len(users) + 1) for s in itertools.combinations(sorted(users), r)]
+    spreads = _exact_spreads(instance.graph, seed_sets) if seed_sets else []
+    return {0: 0.0} | {sum(1 << v for v in s): x for s, x in zip(seed_sets, spreads)}
 
 
-def exact_action_set_value_frac(
-    instance: Instance, actions: Iterable[Action], spread=None
-) -> Fraction:
-    """Exact expected spread of probing a fixed action set (no budget)."""
-    if spread is None:
-        spread = _spread_table(instance)
-    return _top_coupon_value(instance, _top_coupons(actions), spread)
+def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) -> Fraction:
+    """Exact expected spread when each user v in accept seeds, independently,
+    with probability accept[v]: the one way this module values actions."""
+    weights = {0: Fraction(1)}  # seed mask -> probability
+    for v, q in accept.items():
+        seeded = {mask | 1 << v: w * q for mask, w in weights.items()}
+        weights = {mask: w * (1 - q) for mask, w in weights.items()}
+        weights.update(seeded)
+    return sum((w * Fraction(spread[mask]) for mask, w in weights.items() if w), Fraction(0))
 
 
-def _top_coupons(actions: Iterable[Action]) -> dict[int, int]:
-    """Each probed user's largest offered coupon index: all the value depends on."""
-    best: dict[int, int] = {}
+def _accept(instance: Instance, action: Action) -> Fraction:
+    """Probability that the action seeds its user: that of its top coupon."""
+    return Fraction(instance.attractiveness[action.user][action.sequence.coupon_indices[-1]])
+
+
+def exact_action_set_value_frac(instance: Instance, actions: Iterable[Action]) -> Fraction:
+    """Exact expected spread of probing a fixed action set (no budget).
+
+    A user seeds iff they accept their largest offered coupon, and rows are
+    non-decreasing, so that coupon's acceptance is the user's best one.
+    """
+    accept: dict[int, Fraction] = {}
     for action in actions:
-        top = action.sequence.coupon_indices[-1]
-        if best.get(action.user, -1) < top:
-            best[action.user] = top
-    return best
-
-
-def _top_coupon_value(
-    instance: Instance, best: Mapping[int, int], spread: Callable[[int], float]
-) -> Fraction:
-    """Exact expected spread when each user v in best is offered coupon best[v]."""
-    users = sorted(best)
-    accept = [Fraction(instance.attractiveness[v][best[v]]) for v in users]
-    total = Fraction(0)
-    for sub in range(1 << len(users)):
-        weight = Fraction(1)
-        mask = 0
-        for pos, (v, q) in enumerate(zip(users, accept)):
-            if sub >> pos & 1:
-                weight *= q
-                mask |= 1 << v
-            else:
-                weight *= 1 - q
-        if weight:
-            total += weight * Fraction(spread(mask))
-    return total
+        accept[action.user] = max(accept.get(action.user, Fraction(0)), _accept(instance, action))
+    return _seeding_value(_spread_table(instance, accept), accept)
 
 
 def exact_action_set_value(instance: Instance, actions: Iterable[Action]) -> float:
     return float(exact_action_set_value_frac(instance, actions))
 
 
-def _subset_value_table(instance: Instance, actions: list[Action]) -> list[Fraction]:
-    """Exact value of every action subset, indexed by subset bitmask.
+def _by_user(actions: list[Action]) -> dict[int, list[int]]:
+    """Each user's action indices, refusing more than MAX_LP_COLUMNS profiles.
 
-    Subsets that give every user the same top coupon share one evaluation.
+    A profile is at most one action per user, so there are prod(1 + |S_u|)
+    of them, never more than the 2^|S| action subsets.
     """
-    if len(actions) > MAX_LP_ACTIONS:
-        raise OracleSizeError(
-            f"subset enumeration handles at most {MAX_LP_ACTIONS} actions, got {len(actions)}"
-        )
-    spread = _spread_table(instance)
-    by_tops: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    table = []
-    for mask in range(1 << len(actions)):
-        best = _top_coupons(a for i, a in enumerate(actions) if mask >> i & 1)
-        key = tuple(sorted(best.items()))
-        if key not in by_tops:
-            by_tops[key] = _top_coupon_value(instance, best, spread)
-        table.append(by_tops[key])
-    return table
+    groups: dict[int, list[int]] = {}
+    for i, action in enumerate(actions):
+        groups.setdefault(action.user, []).append(i)
+    count = math.prod(1 + len(group) for group in groups.values())
+    if count > MAX_LP_COLUMNS:
+        raise OracleSizeError(f"the exact LP handles at most {MAX_LP_COLUMNS} action profiles, got {count}")
+    return groups
+
+
+def _profile_columns(instance: Instance, actions: list[Action]) -> tuple[list[tuple[int, ...]], list[Fraction]]:
+    """Every action profile, as indices into actions, with its exact value.
+
+    The utility depends only on each user's top coupon, so a column with two
+    actions of one user is dominated by the one that keeps only the
+    higher-top action: same value, and no more of any row.  An LP over the
+    profiles therefore reaches the optimum of the LP over all action subsets.
+    """
+    groups = _by_user(actions)
+    spread = _spread_table(instance, groups)
+    accept = [_accept(instance, a) for a in actions]
+    profiles = [
+        tuple(i for i in combo if i is not None)
+        for combo in itertools.product(*([None, *group] for group in groups.values()))
+    ]
+    values = [_seeding_value(spread, {actions[i].user: accept[i] for i in p}) for p in profiles]
+    return profiles, values
+
+
+def _masses(y: Mapping[Action, object]) -> list[Fraction]:
+    masses = [Fraction(mass) for mass in y.values()]
+    for action, mass in zip(y, masses):
+        if mass < 0 or mass > 1:
+            raise ValueError(f"mass for {action} outside [0, 1]")
+    return masses
 
 
 def concave_extension_exact(instance: Instance, y: Mapping[Action, object]) -> Fraction:
     """Tightest concave upper envelope of the set utility, evaluated at y.
 
     Solves, exactly: distribute at most one unit of probability over action
-    subsets so that each action's total inclusion stays within y, maximizing
+    profiles so that each action's total inclusion stays within y, maximizing
     expected utility.
     """
-    actions = list(y)
-    table = _subset_value_table(instance, actions)
-    n_sub = len(table)
-    objective = table
-    lhs: list[list[Fraction]] = [[Fraction(1)] * n_sub]
-    rhs: list[Fraction] = [Fraction(1)]
-    for i, action in enumerate(actions):
-        lhs.append([Fraction(1) if mask >> i & 1 else Fraction(0) for mask in range(n_sub)])
-        cap = Fraction(y[action])
-        if cap < 0 or cap > 1:
-            raise ValueError(f"mass for {action} outside [0, 1]")
-        rhs.append(cap)
-    value, _ = simplex.maximize(objective, lhs, rhs)
+    masses = _masses(y)
+    profiles, values = _profile_columns(instance, list(y))
+    lhs = [[Fraction(1)] * len(profiles)]
+    lhs += [[Fraction(i in p) for p in profiles] for i in range(len(masses))]
+    value, _ = simplex.maximize(values, lhs, [Fraction(1), *masses])
     return value
 
 
 def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> Fraction:
-    """Exact expected utility of independently rounding y, by enumeration."""
+    """Exact expected utility of independently rounding y.
+
+    Users are rounded independently and only each user's top coupon counts,
+    so user u seeds independently with probability q_u: walking u's actions
+    by descending top coupon, q_u sums none_above * y_a * p(top(a)), where
+    none_above is the product of (1 - y) over the actions walked before a.
+    """
+    masses = _masses(y)
     actions = list(y)
-    table = _subset_value_table(instance, actions)
-    total = Fraction(0)
-    for mask in range(len(table)):
-        weight = Fraction(1)
-        for i, action in enumerate(actions):
-            p = Fraction(y[action])
-            weight *= p if mask >> i & 1 else 1 - p
-            if weight == 0:
-                break
-        if weight:
-            total += weight * table[mask]
-    return total
+    accept: dict[int, Fraction] = {}
+    for user, group in _by_user(actions).items():
+        none_above = Fraction(1)
+        accept[user] = Fraction(0)
+        for i in sorted(group, key=lambda i: -actions[i].sequence.coupon_indices[-1]):
+            accept[user] += none_above * masses[i] * _accept(instance, actions[i])
+            none_above *= 1 - masses[i]
+    return _seeding_value(_spread_table(instance, accept), accept)
 
 
 def concave_relaxation_optimum(instance: Instance, use_W: bool = False) -> Fraction:
@@ -307,31 +308,21 @@ def concave_relaxation_optimum(instance: Instance, use_W: bool = False) -> Fract
 
     Maximizes the concave envelope over all fractional assignments satisfying
     the per-user, budget, and (optionally) user-count constraints.  Upper
-    bounds every feasible non-adaptive action set.
+    bounds every feasible non-adaptive action set.  A profile column holds at
+    most one action per user, so the total-mass row implies the per-user rows.
     """
-    actions = build_action_space(instance)
-    table = _subset_value_table(instance, actions)
     if use_W and instance.W is None:
         raise ValueError("use_W requires an instance with W set")
-    n_sub = len(table)
-    lhs: list[list[Fraction]] = [[Fraction(1)] * n_sub]
-    rhs: list[Fraction] = [Fraction(1)]
-    for user in sorted({a.user for a in actions}):
-        idx = [i for i, a in enumerate(actions) if a.user == user]
-        lhs.append(
-            [Fraction(sum(1 for i in idx if mask >> i & 1)) for mask in range(n_sub)]
-        )
-        rhs.append(Fraction(1))
+    actions = build_action_space(instance)
+    profiles, values = _profile_columns(instance, actions)
     costs = [exact_expected_cost(instance, a) for a in actions]
-    lhs.append(
-        [
-            sum((costs[i] for i in range(len(actions)) if mask >> i & 1), Fraction(0))
-            for mask in range(n_sub)
-        ]
-    )
-    rhs.append(Fraction(instance.B))
+    lhs = [
+        [Fraction(1)] * len(profiles),
+        [sum((costs[i] for i in p), Fraction(0)) for p in profiles],
+    ]
+    rhs = [Fraction(1), Fraction(instance.B)]
     if use_W:
-        lhs.append([Fraction((mask).bit_count()) for mask in range(n_sub)])
+        lhs.append([Fraction(len(p)) for p in profiles])
         rhs.append(Fraction(instance.W))
-    value, _ = simplex.maximize(table, lhs, rhs)
+    value, _ = simplex.maximize(values, lhs, rhs)
     return value

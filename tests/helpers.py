@@ -7,7 +7,8 @@ from typing import Iterable
 
 import numpy as np
 
-from couponprobe.influence import Graph, live_mask_outcomes
+from couponprobe import simplex
+from couponprobe.influence import Graph, influence_exact, live_mask_outcomes
 from couponprobe.model import (
     COST_MODE_THRESHOLD,
     Action,
@@ -15,6 +16,8 @@ from couponprobe.model import (
     PolicyTrace,
     ProbeStep,
     World,
+    build_action_space,
+    exact_expected_cost,
     realize,
     sample_world,
 )
@@ -214,6 +217,87 @@ def exact_spreads_by_mask(graph: Graph, seed_sets) -> list[float]:
                 union |= reach[s]
             totals[k] += weight * union.bit_count()
     return totals
+
+
+def subset_value_table(instance: Instance, actions: list[Action]) -> list[Fraction]:
+    """Exact value of every action subset, indexed by subset bitmask: each
+    probed user seeds with the acceptance of their largest offered coupon,
+    summed over every seed subset with influence_exact per mask."""
+    spread: dict[int, Fraction] = {0: Fraction(0)}
+    table = []
+    for sub in range(1 << len(actions)):
+        best: dict[int, int] = {}
+        for i, action in enumerate(actions):
+            if sub >> i & 1:
+                best[action.user] = max(best.get(action.user, -1), action.sequence.coupon_indices[-1])
+        users = sorted(best)
+        total = Fraction(0)
+        for seeded in range(1 << len(users)):
+            weight = Fraction(1)
+            mask = 0
+            for pos, v in enumerate(users):
+                q = Fraction(instance.attractiveness[v][best[v]])
+                if seeded >> pos & 1:
+                    weight *= q
+                    mask |= 1 << v
+                else:
+                    weight *= 1 - q
+            if weight:
+                if mask not in spread:
+                    seeds = [v for v in users if mask >> v & 1]
+                    spread[mask] = Fraction(influence_exact(instance.graph, seeds))
+                total += weight * spread[mask]
+        table.append(total)
+    return table
+
+
+def concave_extension_by_subsets(instance: Instance, y) -> Fraction:
+    """Reference for oracle.concave_extension_exact: the LP over all 2^|S|
+    action subsets, each action's inclusion capped by y."""
+    actions = list(y)
+    table = subset_value_table(instance, actions)
+    lhs = [[Fraction(1)] * len(table)]
+    for i in range(len(actions)):
+        lhs.append([Fraction(mask >> i & 1) for mask in range(len(table))])
+    value, _ = simplex.maximize(table, lhs, [Fraction(1)] + [Fraction(y[a]) for a in actions])
+    return value
+
+
+def multilinear_by_subsets(instance: Instance, y) -> Fraction:
+    """Reference for oracle.multilinear_value_exact: every action subset's
+    value weighted by its probability under independent rounding."""
+    actions = list(y)
+    table = subset_value_table(instance, actions)
+    total = Fraction(0)
+    for mask, value in enumerate(table):
+        weight = Fraction(1)
+        for i, action in enumerate(actions):
+            p = Fraction(y[action])
+            weight *= p if mask >> i & 1 else 1 - p
+        total += weight * value
+    return total
+
+
+def relaxation_optimum_by_subsets(instance: Instance, use_W: bool = False) -> Fraction:
+    """Reference for oracle.concave_relaxation_optimum: the LP over all 2^|S|
+    action subsets with one row per user, the budget row and the W row."""
+    actions = build_action_space(instance)
+    table = subset_value_table(instance, actions)
+    masks = range(len(table))
+    lhs = [[Fraction(1)] * len(table)]
+    rhs = [Fraction(1)]
+    for user in sorted({a.user for a in actions}):
+        idx = [i for i, a in enumerate(actions) if a.user == user]
+        lhs.append([Fraction(sum(mask >> i & 1 for i in idx)) for mask in masks])
+        rhs.append(Fraction(1))
+    costs = [exact_expected_cost(instance, a) for a in actions]
+    lhs.append([sum((c for i, c in enumerate(costs) if mask >> i & 1), Fraction(0)) for mask in masks])
+    rhs.append(Fraction(instance.B))
+    if use_W:
+        lhs.append([Fraction(mask.bit_count()) for mask in masks])
+        rhs.append(Fraction(instance.W))
+    value, _ = simplex.maximize(table, lhs, rhs)
+    return value
 
 
 def dp_brute_force(probs, infl, W) -> Fraction:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,8 @@ from couponprobe.model import (
     build_action_space,
 )
 from couponprobe.oracle import (
+    MAX_LP_COLUMNS,
     OracleSizeError,
-    _spread_table,
-    _subset_value_table,
     concave_extension_exact,
     concave_relaxation_optimum,
     conditional_accept,
@@ -27,9 +27,18 @@ from couponprobe.oracle import (
     multilinear_value_exact,
     optimal_adaptive_value,
 )
+from couponprobe.relaxation import RelaxationConfig, continuous_greedy
 from couponprobe.sequencing import Alg2Policy, alg2_execute, alg2_plan, alg2_value, evaluate_policy
 
-from helpers import random_tiny_instance, single_user, uniform_instance
+from helpers import (
+    concave_extension_by_subsets,
+    multilinear_by_subsets,
+    random_tiny_instance,
+    relaxation_optimum_by_subsets,
+    single_user,
+    sorted_row,
+    uniform_instance,
+)
 
 F = Fraction
 
@@ -190,20 +199,126 @@ def test_concave_extension_of_zero_is_zero() -> None:
     assert concave_extension_exact(inst, {_act(0, 0): F(0)}) == 0
 
 
-def test_subset_value_table_matches_per_subset_values() -> None:
-    # criterion 08's wide instance: 12 actions, 4096 subsets, far fewer
-    # distinct top-coupon maps; the shared evaluations must change nothing
+def _agreement_instances() -> list:
+    """Tiny instances of at most 8 actions with W set: two low-value coupons
+    and one above B/2.  In the first, user 0 accepts both low coupons alike,
+    so that two of its actions tie on top value."""
+    gen = np.random.default_rng(31)
+    out = [
+        uniform_instance(
+            2, (1.0, 1.2), ((0.4, 0.4), (0.3, 0.6)), K=2, B=3.0, W=1,
+            edges=((0, 1, 0.5), (1, 0, 0.25)),
+        )
+    ]
+    for users, K in ((2, 2), (3, 1)) * 3:
+        edges = [
+            (s, t, round(float(gen.uniform(0.1, 0.9)), 3))
+            for s in range(users) for t in range(users) if s != t and gen.random() < 0.5
+        ]
+        out.append(
+            uniform_instance(
+                users, (1.0, 1.4, 2.0), [sorted_row(gen, 3) for _ in range(users)], K=K, B=3.0,
+                W=int(gen.integers(1, 3)), edges=edges,
+            )
+        )
+    return out
+
+
+def test_profile_values_match_subset_references() -> None:
+    # the profile LPs and the factorized multilinear value against the LPs
+    # and the sum over all 2^|S| action subsets, exactly; y on a grid of
+    # quarters, so that masses of 0 and 1 and equal masses occur
+    gen = np.random.default_rng(57)
+    checked = 0
+    for inst in _agreement_instances():
+        actions = build_action_space(inst)
+        assert 0 < len(actions) <= 8
+        for use_W in (False, True):
+            assert concave_relaxation_optimum(inst, use_W=use_W) == relaxation_optimum_by_subsets(inst, use_W)
+        for _ in range(3):
+            y = {a: F(int(gen.integers(0, 5)), 4) for a in actions}
+            assert concave_extension_exact(inst, y) == concave_extension_by_subsets(inst, y)
+            assert multilinear_value_exact(inst, y) == multilinear_by_subsets(inst, y)
+            checked += 1
+    assert checked == 21
+    # criterion 08's wide instance: 12 actions, 49 profiles
     wide = uniform_instance(
         2, (1.0, 1.2, 1.4), ((0.2, 0.4, 0.6), (0.3, 0.5, 0.7)), K=2, B=3.0,
         edges=((0, 1, 0.5), (1, 0, 0.4)),
     )
-    actions = build_action_space(wide)
-    spread = _spread_table(wide)
-    want = [
-        exact_action_set_value_frac(wide, [a for i, a in enumerate(actions) if mask >> i & 1], spread)
-        for mask in range(1 << len(actions))
-    ]
-    assert _subset_value_table(wide, actions) == want
+    y = {a: F(int(gen.integers(0, 3)), 12) for a in build_action_space(wide)}
+    assert multilinear_value_exact(wide, y) == multilinear_by_subsets(wide, y)
+
+
+def test_multilinear_value_rejects_mass_outside_unit_interval() -> None:
+    inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=3.0)
+    a, b = build_action_space(inst)
+    for bad in (F(3, 2), F(-1, 4)):
+        with pytest.raises(ValueError, match="outside"):
+            multilinear_value_exact(inst, {a: bad, b: F(1, 2)})
+        with pytest.raises(ValueError, match="outside"):
+            concave_extension_exact(inst, {a: bad, b: F(1, 2)})
+
+
+def test_lp_size_guard_counts_profiles() -> None:
+    # 5 users with 6 actions each: 7^5 profiles
+    big = uniform_instance(5, (1.0, 1.2, 1.4), ((0.2, 0.4, 0.6),) * 5, K=2, B=9.0)
+    actions = build_action_space(big)
+    assert math.prod(1 + sum(a.user == u for a in actions) for u in range(5)) > MAX_LP_COLUMNS
+    with pytest.raises(OracleSizeError):
+        concave_relaxation_optimum(big)
+    y = {a: F(1, 8) for a in actions}
+    with pytest.raises(OracleSizeError):
+        concave_extension_exact(big, y)
+    with pytest.raises(OracleSizeError):
+        multilinear_value_exact(big, y)
+
+
+def test_fifteen_actions_in_1024_profiles_evaluate() -> None:
+    # 5 users with 3 actions each; a guard on 2^15 action subsets refused it
+    inst = uniform_instance(
+        5, (1.0, 1.2), ((0.2, 0.4), (0.3, 0.5), (0.1, 0.6), (0.5, 0.7), (0.4, 0.8)), K=2, B=3.0, W=2,
+        edges=((0, 1, 0.5), (1, 2, 0.4), (3, 4, 0.3)),
+    )
+    actions = build_action_space(inst)
+    assert len(actions) == 15
+    # y spends at most B and W, so F(y) <= f+(y) <= OPT+
+    y = {a: F(1, 8) for a in actions}
+    assert 0 < multilinear_value_exact(inst, y) <= concave_relaxation_optimum(inst, use_W=True)
+
+
+def test_relaxation_chain_multilinear_extension_optimum() -> None:
+    # y from the continuous greedy is feasible for the beta-scaled region,
+    # so F(y) <= f+(y) <= OPT+ holds exactly; the ratio F(y)/OPT+ is
+    # reported beside (1-1/e)^2 * beta, not asserted: that bound holds only
+    # up to the delta and marginal-sampling error, which is not derived here
+    gen = np.random.default_rng(44)
+    ratios = []
+    floors = []
+    for k in range(3):
+        edges = []
+        for s in range(4):
+            for t in range(4):
+                if s != t and gen.random() < 0.35:
+                    edges.append((s, t, round(float(gen.uniform(0.2, 0.8)), 3)))
+        inst = uniform_instance(
+            4, (1.0, 2.0, 4.0), [sorted_row(gen, 3) for _ in range(4)], K=2, B=4.0, W=2,
+            edges=edges,
+        )
+        assert len(build_action_space(inst)) == 12
+        config = RelaxationConfig(delta=0.25, marginal_samples=50, rng_seed=k)
+        for use_W in (False, True):
+            y = continuous_greedy(inst, config, use_W=use_W)
+            lower = multilinear_value_exact(inst, y)
+            upper = concave_extension_exact(inst, y)
+            optimum = concave_relaxation_optimum(inst, use_W=use_W)
+            assert lower <= upper <= optimum
+            ratios.append(float(lower / optimum) if optimum else 1.0)
+            floors.append((1 - 1 / math.e) ** 2 * config.resolved_beta(use_W))
+    print(
+        f"relaxation chain: F(y)/OPT+ {min(ratios):.3f}..{max(ratios):.3f} over {len(ratios)} points, "
+        f"(1-1/e)^2*beta {min(floors):.3f}..{max(floors):.3f}"
+    )
 
 
 def test_concave_extension_linear_for_modular_f() -> None:
