@@ -1,18 +1,21 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
 A live-edge realization is an int mask: bit i is set when edge i is live.
-This module owns that representation, its one sampler and its one
-enumerator of outcomes.  Spread values are computed exactly when the graph is
-small enough, by one vectorized reach kernel over every outcome in the
-enumerator's order, and by seeded Monte Carlo otherwise.  One realization is
-scored by a search from its seeds alone.
+This module owns that representation, its samplers (one realization, or a
+block of them from one array of uniforms) and its one enumerator of
+outcomes.  One vectorized reach kernel computes every node's
+reach over a set of live-edge outcomes at once.  It computes spread exactly,
+over every outcome in the enumerator's order, when the graph is small enough,
+and scores blocks of sampled outcomes: Monte Carlo estimates and simulated
+worlds.  One realization on its own is scored by a search from its seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,6 +28,12 @@ REACH_CACHE_LIMIT = 1 << 20
 # within this many bytes; larger chunks run no faster on 16-node graphs and
 # raise peak memory.
 KERNEL_BYTES = 4 << 20
+# Sampled outcomes are drawn in blocks of this many rows: outcome i is row
+# i % BLOCK of block i // BLOCK, whose stream is keyed by the block, so it
+# depends neither on how many outcomes are drawn nor on how they are scored.
+# On 16 nodes a block's arrays take about 0.5 MB; 2048 rows ran 25% faster
+# per world there but raised peak RSS by 0.6 MB.
+BLOCK = 1024
 
 
 class InstanceError(ValueError):
@@ -79,6 +88,11 @@ class Graph:
     @cached_property
     def forced_live_mask(self) -> int:
         return sum(1 << i for i, (_, _, p) in enumerate(self.edges) if p == 1.0)
+
+    @cached_property
+    def singleton_table(self) -> Mapping[int, float]:
+        """singleton_influence_table at its defaults, computed once per graph."""
+        return MappingProxyType(singleton_influence_table(self))
 
     @cached_property
     def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -174,23 +188,62 @@ def live_mask_outcomes(graph: Graph) -> Iterator[tuple[float, int]]:
         yield weight, mask
 
 
+def _chunk_columns(graph: Graph) -> int:
+    """Outcome columns per kernel pass: the largest count, at least 1, whose
+    arrays fit in KERNEL_BYTES = 4 MB, at 8 bytes per column for each node's
+    reach words (twice, for temporaries), each uncertain edge's live column
+    and six outcome vectors."""
+    words = -(-graph.node_count // 64)
+    return max(1, KERNEL_BYTES // (8 * (2 * graph.node_count * words + len(graph.uncertain_edges) + 6)))
+
+
+def _reach_columns(graph: Graph, live: np.ndarray) -> np.ndarray:
+    """Each node's reach in each column of live-edge outcomes.
+
+    live[j] is all ones in the columns where edge uncertain_edges[j] is live
+    and zero elsewhere; forced edges are live in every column and dead edges
+    in none.  Returns uint64 words of shape (n, ceil(n / 64), columns), where
+    bit t of node u's words is set when u reaches t; reach is ORed along the
+    live edges until no pass adds a node.
+    """
+    unc = graph.uncertain_edges
+    n = graph.node_count
+    column = {i: j for j, i in enumerate(unc)}
+    # (source, target, live column or None for a forced edge)
+    links = [(u, v, column.get(i)) for i, (u, v, p) in enumerate(graph.edges) if p > 0.0]
+    nodes = np.arange(n)
+    reach = np.zeros((n, -(-n // 64), live.shape[1]), dtype=np.uint64)
+    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))[:, None]
+    rows = list(reach)  # per-node views, updated in place
+    step = np.empty(reach.shape[1:], dtype=np.uint64)
+    count = n * live.shape[1]
+    while True:
+        for u, v, j in links:
+            if j is None:
+                np.bitwise_or(rows[u], rows[v], out=rows[u])
+            else:
+                np.bitwise_and(rows[v], live[j], out=step)
+                np.bitwise_or(rows[u], step, out=rows[u])
+        # reach only grows, so an unchanged bit count means a fixpoint
+        new_count = int(np.bitwise_count(reach).sum())
+        if new_count == count:
+            return reach
+        count = new_count
+
+
 def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
     """Exact expected spread of each (non-empty, validated) seed set.
 
     Enumerates every live-edge outcome in live_mask_outcomes order, in chunks
-    of at most M outcomes, and carries each set's running total from chunk to
-    chunk.  Memory: M is the largest count, at least 1, for which a chunk's
-    arrays fit in KERNEL_BYTES = 4 MB, at 8 bytes per outcome for each node's
-    reach words (twice, for temporaries), each uncertain edge's live column
-    and six outcome vectors.
+    of _chunk_columns outcomes, and carries each set's running total from
+    chunk to chunk.
     """
     unc = graph.uncertain_edges
     if len(unc) > EXACT_EDGE_LIMIT:
         raise ValueError(
             f"exact influence needs at most {EXACT_EDGE_LIMIT} uncertain edges, got {len(unc)}"
         )
-    words = -(-graph.node_count // 64)
-    chunk = max(1, KERNEL_BYTES // (8 * (2 * graph.node_count * words + len(unc) + 6)))
+    chunk = _chunk_columns(graph)
     outcomes = 1 << len(unc)
     totals = [0.0] * len(seed_sets)
     for start in range(0, outcomes, chunk):
@@ -204,53 +257,77 @@ def _add_chunk(
     """Add outcomes start..stop-1 to each seed set's total, in outcome order.
 
     Column c is outcome `start + c`: its bit j makes edge uncertain_edges[j]
-    live; forced edges are always live and dead edges are dropped.  Each
-    node's reach is held as uint64 words of shape (ceil(n / 64), columns),
-    ORed along the live edges until no pass adds a node.  Weights are
-    multiplied per edge in the order live_mask_outcomes uses, and the sum is
-    a sequential cumsum started from the carried total, so every total equals
-    the per-outcome loop `total += weight * reached` bit for bit.
+    live.  Weights are multiplied per edge in the order live_mask_outcomes
+    uses, and the sum is a sequential cumsum started from the carried total,
+    so every total equals the per-outcome loop `total += weight * reached`
+    bit for bit.
     """
     unc = graph.uncertain_edges
-    n = graph.node_count
-    column = {i: j for j, i in enumerate(unc)}
-    # (source, target, live column or None for a forced edge)
-    links = [(u, v, column.get(i)) for i, (u, v, p) in enumerate(graph.edges) if p > 0.0]
     combos = np.arange(start, stop, dtype=np.int64)
-    m = stop - start
-    weights = np.ones(m)
-    live = np.empty((len(unc), m), dtype=np.uint64)
+    weights = np.ones(stop - start)
+    live = np.empty((len(unc), stop - start), dtype=np.uint64)
     for j, i in enumerate(unc):
         p = graph.edges[i][2]
         bit = combos >> j & 1
         weights *= np.where(bit == 1, p, 1.0 - p)
         live[j] = bit
     np.negative(live, out=live)  # all ones where the edge is live
-    nodes = np.arange(n)
-    reach = np.zeros((n, -(-n // 64), m), dtype=np.uint64)
-    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))[:, None]
-    rows = list(reach)  # per-node views, updated in place
-    step = np.empty(reach.shape[1:], dtype=np.uint64)
-    count = n * m
-    while True:
-        for u, v, j in links:
-            if j is None:
-                np.bitwise_or(rows[u], rows[v], out=rows[u])
-            else:
-                np.bitwise_and(rows[v], live[j], out=step)
-                np.bitwise_or(rows[u], step, out=rows[u])
-        # reach only grows, so an unchanged bit count means a fixpoint
-        new_count = int(np.bitwise_count(reach).sum())
-        if new_count == count:
-            break
-        count = new_count
+    reach = _reach_columns(graph, live)
     for k, ids in enumerate(seed_sets):
-        union = rows[ids[0]]
+        union = reach[ids[0]]
         for s in ids[1:]:
-            union = union | rows[s]
+            union = union | reach[s]
         gains = np.bitwise_count(union).sum(axis=0) * weights
         gains[0] += totals[k]
         totals[k] = float(np.cumsum(gains)[-1])
+
+
+def live_edges(graph: Graph, uniforms: np.ndarray) -> np.ndarray:
+    """Which uncertain edges are live in each sampled outcome, as a bool array.
+
+    Row r of uniforms holds one uniform per uncertain edge, in
+    uncertain_edges order; an edge is live when its uniform is below its
+    probability, as in sample_live_mask.
+    """
+    return uniforms < np.array([graph.edges[i][2] for i in graph.uncertain_edges])
+
+
+def live_masks(graph: Graph, live: np.ndarray) -> list[int]:
+    """The int mask of each sampled outcome (a row of live_edges)."""
+    bits = np.zeros((len(live), len(graph.edges)), dtype=bool)
+    bits[:, list(graph.uncertain_edges)] = live
+    forced = graph.forced_live_mask
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [forced | int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _sampled_reach(graph: Graph, live: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """_reach_columns over sampled outcomes, _chunk_columns at a time.
+
+    Row r of live is outcome r, as live_edges gives it.  Yields (first row,
+    reach) per chunk; the chunks split rows already drawn, so they change no
+    draw.
+    """
+    step = _chunk_columns(graph)
+    for start in range(0, len(live), step):
+        columns = live[start:start + step].T.astype(np.uint64, order="C")
+        np.negative(columns, out=columns)  # all ones where the edge is live
+        yield start, _reach_columns(graph, columns)
+
+
+def sampled_spreads(graph: Graph, live: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Spread of one seed node in each sampled outcome, as an int64 array.
+
+    Row r of live is an outcome, as live_edges gives it, and seeds[r] is its
+    seed node, or -1 for none (spread 0).
+    """
+    out = np.zeros(len(seeds), dtype=np.int64)
+    hit = np.flatnonzero(seeds >= 0)
+    for start, reach in _sampled_reach(graph, live[hit]):
+        cols = np.arange(reach.shape[2])
+        rows = hit[start:start + len(cols)]
+        out[rows] = np.bitwise_count(reach[seeds[rows], :, cols]).sum(axis=1)
+    return out
 
 
 def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
@@ -270,21 +347,24 @@ def influence_mc_stats(
 ) -> tuple[float, float]:
     """Monte Carlo spread estimate with its standard error.
 
-    Sample i draws its realization from a stream keyed by (rng_seed, i), so
-    the estimate does not depend on how samples would be split across workers.
+    Block b of BLOCK samples draws one uniform per uncertain edge and sample
+    in one call on a stream keyed by (rng_seed, b), so sample i depends only
+    on (rng_seed, i).  Each block is scored by the reach kernel.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     seed_ids = _seed_list(graph, seeds)
     if not seed_ids:
         return 0.0, 0.0
-    total = 0.0
-    total_sq = 0.0
-    for i in range(samples):
-        mask = sample_live_mask(graph, np.random.default_rng([rng_seed, i]))
-        value = _reach_mask(graph, seed_ids, mask).bit_count()
-        total += value
-        total_sq += value * value
+    total = 0
+    total_sq = 0
+    for b, start in enumerate(range(0, samples, BLOCK)):
+        shape = (min(BLOCK, samples - start), len(graph.uncertain_edges))
+        uniforms = np.random.default_rng([rng_seed, b]).random(shape)
+        for _, reach in _sampled_reach(graph, live_edges(graph, uniforms)):
+            values = np.bitwise_count(np.bitwise_or.reduce(reach[seed_ids])).sum(axis=0, dtype=np.int64)
+            total += int(values.sum())
+            total_sq += int((values * values).sum())
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     stderr = (var / samples) ** 0.5
@@ -297,7 +377,7 @@ def singleton_influence_table(
     """Expected spread of each single node, exact when the graph allows it.
 
     The exact table takes one kernel pass over the live-edge outcomes for all
-    nodes; the Monte Carlo fallback scores each sample from its seed alone.
+    nodes; the Monte Carlo fallback runs influence_mc_stats per node.
     """
     n = graph.node_count
     if len(graph.uncertain_edges) > EXACT_EDGE_LIMIT:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import realized_influence, singleton_influence_table
+from .influence import BLOCK, live_edges, live_masks, realized_influence, sampled_spreads
 from .model import (
     Instance,
     PolicyTrace,
@@ -24,7 +24,6 @@ from .model import (
     check_trace,
     low_value_coupons,
     realize,
-    sample_world,
 )
 from .relaxation import RelaxationConfig
 from .rounding import Alg1Policy
@@ -186,7 +185,7 @@ class Alg2Policy:
         if instance.K < 1:
             raise ValueError("probing requires K >= 1")
         self.instance = instance
-        self.table = dict(singleton_table) if singleton_table is not None else singleton_influence_table(instance.graph)
+        self.table = dict(instance.graph.singleton_table if singleton_table is None else singleton_table)
         self.extended = extended
         self.name = "e-alg2" if extended else "alg2"
         if extended:
@@ -260,28 +259,30 @@ def evaluate_policy(
 ) -> PolicyEvaluation:
     """Mean realized spread of a policy over independent worlds.
 
-    World i and the policy's own randomness draw from streams keyed by
-    (rng_seed, i), so results do not depend on evaluation order.  Each trace
-    is generated and scored in the same world, and checked for feasibility.
+    Worlds are drawn in blocks of BLOCK: block b draws every user threshold
+    and every uncertain-edge uniform of its worlds in one call on a stream
+    keyed by (rng_seed, b, 0), one row per world, so world i depends only on
+    (rng_seed, i), neither on `worlds` nor on the policy, and policies
+    evaluated with one seed see the same worlds.  stoch-cp's coin is one
+    uniform per world from the block's stream keyed by (rng_seed, b, 2).
+    alg2 worlds are scored a block at a time (see _alg2_block); every other
+    world runs the policy's generate(world, rng) with rng = [rng_seed, i, 1],
+    a seed for its own generator, and is scored by a search from its seeds.
+    Each trace is checked for feasibility.
     """
     if worlds < 1:
         raise ValueError("worlds must be positive")
-    generate = policy.generate if hasattr(policy, "generate") else policy
-    extended = getattr(policy, "extended", False)
-    total = 0.0
-    total_sq = 0.0
+    total = 0
+    total_sq = 0
     violations = 0
     branch_counts: dict[str, int] = {}
-    for i in range(worlds):
-        world = sample_world(instance, np.random.default_rng([rng_seed, i, 0]))
-        trace = generate(world, np.random.default_rng([rng_seed, i, 1]))
-        value = float(realized_influence(instance.graph, trace.seeds, world.live_mask))
-        total += value
-        total_sq += value * value
-        if check_trace(instance, trace, extended=extended):
-            violations += 1
-        if trace.note:
-            branch_counts[trace.note] = branch_counts.get(trace.note, 0) + 1
+    for values, bad, notes in _simulate(instance, policy, worlds, rng_seed):
+        total += int(values.sum())
+        total_sq += int((values * values).sum())
+        violations += bad
+        for note, count in notes.items():
+            branch_counts[note] = branch_counts.get(note, 0) + count
+    # spreads are integers, so these sums are exact in any order
     mean = total / worlds
     var = max(0.0, total_sq / worlds - mean * mean)
     stderr = (var / worlds) ** 0.5
@@ -292,3 +293,82 @@ def evaluate_policy(
         violations=violations,
         branch_counts=branch_counts,
     )
+
+
+def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
+    """Per block of worlds, in order: each world's realized spread (int64),
+    the number of infeasible traces and the count of each trace note."""
+    graph = instance.graph
+    n = instance.n_users
+    extended = getattr(policy, "extended", False)
+    # stoch-cp notes each world's branch; its alg1 branch runs world by world
+    stoch = isinstance(policy, StochCpPolicy)
+    if stoch:
+        one_by_one, alg2 = policy.branch_alg1, policy.branch_alg2
+    elif isinstance(policy, Alg2Policy):
+        one_by_one, alg2 = None, policy
+    else:
+        one_by_one, alg2 = policy, None
+    generate = getattr(one_by_one, "generate", one_by_one)
+    verdicts: dict[int, bool] = {}
+    for b, start in enumerate(range(0, worlds, BLOCK)):
+        rows = min(BLOCK, worlds - start)
+        draws = np.random.default_rng([rng_seed, b, 0]).random((rows, n + len(graph.uncertain_edges)))
+        thresholds, live = draws[:, :n], live_edges(graph, draws[:, n:])
+        if stoch:
+            singly = np.random.default_rng([rng_seed, b, 2]).random(rows) < policy.alg1_weight
+        else:
+            singly = np.full(rows, alg2 is None)
+        values = np.zeros(rows, dtype=np.int64)
+        bad = 0
+        notes: dict[str, int] = {}
+        in_block = np.flatnonzero(~singly)
+        if len(in_block):
+            seeds, bad = _alg2_block(instance, alg2.order, thresholds, in_block, extended, verdicts)
+            values[in_block] = sampled_spreads(graph, live[in_block], seeds)
+            if stoch:
+                notes["alg2"] = len(in_block)
+        for r, mask in zip(np.flatnonzero(singly).tolist(), live_masks(graph, live[singly])):
+            trace = generate(World(tuple(thresholds[r].tolist()), mask), [rng_seed, start + r, 1])
+            if stoch:
+                trace.note = "alg1"
+            values[r] = realized_influence(graph, trace.seeds, mask)
+            if check_trace(instance, trace, extended=extended):
+                bad += 1
+            if trace.note:
+                notes[trace.note] = notes.get(trace.note, 0) + 1
+        yield values, bad, notes
+
+
+def _alg2_block(
+    instance: Instance,
+    order: ProbeOrder,
+    thresholds: np.ndarray,
+    rows: np.ndarray,
+    extended: bool,
+    verdicts: dict[int, bool],
+) -> tuple[np.ndarray, int]:
+    """The seed (or -1) and the infeasible-trace count of a probe order in
+    the given rows of a block of worlds' thresholds.
+
+    A world's first accept is the first user in the order whose threshold
+    is at most its attractiveness.  The trace depends only on that position,
+    so check_trace runs once per position (verdicts keeps each position's
+    result across blocks), on the trace alg2_execute makes in a world there;
+    that trace reads thresholds only, so the world has no live edges.
+    """
+    users = np.array(order.users + (-1,), dtype=np.intp)  # last position: nobody accepts
+    p = np.array([row[order.coupon_index] for row in instance.attractiveness])
+    accepts = np.ones((len(rows), len(users)), dtype=bool)
+    accepts[:, :-1] = (thresholds <= p)[np.ix_(rows, users[:-1])]
+    positions = accepts.argmax(axis=1)
+    counts = np.bincount(positions, minlength=len(users))
+    bad = 0
+    for k in np.flatnonzero(counts).tolist():
+        if k not in verdicts:
+            r = rows[np.argmax(positions == k)]
+            world = World(tuple(thresholds[r].tolist()), 0)
+            verdicts[k] = bool(check_trace(instance, alg2_execute(instance, order, world), extended=extended))
+        if verdicts[k]:
+            bad += int(counts[k])
+    return users[positions], bad

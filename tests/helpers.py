@@ -8,7 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from couponprobe import simplex
-from couponprobe.influence import Graph, influence_exact, live_mask_outcomes
+from couponprobe.influence import BLOCK, Graph, influence_exact, live_mask_outcomes, realized_influence
 from couponprobe.model import (
     COST_MODE_THRESHOLD,
     Action,
@@ -17,16 +17,51 @@ from couponprobe.model import (
     ProbeStep,
     World,
     build_action_space,
+    check_trace,
     exact_expected_cost,
     realize,
     sample_world,
 )
 from couponprobe.relaxation import RelaxationConfig, action_set_utility
-from couponprobe.sequencing import first_accept_value
+from couponprobe.sequencing import (
+    Alg2Policy,
+    PolicyEvaluation,
+    StochCpPolicy,
+    alg2_execute,
+    first_accept_value,
+)
 
 
 def edgeless(n: int) -> Graph:
     return Graph(node_count=n, edges=())
+
+
+def mixed_graph() -> Graph:
+    # forced, dead and ten uncertain edges, interleaved in edge order
+    return Graph(node_count=7, edges=(
+        (0, 1, 1.0), (0, 2, 0.3), (1, 2, 0.0), (1, 3, 0.6), (2, 3, 0.5),
+        (2, 4, 1.0), (3, 4, 0.2), (3, 5, 0.0), (4, 5, 0.7), (4, 6, 0.4),
+        (5, 6, 1.0), (5, 0, 0.5), (6, 1, 0.8), (6, 3, 0.1), (1, 5, 0.45),
+    ))
+
+
+def sim16_shaped_graph() -> Graph:
+    # 16 nodes, 3 forced and 15 uncertain edges, like the sim16 benchmark
+    gen = np.random.default_rng(16)
+    pairs = [(u, v) for u in range(16) for v in range(16) if u != v]
+    picks = gen.choice(len(pairs), size=18, replace=False)
+    edges = [(*pairs[k], 1.0 if n < 3 else round(float(gen.uniform(0.1, 0.7)), 3))
+             for n, k in enumerate(picks)]
+    return Graph(node_count=16, edges=tuple(edges))
+
+
+def wide_graph() -> Graph:
+    # 130 nodes, so each reach spans three 64-bit words; uncertain edges
+    # cross the word boundaries at 63/64 and 127/128
+    edges = [(i, i + 1, 1.0) for i in range(0, 129, 2)]
+    edges += [(63, 64, 0.5), (127, 128, 0.3), (1, 2, 0.6), (64, 0, 0.25), (5, 100, 0.9),
+              (100, 127, 0.4), (129, 7, 0.7), (66, 65, 0.0), (128, 3, 0.35)]
+    return Graph(node_count=130, edges=tuple(edges))
 
 
 def make_world(thresholds, live_mask: int = 0) -> World:
@@ -338,3 +373,74 @@ def run_fixed_plan(instance: Instance, world: World, actions: Iterable[Action]) 
             trace.budget_after.append(budget)
     trace.seeds = frozenset(seeds)
     return trace
+
+
+def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:
+    """Reference for evaluate_policy's world stream, one world at a time.
+
+    World i is row i % BLOCK of block i // BLOCK's draws from the stream
+    keyed by (rng_seed, block, 0): the user thresholds, then one uniform per
+    uncertain edge, which makes the edge live when below its probability.
+    """
+    graph = instance.graph
+    n = instance.n_users
+    out = []
+    for b, start in enumerate(range(0, worlds, BLOCK)):
+        shape = (min(BLOCK, worlds - start), n + len(graph.uncertain_edges))
+        for row in np.random.default_rng([rng_seed, b, 0]).random(shape).tolist():
+            mask = graph.forced_live_mask
+            for j, i in enumerate(graph.uncertain_edges):
+                if row[n + j] < graph.edges[i][2]:
+                    mask |= 1 << i
+            out.append(World(tuple(row[:n]), mask))
+    return out
+
+
+def evaluate_world_by_world(
+    instance: Instance, policy, worlds: int, rng_seed: int, check=check_trace
+) -> tuple[list[int], PolicyEvaluation]:
+    """Reference for evaluate_policy: the same worlds and policy streams,
+    each world run through alg2_execute (or the policy's generate),
+    realized_influence and check, and summed as `total += value`.
+
+    Returns every world's spread and the evaluation.  stoch-cp's coin for
+    world i is row i % BLOCK of its block's draws keyed by (rng_seed, block,
+    2); per-world randomness is seeded by [rng_seed, i, 1].
+    """
+    coins: list[float] = []
+    for b, start in enumerate(range(0, worlds, BLOCK)):
+        coins += np.random.default_rng([rng_seed, b, 2]).random(min(BLOCK, worlds - start)).tolist()
+    extended = getattr(policy, "extended", False)
+    values: list[int] = []
+    total = total_sq = 0.0
+    violations = 0
+    branch_counts: dict[str, int] = {}
+    for i, world in enumerate(block_worlds(instance, worlds, rng_seed)):
+        if isinstance(policy, StochCpPolicy):
+            if coins[i] < policy.alg1_weight:
+                trace = policy.branch_alg1.generate(world, [rng_seed, i, 1])
+                trace.note = "alg1"
+            else:
+                trace = alg2_execute(instance, policy.branch_alg2.order, world)
+                trace.note = "alg2"
+        elif isinstance(policy, Alg2Policy):
+            trace = alg2_execute(instance, policy.order, world)
+        else:
+            trace = getattr(policy, "generate", policy)(world, [rng_seed, i, 1])
+        value = realized_influence(instance.graph, trace.seeds, world.live_mask)
+        values.append(value)
+        total += value
+        total_sq += value * value
+        if check(instance, trace, extended=extended):
+            violations += 1
+        if trace.note:
+            branch_counts[trace.note] = branch_counts.get(trace.note, 0) + 1
+    mean = total / worlds
+    var = max(0.0, total_sq / worlds - mean * mean)
+    return values, PolicyEvaluation(
+        mean=mean,
+        stderr=(var / worlds) ** 0.5,
+        worlds=worlds,
+        violations=violations,
+        branch_counts=branch_counts,
+    )

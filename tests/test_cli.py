@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from couponprobe import influence
 from couponprobe.cli import main
 from couponprobe.instance_io import InstanceFormatError, load_instance, save_instance
 from couponprobe.oracle import optimal_adaptive_value
@@ -341,3 +342,23 @@ def test_compare_stoch_cp_mean_sits_between_branches(tmp_path, capsys) -> None:
     high = max(means["alg1"], means["alg2"])
     assert low - slack <= means["stoch-cp"] <= high + slack
     assert all(row[3] == "0" for row in rows.values())
+
+
+def test_compare_builds_one_singleton_table_per_graph(tmp_path, capsys, monkeypatch) -> None:
+    calls = {"singleton_influence_table": 0, "_exact_spreads": 0}
+    for name in calls:
+        original = getattr(influence, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(influence, name, counted)
+    path = _write(tmp_path, TOY.replace("nodes 5", "nodes 5\nedge 0 1 0.5\nedge 1 2 0.4") + "W 2\n")
+    code, out, _ = _run(capsys, [
+        "compare", path, "--policy", "stoch-cp,e-stoch-cp", "--worlds", "50",
+        "--delta", "0.5", "--marginal-samples", "10",
+    ])
+    assert code == 0
+    assert [line.split(",")[4] for line in out.splitlines()[4:]] == ["", ""]
+    assert calls == {"singleton_influence_table": 1, "_exact_spreads": 1}

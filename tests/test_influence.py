@@ -7,6 +7,7 @@ import pytest
 
 from couponprobe import influence
 from couponprobe.influence import (
+    BLOCK,
     EXACT_EDGE_LIMIT,
     Graph,
     influence_exact,
@@ -17,7 +18,7 @@ from couponprobe.influence import (
     singleton_influence_table,
 )
 
-from helpers import edgeless, exact_spreads_by_mask
+from helpers import edgeless, exact_spreads_by_mask, mixed_graph, sim16_shaped_graph, wide_graph
 
 
 def test_single_edge_half() -> None:
@@ -167,7 +168,7 @@ def test_monotone_and_submodular_exhaustively() -> None:
 
 
 def test_sample_live_mask_draws_once_per_uncertain_edge() -> None:
-    g = _mixed_graph()
+    g = mixed_graph()
     gen, ref = np.random.default_rng(9), np.random.default_rng(9)
     for _ in range(200):
         draws = ref.random(len(g.uncertain_edges))
@@ -196,17 +197,8 @@ def test_singleton_table_star() -> None:
     assert table[2] == pytest.approx(1.0)
 
 
-def _mixed_graph() -> Graph:
-    # forced, dead and ten uncertain edges, interleaved in edge order
-    return Graph(node_count=7, edges=(
-        (0, 1, 1.0), (0, 2, 0.3), (1, 2, 0.0), (1, 3, 0.6), (2, 3, 0.5),
-        (2, 4, 1.0), (3, 4, 0.2), (3, 5, 0.0), (4, 5, 0.7), (4, 6, 0.4),
-        (5, 6, 1.0), (5, 0, 0.5), (6, 1, 0.8), (6, 3, 0.1), (1, 5, 0.45),
-    ))
-
-
 def test_live_masks_respect_forced_and_dead_edges() -> None:
-    g = _mixed_graph()
+    g = mixed_graph()
     assert len(g.uncertain_edges) == 10
     dead = sum(1 << i for i, (_, _, p) in enumerate(g.edges) if p == 0.0)
     outcomes = list(live_mask_outcomes(g))
@@ -219,30 +211,11 @@ def test_live_masks_respect_forced_and_dead_edges() -> None:
     assert sum(w for w, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
-def _sim16_shaped_graph() -> Graph:
-    # 16 nodes, 3 forced and 15 uncertain edges, like the sim16 benchmark
-    gen = np.random.default_rng(16)
-    pairs = [(u, v) for u in range(16) for v in range(16) if u != v]
-    picks = gen.choice(len(pairs), size=18, replace=False)
-    edges = [(*pairs[k], 1.0 if n < 3 else round(float(gen.uniform(0.1, 0.7)), 3))
-             for n, k in enumerate(picks)]
-    return Graph(node_count=16, edges=tuple(edges))
-
-
-def _wide_graph() -> Graph:
-    # 130 nodes, so each reach spans three 64-bit words; uncertain edges
-    # cross the word boundaries at 63/64 and 127/128
-    edges = [(i, i + 1, 1.0) for i in range(0, 129, 2)]
-    edges += [(63, 64, 0.5), (127, 128, 0.3), (1, 2, 0.6), (64, 0, 0.25), (5, 100, 0.9),
-              (100, 127, 0.4), (129, 7, 0.7), (66, 65, 0.0), (128, 3, 0.35)]
-    return Graph(node_count=130, edges=tuple(edges))
-
-
 _REFERENCE_CASES = {
-    "mixed": _mixed_graph,
+    "mixed": mixed_graph,
     "edgeless": lambda: edgeless(3),
-    "sim16-shaped": _sim16_shaped_graph,
-    "wide": _wide_graph,
+    "sim16-shaped": sim16_shaped_graph,
+    "wide": wide_graph,
 }
 
 
@@ -272,12 +245,12 @@ def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes) -> None:
     # 1 byte floors the chunk at one outcome; 1500 bytes gives chunks of a
     # few outcomes, which do not divide the 2^10 outcomes evenly
     monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
-    _check_against_reference(_mixed_graph())
+    _check_against_reference(mixed_graph())
 
 
 def test_realized_influence_matches_reach_masks_union() -> None:
     gen = np.random.default_rng(5)
-    for g in (_mixed_graph(), _sim16_shaped_graph(), _wide_graph()):
+    for g in (mixed_graph(), sim16_shaped_graph(), wide_graph()):
         reference = Graph(g.node_count, g.edges)
         n, e = g.node_count, len(g.edges)
         for _ in range(200):
@@ -313,3 +286,26 @@ def test_reach_cache_stops_at_its_limit(monkeypatch) -> None:
     fresh = [Graph(node_count=5, edges=edges).reach_masks(mask) for mask in range(1 << 5)]
     assert first == again == fresh
     assert first[0b11111] == (0b11111,) * 5
+
+
+@pytest.mark.parametrize("kernel_bytes", [influence.KERNEL_BYTES, 1500])
+def test_mc_stats_match_per_sample_reference(monkeypatch, kernel_bytes) -> None:
+    # sample i is row i % BLOCK of block i // BLOCK's uniforms, one per
+    # uncertain edge; 1500 bytes split each block into kernel chunks of a
+    # few samples, which must not change any value
+    monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
+    g = mixed_graph()
+    samples, seeds = 2 * BLOCK + 37, [3, 6]
+    values = []
+    for b, start in enumerate(range(0, samples, BLOCK)):
+        shape = (min(BLOCK, samples - start), len(g.uncertain_edges))
+        for row in np.random.default_rng([5, b]).random(shape):
+            mask = g.forced_live_mask
+            for j, i in enumerate(g.uncertain_edges):
+                if row[j] < g.edges[i][2]:
+                    mask |= 1 << i
+            values.append(realized_influence(g, seeds, mask))
+    mean = sum(values) / samples
+    var = max(0.0, sum(v * v for v in values) / samples - mean * mean)
+    got = influence_mc_stats(g, seeds, samples, rng_seed=5)
+    assert (got[0].hex(), got[1].hex()) == (mean.hex(), ((var / samples) ** 0.5).hex())

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from couponprobe.influence import singleton_influence_table
-from couponprobe.model import PolicyTrace, sample_world
+from couponprobe import influence, sequencing
+from couponprobe.cli import make_policy
+from couponprobe.influence import BLOCK, Graph, realized_influence, singleton_influence_table
+from couponprobe.model import Instance, PolicyTrace, check_trace, sample_world
 from couponprobe.relaxation import RelaxationConfig
+from couponprobe.rounding import Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
     StochCpPolicy,
@@ -22,7 +27,16 @@ from couponprobe.sequencing import (
     first_accept_value,
 )
 
-from helpers import dp_brute_force, make_world, uniform_instance
+from helpers import (
+    block_worlds,
+    dp_brute_force,
+    evaluate_world_by_world,
+    make_world,
+    mixed_graph,
+    sim16_shaped_graph,
+    uniform_instance,
+    wide_graph,
+)
 
 F = Fraction
 
@@ -362,3 +376,137 @@ def test_evaluate_requires_worlds() -> None:
     inst = _inst([0.5])
     with pytest.raises(ValueError):
         evaluate_policy(inst, lambda w, r: PolicyTrace(), worlds=0)
+
+
+# ------------------------------------------------------ worlds in blocks
+
+
+def _on_graph(graph: Graph, rows=None) -> Instance:
+    # coupon 1.0 is low-value and 2.0 is alg2's, so stoch-cp flips its coin;
+    # W = 3 < n for e-alg2
+    gen = np.random.default_rng(graph.node_count)
+    if rows is None:
+        rows = [tuple(sorted(round(float(x), 3) for x in gen.uniform(0.05, 0.6, 2)))
+                for _ in range(graph.node_count)]
+    return Instance(graph=graph, coupons=(1.0, 2.0), attractiveness=tuple(rows), K=1, B=3.0, W=3)
+
+
+def _flag_position_one(instance, trace, extended=False):
+    # flags every trace that stops after two offers, so one alg2 position
+    return ["flagged"] if len(trace.steps) == 2 else check_trace(instance, trace, extended=extended)
+
+
+_BLOCK_CASES = {
+    "forced-and-dead-edges": lambda: _on_graph(mixed_graph()),
+    # the probed coupon's attractiveness is exactly 0 for users 0 and 2 and
+    # exactly 1 for user 4, so every world stops at user 4 at the latest
+    "attractiveness-0-and-1": lambda: _on_graph(mixed_graph(), [
+        (0.0, 0.0), (0.2, 0.3), (0.0, 0.0), (0.1, 0.25), (0.5, 1.0), (0.3, 0.4), (0.05, 0.1),
+    ]),
+    "130-nodes": lambda: _on_graph(wide_graph()),
+    "check-flags-one-position": lambda: _on_graph(mixed_graph()),
+}
+
+
+@pytest.mark.parametrize("name", ["alg2", "e-alg2", "stoch-cp"])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
+    inst = _BLOCK_CASES[case]()
+    policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+    check = check_trace
+    if case == "check-flags-one-position":
+        check = _flag_position_one
+        monkeypatch.setattr(sequencing, "check_trace", check)
+    worlds = 2 * BLOCK + 37  # two full blocks and a partial one
+    values, want = evaluate_world_by_world(inst, policy, worlds, 41, check)
+    blocks = list(sequencing._simulate(inst, policy, worlds, 41))
+    assert [len(v) for v, _, _ in blocks] == [BLOCK, BLOCK, 37]
+    assert np.concatenate([v for v, _, _ in blocks]).tolist() == values
+    got = evaluate_policy(inst, policy, worlds, 41)
+    assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
+    assert got.violations == want.violations
+    assert got.branch_counts == want.branch_counts
+    if check is _flag_position_one:
+        assert 0 < got.violations < worlds
+    else:
+        assert got.violations == 0
+
+
+def test_block_scoring_does_not_depend_on_kernel_chunks(monkeypatch) -> None:
+    # 1500 bytes split each block into kernel chunks of a few worlds
+    inst = _on_graph(mixed_graph())
+    policy = Alg2Policy(inst)
+    want = evaluate_policy(inst, policy, BLOCK + 300, 6)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    assert influence._chunk_columns(inst.graph) < 10
+    assert evaluate_policy(inst, policy, BLOCK + 300, 6) == want
+    values, _ = evaluate_world_by_world(inst, policy, BLOCK + 300, 6)
+    assert np.concatenate([v for v, _, _ in sequencing._simulate(inst, policy, BLOCK + 300, 6)]).tolist() == values
+
+
+class _Recorder:
+    """A plain callable policy that probes nobody and records what it is given."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def __call__(self, world, rng) -> PolicyTrace:
+        self.seen.append((world, rng))
+        return PolicyTrace()
+
+
+def test_world_i_depends_only_on_seed_and_i() -> None:
+    inst = _on_graph(mixed_graph())
+    short, long = _Recorder(), _Recorder()
+    n = BLOCK + 5  # ends in a partial block; 2n + 7 worlds end in another
+    evaluate_policy(inst, short, n, 8)
+    evaluate_policy(inst, long, 2 * n + 7, 8)
+    assert long.seen[:n] == short.seen
+    assert [world for world, _ in short.seen] == block_worlds(inst, n, 8)
+    assert [rng for _, rng in short.seen] == [[8, i, 1] for i in range(n)]
+
+
+def test_policies_with_one_seed_see_the_same_worlds() -> None:
+    inst = _on_graph(mixed_graph())
+    worlds = BLOCK + 300
+    recorder = _Recorder()
+    evaluate_policy(inst, recorder, worlds, 12)
+    seen = [world for world, _ in recorder.seen]
+
+    class RecordingAlg1(Alg1Policy):
+        def generate(self, world, rng):
+            self.seen.append(world)
+            return super().generate(world, rng)
+
+    alg1 = RecordingAlg1(inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+    alg1.seen = []
+    evaluate_policy(inst, alg1, worlds, 12)
+    assert alg1.seen == seen
+    alg2 = Alg2Policy(inst)
+    values = np.concatenate([v for v, _, _ in sequencing._simulate(inst, alg2, worlds, 12)])
+    assert values.tolist() == [
+        realized_influence(inst.graph, alg2_execute(inst, alg2.order, w).seeds, w.live_mask)
+        for w in seen
+    ]
+
+
+def test_million_world_alg2_evaluation_is_bounded() -> None:
+    # tracemalloc sees numpy's buffers, so its peak bounds what the run adds to RSS
+    gen = np.random.default_rng(3)
+    rows = [(round(float(gen.uniform(0.05, 0.3)), 3), round(float(gen.uniform(0.35, 0.5)), 3))
+            for _ in range(16)]
+    inst = Instance(graph=sim16_shaped_graph(), coupons=(1.0, 3.0), attractiveness=tuple(rows), K=1, B=3.0)
+    policy = Alg2Policy(inst)
+    evaluate_policy(inst, policy, 100, 0)
+    tracemalloc.start()
+    start = time.perf_counter()
+    result = evaluate_policy(inst, policy, 10**6, 0)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert result.worlds == 10**6 and result.violations == 0
+    assert peak < 8 << 20, f"peak {peak / 2**20:.1f} MB"
+    assert elapsed < 60, f"{elapsed:.1f} s"
+    closed = alg2_value(inst, policy.order, policy.table)
+    assert abs(result.mean - closed) <= 4 * result.stderr
+    print(f"10^6 alg2 worlds: {elapsed:.2f} s, traced peak {peak / 2**20:.2f} MB")
