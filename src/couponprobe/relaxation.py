@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -189,23 +189,72 @@ def estimate_marginals(
     return {a: totals[i] / n for i, a in enumerate(actions)}
 
 
+class ActionCosts(Mapping[Action, Fraction]):
+    """Each action's exact expected cost, read-only, with the integer form the
+    hull LP walks: every cost times the LCM of their denominators, in the
+    mapping's action order.  Built once, it serves every step of a greedy.
+    """
+
+    def __init__(self, costs: Mapping[Action, Fraction]):
+        self._costs = dict(costs)
+        self.actions = list(self._costs)
+        self.scale = math.lcm(*(c.denominator for c in self._costs.values()))
+        self.scaled = [c.numerator * (self.scale // c.denominator) for c in self._costs.values()]
+
+    def __getitem__(self, action: Action) -> Fraction:
+        return self._costs[action]
+
+    def __iter__(self):
+        return iter(self._costs)
+
+    def __len__(self) -> int:
+        return len(self._costs)
+
+
 def action_costs_exact(
     instance: Instance, actions: Iterable[Action], cost_mode: str = COST_MODE_THRESHOLD
-) -> dict[Action, Fraction]:
-    return {a: exact_expected_cost(instance, a, cost_mode) for a in actions}
+) -> ActionCosts:
+    return ActionCosts({a: exact_expected_cost(instance, a, cost_mode) for a in actions})
 
 
-# A point of a user's upper hull: (cost, weight, action index or None for the
-# origin, which stands for leaving mass unassigned).
-_HullPoint = tuple[Fraction, Fraction, int | None]
+# A point of a user's upper hull in integer units: (cost, weight, action
+# index or None for the origin, which stands for leaving mass unassigned).
+_HullPoint = tuple[int, int, int | None]
 
 
-def _slope(p: _HullPoint, q: _HullPoint) -> Fraction:
-    return (q[1] - p[1]) / (q[0] - p[0])
+def _integer_weights(weights: list[float]) -> list[int]:
+    """The weights times one common power of two, as exact ints.
+
+    A float's as_integer_ratio denominator is a power of two, so the largest
+    one is a multiple of every other.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max((den for _, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios]
+
+
+def _integer_costs(
+    actions: list[Action], costs: Mapping[Action, Fraction], budget: Fraction
+) -> tuple[list[int], int]:
+    """The actions' costs and the budget times the LCM of their denominators,
+    as exact ints.  An ActionCosts over the same actions in the same order
+    gives its integer costs as they are, or times one factor when the
+    budget's denominator needs it."""
+    if not (isinstance(costs, ActionCosts) and costs.actions == actions):
+        costs = ActionCosts({a: costs[a] for a in actions})
+    factor = budget.denominator // math.gcd(costs.scale, budget.denominator)
+    scale = costs.scale * factor
+    scaled = costs.scaled if factor == 1 else [c * factor for c in costs.scaled]
+    return scaled, budget.numerator * (scale // budget.denominator)
+
+
+def _by_slope(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> int:
+    """Compare two segments (weight rise, cost rise, ...) by slope; rises in cost are positive."""
+    return s[0] * t[1] - t[0] * s[1]
 
 
 def _unique_knapsack_optimum(
-    actions: list[Action], weights: list[Fraction], costs: list[Fraction], budget: Fraction
+    actions: list[Action], weights: list[int], costs: list[int], budget: int
 ) -> list[Fraction] | None:
     """Optimum of the direction LP without the W row, if that optimum is unique.
 
@@ -224,38 +273,45 @@ def _unique_knapsack_optimum(
     cost; so the optimum is unique iff the free directions number 1 with a
     split and 0 without.  Returns None otherwise: on a tie the simplex picks
     its own vertex.
+
+    The walk is exact on integers: weights, costs and budget come scaled by
+    positive constants (_integer_weights, _integer_costs), which changes no
+    comparison and no split fraction.  Slopes are compared by
+    cross-multiplication, and lam = dw/dc enters the reduced costs as
+    w*dc - dw*c.
     """
     by_user: dict[int, list[int]] = {}
     for i, a in enumerate(actions):
         by_user.setdefault(a.user, []).append(i)
 
     hulls: dict[int, list[_HullPoint]] = {}
-    segments: list[tuple[Fraction, int, int]] = []  # (slope, user, hull position)
+    segments: list[tuple[int, int, int, int]] = []  # (weight rise, cost rise, user, hull position)
     for user, idx in by_user.items():
-        start: _HullPoint = (ZERO, ZERO, None)
+        start: _HullPoint = (0, 0, None)
         for i in idx:
             if costs[i] == 0 and weights[i] > start[1]:
-                start = (ZERO, weights[i], i)
+                start = (0, weights[i], i)
         hull = [start]
         for i in sorted((i for i in idx if costs[i] > 0), key=lambda i: (costs[i], -weights[i])):
-            point = (costs[i], weights[i], i)
-            if point[1] <= hull[-1][1]:
+            c, w = costs[i], weights[i]
+            if w <= hull[-1][1]:
                 continue  # dominated: costs at least as much for no more weight
-            while len(hull) > 1 and _slope(hull[-2], hull[-1]) <= _slope(hull[-1], point):
+            while len(hull) > 1 and (
+                (hull[-1][1] - hull[-2][1]) * (c - hull[-1][0]) <= (w - hull[-1][1]) * (hull[-1][0] - hull[-2][0])
+            ):
                 hull.pop()
-            hull.append(point)
+            hull.append((c, w, i))
         hulls[user] = hull
-        segments.extend((_slope(p, q), user, k) for k, (p, q) in enumerate(itertools.pairwise(hull)))
-    segments.sort(key=lambda seg: seg[0], reverse=True)
+        segments.extend((q[1] - p[1], q[0] - p[0], user, k) for k, (p, q) in enumerate(itertools.pairwise(hull)))
+    segments.sort(key=cmp_to_key(_by_slope), reverse=True)
 
     position = dict.fromkeys(hulls, 0)
     left = budget
-    lam = ZERO
+    lam_w, lam_c = 0, 1
     split: tuple[int, Fraction] | None = None
-    for slope, user, k in segments:
-        step = hulls[user][k + 1][0] - hulls[user][k][0]
+    for rise, step, user, k in segments:
         if step > left:
-            lam, split = slope, (user, left / step)
+            lam_w, lam_c, split = rise, step, (user, Fraction(left, step))
             break
         left -= step
         position[user] = k + 1
@@ -263,9 +319,9 @@ def _unique_knapsack_optimum(
     allowed = 0 if split is None else 1
     free = 0
     for user, idx in by_user.items():
-        reduced = [weights[i] - lam * costs[i] for i in idx]
-        pi = max(ZERO, max(reduced))
-        free += sum(1 for r in reduced if r == pi) - (1 if pi > 0 else 0)
+        reduced = [weights[i] * lam_c - lam_w * costs[i] for i in idx]
+        pi = max(0, max(reduced))
+        free += reduced.count(pi) - (1 if pi > 0 else 0)
         if free > allowed:
             return None
 
@@ -305,8 +361,8 @@ def solve_lp(
     simplex, so the returned vertex is always the one the simplex would pick.
     """
     actions = list(weights)
-    for a in actions:
-        if not math.isfinite(weights[a]):
+    for a, w in weights.items():
+        if not math.isfinite(w):
             raise ValueError(f"non-finite weight for {a}")
     if use_W and instance.W is None:
         raise ValueError("use_W requires an instance with W set")
@@ -315,13 +371,14 @@ def solve_lp(
 
     if costs is None:
         costs = action_costs_exact(instance, actions, cost_mode)
-    objective = [Fraction(float(weights[a])) for a in actions]
-    cost_row = [costs[a] for a in actions]
+    floats = [float(w) for w in weights.values()]
     budget = Fraction(beta) * Fraction(instance.B)
     if not use_W:
-        x = _unique_knapsack_optimum(actions, objective, cost_row, budget)
+        x = _unique_knapsack_optimum(actions, _integer_weights(floats), *_integer_costs(actions, costs, budget))
         if x is not None:
             return dict(zip(actions, x))
+    objective = [Fraction(w) for w in floats]
+    cost_row = [costs[a] for a in actions]
     lhs: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     users = sorted({a.user for a in actions})
@@ -365,7 +422,10 @@ def continuous_greedy(
         direction = solve_lp(
             omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
         )
-        y = {a: y[a] + step * direction[a] for a in actions}
+        y = dict(y)  # a fresh snapshot for on_step
+        for a, d in direction.items():
+            if d:
+                y[a] += step * d
         t += step
         iteration += 1
         if on_step is not None:

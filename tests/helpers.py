@@ -218,6 +218,67 @@ def mirror_lp(inst, weights, beta, use_W=False, cost_mode=COST_MODE_THRESHOLD):
     return actions, obj, lhs, rhs
 
 
+def knapsack_optimum_by_fractions(actions, weights, costs, budget):
+    """Reference for relaxation._unique_knapsack_optimum: the same hull walk
+    and uniqueness test on Fractions, with slopes as Fractions.  weights,
+    costs and budget are Fractions in the LP's own units."""
+    def slope(p, q):
+        return (q[1] - p[1]) / (q[0] - p[0])
+
+    zero, one = Fraction(0), Fraction(1)
+    by_user: dict[int, list[int]] = {}
+    for i, a in enumerate(actions):
+        by_user.setdefault(a.user, []).append(i)
+    hulls = {}
+    segments = []  # (slope, user, hull position)
+    for user, idx in by_user.items():
+        start = (zero, zero, None)
+        for i in idx:
+            if costs[i] == 0 and weights[i] > start[1]:
+                start = (zero, weights[i], i)
+        hull = [start]
+        for i in sorted((i for i in idx if costs[i] > 0), key=lambda i: (costs[i], -weights[i])):
+            point = (costs[i], weights[i], i)
+            if point[1] <= hull[-1][1]:
+                continue
+            while len(hull) > 1 and slope(hull[-2], hull[-1]) <= slope(hull[-1], point):
+                hull.pop()
+            hull.append(point)
+        hulls[user] = hull
+        segments.extend((slope(p, q), user, k) for k, (p, q) in enumerate(itertools.pairwise(hull)))
+    segments.sort(key=lambda seg: seg[0], reverse=True)
+    position = dict.fromkeys(hulls, 0)
+    left, lam, split = budget, zero, None
+    for lam_here, user, k in segments:
+        step = hulls[user][k + 1][0] - hulls[user][k][0]
+        if step > left:
+            lam, split = lam_here, (user, left / step)
+            break
+        left -= step
+        position[user] = k + 1
+    allowed = 0 if split is None else 1
+    free = 0
+    for user, idx in by_user.items():
+        reduced = [weights[i] - lam * costs[i] for i in idx]
+        pi = max(zero, max(reduced))
+        free += sum(1 for r in reduced if r == pi) - (1 if pi > 0 else 0)
+        if free > allowed:
+            return None
+    x = [zero] * len(actions)
+    for user, k in position.items():
+        at = hulls[user][k][2]
+        if at is not None:
+            x[at] = one
+    if split is not None:
+        user, theta = split
+        k = position[user]
+        at, to = hulls[user][k][2], hulls[user][k + 1][2]
+        if at is not None:
+            x[at] = one - theta
+        x[to] = theta
+    return x
+
+
 def marginals_by_utility(
     instance: Instance, y, config: RelaxationConfig, iteration: int = 0
 ) -> dict[Action, float]:

@@ -10,7 +10,12 @@ from couponprobe import simplex
 from couponprobe.model import COST_MODES, Action, ProbeSequence, build_action_space
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
+    ActionCosts,
     RelaxationConfig,
+    _integer_costs,
+    _integer_weights,
+    _unique_knapsack_optimum,
+    action_costs_exact,
     action_set_utility,
     check_fractional,
     continuous_greedy,
@@ -21,6 +26,7 @@ from couponprobe.relaxation import (
 )
 
 from helpers import (
+    knapsack_optimum_by_fractions,
     make_world,
     marginals_by_utility,
     mirror_lp,
@@ -297,9 +303,51 @@ def test_lp_without_w_returns_the_simplex_vertex_on_ties(monkeypatch) -> None:
             acts, obj, lhs, rhs = mirror_lp(inst, weights, beta, cost_mode=cost_mode)
             _, x = maximize(obj, lhs, rhs)
             assert y == dict(zip(acts, x))
+            assert _integer_hull(acts, weights, lhs[-1], rhs[-1]) == knapsack_optimum_by_fractions(
+                acts, obj, lhs[-1], rhs[-1]
+            )
             solved += 1
     # ties are common on these grids and go to the simplex; most LPs are untied
     assert 0 < len(calls) < solved / 2
+
+
+def _integer_hull(actions, weights, cost_row, budget):
+    # the package's integer walk on the LP of mirror_lp's rows
+    costs = dict(zip(actions, cost_row))
+    floats = [float(weights[a]) for a in actions]
+    return _unique_knapsack_optimum(actions, _integer_weights(floats), *_integer_costs(actions, costs, budget))
+
+
+def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypatch) -> None:
+    # weights from the smallest subnormal to 1e300, zero and non-dyadic costs
+    # with coprime denominators; costs given as a plain dict, as an
+    # ActionCosts in the weights' order and as one in reverse order
+    maximize = simplex.maximize
+    calls = _count_simplex_calls(monkeypatch)
+    gen = np.random.default_rng(909)
+    pool = (0.0, 5e-324, 1e-300, 0.1, 0.7, 1.0, 3.0, 1e300)
+    dens = (3, 5, 7, 11, 13)
+    certified = 0
+    for trial in range(200):
+        inst = _gridded_instance(gen)
+        actions = build_action_space(inst)
+        weights = {a: float(gen.choice(pool)) for a in actions}
+        exact = {a: F(int(gen.integers(0, 12)), int(gen.choice(dens))) for a in actions}
+        costs = (exact, ActionCosts(exact), ActionCosts(dict(reversed(exact.items()))))[trial % 3]
+        beta = float(gen.choice([0.25, 0.5]))
+        budget = F(beta) * F(inst.B)
+        obj = [F(weights[a]) for a in actions]
+        row = [exact[a] for a in actions]
+        reference = knapsack_optimum_by_fractions(actions, obj, row, budget)
+        assert _integer_hull(actions, weights, row, budget) == reference
+        users = sorted({a.user for a in actions})
+        lhs = [[F(int(a.user == u)) for a in actions] for u in users] + [row]
+        _, x = maximize(obj, lhs, [F(1)] * len(users) + [budget])
+        assert solve_lp(weights, inst, beta, costs=costs) == dict(zip(actions, x))
+        certified += reference is not None
+    # every uncertified LP, and only those, went to the simplex
+    assert len(calls) == 200 - certified
+    assert certified > 50
 
 
 def test_untied_lp_without_w_makes_no_simplex_call(monkeypatch) -> None:
@@ -370,9 +418,14 @@ def test_greedy_iteration_count_and_monotone_trajectory() -> None:
         edges=((0, 1, 0.6),),
     )
     snapshots: list[dict] = []
+    copies: list[dict] = []
     config = RelaxationConfig(delta=0.3, marginal_samples=200, rng_seed=1)
-    continuous_greedy(inst, config, on_step=lambda t, y: snapshots.append(y))
+    continuous_greedy(inst, config, on_step=lambda t, y: (snapshots.append(y), copies.append(dict(y))))
     assert len(snapshots) == math.ceil(1 / 0.3)
+    # each step hands over its own snapshot, which later steps leave alone
+    assert len({id(y) for y in snapshots}) == len(snapshots)
+    assert snapshots == copies
+    assert snapshots[0] != snapshots[-1]
     actions = build_action_space(inst)
     for earlier, later in zip(snapshots, snapshots[1:]):
         assert all(later[a] >= earlier[a] for a in actions)
