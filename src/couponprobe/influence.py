@@ -6,13 +6,13 @@ block of them from one array of uniforms) and its one enumerator of
 outcomes.  One vectorized reach kernel computes every node's
 reach over a set of live-edge outcomes at once.  It computes spread exactly,
 over every outcome in the enumerator's order, when the graph is small enough,
-and scores blocks of sampled outcomes: Monte Carlo estimates and simulated
-worlds.  One realization on its own is scored by a search from its seeds.
+and scores blocks of sampled outcomes: Monte Carlo estimates, marginal
+samples and simulated worlds.  One realization on its own is scored by a search from its seeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -21,9 +21,6 @@ import numpy as np
 
 # 2^20 live-edge realizations is the largest enumeration we are willing to run.
 EXACT_EDGE_LIMIT = 20
-# Graph.reach_masks stops caching once the cache holds this many per-node
-# reach entries (live masks times node count): 2^16 masks on 16 nodes.
-REACH_CACHE_LIMIT = 1 << 20
 # The exact kernel sizes its chunks of outcomes so that a chunk's arrays stay
 # within this many bytes; larger chunks run no faster on 16-node graphs and
 # raise peak memory.
@@ -61,8 +58,6 @@ class Graph:
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...]
-    # bounded reach cache keyed by live-edge bitmask; excluded from ==/hash
-    _reach: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -102,20 +97,6 @@ class Graph:
             out[u].append((i, v))
         return tuple(tuple(row) for row in out)
 
-    def reach_masks(self, live_mask: int) -> tuple[int, ...]:
-        """Per-node bitmask of nodes reachable through the given live edges.
-
-        Results are cached per mask until the cache holds REACH_CACHE_LIMIT
-        node entries (masks times node count).
-        """
-        cached = self._reach.get(live_mask)
-        if cached is not None:
-            return cached
-        out = tuple([_reach_mask(self, [start], live_mask) for start in range(self.node_count)])
-        if len(self._reach) * self.node_count < REACH_CACHE_LIMIT:
-            self._reach[live_mask] = out
-        return out
-
 
 def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
     out = sorted({int(s) for s in seeds})
@@ -144,7 +125,7 @@ def realized_influence(graph: Graph, seeds: Iterable[int], live_mask: int) -> in
     """Number of nodes reached from the seeds through one live-edge realization.
 
     Bit i of live_mask is set when edge i is live.  The search starts from
-    the seeds alone and leaves the reach cache untouched.
+    the seeds alone.
     """
     return _reach_mask(graph, _seed_list(graph, seeds), live_mask).bit_count()
 
@@ -342,15 +323,25 @@ def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
     return _exact_spreads(graph, [seed_ids])[0]
 
 
-def influence_mc_stats(
-    graph: Graph, seeds: Iterable[int], samples: int, rng_seed: int
-) -> tuple[float, float]:
-    """Monte Carlo spread estimate with its standard error.
+def _mc_reach(graph: Graph, samples: int, rng_seed: int) -> Iterator[np.ndarray]:
+    """Every node's reach in each Monte Carlo sample, a kernel chunk at a time.
 
     Block b of BLOCK samples draws one uniform per uncertain edge and sample
     in one call on a stream keyed by (rng_seed, b), so sample i depends only
-    on (rng_seed, i).  Each block is scored by the reach kernel.
+    on (rng_seed, i).
     """
+    for b, start in enumerate(range(0, samples, BLOCK)):
+        shape = (min(BLOCK, samples - start), len(graph.uncertain_edges))
+        uniforms = np.random.default_rng([rng_seed, b]).random(shape)
+        for _, reach in _sampled_reach(graph, live_edges(graph, uniforms)):
+            yield reach
+
+
+def influence_mc_stats(
+    graph: Graph, seeds: Iterable[int], samples: int, rng_seed: int
+) -> tuple[float, float]:
+    """Monte Carlo spread estimate with its standard error, over the samples
+    of _mc_reach."""
     if samples < 1:
         raise ValueError("samples must be positive")
     seed_ids = _seed_list(graph, seeds)
@@ -358,13 +349,10 @@ def influence_mc_stats(
         return 0.0, 0.0
     total = 0
     total_sq = 0
-    for b, start in enumerate(range(0, samples, BLOCK)):
-        shape = (min(BLOCK, samples - start), len(graph.uncertain_edges))
-        uniforms = np.random.default_rng([rng_seed, b]).random(shape)
-        for _, reach in _sampled_reach(graph, live_edges(graph, uniforms)):
-            values = np.bitwise_count(np.bitwise_or.reduce(reach[seed_ids])).sum(axis=0, dtype=np.int64)
-            total += int(values.sum())
-            total_sq += int((values * values).sum())
+    for reach in _mc_reach(graph, samples, rng_seed):
+        values = np.bitwise_count(np.bitwise_or.reduce(reach[seed_ids])).sum(axis=0, dtype=np.int64)
+        total += int(values.sum())
+        total_sq += int((values * values).sum())
     mean = total / samples
     var = max(0.0, total_sq / samples - mean * mean)
     stderr = (var / samples) ** 0.5
@@ -377,9 +365,14 @@ def singleton_influence_table(
     """Expected spread of each single node, exact when the graph allows it.
 
     The exact table takes one kernel pass over the live-edge outcomes for all
-    nodes; the Monte Carlo fallback runs influence_mc_stats per node.
+    nodes.  The Monte Carlo fallback takes one over the samples of _mc_reach,
+    shared by every node: node v's entry equals
+    influence_mc_stats(graph, [v], samples, rng_seed)[0].
     """
     n = graph.node_count
     if len(graph.uncertain_edges) > EXACT_EDGE_LIMIT:
-        return {v: influence_mc_stats(graph, [v], samples, rng_seed + v)[0] for v in range(n)}
+        totals = np.zeros(n, dtype=np.int64)
+        for reach in _mc_reach(graph, samples, rng_seed):
+            totals += np.bitwise_count(reach).sum(axis=(1, 2), dtype=np.int64)
+        return {v: int(total) / samples for v, total in enumerate(totals)}
     return dict(enumerate(_exact_spreads(graph, [[v] for v in range(n)])))

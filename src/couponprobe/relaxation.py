@@ -2,13 +2,15 @@
 
 The fractional solution lives on the action space (user, coupon sequence).
 Marginal utilities are estimated by Monte Carlo with common random numbers,
-the direction-finding LP is solved exactly over rationals, and the ascent
-accumulates in exact arithmetic so the scaled constraints hold with no slack.
+a block of samples at a time; the direction-finding LP is solved exactly, on
+integers or over rationals; and the ascent accumulates in exact arithmetic so
+the scaled constraints hold with no slack.
 
-One ascent step costs about 2 ms with 10 marginal samples and 13 ms with the
-default 200 on a 48-action instance (8 users, K=2; 2-core x86 host, Python
-3.11), nearly all of it in the marginal samples.  The default step 1/|S|^2
-takes 2304 steps there: 30 s.
+One ascent step costs about 0.6 ms with 10 marginal samples and 0.8-0.9 ms
+with the default 200 on a 48-action instance (8 users, K=2; 2-core x86 host,
+Python 3.11, numpy 2.4): the marginal samples take 0.4-0.6 ms of it and the
+direction LP about 0.2 ms.  The default step 1/|S|^2 takes 2305 steps there:
+about 2 s.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import simplex
-from .influence import realized_influence
+from .influence import BLOCK, _sampled_reach, live_edges, realized_influence
 from .model import (
     COST_MODE_THRESHOLD,
     COST_MODES,
@@ -33,7 +35,6 @@ from .model import (
     build_action_space,
     exact_expected_cost,
     realize,
-    sample_world,
 )
 from .simplex import ONE, ZERO
 
@@ -71,8 +72,8 @@ class RelaxationConfig:
     beta and delta default to None and are resolved against the instance:
     beta to the mode's optimized constant, delta to 1/|S|^2 where S is the
     action space.  That default step size is safe but slow (|S|^2 steps of
-    marginal_samples samples each: 30 s at |S| = 48 with 200 samples); larger
-    values trade the guarantee for speed.
+    marginal_samples samples each: about 2 s at |S| = 48 with 200 samples);
+    larger values trade the guarantee for speed.
     """
 
     beta: float | None = None
@@ -146,47 +147,50 @@ def estimate_marginals(
 ) -> dict[Action, float]:
     """Monte Carlo estimate of each action's marginal utility at y.
 
-    Sample s keys its RNG stream by (rng_seed, iteration, s); within one
-    sample the same world and the same random base set serve every action, so
-    the estimates share their noise.  The base-set draws follow y's iteration
-    order, which for continuous_greedy's y is build_action_space's order.
-    Each sample adds, for every action outside the base set, its gain
-    action_set_utility(base + [action]) - action_set_utility(base).
-    Attractiveness rows are non-decreasing, so that gain is zero unless the
-    action newly seeds its user, and then it is the same for every action of
-    that user: one reach-mask union per user and sample gives it.  Marginals
-    are therefore non-negative sample by sample.
+    Samples are drawn in blocks of BLOCK.  Block b draws one row per sample
+    in one call on the stream keyed by (rng_seed, iteration, b): each user's
+    threshold, one uniform per uncertain edge (live when below its
+    probability), then one presence uniform per action in y's order, so
+    sample s depends only on (rng_seed, iteration, s).  Within a sample the
+    same world and the same random base set serve every action, so the
+    estimates share their noise.  Each sample adds, for every action outside
+    the base set, its gain action_set_utility(base + [action]) -
+    action_set_utility(base).  A user is seeded when the best top coupon
+    among their present actions meets their threshold.  Attractiveness rows
+    are non-decreasing, so an action's gain is zero unless it would newly
+    seed its user, and then it is what that user's reach adds to the union of
+    the seeded users' reach: one reach-kernel pass per block gives every
+    sample's union and every user's gain.  Marginals are therefore
+    non-negative sample by sample.
     """
     actions = list(y)
-    probs = [float(p) for p in y.values()]
-    users = [a.user for a in actions]
-    tops = [a.sequence.coupon_indices[-1] for a in actions]
-    attractiveness = instance.attractiveness
-    totals = [0.0] * len(actions)
-    for s in range(config.marginal_samples):
-        rng = np.random.default_rng([config.rng_seed, iteration, s])
-        world = sample_world(instance, rng)
-        present = [u < p for u, p in zip(rng.random(len(actions)).tolist(), probs)]
-        best: dict[int, int] = {}
-        for v, top, inside in zip(users, tops, present):
-            if inside and best.get(v, -1) < top:
-                best[v] = top
-        thresholds = world.thresholds
-        seeded = {v for v, top in best.items() if attractiveness[v][top] >= thresholds[v]}
-        reach = instance.graph.reach_masks(world.live_mask)
-        union = 0
-        for v in seeded:
-            union |= reach[v]
-        base_value = union.bit_count()
-        gains: dict[int, int] = {}
-        for i, (v, top, inside) in enumerate(zip(users, tops, present)):
-            if inside or v in seeded or attractiveness[v][top] < thresholds[v]:
-                continue
-            if v not in gains:
-                gains[v] = (union | reach[v]).bit_count() - base_value
-            totals[i] += gains[v]
-    n = config.marginal_samples
-    return {a: totals[i] / n for i, a in enumerate(actions)}
+    if not actions:
+        return {}
+    graph = instance.graph
+    n, m = instance.n_users, len(actions)
+    unc = len(graph.uncertain_edges)
+    probs = np.array([float(p) for p in y.values()])
+    users = np.array([a.user for a in actions], dtype=np.intp)
+    top_accept = np.array([instance.attractiveness[a.user][a.sequence.coupon_indices[-1]] for a in actions])
+    # actions grouped by user, for one any() per user and sample
+    order = np.argsort(users, kind="stable")
+    group_users, group_starts = np.unique(users[order], return_index=True)
+    totals = np.zeros(m, dtype=np.int64)
+    for b, start in enumerate(range(0, config.marginal_samples, BLOCK)):
+        rows = min(BLOCK, config.marginal_samples - start)
+        draws = np.random.default_rng([config.rng_seed, iteration, b]).random((rows, n + unc + m))
+        accepts = top_accept >= draws[:, users]  # thresholds are columns 0..n-1
+        present = draws[:, n + unc:] < probs
+        seeded = np.zeros((rows, n), dtype=bool)
+        seeded[:, group_users] = np.logical_or.reduceat((present & accepts)[:, order], group_starts, axis=1)
+        candidates = accepts & ~present
+        for first, reach in _sampled_reach(graph, live_edges(graph, draws[:, n:n + unc])):
+            cols = slice(first, first + reach.shape[2])
+            union = np.bitwise_or.reduce(np.where(seeded[cols].T[:, None, :], reach, 0), axis=0)
+            gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
+            gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
+            totals += np.where(candidates[cols], gains[users].T, 0).sum(axis=0)
+    return dict(zip(actions, (totals / config.marginal_samples).tolist()))
 
 
 class ActionCosts(Mapping[Action, Fraction]):
@@ -403,9 +407,13 @@ def continuous_greedy(
     """Measured continuous greedy over the scaled feasible region.
 
     Runs ceil(1/delta) rounds; each round estimates marginals at the current
-    point, solves the LP exactly, and advances by the step size.  The result
-    is a convex combination of exactly feasible LP vertices, so it satisfies
-    the scaled constraints exactly (the output stays rational end to end).
+    point, solves the LP exactly, and advances by the step size along the
+    direction's nonzero entries, a few per round.  on_step receives (t, y)
+    after each round, y as a dict of its own that later rounds leave alone.
+    Every action's exact cost, and its integer form for the LP, is computed
+    once.  The result is a convex combination of exactly feasible LP
+    vertices, so it satisfies the scaled constraints exactly (the output
+    stays rational end to end).
     """
     actions = build_action_space(instance)
     if not actions:

@@ -8,7 +8,14 @@ from typing import Iterable
 import numpy as np
 
 from couponprobe import simplex
-from couponprobe.influence import BLOCK, Graph, influence_exact, live_mask_outcomes, realized_influence
+from couponprobe.influence import (
+    BLOCK,
+    Graph,
+    _reach_mask,
+    influence_exact,
+    live_mask_outcomes,
+    realized_influence,
+)
 from couponprobe.model import (
     COST_MODE_THRESHOLD,
     Action,
@@ -283,30 +290,58 @@ def marginals_by_utility(
     instance: Instance, y, config: RelaxationConfig, iteration: int = 0
 ) -> dict[Action, float]:
     """Reference for relaxation.estimate_marginals: one action_set_utility
-    call per action and sample, on the same RNG draws in the same order."""
+    call per action and sample, one sample at a time.
+
+    Sample s is row s % BLOCK of block s // BLOCK's draws from the stream
+    keyed by (rng_seed, iteration, block): the user thresholds and one
+    uniform per uncertain edge, as row_world reads them, then one presence
+    uniform per action in y's order.
+    """
     actions = list(y)
     probs = [float(p) for p in y.values()]
+    graph = instance.graph
+    skip = instance.n_users + len(graph.uncertain_edges)
     totals = [0.0] * len(actions)
-    for s in range(config.marginal_samples):
-        rng = np.random.default_rng([config.rng_seed, iteration, s])
-        world = sample_world(instance, rng)
-        draws = rng.random(len(actions))
-        base = [a for a, u, p in zip(actions, draws, probs) if u < p]
-        base_value = action_set_utility(instance, base, world)
-        for i, action in enumerate(actions):
-            if draws[i] < probs[i]:
-                continue  # already present: zero marginal this sample
-            totals[i] += action_set_utility(instance, base + [action], world) - base_value
-    n = config.marginal_samples
-    return {a: totals[i] / n for i, a in enumerate(actions)}
+    samples = config.marginal_samples
+    for b, start in enumerate(range(0, samples, BLOCK)):
+        shape = (min(BLOCK, samples - start), skip + len(actions))
+        for row in np.random.default_rng([config.rng_seed, iteration, b]).random(shape).tolist():
+            world = row_world(instance, row)
+            draws = row[skip:]
+            base = [a for a, u, p in zip(actions, draws, probs) if u < p]
+            base_value = action_set_utility(instance, base, world)
+            for i, action in enumerate(actions):
+                if draws[i] < probs[i]:
+                    continue  # already present: zero marginal this sample
+                totals[i] += action_set_utility(instance, base + [action], world) - base_value
+    return {a: totals[i] / samples for i, a in enumerate(actions)}
+
+
+def row_world(instance: Instance, row: list[float]) -> World:
+    """The world of one row of block draws: the first n_users entries are
+    the thresholds, the next one per uncertain edge, which makes the edge
+    live when below its probability."""
+    graph = instance.graph
+    n = instance.n_users
+    mask = graph.forced_live_mask
+    for j, i in enumerate(graph.uncertain_edges):
+        if row[n + j] < graph.edges[i][2]:
+            mask |= 1 << i
+    return World(tuple(row[:n]), mask)
+
+
+def reach_masks(graph: Graph, live_mask: int) -> tuple[int, ...]:
+    """Per-node bitmask of the nodes reachable through the given live edges,
+    one search per node."""
+    return tuple(_reach_mask(graph, [start], live_mask) for start in range(graph.node_count))
 
 
 def exact_spreads_by_mask(graph: Graph, seed_sets) -> list[float]:
-    """Reference for the exact spread kernel: one reach_masks search per live
+    """Reference for the exact spread kernel: one reach_masks call per live
     mask, summed as `total += weight * reached` in live_mask_outcomes order."""
     totals = [0.0] * len(seed_sets)
     for weight, mask in live_mask_outcomes(graph):
-        reach = graph.reach_masks(mask)
+        reach = reach_masks(graph, mask)
         for k, seeds in enumerate(seed_sets):
             union = 0
             for s in seeds:
@@ -448,12 +483,7 @@ def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:
     out = []
     for b, start in enumerate(range(0, worlds, BLOCK)):
         shape = (min(BLOCK, worlds - start), n + len(graph.uncertain_edges))
-        for row in np.random.default_rng([rng_seed, b, 0]).random(shape).tolist():
-            mask = graph.forced_live_mask
-            for j, i in enumerate(graph.uncertain_edges):
-                if row[n + j] < graph.edges[i][2]:
-                    mask |= 1 << i
-            out.append(World(tuple(row[:n]), mask))
+        out += [row_world(instance, row) for row in np.random.default_rng([rng_seed, b, 0]).random(shape).tolist()]
     return out
 
 

@@ -18,7 +18,7 @@ from couponprobe.influence import (
     singleton_influence_table,
 )
 
-from helpers import edgeless, exact_spreads_by_mask, mixed_graph, sim16_shaped_graph, wide_graph
+from helpers import edgeless, exact_spreads_by_mask, mixed_graph, reach_masks, sim16_shaped_graph, wide_graph
 
 
 def test_single_edge_half() -> None:
@@ -235,9 +235,7 @@ def _check_against_reference(g: Graph) -> None:
 
 @pytest.mark.parametrize("name", list(_REFERENCE_CASES))
 def test_exact_spreads_match_per_mask_reference(name) -> None:
-    g = _REFERENCE_CASES[name]()
-    _check_against_reference(g)
-    assert g._reach == {}
+    _check_against_reference(_REFERENCE_CASES[name]())
 
 
 @pytest.mark.parametrize("kernel_bytes", [1, 1500])
@@ -251,41 +249,36 @@ def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes) -> None:
 def test_realized_influence_matches_reach_masks_union() -> None:
     gen = np.random.default_rng(5)
     for g in (mixed_graph(), sim16_shaped_graph(), wide_graph()):
-        reference = Graph(g.node_count, g.edges)
         n, e = g.node_count, len(g.edges)
         for _ in range(200):
             mask = sum(1 << int(i) for i in np.flatnonzero(gen.random(e) < 0.5))
             seeds = gen.integers(0, n, size=int(gen.integers(0, 5))).tolist()
             seeds += seeds[:1]  # a duplicate seed whenever there is a seed
-            reach = reference.reach_masks(mask)
+            reach = reach_masks(g, mask)
             union = 0
             for s in seeds:
                 union |= reach[s]
             assert realized_influence(g, seeds, mask) == union.bit_count()
         assert realized_influence(g, [], (1 << e) - 1) == 0
-        assert g._reach == {}
 
 
-def test_mc_fallback_leaves_reach_cache_empty() -> None:
-    edges = tuple((0, t, 0.5) for t in range(1, EXACT_EDGE_LIMIT + 2))
+def test_mc_fallback_runs_one_kernel_pass_per_block(monkeypatch) -> None:
+    # every node's entry comes from one shared pass per block of samples,
+    # not one pass per node, and equals that node's own Monte Carlo mean
+    passes: list[int] = []
+    sampled_reach = influence._sampled_reach
+    monkeypatch.setattr(influence, "_sampled_reach", lambda g, live: passes.append(len(live)) or sampled_reach(g, live))
+    edges = tuple((0, t, 0.5) for t in range(1, EXACT_EDGE_LIMIT + 2)) + ((1, 2, 0.3),)
     g = Graph(node_count=EXACT_EDGE_LIMIT + 2, edges=edges)
-    table = singleton_influence_table(g, samples=50, rng_seed=3)
-    assert table[1] == 1.0
+    samples = 2 * BLOCK + 5
+    table = singleton_influence_table(g, samples=samples, rng_seed=3)
+    assert passes == [BLOCK, BLOCK, 5]
+    assert table[3] == 1.0
+    assert 1.0 < table[1] < 2.0
     assert 1.0 < table[0] < EXACT_EDGE_LIMIT + 2
-    assert g._reach == {}
-
-
-def test_reach_cache_stops_at_its_limit(monkeypatch) -> None:
-    # the limit counts node entries: 20 entries on 5 nodes is 4 live masks
-    monkeypatch.setattr(influence, "REACH_CACHE_LIMIT", 20)
-    edges = ((0, 1, 0.5), (1, 2, 0.4), (2, 3, 0.3), (3, 4, 0.6), (4, 0, 0.7))
-    g = Graph(node_count=5, edges=edges)
-    first = [g.reach_masks(mask) for mask in range(1 << 5)]
-    assert list(g._reach) == [0, 1, 2, 3]
-    again = [g.reach_masks(mask) for mask in range(1 << 5)]
-    fresh = [Graph(node_count=5, edges=edges).reach_masks(mask) for mask in range(1 << 5)]
-    assert first == again == fresh
-    assert first[0b11111] == (0b11111,) * 5
+    assert [table[v] for v in range(g.node_count)] == [
+        influence_mc_stats(g, [v], samples, rng_seed=3)[0] for v in range(g.node_count)
+    ]
 
 
 @pytest.mark.parametrize("kernel_bytes", [influence.KERNEL_BYTES, 1500])

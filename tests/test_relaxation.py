@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from couponprobe import simplex
+from couponprobe import influence, simplex
+from couponprobe.influence import BLOCK
 from couponprobe.model import COST_MODES, Action, ProbeSequence, build_action_space
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
@@ -31,6 +32,7 @@ from helpers import (
     marginals_by_utility,
     mirror_lp,
     single_user,
+    sorted_row,
     threshold_cost,
     uniform_instance,
     vertex_enumerate_max,
@@ -182,7 +184,7 @@ def test_marginals_nonnegative_and_deterministic() -> None:
     assert shifted != first  # distinct per-iteration sample streams
 
 
-def test_marginals_match_the_per_action_utility_loop() -> None:
+def _marginals_instance():
     # forced (1.0), dead (0.0) and uncertain edges; user 0 never takes coupon 0
     inst = uniform_instance(
         4, (1.0, 1.5, 2.0),
@@ -193,13 +195,61 @@ def test_marginals_match_the_per_action_utility_loop() -> None:
     actions = build_action_space(inst)
     assert len(actions) == 24
     masses = (F(0), F(1), F(1, 3), F(0), F(1, 8), F(1, 2), F(0))
-    y = {a: masses[i % len(masses)] for i, a in enumerate(actions)}
-    for rng_seed, iteration in ((0, 0), (1, 3), (17, 1)):
-        config = RelaxationConfig(marginal_samples=300, rng_seed=rng_seed)
+    # a y whose keys are not grouped by user, as estimate_marginals allows
+    return inst, {a: masses[i % len(masses)] for i, a in enumerate(actions[1::2] + actions[::2])}
+
+
+def test_marginals_match_the_per_action_utility_loop() -> None:
+    # 1500 samples span two blocks of BLOCK = 1024
+    inst, y = _marginals_instance()
+    for rng_seed, iteration, samples in ((0, 0, 1), (1, 3, 300), (17, 1, 300), (5, 2, 1500)):
+        config = RelaxationConfig(marginal_samples=samples, rng_seed=rng_seed)
         got = estimate_marginals(inst, y, config, iteration)
         want = marginals_by_utility(inst, y, config, iteration)
         assert list(got) == list(want)
         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        assert any(got.values()) or samples == 1
+
+
+def test_marginals_do_not_depend_on_kernel_chunks(monkeypatch) -> None:
+    # 1500 bytes split each block into kernel chunks of a few samples
+    inst, y = _marginals_instance()
+    config = RelaxationConfig(marginal_samples=1500, rng_seed=5)
+    whole = estimate_marginals(inst, y, config, 2)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    assert influence._chunk_columns(inst.graph) < 100
+    chunked = estimate_marginals(inst, y, config, 2)
+    assert [v.hex() for v in chunked.values()] == [v.hex() for v in whole.values()]
+
+
+def test_marginal_samples_run_in_blocks_and_kernel_chunks(monkeypatch) -> None:
+    # one generator per block and one reach-kernel call per chunk, never a
+    # call per sample: 48 actions, as on the relax48 benchmark shape
+    gen = np.random.default_rng(48)
+    edges = ((0, 1, 0.3), (1, 2, 0.5), (2, 3, 0.2), (3, 4, 0.6), (4, 5, 0.4),
+             (5, 6, 0.1), (6, 7, 0.5), (7, 0, 0.3), (2, 6, 0.45), (5, 1, 0.25))
+    inst = uniform_instance(8, (1.0, 2.0, 3.0, 6.0), [sorted_row(gen, 4) for _ in range(8)],
+                            K=2, B=7.0, edges=edges)
+    actions = build_action_space(inst)
+    assert len(actions) == 48
+    y = {a: F(1, 16) for a in actions}
+    generators: list = []
+    columns: list[int] = []
+    default_rng, reach_columns = np.random.default_rng, influence._reach_columns
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: generators.append(a) or default_rng(*a, **k))
+    monkeypatch.setattr(influence, "_reach_columns",
+                        lambda g, live: columns.append(live.shape[1]) or reach_columns(g, live))
+    estimate_marginals(inst, y, RelaxationConfig(marginal_samples=200, rng_seed=3), 4)
+    assert generators == [([3, 4, 0],)]
+    assert columns == [200]
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    chunk = influence._chunk_columns(inst.graph)
+    generators.clear()
+    columns.clear()
+    estimate_marginals(inst, y, RelaxationConfig(marginal_samples=BLOCK + 200, rng_seed=3), 4)
+    assert generators == [([3, 4, 0],), ([3, 4, 1],)]
+    assert len(columns) == -(-BLOCK // chunk) + -(-200 // chunk)
+    assert sum(columns) == BLOCK + 200
 
 
 # ------------------------------------------------------------------ solve_lp
