@@ -358,7 +358,8 @@ def solve_lp(
     cost at most beta*B, every coordinate in [0, 1], and (when use_W is set)
     total mass at most beta*W.  The solution is returned as exact rationals.
     costs, when given, holds every action's exact expected cost under
-    cost_mode (continuous_greedy builds it once); otherwise it is built here.
+    cost_mode; otherwise it is built here.  continuous_greedy builds it once,
+    as an ActionCosts, so every step reuses its integer costs.
 
     Without the W row a unique optimum comes from the exact hull greedy of
     _unique_knapsack_optimum; the W row, and a tie among optima, go to the
