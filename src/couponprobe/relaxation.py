@@ -300,13 +300,16 @@ def _unique_knapsack_optimum(
             c, w = costs[i], weights[i]
             if w <= hull[-1][1]:
                 continue  # dominated: costs at least as much for no more weight
-            while len(hull) > 1 and (
-                (hull[-1][1] - hull[-2][1]) * (c - hull[-1][0]) <= (w - hull[-1][1]) * (hull[-1][0] - hull[-2][0])
-            ):
+            while len(hull) > 1:
+                (c0, w0, _), (c1, w1, _) = hull[-2:]
+                if (w1 - w0) * (c - c1) > (w - w1) * (c1 - c0):
+                    break  # the last point stays: slope(-2, -1) > slope(-1, new)
                 hull.pop()
             hull.append((c, w, i))
         hulls[user] = hull
-        segments.extend((q[1] - p[1], q[0] - p[0], user, k) for k, (p, q) in enumerate(itertools.pairwise(hull)))
+        segments.extend(
+            (q[1] - p[1], q[0] - p[0], user, k) for k, (p, q) in enumerate(itertools.pairwise(hull))
+        )
     segments.sort(key=cmp_to_key(_by_slope), reverse=True)
 
     position = dict.fromkeys(hulls, 0)
@@ -379,7 +382,8 @@ def solve_lp(
     floats = [float(w) for w in weights.values()]
     budget = Fraction(beta) * Fraction(instance.B)
     if not use_W:
-        x = _unique_knapsack_optimum(actions, _integer_weights(floats), *_integer_costs(actions, costs, budget))
+        int_costs, int_budget = _integer_costs(actions, costs, budget)
+        x = _unique_knapsack_optimum(actions, _integer_weights(floats), int_costs, int_budget)
         if x is not None:
             return dict(zip(actions, x))
     objective = [Fraction(w) for w in floats]

@@ -483,7 +483,8 @@ def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:
     out = []
     for b, start in enumerate(range(0, worlds, BLOCK)):
         shape = (min(BLOCK, worlds - start), n + len(graph.uncertain_edges))
-        out += [row_world(instance, row) for row in np.random.default_rng([rng_seed, b, 0]).random(shape).tolist()]
+        rows = np.random.default_rng([rng_seed, b, 0]).random(shape).tolist()
+        out += [row_world(instance, row) for row in rows]
     return out
 
 

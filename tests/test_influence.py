@@ -267,7 +267,8 @@ def test_mc_fallback_runs_one_kernel_pass_per_block(monkeypatch) -> None:
     # not one pass per node, and equals that node's own Monte Carlo mean
     passes: list[int] = []
     sampled_reach = influence._sampled_reach
-    monkeypatch.setattr(influence, "_sampled_reach", lambda g, live: passes.append(len(live)) or sampled_reach(g, live))
+    monkeypatch.setattr(influence, "_sampled_reach",
+                        lambda g, live: passes.append(len(live)) or sampled_reach(g, live))
     edges = tuple((0, t, 0.5) for t in range(1, EXACT_EDGE_LIMIT + 2)) + ((1, 2, 0.3),)
     g = Graph(node_count=EXACT_EDGE_LIMIT + 2, edges=edges)
     samples = 2 * BLOCK + 5

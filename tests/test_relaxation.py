@@ -211,6 +211,26 @@ def test_marginals_match_the_per_action_utility_loop() -> None:
         assert any(got.values()) or samples == 1
 
 
+def test_marginals_match_the_reference_on_gridded_draws(monkeypatch) -> None:
+    # draws on a 0.1 grid put thresholds exactly on attractiveness values,
+    # where a user accepts, and edge and presence uniforms on their cutoffs
+    default_rng = np.random.default_rng
+
+    class Gridded:
+        def __init__(self, seed):
+            self.gen = default_rng(seed)
+
+        def random(self, shape):
+            return np.floor(self.gen.random(shape) * 10) / 10
+
+    monkeypatch.setattr(np.random, "default_rng", Gridded)
+    inst, y = _marginals_instance()
+    config = RelaxationConfig(marginal_samples=300, rng_seed=2)
+    got = estimate_marginals(inst, y, config, 1)
+    want = marginals_by_utility(inst, y, config, 1)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
 def test_marginals_do_not_depend_on_kernel_chunks(monkeypatch) -> None:
     # 1500 bytes split each block into kernel chunks of a few samples
     inst, y = _marginals_instance()
