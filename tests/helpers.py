@@ -27,7 +27,6 @@ from couponprobe.model import (
     check_trace,
     exact_expected_cost,
     realize,
-    sample_world,
 )
 from couponprobe.relaxation import RelaxationConfig, action_set_utility
 from couponprobe.sequencing import (

@@ -16,7 +16,6 @@ from couponprobe.relaxation import (
     _integer_costs,
     _integer_weights,
     _unique_knapsack_optimum,
-    action_costs_exact,
     action_set_utility,
     check_fractional,
     continuous_greedy,
