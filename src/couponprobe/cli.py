@@ -91,7 +91,7 @@ def build_run_report(args, instance: Instance, name: str) -> RunReport:
     branch_freq = {
         branch: count / evaluation.worlds
         for branch, count in sorted(evaluation.branch_counts.items())
-    } if getattr(evaluation, "branch_counts", None) else {}
+    }
     return RunReport(
         policy=name,
         instance_sha256=_sha256(args.instance),
@@ -184,12 +184,20 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for --seed: numpy seeds its generators from non-negative ints only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", help="instance file")
     parser.add_argument("--beta", type=float, default=None, help="constraint scaling in [0, 1/2]")
     parser.add_argument("--delta", type=float, default=None, help="ascent step size in (0, 1]")
     parser.add_argument("--worlds", type=int, default=10000, help="simulated worlds per policy")
-    parser.add_argument("--seed", type=int, default=0, help="root RNG seed")
+    parser.add_argument("--seed", type=non_negative_int, default=0, help="root RNG seed")
     parser.add_argument("--extended", action="store_true", help="enforce the cap on distinct users probed")
     parser.add_argument("--cost-mode", choices=COST_MODES, default=COST_MODE_THRESHOLD)
     parser.add_argument("--marginal-samples", type=int, default=200)

@@ -296,18 +296,24 @@ def _sampled_reach(graph: Graph, live: np.ndarray) -> Iterator[tuple[int, np.nda
         yield start, _reach_columns(graph, columns)
 
 
-def sampled_spreads(graph: Graph, live: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Spread of one seed node in each sampled outcome, as an int64 array.
+def _seeded_union(reach: np.ndarray, seeded: np.ndarray) -> np.ndarray:
+    """OR of the seeded nodes' reach per column: reach as _reach_columns gives
+    it, seeded[c] a bool row over the nodes for column c."""
+    return np.bitwise_or.reduce(reach * seeded.T[:, None, :], axis=0)
 
-    Row r of live is an outcome, as live_edges gives it, and seeds[r] is its
-    seed node, or -1 for none (spread 0).
+
+def sampled_spreads(graph: Graph, live: np.ndarray, seeded: np.ndarray) -> np.ndarray:
+    """Spread of a seed set in each sampled outcome, as an int64 array.
+
+    Row r of live is an outcome, as live_edges gives it, and seeded[r] a bool
+    row over the nodes, true for its seeds; a row with no seed spreads to 0
+    and takes no kernel pass.
     """
-    out = np.zeros(len(seeds), dtype=np.int64)
-    hit = np.flatnonzero(seeds >= 0)
+    out = np.zeros(len(seeded), dtype=np.int64)
+    hit = np.flatnonzero(seeded.any(axis=1))
     for start, reach in _sampled_reach(graph, live[hit]):
-        cols = np.arange(reach.shape[2])
-        rows = hit[start:start + len(cols)]
-        out[rows] = np.bitwise_count(reach[seeds[rows], :, cols]).sum(axis=1)
+        rows = hit[start:start + reach.shape[2]]
+        out[rows] = np.bitwise_count(_seeded_union(reach, seeded.take(rows, axis=0))).sum(axis=0)
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import simplex
-from .influence import BLOCK, _sampled_reach, live_edges, realized_influence
+from .influence import BLOCK, _sampled_reach, _seeded_union, live_edges, realized_influence
 from .model import (
     COST_MODE_THRESHOLD,
     COST_MODES,
@@ -186,7 +186,7 @@ def estimate_marginals(
         candidates = accepts & ~present
         for first, reach in _sampled_reach(graph, live_edges(graph, draws[:, n:n + unc])):
             cols = slice(first, first + reach.shape[2])
-            union = np.bitwise_or.reduce(np.where(seeded[cols].T[:, None, :], reach, 0), axis=0)
+            union = _seeded_union(reach, seeded[cols])
             gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
             gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
             totals += np.where(candidates[cols], gains[users].T, 0).sum(axis=0)

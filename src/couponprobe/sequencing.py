@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import BLOCK, live_edges, live_masks, realized_influence, sampled_spreads
+from .influence import BLOCK, _seed_list, live_edges, live_masks, sampled_spreads
 from .model import (
     Instance,
     PolicyTrace,
@@ -194,9 +194,6 @@ class Alg2Policy:
             self.order = alg2_plan(instance, self.table)
             self.dp_table = None
 
-    def generate(self, world: World, rng) -> PolicyTrace:
-        return alg2_execute(self.instance, self.order, world)
-
 
 class StochCpPolicy:
     """Fair randomization between the fractional and largest-coupon routes.
@@ -233,17 +230,6 @@ class StochCpPolicy:
         )
         self.branch_alg2 = Alg2Policy(instance, extended=extended) if self.alg1_weight < 1.0 else None
 
-    def generate(self, world: World, rng) -> PolicyTrace:
-        gen = np.random.default_rng(rng)
-        use_alg1 = gen.random() < self.alg1_weight
-        if use_alg1:
-            trace = self.branch_alg1.generate(world, gen)
-            trace.note = "alg1"
-        else:
-            trace = self.branch_alg2.generate(world, gen)
-            trace.note = "alg2"
-        return trace
-
 
 @dataclass
 class PolicyEvaluation:
@@ -265,10 +251,11 @@ def evaluate_policy(
     (rng_seed, i), neither on `worlds` nor on the policy, and policies
     evaluated with one seed see the same worlds.  stoch-cp's coin is one
     uniform per world from the block's stream keyed by (rng_seed, b, 2).
-    alg2 worlds are scored a block at a time (see _alg2_block); every other
-    world runs the policy's generate(world, rng) with rng = [rng_seed, i, 1],
-    a seed for its own generator, and is scored by a search from its seeds.
-    Each trace is checked for feasibility.
+    An alg2 world, stoch-cp's alg2 branch included, is seeded by its first
+    accept, read off the thresholds; every other world runs the policy's
+    generate(world, rng) with rng = [rng_seed, i, 1], a seed for its own
+    generator.  Every world of a block is then scored in one reach-kernel
+    pass, and each trace is checked for feasibility (see _simulate).
     """
     if worlds < 1:
         raise ValueError("worlds must be positive")
@@ -297,7 +284,12 @@ def evaluate_policy(
 
 def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     """Per block of worlds, in order: each world's realized spread (int64),
-    the number of infeasible traces and the count of each trace note."""
+    the number of infeasible traces and the count of each trace note.
+
+    Each world's seeds fill its row of a bool (rows, n) matrix that one
+    sampled_spreads call scores.  An alg2 world's trace, and so its verdict,
+    depends only on its first accept's position in the order.
+    """
     graph = instance.graph
     n = instance.n_users
     extended = getattr(policy, "extended", False)
@@ -310,7 +302,10 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     else:
         one_by_one, alg2 = policy, None
     generate = getattr(one_by_one, "generate", one_by_one)
-    verdicts: dict[int, bool] = {}
+    if alg2 is not None:
+        users = np.array(alg2.order.users, dtype=np.intp)
+        accept_at = np.array([instance.attractiveness[v][alg2.order.coupon_index] for v in alg2.order.users])
+        bad_at = _position_verdicts(instance, alg2.order, extended)
     for b, start in enumerate(range(0, worlds, BLOCK)):
         rows = min(BLOCK, worlds - start)
         draws = np.random.default_rng([rng_seed, b, 0]).random((rows, n + len(graph.uncertain_edges)))
@@ -319,56 +314,42 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
             singly = np.random.default_rng([rng_seed, b, 2]).random(rows) < policy.alg1_weight
         else:
             singly = np.full(rows, alg2 is None)
-        values = np.zeros(rows, dtype=np.int64)
+        seeded = np.zeros((rows, n), dtype=bool)
         bad = 0
         notes: dict[str, int] = {}
         in_block = np.flatnonzero(~singly)
         if len(in_block):
-            seeds, bad = _alg2_block(instance, alg2.order, thresholds, in_block, extended, verdicts)
-            values[in_block] = sampled_spreads(graph, live[in_block], seeds)
+            accepts = np.ones((len(in_block), len(users) + 1), dtype=bool)  # last: nobody accepts
+            accepts[:, :-1] = thresholds[np.ix_(in_block, users)] <= accept_at
+            positions = accepts.argmax(axis=1)
+            took = positions < len(users)
+            seeded[in_block[took], users[positions[took]]] = True
+            bad = int(bad_at[positions].sum())
             if stoch:
                 notes["alg2"] = len(in_block)
         for r, mask in zip(np.flatnonzero(singly).tolist(), live_masks(graph, live[singly])):
             trace = generate(World(tuple(thresholds[r].tolist()), mask), [rng_seed, start + r, 1])
             if stoch:
                 trace.note = "alg1"
-            values[r] = realized_influence(graph, trace.seeds, mask)
+            # item by item: a fancy index would cost about 3 us per world
+            for v in _seed_list(graph, trace.seeds):
+                seeded[r, v] = True
             if check_trace(instance, trace, extended=extended):
                 bad += 1
             if trace.note:
                 notes[trace.note] = notes.get(trace.note, 0) + 1
-        yield values, bad, notes
+        yield sampled_spreads(graph, live, seeded), bad, notes
 
 
-def _alg2_block(
-    instance: Instance,
-    order: ProbeOrder,
-    thresholds: np.ndarray,
-    rows: np.ndarray,
-    extended: bool,
-    verdicts: dict[int, bool],
-) -> tuple[np.ndarray, int]:
-    """The seed (or -1) and the infeasible-trace count of a probe order in
-    the given rows of a block of worlds' thresholds.
-
-    A world's first accept is the first user in the order whose threshold
-    is at most its attractiveness.  The trace depends only on that position,
-    so check_trace runs once per position (verdicts keeps each position's
-    result across blocks), on the trace alg2_execute makes in a world there;
-    that trace reads thresholds only, so the world has no live edges.
-    """
-    users = np.array(order.users + (-1,), dtype=np.intp)  # last position: nobody accepts
-    p = np.array([row[order.coupon_index] for row in instance.attractiveness])
-    accepts = np.ones((len(rows), len(users)), dtype=bool)
-    accepts[:, :-1] = (thresholds <= p)[np.ix_(rows, users[:-1])]
-    positions = accepts.argmax(axis=1)
-    counts = np.bincount(positions, minlength=len(users))
-    bad = 0
-    for k in np.flatnonzero(counts).tolist():
-        if k not in verdicts:
-            r = rows[np.argmax(positions == k)]
-            world = World(tuple(thresholds[r].tolist()), 0)
-            verdicts[k] = bool(check_trace(instance, alg2_execute(instance, order, world), extended=extended))
-        if verdicts[k]:
-            bad += int(counts[k])
-    return users[positions], bad
+def _position_verdicts(instance: Instance, order: ProbeOrder, extended: bool) -> np.ndarray:
+    """Whether check_trace flags alg2_execute's trace at each first-accept
+    position (the last entry: nobody accepts), run in a world where only that
+    position's user accepts: every threshold is 2.0 but theirs, 0.0."""
+    verdicts = []
+    for k in range(len(order.users) + 1):
+        thresholds = [2.0] * instance.n_users
+        if k < len(order.users):
+            thresholds[order.users[k]] = 0.0
+        trace = alg2_execute(instance, order, World(tuple(thresholds), 0))
+        verdicts.append(bool(check_trace(instance, trace, extended=extended)))
+    return np.array(verdicts)

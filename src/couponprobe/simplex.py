@@ -11,13 +11,14 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Bland's rule always terminates, but may take exponentially many pivots.
+MAX_PIVOTS = 200000
 
 
 def maximize(
     objective: list[Fraction],
     lhs: list[list[Fraction]],
     rhs: list[Fraction],
-    max_pivots: int = 200000,
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize objective.x subject to lhs.x <= rhs and x >= 0, exactly.
 
@@ -46,7 +47,7 @@ def maximize(
     basis = list(range(n, n + m))
 
     width = n + m
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS + 1):  # the last pass may only confirm optimality
         # Bland: entering variable is the lowest-index negative reduced cost.
         enter = -1
         for j in range(width):

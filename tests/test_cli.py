@@ -265,6 +265,15 @@ def test_run_unknown_policy_names_the_options(tmp_path, capsys) -> None:
     assert "stoch-cp" in err and "alg1" in err
 
 
+@pytest.mark.parametrize("command,policy", [("run", "alg2"), ("compare", "alg1,alg2")])
+def test_negative_seed_is_rejected_naming_the_flag(tmp_path, capsys, command, policy) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main([command, _write(tmp_path, TINY), "--policy", policy, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "argument --seed: must be a non-negative integer, got -1" in captured.err
+
+
 # --------------------------------------------------------------------- oracle
 
 

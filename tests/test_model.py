@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from couponprobe.influence import Graph
 from couponprobe.model import (
     Action,
     Instance,
@@ -22,7 +21,7 @@ from couponprobe.model import (
     sample_world,
 )
 
-from helpers import edgeless, make_world, run_fixed_plan, single_user, uniform_instance
+from helpers import make_world, run_fixed_plan, single_user, uniform_instance
 
 
 def _act(user: int, *indices: int) -> Action:

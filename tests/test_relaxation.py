@@ -68,6 +68,16 @@ def test_simplex_knapsack_fraction() -> None:
     assert x == [F(0), F(1)]
 
 
+def test_simplex_stops_at_the_pivot_limit(monkeypatch) -> None:
+    # the box LP above takes two pivots, one per variable
+    box = ([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="pivot limit"):
+        simplex.maximize(*box)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 2)
+    assert simplex.maximize(*box)[0] == 3
+
+
 def test_simplex_detects_unbounded() -> None:
     with pytest.raises(ValueError):
         simplex.maximize([F(1)], [[F(-1)]], [F(1)])
@@ -460,7 +470,7 @@ def test_config_validation_and_resolution() -> None:
     assert fixed.resolved_delta(100) == 0.5
 
 
-def test_decision_matrix_validation() -> None:
+def test_check_fractional_rejects_overfull_users_and_negative_mass() -> None:
     a, b = _act(0, 0), _act(0, 1)
     with pytest.raises(ValueError):
         check_fractional({a: F(3, 4), b: F(1, 2)})
