@@ -17,8 +17,10 @@ from .model import (
     PolicyTrace,
     ProbeSequence,
     ProbeStep,
+    Steps,
     World,
     build_action_space,
+    check_steps,
     check_trace,
     expected_cost,
     low_value_coupons,

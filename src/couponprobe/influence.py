@@ -298,22 +298,22 @@ def _sampled_reach(graph: Graph, live: np.ndarray) -> Iterator[tuple[int, np.nda
 
 def _seeded_union(reach: np.ndarray, seeded: np.ndarray) -> np.ndarray:
     """OR of the seeded nodes' reach per column: reach as _reach_columns gives
-    it, seeded[c] a bool row over the nodes for column c."""
-    return np.bitwise_or.reduce(reach * seeded.T[:, None, :], axis=0)
+    it, seeded a bool (n, columns) matrix, column c the seeds of column c."""
+    return np.bitwise_or.reduce(reach * seeded[:, None, :], axis=0)
 
 
 def sampled_spreads(graph: Graph, live: np.ndarray, seeded: np.ndarray) -> np.ndarray:
     """Spread of a seed set in each sampled outcome, as an int64 array.
 
-    Row r of live is an outcome, as live_edges gives it, and seeded[r] a bool
-    row over the nodes, true for its seeds; a row with no seed spreads to 0
-    and takes no kernel pass.
+    Row r of live is an outcome, as live_edges gives it, and column r of the
+    bool (n, outcomes) matrix seeded is true at its seeds; an outcome with no
+    seed spreads to 0 and takes no kernel pass.
     """
-    out = np.zeros(len(seeded), dtype=np.int64)
-    hit = np.flatnonzero(seeded.any(axis=1))
+    out = np.zeros(seeded.shape[1], dtype=np.int64)
+    hit = np.flatnonzero(seeded.any(axis=0))
     for start, reach in _sampled_reach(graph, live[hit]):
         rows = hit[start:start + reach.shape[2]]
-        out[rows] = np.bitwise_count(_seeded_union(reach, seeded.take(rows, axis=0))).sum(axis=0)
+        out[rows] = np.bitwise_count(_seeded_union(reach, seeded.take(rows, axis=1))).sum(axis=0)
     return out
 
 

@@ -289,3 +289,82 @@ def check_trace(instance: Instance, trace: PolicyTrace, extended: bool = False) 
         elif len(offers) > instance.W:
             problems.append(f"probed {len(offers)} distinct users, cap is {instance.W}")
     return problems
+
+
+class Steps(NamedTuple):
+    """The probes of a block of runs: row r is one run, column p its p-th
+    position in probing order.
+
+    user[r, p] is the user probed there (-1: nobody), offers[r, p] the coupon
+    indices offered, in order, padded with -1 at the end, accepted[r, p]
+    whether the last of them was accepted and spend[r, p] what the run
+    debited for it (0.0 when nothing).  Row r reads as a PolicyTrace: one
+    step per offer, position by position, the last one accepted where
+    accepted says so, and each step's ledger entry B less the spend of every
+    position up to it, a position's own spend counted from its last offer.
+    """
+
+    user: np.ndarray
+    offers: np.ndarray
+    accepted: np.ndarray
+    spend: np.ndarray
+
+
+def check_steps(instance: Instance, steps: Steps, seeded: np.ndarray, extended: bool = False) -> np.ndarray:
+    """Whether check_trace flags each row's trace, for every row at once.
+
+    seeded is the block's bool (n, rows) seed matrix: column r holds row r's
+    seeds.  Each rule of check_trace is one test over the step arrays: the
+    ledger, the redeemed total, the offers and accepts per user, and, for a
+    user probed at several positions, whether another user came between
+    (offers not consecutive), an accept came first, or the offers stopped
+    increasing.
+    """
+    user, offers, accepted, spend = steps
+    rows, positions = user.shape
+    n = instance.n_users
+    made = (offers >= 0).sum(axis=2)
+    probed = made > 0
+    last = np.take_along_axis(offers, np.maximum(made - 1, 0)[:, :, None], axis=2)[:, :, 0]
+    won = probed & accepted
+    debit = np.where(won, np.array(instance.coupons)[last], 0.0)
+
+    bad = np.zeros(rows, dtype=bool)
+    ledger = np.full(rows, instance.B)  # the run's own, less spend
+    budget = ledger.copy()  # recomputed from the accepted offers
+    for p in range(positions):
+        # a position's offers before its last carry the ledger from before it
+        bad |= probed[:, p] & (made[:, p] > 1) & (np.abs(ledger - budget) > 1e-9)
+        ledger = ledger - spend[:, p]
+        budget = budget - debit[:, p]
+        bad |= probed[:, p] & (np.abs(ledger - budget) > 1e-9)
+    bad |= budget < -1e-9
+    bad |= ((offers[:, :, 1:] >= 0) & (offers[:, :, 1:] <= offers[:, :, :-1])).any(axis=(1, 2))
+
+    every = np.broadcast_to(np.arange(rows)[:, None], user.shape)
+    cells = (every * n + user)[probed]
+    offered = np.bincount(cells, weights=made[probed], minlength=rows * n).reshape(rows, n)
+    bad |= (offered > instance.K).any(axis=1)
+    accepting = np.zeros((n, rows), dtype=bool)
+    accepting[user[won], every[won]] = True
+    bad |= (accepting != seeded).any(axis=0)
+    if extended:
+        bad |= instance.W is None or (offered > 0).sum(axis=1) > instance.W
+
+    # rows where a user holds several positions: each pair of that user's
+    # positions that are neighbours in one sort
+    again = np.flatnonzero((np.bincount(cells, minlength=rows * n).reshape(rows, n) > 1).any(axis=1))
+    if len(again):
+        user, probed, accepted = user[again], probed[again], accepted[again]
+        order = np.argsort(np.where(probed, user * positions + np.arange(positions), n * positions), axis=1)
+        earlier, later = order[:, :-1], order[:, 1:]
+
+        def at(values, index):
+            return np.take_along_axis(values, index, axis=1)
+
+        pairs = at(probed, later) & (at(user, later) == at(user, earlier))
+        rank = np.cumsum(probed, axis=1)
+        apart = at(rank, later) != at(rank, earlier) + 1  # another user's offers between
+        not_increasing = at(offers[again, :, 0], later) <= at(last[again], earlier)
+        bad[again] |= (pairs & (apart | at(accepted, earlier) | not_increasing)).any(axis=1)
+    return bad

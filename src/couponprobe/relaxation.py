@@ -181,12 +181,12 @@ def estimate_marginals(
         draws = np.random.default_rng([config.rng_seed, iteration, b]).random((rows, n + unc + m))
         accepts = top_accept >= draws[:, users]  # thresholds are columns 0..n-1
         present = draws[:, n + unc:] < probs
-        seeded = np.zeros((rows, n), dtype=bool)
-        seeded[:, group_users] = np.logical_or.reduceat((present & accepts)[:, order], group_starts, axis=1)
+        seeded = np.zeros((n, rows), dtype=bool)
+        seeded[group_users] = np.logical_or.reduceat((present & accepts)[:, order], group_starts, axis=1).T
         candidates = accepts & ~present
         for first, reach in _sampled_reach(graph, live_edges(graph, draws[:, n:n + unc])):
             cols = slice(first, first + reach.shape[2])
-            union = _seeded_union(reach, seeded[cols])
+            union = _seeded_union(reach, seeded[:, cols])
             gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
             gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
             totals += np.where(candidates[cols], gains[users].T, 0).sum(axis=0)

@@ -21,12 +21,13 @@ from .model import (
     PolicyTrace,
     ProbeStep,
     World,
+    check_steps,
     check_trace,
     low_value_coupons,
     realize,
 )
 from .relaxation import RelaxationConfig
-from .rounding import Alg1Policy
+from .rounding import ROUNDING_DRAWS, Alg1Policy
 
 
 class UnsolvableError(ValueError):
@@ -252,10 +253,15 @@ def evaluate_policy(
     evaluated with one seed see the same worlds.  stoch-cp's coin is one
     uniform per world from the block's stream keyed by (rng_seed, b, 2).
     An alg2 world, stoch-cp's alg2 branch included, is seeded by its first
-    accept, read off the thresholds; every other world runs the policy's
-    generate(world, rng) with rng = [rng_seed, i, 1], a seed for its own
-    generator.  Every world of a block is then scored in one reach-kernel
-    pass, and each trace is checked for feasibility (see _simulate).
+    accept, read off the thresholds.  An alg1 world, stoch-cp's alg1 branch
+    included, is rounded and executed by Alg1Policy.run_block from row
+    i % BLOCK of its block's rounding draws: ROUNDING_DRAWS uniforms per
+    action, drawn on a stream keyed by (rng_seed, b, 1) for every row of the
+    block, whatever the coin says, so this too depends only on (rng_seed, i).
+    A plain callable runs generate(world, rng) world by world with
+    rng = [rng_seed, i, 1], a seed for its own generator.  Every world of a
+    block is then scored in one reach-kernel pass and checked for
+    feasibility (see _simulate).
     """
     if worlds < 1:
         raise ValueError("worlds must be positive")
@@ -284,24 +290,28 @@ def evaluate_policy(
 
 def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     """Per block of worlds, in order: each world's realized spread (int64),
-    the number of infeasible traces and the count of each trace note.
+    the number of infeasible runs and the count of each run's note.
 
-    Each world's seeds fill its row of a bool (rows, n) matrix that one
-    sampled_spreads call scores.  An alg2 world's trace, and so its verdict,
-    depends only on its first accept's position in the order.
+    Each world's seeds fill its column of a bool (n, rows) seed matrix that
+    one sampled_spreads call scores.  An alg2 world's trace, and so its
+    verdict, depends only on its first accept's position in the order.  alg1
+    worlds are run a chunk of rows at a time (Alg1Policy.chunk_rows); the
+    chunks split the draws of the block's one generator in order, so they
+    change no draw, and check_steps gives every run its verdict.
     """
     graph = instance.graph
     n = instance.n_users
     extended = getattr(policy, "extended", False)
-    # stoch-cp notes each world's branch; its alg1 branch runs world by world
     stoch = isinstance(policy, StochCpPolicy)
+    generate = None  # a plain callable's, run world by world
     if stoch:
-        one_by_one, alg2 = policy.branch_alg1, policy.branch_alg2
+        alg1, alg2 = policy.branch_alg1, policy.branch_alg2
+    elif isinstance(policy, Alg1Policy):
+        alg1, alg2 = policy, None
     elif isinstance(policy, Alg2Policy):
-        one_by_one, alg2 = None, policy
+        alg1, alg2 = None, policy
     else:
-        one_by_one, alg2 = policy, None
-    generate = getattr(one_by_one, "generate", one_by_one)
+        alg1, alg2, generate = None, None, getattr(policy, "generate", policy)
     if alg2 is not None:
         users = np.array(alg2.order.users, dtype=np.intp)
         accept_at = np.array([instance.attractiveness[v][alg2.order.coupon_index] for v in alg2.order.users])
@@ -314,7 +324,7 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
             singly = np.random.default_rng([rng_seed, b, 2]).random(rows) < policy.alg1_weight
         else:
             singly = np.full(rows, alg2 is None)
-        seeded = np.zeros((rows, n), dtype=bool)
+        seeded = np.zeros((n, rows), dtype=bool)
         bad = 0
         notes: dict[str, int] = {}
         in_block = np.flatnonzero(~singly)
@@ -323,22 +333,49 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
             accepts[:, :-1] = thresholds[np.ix_(in_block, users)] <= accept_at
             positions = accepts.argmax(axis=1)
             took = positions < len(users)
-            seeded[in_block[took], users[positions[took]]] = True
+            seeded[users[positions[took]], in_block[took]] = True
             bad = int(bad_at[positions].sum())
             if stoch:
                 notes["alg2"] = len(in_block)
-        for r, mask in zip(np.flatnonzero(singly).tolist(), live_masks(graph, live[singly])):
-            trace = generate(World(tuple(thresholds[r].tolist()), mask), [rng_seed, start + r, 1])
+        picked = np.flatnonzero(singly)
+        if generate is not None:
+            for r, mask in zip(picked.tolist(), live_masks(graph, live[singly])):
+                trace = generate(World(tuple(thresholds[r].tolist()), mask), [rng_seed, start + r, 1])
+                # item by item: a fancy index would cost about 3 us per world
+                for v in _seed_list(graph, trace.seeds):
+                    seeded[v, r] = True
+                if check_trace(instance, trace, extended=extended):
+                    bad += 1
+                if trace.note:
+                    notes[trace.note] = notes.get(trace.note, 0) + 1
+        elif alg1 is not None and len(picked):
+            if alg1.vacuous:
+                notes["alg1-vacuous"] = len(picked)
+            else:
+                bad += _alg1_block(instance, alg1, thresholds, singly, seeded, [rng_seed, b, 1])
             if stoch:
-                trace.note = "alg1"
-            # item by item: a fancy index would cost about 3 us per world
-            for v in _seed_list(graph, trace.seeds):
-                seeded[r, v] = True
-            if check_trace(instance, trace, extended=extended):
-                bad += 1
-            if trace.note:
-                notes[trace.note] = notes.get(trace.note, 0) + 1
+                notes["alg1"] = len(picked)
         yield sampled_spreads(graph, live, seeded), bad, notes
+
+
+def _alg1_block(instance: Instance, policy: Alg1Policy, thresholds, singly, seeded, key) -> int:
+    """Run alg1 in the rows of a block that singly marks, write their seeds
+    into seeded and return how many runs check_steps flags.  Every row's
+    rounding draws come from one generator keyed by `key`, chunk by chunk."""
+    gen = np.random.default_rng(key)
+    step = policy.chunk_rows
+    bad = 0
+    for first in range(0, len(singly), step):
+        chunk = singly[first:first + step]
+        uniforms = gen.random((len(chunk), ROUNDING_DRAWS, len(policy.fractional)))
+        if not chunk.all():  # stoch-cp's alg2 worlds leave their draws unused
+            uniforms = uniforms[chunk]
+        picked = first + np.flatnonzero(chunk)
+        _, _, steps = policy.run_block(thresholds[picked], uniforms)
+        won = steps.accepted
+        seeded[steps.user[won], picked[np.nonzero(won)[0]]] = True
+        bad += int(check_steps(instance, steps, seeded[:, picked], policy.extended).sum())
+    return bad
 
 
 def _position_verdicts(instance: Instance, order: ProbeOrder, extended: bool) -> np.ndarray:

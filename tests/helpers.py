@@ -22,13 +22,16 @@ from couponprobe.model import (
     Instance,
     PolicyTrace,
     ProbeStep,
+    Steps,
     World,
     build_action_space,
     check_trace,
     exact_expected_cost,
+    probe_user,
     realize,
 )
 from couponprobe.relaxation import RelaxationConfig, action_set_utility
+from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
     PolicyEvaluation,
@@ -102,6 +105,29 @@ def sorted_row(gen: np.random.Generator, m: int) -> tuple[float, ...]:
     # rationality wants p non-decreasing in coupon value
     row = np.sort(gen.uniform(0.05, 0.95, size=m))
     return tuple(round(float(x), 3) for x in row)
+
+
+def _random_edges(gen: np.random.Generator, n: int, count: int, lo: float, hi: float):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    picks = gen.choice(len(pairs), size=count, replace=False)
+    return tuple((*pairs[k], round(float(gen.uniform(lo, hi)), 3)) for k in picks)
+
+
+def relax48_shaped(seed: int, W: int | None = None) -> Instance:
+    # like the relax48 benchmark: 8 users x (3 singles + 3 pairs of the low
+    # coupons 1, 2, 3) = 48 actions, 10 edges, B = 7
+    gen = np.random.default_rng(seed)
+    edges = _random_edges(gen, 8, 10, 0.1, 0.6)
+    rows = tuple(sorted_row(gen, 4) for _ in range(8))
+    return Instance(Graph(8, edges), (1.0, 2.0, 3.0, 6.0), rows, K=2, B=7.0, W=W)
+
+
+def oracle4_shaped(seed: int, W: int = 2) -> Instance:
+    # like the oracle4 benchmark: 4 users, low coupons 1 and 2, alg2's 4, K = W = 2
+    gen = np.random.default_rng(seed)
+    edges = _random_edges(gen, 4, 4, 0.2, 0.8)
+    rows = tuple(sorted_row(gen, 3) for _ in range(4))
+    return Instance(Graph(4, edges), (1.0, 2.0, 4.0), rows, K=2, B=4.0, W=W)
 
 
 def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -487,21 +513,91 @@ def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:
     return out
 
 
+def rounding_draws(policy, worlds: int, rng_seed: int) -> list[list[list[float]]]:
+    """Reference for evaluate_policy's alg1 stream: world i's ROUNDING_DRAWS
+    rows of one uniform per action are row i % BLOCK of block i // BLOCK's
+    draws from the stream keyed by (rng_seed, block, 1), one call per block."""
+    out = []
+    for b, start in enumerate(range(0, worlds, BLOCK)):
+        shape = (min(BLOCK, worlds - start), ROUNDING_DRAWS, len(policy.fractional))
+        out += np.random.default_rng([rng_seed, b, 1]).random(shape).tolist()
+    return out
+
+
+def alg1_trace(policy, world: World, draws) -> PolicyTrace:
+    """Reference for Alg1Policy.run_block, one world in plain Python: the
+    present actions (presence uniform below y), each user's one with the
+    smallest contention key, in two-matroid mode only those among the W
+    smallest W keys of all present actions, then probe_user in ascending
+    order key while at least half the budget is left.  Ties go to the lower
+    action index, as the stable sorts give it."""
+    if policy.vacuous:
+        return PolicyTrace(note="alg1-vacuous")
+    instance = policy.instance
+    presence, contend, w_keys, order_keys = draws
+    actions = list(policy.fractional)
+    raw = [i for i, a in enumerate(actions) if presence[i] < policy.fractional[a]]
+    winners: dict[int, int] = {}
+    for i in raw:
+        user = actions[i].user
+        if user not in winners or contend[i] < contend[winners[user]]:
+            winners[user] = i
+    chosen = set(winners.values())
+    if policy.extended:
+        chosen &= set(sorted(raw, key=lambda i: w_keys[i])[:instance.W])
+    trace = PolicyTrace()
+    budget = instance.B
+    seeds = set()
+    for i in sorted(sorted(chosen), key=lambda i: order_keys[i]):
+        if budget < instance.B / 2.0:
+            continue
+        value, steps = probe_user(instance, world, actions[i], budget)
+        for step in steps:
+            if step.accepted:
+                budget -= step.coupon_value
+            trace.steps.append(step)
+            trace.budget_after.append(budget)
+        if value is not None:
+            seeds.add(actions[i].user)
+    trace.seeds = frozenset(seeds)
+    return trace
+
+
+def steps_trace(instance: Instance, steps: Steps, seeded, r: int) -> PolicyTrace:
+    """The PolicyTrace that row r of a block's Steps reads as, with the seeds
+    of column r of the (n, rows) seed matrix."""
+    trace = PolicyTrace(seeds=frozenset(np.flatnonzero(seeded[:, r]).tolist()))
+    ledger = instance.B
+    for p in range(steps.user.shape[1]):
+        offered = [int(c) for c in steps.offers[r, p] if c >= 0]
+        before, ledger = ledger, ledger - steps.spend[r, p]
+        for j, c in enumerate(offered):
+            last = j == len(offered) - 1
+            accepted = last and bool(steps.accepted[r, p])
+            trace.steps.append(ProbeStep(int(steps.user[r, p]), instance.coupons[c], accepted))
+            trace.budget_after.append(ledger if last else before)
+    return trace
+
+
 def evaluate_world_by_world(
     instance: Instance, policy, worlds: int, rng_seed: int, check=check_trace
 ) -> tuple[list[int], PolicyEvaluation]:
     """Reference for evaluate_policy: the same worlds and policy streams,
-    each world run through alg2_execute (or the policy's generate),
+    each world run through alg2_execute, alg1_trace (or a plain callable),
     realized_influence and check, and summed as `total += value`.
 
     Returns every world's spread and the evaluation.  stoch-cp's coin for
     world i is row i % BLOCK of its block's draws keyed by (rng_seed, block,
-    2); per-world randomness is seeded by [rng_seed, i, 1].
+    2); alg1 worlds read their rounding_draws, and a plain callable's
+    randomness is seeded by [rng_seed, i, 1].
     """
     coins: list[float] = []
     for b, start in enumerate(range(0, worlds, BLOCK)):
         coins += np.random.default_rng([rng_seed, b, 2]).random(min(BLOCK, worlds - start)).tolist()
     extended = getattr(policy, "extended", False)
+    alg1 = policy.branch_alg1 if isinstance(policy, StochCpPolicy) else policy
+    if isinstance(alg1, Alg1Policy) and not alg1.vacuous:
+        draws = rounding_draws(alg1, worlds, rng_seed)
     values: list[int] = []
     total = total_sq = 0.0
     violations = 0
@@ -509,13 +605,15 @@ def evaluate_world_by_world(
     for i, world in enumerate(block_worlds(instance, worlds, rng_seed)):
         if isinstance(policy, StochCpPolicy):
             if coins[i] < policy.alg1_weight:
-                trace = policy.branch_alg1.generate(world, [rng_seed, i, 1])
+                trace = alg1_trace(alg1, world, draws[i])
                 trace.note = "alg1"
             else:
                 trace = alg2_execute(instance, policy.branch_alg2.order, world)
                 trace.note = "alg2"
         elif isinstance(policy, Alg2Policy):
             trace = alg2_execute(instance, policy.order, world)
+        elif isinstance(policy, Alg1Policy):
+            trace = alg1_trace(policy, world, None if policy.vacuous else draws[i])
         else:
             trace = getattr(policy, "generate", policy)(world, [rng_seed, i, 1])
         value = realized_influence(instance.graph, trace.seeds, world.live_mask)

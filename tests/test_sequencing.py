@@ -11,7 +11,7 @@ import pytest
 from couponprobe import influence, sequencing
 from couponprobe.cli import make_policy
 from couponprobe.influence import BLOCK, Graph, realized_influence, singleton_influence_table
-from couponprobe.model import Instance, PolicyTrace, check_trace
+from couponprobe.model import Instance, PolicyTrace, check_steps, check_trace
 from couponprobe.relaxation import RelaxationConfig
 from couponprobe.rounding import Alg1Policy
 from couponprobe.sequencing import (
@@ -28,11 +28,13 @@ from couponprobe.sequencing import (
 )
 
 from helpers import (
+    alg1_trace,
     block_worlds,
     dp_brute_force,
     evaluate_world_by_world,
     make_world,
     mixed_graph,
+    rounding_draws,
     sim16_shaped_graph,
     uniform_instance,
     wide_graph,
@@ -368,19 +370,24 @@ def test_evaluate_requires_worlds() -> None:
 # ------------------------------------------------------ worlds in blocks
 
 
-def _on_graph(graph: Graph, rows=None) -> Instance:
-    # coupon 1.0 is low-value and 2.0 is alg2's, so stoch-cp flips its coin;
-    # W = 3 < n for e-alg2
+def _on_graph(graph: Graph, rows=None, coupons=(1.0, 2.0), K=1) -> Instance:
+    # the coupons up to 1.5 are low-value and the largest is alg2's, so
+    # stoch-cp flips its coin; W = 3 < n for e-alg2
     gen = np.random.default_rng(graph.node_count)
     if rows is None:
-        rows = [tuple(sorted(round(float(x), 3) for x in gen.uniform(0.05, 0.6, 2)))
+        rows = [tuple(sorted(round(float(x), 3) for x in gen.uniform(0.05, 0.6, len(coupons))))
                 for _ in range(graph.node_count)]
-    return Instance(graph=graph, coupons=(1.0, 2.0), attractiveness=tuple(rows), K=1, B=3.0, W=3)
+    return Instance(graph=graph, coupons=coupons, attractiveness=tuple(rows), K=K, B=3.0, W=3)
 
 
 def _flag_position_one(instance, trace, extended=False):
     # flags every trace that stops after two offers, so one alg2 position
     return ["flagged"] if len(trace.steps) == 2 else check_trace(instance, trace, extended=extended)
+
+
+def _flag_two_offers(instance, steps, seeded, extended=False):
+    # _flag_position_one's rule for alg1's block checker: rows with exactly two offers
+    return ((steps.offers >= 0).sum(axis=(1, 2)) == 2) | check_steps(instance, steps, seeded, extended)
 
 
 _BLOCK_CASES = {
@@ -391,6 +398,8 @@ _BLOCK_CASES = {
         (0.0, 0.0), (0.2, 0.3), (0.0, 0.0), (0.1, 0.25), (0.5, 1.0), (0.3, 0.4), (0.05, 0.1),
     ]),
     "130-nodes": lambda: _on_graph(wide_graph()),
+    # three alg1 actions per user ({1.0}, {1.5}, {1.0, 1.5}), so contention has contenders
+    "three-actions-per-user": lambda: _on_graph(mixed_graph(), coupons=(1.0, 1.5, 3.0), K=2),
     "check-flags-one-position": lambda: _on_graph(mixed_graph()),
 }
 
@@ -404,6 +413,7 @@ def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
     if case == "check-flags-one-position":
         check = _flag_position_one
         monkeypatch.setattr(sequencing, "check_trace", check)
+        monkeypatch.setattr(sequencing, "check_steps", _flag_two_offers)
     worlds = 2 * BLOCK + 37  # two full blocks and a partial one
     values, want = evaluate_world_by_world(inst, policy, worlds, 41, check)
     blocks = list(sequencing._simulate(inst, policy, worlds, 41))
@@ -429,6 +439,19 @@ def test_block_scoring_does_not_depend_on_kernel_chunks(monkeypatch) -> None:
     assert evaluate_policy(inst, policy, BLOCK + 300, 6) == want
     values, _ = evaluate_world_by_world(inst, policy, BLOCK + 300, 6)
     assert np.concatenate([v for v, _, _ in sequencing._simulate(inst, policy, BLOCK + 300, 6)]).tolist() == values
+
+
+@pytest.mark.parametrize("name", ["e-alg1", "stoch-cp"])
+def test_alg1_blocks_do_not_depend_on_draw_chunks(name, monkeypatch) -> None:
+    # 1500 bytes split each block's rounding draws into chunks of 6 worlds
+    inst = _on_graph(mixed_graph())
+    policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+    alg1 = policy.branch_alg1 if name == "stoch-cp" else policy
+    want = list(sequencing._simulate(inst, policy, BLOCK + 300, 6))
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    assert alg1.chunk_rows == 6
+    got = list(sequencing._simulate(inst, policy, BLOCK + 300, 6))
+    assert [(v.tolist(), bad, notes) for v, bad, notes in got] == [(v.tolist(), bad, notes) for v, bad, notes in want]
 
 
 class _Recorder:
@@ -459,16 +482,15 @@ def test_policies_with_one_seed_see_the_same_worlds() -> None:
     recorder = _Recorder()
     evaluate_policy(inst, recorder, worlds, 12)
     seen = [world for world, _ in recorder.seen]
+    assert seen == block_worlds(inst, worlds, 12)
 
-    class RecordingAlg1(Alg1Policy):
-        def generate(self, world, rng):
-            self.seen.append(world)
-            return super().generate(world, rng)
-
-    alg1 = RecordingAlg1(inst, RelaxationConfig(delta=0.25, marginal_samples=20))
-    alg1.seen = []
-    evaluate_policy(inst, alg1, worlds, 12)
-    assert alg1.seen == seen
+    alg1 = Alg1Policy(inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+    draws = rounding_draws(alg1, worlds, 12)
+    values = np.concatenate([v for v, _, _ in sequencing._simulate(inst, alg1, worlds, 12)])
+    assert values.tolist() == [
+        realized_influence(inst.graph, alg1_trace(alg1, w, d).seeds, w.live_mask)
+        for w, d in zip(seen, draws)
+    ]
     alg2 = Alg2Policy(inst)
     values = np.concatenate([v for v, _, _ in sequencing._simulate(inst, alg2, worlds, 12)])
     assert values.tolist() == [
