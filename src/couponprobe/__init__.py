@@ -30,7 +30,6 @@ from .model import (
 )
 from .oracle import (
     OracleSizeError,
-    PolicyState,
     concave_extension_exact,
     concave_relaxation_optimum,
     exact_action_set_value,

@@ -77,7 +77,7 @@ def _config_from_args(args) -> RelaxationConfig:
     )
 
 
-def build_run_report(args, instance: Instance, name: str) -> RunReport:
+def build_run_report(args, instance: Instance, name: str, instance_sha256: str) -> RunReport:
     config = _config_from_args(args)
     base, extended = _resolve_policy_name(name, args.extended)
     start = time.perf_counter()
@@ -94,7 +94,7 @@ def build_run_report(args, instance: Instance, name: str) -> RunReport:
     }
     return RunReport(
         policy=name,
-        instance_sha256=_sha256(args.instance),
+        instance_sha256=instance_sha256,
         worlds=evaluation.worlds,
         rng_seed=args.seed,
         beta=config.resolved_beta(extended),
@@ -134,7 +134,7 @@ def format_run_report(report: RunReport, timing: bool = False) -> str:
 
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
-    report = build_run_report(args, instance, args.policy)
+    report = build_run_report(args, instance, args.policy, _sha256(args.instance))
     sys.stdout.write(format_run_report(report, timing=args.timing))
     return 0
 
@@ -146,15 +146,16 @@ def _cmd_compare(args) -> int:
     if len(names) < 2:
         raise ValueError("compare needs at least two policies")
     instance = load_instance(args.instance)
+    digest = _sha256(args.instance)
     out = [
-        f"# instance_sha256 {_sha256(args.instance)}",
+        f"# instance_sha256 {digest}",
         f"# worlds {args.worlds}",
         f"# seed {args.seed}",
         "policy,mean,stderr,violations,error",
     ]
     for name in names:
         try:
-            report = build_run_report(args, instance, name)
+            report = build_run_report(args, instance, name, digest)
             out.append(f"{name},{report.mean!r},{report.stderr!r},{report.violations},")
         except Exception as exc:  # isolate the failing row, keep comparing
             out.append(f"{name},,,,{str(exc).replace(',', ';')}")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -30,6 +31,7 @@ from couponprobe.model import (
     probe_user,
     realize,
 )
+from couponprobe.oracle import _spread_table, conditional_accept
 from couponprobe.relaxation import RelaxationConfig, action_set_utility
 from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import (
@@ -467,6 +469,72 @@ def dp_brute_force(probs, infl, W) -> Fraction:
                 )
                 best = max(best, value)
     return best
+
+
+@dataclass(frozen=True)
+class PolicyState:
+    """Adaptive-policy knowledge: per user (offers made, largest rejected
+    coupon index or -1, accepted coupon index or -1), plus who was probed last
+    (-1 when irrelevant)."""
+
+    users: tuple[tuple[int, int, int], ...]
+    last_probed: int = -1
+
+
+def optimal_adaptive_value_by_states(
+    instance: Instance, restricted: bool = False, use_W: bool = False
+) -> float:
+    """Reference for oracle.optimal_adaptive_value: the same backward
+    induction over one state per offer history, with Fraction budgets."""
+    n = instance.n_users
+    coupon_cost = [Fraction(c) for c in instance.coupons]
+    budget = Fraction(instance.B)
+    spread = _spread_table(instance, range(n))
+    memo: dict[PolicyState, float] = {}
+
+    def best(state: PolicyState) -> float:
+        cached = memo.get(state)
+        if cached is not None:
+            return cached
+        accepted_mask = 0
+        spent = Fraction(0)
+        probed = 0
+        for v, (offers, _, acc) in enumerate(state.users):
+            if acc >= 0:
+                accepted_mask |= 1 << v
+                spent += coupon_cost[acc]
+            if offers > 0:
+                probed += 1
+        remaining = budget - spent
+        value = spread[accepted_mask]  # stopping is always allowed
+        for v, (offers, rej, acc) in enumerate(state.users):
+            if acc >= 0 or offers >= instance.K:
+                continue
+            if restricted and state.last_probed >= 0 and v != state.last_probed and offers > 0:
+                continue
+            if use_W and offers == 0 and probed >= instance.W:
+                continue
+            p_rej = instance.attractiveness[v][rej] if rej >= 0 else 0.0
+            for j in range(len(instance.coupons)):
+                if coupon_cost[j] > remaining:
+                    break  # coupons are sorted; nothing later is affordable
+                q = conditional_accept(instance.attractiveness[v][j], p_rej)
+                if q <= 0.0:
+                    continue  # a sure rejection only burns an offer
+                last = v if restricted else -1
+                taken = state.users[:v] + ((offers + 1, rej, j),) + state.users[v + 1 :]
+                val_acc = best(PolicyState(taken, last))
+                if q >= 1.0:
+                    cand = val_acc
+                else:
+                    declined = state.users[:v] + ((offers + 1, j, -1),) + state.users[v + 1 :]
+                    cand = q * val_acc + (1.0 - q) * best(PolicyState(declined, last))
+                if cand > value:
+                    value = cand
+        memo[state] = value
+        return value
+
+    return best(PolicyState(tuple((0, -1, -1) for _ in range(n))))
 
 
 def run_fixed_plan(instance: Instance, world: World, actions: Iterable[Action]) -> PolicyTrace:

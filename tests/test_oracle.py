@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from couponprobe.influence import singleton_influence_table
+from couponprobe.influence import Graph, singleton_influence_table
 from couponprobe.model import (
     Action,
+    Instance,
     PolicyTrace,
     ProbeSequence,
     build_action_space,
@@ -31,8 +32,11 @@ from couponprobe.relaxation import RelaxationConfig, continuous_greedy
 from couponprobe.sequencing import Alg2Policy, alg2_execute, alg2_plan, alg2_value, evaluate_policy
 
 from helpers import (
+    _random_edges,
     concave_extension_by_subsets,
     multilinear_by_subsets,
+    optimal_adaptive_value_by_states,
+    oracle4_shaped,
     random_tiny_instance,
     relaxation_optimum_by_subsets,
     single_user,
@@ -113,7 +117,7 @@ def test_oracle_w_cap_orders_correctly() -> None:
         )
         free = optimal_adaptive_value(base)
         assert optimal_adaptive_value(tight, use_W=True) <= free + 1e-12
-        assert optimal_adaptive_value(loose, use_W=True) == pytest.approx(free, abs=1e-12)
+        assert optimal_adaptive_value(loose, use_W=True) == free
 
 
 def test_oracle_dominates_alg2_exactly() -> None:
@@ -126,6 +130,39 @@ def test_oracle_dominates_alg2_exactly() -> None:
             continue
         alg2 = exact_policy_value(inst, lambda world: alg2_execute(inst, order, world))
         assert optimal_adaptive_value(inst) >= alg2 - 1e-9
+
+
+NON_DYADIC = (0.1, 0.2, 0.3, 1.2, 1.4)
+
+
+def _oracle_exactness_instances() -> list[Instance]:
+    """Every size the oracle takes, rows pinned at 0.0 and 1.0, non-dyadic
+    coupon values with B the float sum of two or three of them (equal to,
+    above or below their exact sum), and oracle4-shaped instances."""
+    gen = np.random.default_rng(12)
+    out = []
+    for n, m, K in itertools.product((1, 2, 3, 4), (1, 2, 3), (1, 2)):
+        coupons = np.sort(gen.choice(np.arange(2, 21) / 10.0, size=m, replace=False))
+        rows = [sorted_row(gen, m) for _ in range(n)]
+        if K == 2:
+            rows = [tuple(sorted(gen.choice([0.0, 1.0, p]) for p in row)) for row in rows]
+        out.append(Instance(Graph(n, _random_edges(gen, n, min(n * (n - 1), 3), 0.1, 0.9)), coupons, rows,
+                            K=K, B=round(float(gen.uniform(1.0, 4.0)), 1), W=int(gen.integers(1, n + 1))))
+    for r in (2, 3):
+        for picked in itertools.combinations(NON_DYADIC, r):
+            spare = [c for c in NON_DYADIC if c not in picked]
+            coupons = sorted((*picked, *gen.choice(spare, size=3 - r, replace=False)))
+            rows = [sorted_row(gen, 3) for _ in range(3)]
+            out.append(Instance(Graph(3, _random_edges(gen, 3, 2, 0.1, 0.9)), coupons, rows,
+                                K=2, B=sum(picked), W=int(gen.integers(1, 4))))
+    return out + [oracle4_shaped(seed) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("restricted,use_W", itertools.product((False, True), repeat=2))
+def test_oracle_equals_reference_by_states(restricted: bool, use_W: bool) -> None:
+    for inst in _oracle_exactness_instances():
+        got = optimal_adaptive_value(inst, restricted=restricted, use_W=use_W)
+        assert got == optimal_adaptive_value_by_states(inst, restricted=restricted, use_W=use_W)
 
 
 def test_oracle_size_guard() -> None:
