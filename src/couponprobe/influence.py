@@ -1,13 +1,13 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
 A live-edge realization is an int mask: bit i is set when edge i is live.
-This module owns that representation, its samplers (one realization, or a
-block of them from one array of uniforms) and its one enumerator of
-outcomes.  One vectorized reach kernel computes every node's
-reach over a set of live-edge outcomes at once.  It computes spread exactly,
-over every outcome in the enumerator's order, when the graph is small enough,
-and scores blocks of sampled outcomes: Monte Carlo estimates, marginal
-samples and simulated worlds.  One realization on its own is scored by a search from its seeds.
+This module owns that representation, its one enumerator of outcomes and
+its sampler, which reads a block of outcomes off one array of uniforms.
+One vectorized reach kernel computes every node's reach over a set of
+live-edge outcomes at once.  It computes spread exactly, over every outcome
+in the enumerator's order, when the graph is small enough, and scores
+blocks of sampled outcomes: Monte Carlo estimates, marginal samples and
+simulated worlds.
 """
 
 from __future__ import annotations
@@ -89,14 +89,6 @@ class Graph:
         """singleton_influence_table at its defaults, computed once per graph."""
         return MappingProxyType(singleton_influence_table(self))
 
-    @cached_property
-    def out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node, its out-edges as (edge index, target) pairs."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
-        for i, (u, v, _) in enumerate(self.edges):
-            out[u].append((i, v))
-        return tuple(tuple(row) for row in out)
-
 
 def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
     out = sorted({int(s) for s in seeds})
@@ -104,47 +96,6 @@ def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
         if not 0 <= s < graph.node_count:
             raise ValueError(f"seed {s} is not a node of the graph")
     return out
-
-
-def _reach_mask(graph: Graph, seed_ids: list[int], live_mask: int) -> int:
-    """Bitmask of the nodes reached from the seeds through the live edges."""
-    seen = 0
-    for s in seed_ids:
-        seen |= 1 << s
-    stack = list(seed_ids)
-    out_edges = graph.out_edges
-    while stack:
-        for i, v in out_edges[stack.pop()]:
-            if live_mask >> i & 1 and not seen >> v & 1:
-                seen |= 1 << v
-                stack.append(v)
-    return seen
-
-
-def realized_influence(graph: Graph, seeds: Iterable[int], live_mask: int) -> int:
-    """Number of nodes reached from the seeds through one live-edge realization.
-
-    Bit i of live_mask is set when edge i is live.  The search starts from
-    the seeds alone.
-    """
-    return _reach_mask(graph, _seed_list(graph, seeds), live_mask).bit_count()
-
-
-def sample_live_mask(graph: Graph, rng: np.random.Generator) -> int:
-    """Draw one live-edge realization as an int mask.
-
-    Edges with probability 1 are always live and edges with probability 0
-    never are; one uniform draw per uncertain edge, in edge order, decides
-    the rest.
-    """
-    mask = graph.forced_live_mask
-    unc = graph.uncertain_edges
-    if unc:
-        edges = graph.edges
-        for draw, i in zip(rng.random(len(unc)).tolist(), unc):
-            if draw < edges[i][2]:
-                mask |= 1 << i
-    return mask
 
 
 def live_mask_outcomes(graph: Graph) -> Iterator[tuple[float, int]]:
@@ -268,18 +219,10 @@ def live_edges(graph: Graph, uniforms: np.ndarray) -> np.ndarray:
 
     Row r of uniforms holds one uniform per uncertain edge, in
     uncertain_edges order; an edge is live when its uniform is below its
-    probability, as in sample_live_mask.
+    probability.  Edges of probability 0 or 1 have no column: they are dead
+    or live in every outcome.
     """
     return uniforms < np.array([graph.edges[i][2] for i in graph.uncertain_edges])
-
-
-def live_masks(graph: Graph, live: np.ndarray) -> list[int]:
-    """The int mask of each sampled outcome (a row of live_edges)."""
-    bits = np.zeros((len(live), len(graph.edges)), dtype=bool)
-    bits[:, list(graph.uncertain_edges)] = live
-    forced = graph.forced_live_mask
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [forced | int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _sampled_reach(graph: Graph, live: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:

@@ -1,4 +1,4 @@
-"""Problem instances, sampled worlds, and the mechanics of offering coupons.
+"""Problem instances, actions, and the feasibility rules of a probing run.
 
 A user accepts the first offered coupon whose attractiveness reaches their
 privately drawn threshold.  Thresholds are drawn once per user, so acceptance
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .influence import Graph, InstanceError, sample_live_mask
+from .influence import Graph, InstanceError
 
 COST_MODE_THRESHOLD = "threshold"
 COST_MODE_PAPER = "paper"
@@ -106,25 +106,6 @@ class Instance:
         return len(self.coupons) - 1
 
 
-@dataclass(frozen=True)
-class World:
-    """A fully resolved random state: one threshold per user plus the live
-    edges of the cascade, as an int mask (bit i set when edge i is live)."""
-
-    thresholds: tuple[float, ...]
-    live_mask: int
-
-
-def sample_world(instance: Instance, rng: np.random.Generator) -> World:
-    thresholds = tuple(float(x) for x in rng.random(instance.n_users))
-    return World(thresholds, sample_live_mask(instance.graph, rng))
-
-
-def realize(instance: Instance, world: World, user: int, coupon_index: int) -> bool:
-    """Whether the user accepts this coupon in this world."""
-    return instance.attractiveness[user][coupon_index] >= world.thresholds[user]
-
-
 @dataclass(frozen=True, order=True)
 class ProbeSequence:
     """Coupon indices offered to one user, in strictly increasing order."""
@@ -164,7 +145,6 @@ class PolicyTrace:
     steps: list[ProbeStep] = field(default_factory=list)
     budget_after: list[float] = field(default_factory=list)
     seeds: frozenset[int] = frozenset()
-    note: str | None = None
 
 
 def low_value_coupons(instance: Instance) -> list[int]:
@@ -189,19 +169,15 @@ def build_action_space(instance: Instance) -> list[Action]:
     return [Action(user, seq) for user in range(instance.n_users) for seq in sequences]
 
 
-def expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> float:
-    """Expected amount redeemed when probing one user through one sequence.
+def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> Fraction:
+    """Expected amount redeemed when probing one user through one sequence,
+    as an exact rational.
 
     The threshold mode is exact under the correlated acceptance model: the
     user accepts coupon i (paying c_i) iff their threshold falls in
     (p_{i-1}, p_i].  The paper mode instead compounds independent rejections,
     which is not exact under the model but is kept as a selectable variant.
     """
-    return float(exact_expected_cost(instance, action, mode))
-
-
-def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> Fraction:
-    """expected_cost as an exact rational, for constraint bookkeeping."""
     if mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {mode!r}; expected one of {COST_MODES}")
     row = instance.attractiveness[action.user]
@@ -219,26 +195,6 @@ def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MOD
             total += alive * p * Fraction(instance.coupons[i])
             alive *= 1 - p
     return total
-
-
-def probe_user(
-    instance: Instance, world: World, action: Action, remaining_budget: float
-) -> tuple[float | None, list[ProbeStep]]:
-    """Offer the sequence's coupons in increasing order, stopping at the first accept.
-
-    Returns the redeemed value (None if every offer was declined) and the list
-    of offers made.
-    """
-    if remaining_budget < 0.0:
-        raise ValueError("remaining budget must be non-negative")
-    steps: list[ProbeStep] = []
-    for i in action.sequence.coupon_indices:
-        value = instance.coupons[i]
-        accepted = realize(instance, world, action.user, i)
-        steps.append(ProbeStep(action.user, value, accepted))
-        if accepted:
-            return value, steps
-    return None, steps
 
 
 def check_trace(instance: Instance, trace: PolicyTrace, extended: bool = False) -> list[str]:

@@ -12,9 +12,10 @@ oracle4-shaped instances (4 users, 3 coupons, K = 2; median of 32) a call
 takes about 9 ms over about 1,500 states, 5 ms restricted and under 2 ms
 with the W cap (2-core x86 host, Python 3.11).
 
-Policy values come from exhausting the world space, and the concave
-relaxation from an exact LP over action profiles, at most one action per
-user.  These are the reference points the fast paths are tested against.
+Action-set values, the multilinear and concave extensions and the concave
+relaxation's optimum are exact rationals; the last two come from exact LPs
+over action profiles, at most one action per user.  These are the reference
+points the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -22,25 +23,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Mapping
 
 from . import simplex
-from .influence import _exact_spreads, live_mask_outcomes, realized_influence
-from .model import (
-    Action,
-    Instance,
-    PolicyTrace,
-    World,
-    build_action_space,
-    exact_expected_cost,
-)
+from .influence import _exact_spreads
+from .model import Action, Instance, build_action_space, exact_expected_cost
 
 MAX_ORACLE_USERS = 4
 MAX_ORACLE_COUPONS = 3
 MAX_ORACLE_PROBES = 2
-MAX_ENUM_EDGES = 12
 MAX_LP_COLUMNS = 4096
-MAX_WORLD_CELLS = 2_000_000
 
 
 class OracleSizeError(ValueError):
@@ -127,63 +119,6 @@ def optimal_adaptive_value(
         return value
 
     return best(((0, -1, -1),) * n, 0, budget, 0)
-
-
-def enumerate_worlds(instance: Instance) -> Iterator[tuple[float, World]]:
-    """Yield (probability, world) pairs covering the world space exactly.
-
-    Thresholds only matter through which coupons they admit, so each user
-    contributes one cell per distinct attractiveness interval, represented by
-    the interval's right endpoint.  Cascades are the graph's live-edge
-    outcomes.
-    """
-    unc = instance.graph.uncertain_edges
-    if len(unc) > MAX_ENUM_EDGES:
-        raise OracleSizeError(
-            f"world enumeration handles at most {MAX_ENUM_EDGES} uncertain edges, got {len(unc)}"
-        )
-    user_cells: list[list[tuple[float, float]]] = []
-    for row in instance.attractiveness:
-        breaks = sorted({p for p in row if p > 0.0})
-        cells = []
-        prev = 0.0
-        for b in breaks:
-            cells.append((b - prev, b))
-            prev = b
-        if prev < 1.0:
-            cells.append((1.0 - prev, 1.0))
-        user_cells.append(cells)
-
-    total_cells = 1
-    for cells in user_cells:
-        total_cells *= len(cells)
-    total_cells *= 1 << len(unc)
-    if total_cells > MAX_WORLD_CELLS:
-        raise OracleSizeError(f"world enumeration would need {total_cells} cells")
-
-    cascades = [(w, mask) for w, mask in live_mask_outcomes(instance.graph) if w > 0.0]
-
-    for combo in itertools.product(*user_cells):
-        t_weight = 1.0
-        thresholds = []
-        for w, rep in combo:
-            t_weight *= w
-            thresholds.append(rep)
-        if t_weight == 0.0:
-            continue
-        for c_weight, mask in cascades:
-            yield t_weight * c_weight, World(tuple(thresholds), mask)
-
-
-def exact_policy_value(
-    instance: Instance, trace_generator: Callable[[World], PolicyTrace]
-) -> float:
-    """Exact expected spread of a deterministic-per-world policy."""
-    total = 0.0
-    for weight, world in enumerate_worlds(instance):
-        trace = trace_generator(world)
-        total += weight * realized_influence(instance.graph, trace.seeds, world.live_mask)
-    return total
 
 
 def _spread_table(instance: Instance, users: Collection[int]) -> dict[int, float]:

@@ -25,16 +25,14 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import simplex
-from .influence import BLOCK, _sampled_reach, _seeded_union, live_edges, realized_influence
+from .influence import BLOCK, _sampled_reach, _seeded_union, live_edges
 from .model import (
     COST_MODE_THRESHOLD,
     COST_MODES,
     Action,
     Instance,
-    World,
     build_action_space,
     exact_expected_cost,
-    realize,
 )
 from .simplex import ONE, ZERO
 
@@ -122,23 +120,6 @@ def check_fractional(y: Mapping[Action, Fraction]) -> None:
             raise ValueError(f"user {user} carries fractional mass {mass} > 1")
 
 
-def action_set_utility(instance: Instance, actions: Iterable[Action], world: World) -> int:
-    """Realized spread when the given actions are all probed in one world.
-
-    A user seeds iff their threshold is met by the best coupon any of their
-    actions would offer; the budget is deliberately not consulted here.
-    """
-    best: dict[int, int] = {}
-    for action in actions:
-        top = action.sequence.coupon_indices[-1]
-        if best.get(action.user, -1) < top:
-            best[action.user] = top
-    seeds = [v for v, idx in best.items() if realize(instance, world, v, idx)]
-    if not seeds:
-        return 0
-    return realized_influence(instance.graph, seeds, world.live_mask)
-
-
 def estimate_marginals(
     instance: Instance,
     y: Mapping[Action, Fraction],
@@ -154,13 +135,14 @@ def estimate_marginals(
     sample s depends only on (rng_seed, iteration, s).  Within a sample the
     same world and the same random base set serve every action, so the
     estimates share their noise.  Each sample adds, for every action outside
-    the base set, its gain action_set_utility(base + [action]) -
-    action_set_utility(base).  A user is seeded when the best top coupon
-    among their present actions meets their threshold.  Attractiveness rows
-    are non-decreasing, so an action's gain is zero unless it would newly
-    seed its user, and then it is what that user's reach adds to the union of
-    the seeded users' reach: one reach-kernel pass per block gives every
-    sample's union and every user's gain.  Marginals are therefore
+    the base set, the realized spread of the base set with the action less
+    that of the base set alone.  A user is seeded when the best top coupon
+    among their present actions meets their threshold; the budget is not
+    consulted.  Attractiveness rows are non-decreasing, so an action's gain
+    is zero unless it would newly seed its user, and then it is what that
+    user's reach adds to the union of the seeded users' reach: one
+    reach-kernel pass per block gives every sample's union and every user's
+    gain.  Marginals are therefore
     non-negative sample by sample.
     """
     actions = list(y)

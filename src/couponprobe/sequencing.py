@@ -15,17 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import BLOCK, _seed_list, live_edges, live_masks, sampled_spreads
-from .model import (
-    Instance,
-    PolicyTrace,
-    ProbeStep,
-    World,
-    check_steps,
-    check_trace,
-    low_value_coupons,
-    realize,
-)
+from .influence import BLOCK, live_edges, sampled_spreads
+from .model import Instance, Steps, check_steps, low_value_coupons
 from .relaxation import RelaxationConfig
 from .rounding import ROUNDING_DRAWS, Alg1Policy
 
@@ -119,27 +110,6 @@ def alg2_value(instance: Instance, order: ProbeOrder, singleton_table: Mapping[i
     probs = [instance.attractiveness[v][order.coupon_index] for v in order.users]
     influences = [singleton_table[v] for v in order.users]
     return float(first_accept_value(probs, influences))
-
-
-def alg2_execute(instance: Instance, order: ProbeOrder, world: World) -> PolicyTrace:
-    """Run a probe order in a world, stopping at (and seeding) the first accept."""
-    value = instance.coupons[order.coupon_index]
-    if value > instance.B:
-        raise ValueError(f"coupon value {value} exceeds the budget {instance.B}")
-    if instance.K < 1:
-        raise ValueError("probing requires K >= 1")
-    trace = PolicyTrace()
-    budget = instance.B
-    for v in order.users:
-        accepted = realize(instance, world, v, order.coupon_index)
-        trace.steps.append(ProbeStep(v, value, accepted))
-        if accepted:
-            budget -= value
-            trace.budget_after.append(budget)
-            trace.seeds = frozenset([v])
-            return trace
-        trace.budget_after.append(budget)
-    return trace
 
 
 def alg2_dp(
@@ -244,7 +214,8 @@ class PolicyEvaluation:
 def evaluate_policy(
     instance: Instance, policy, worlds: int, rng_seed: int = 0
 ) -> PolicyEvaluation:
-    """Mean realized spread of a policy over independent worlds.
+    """Mean realized spread of an Alg1Policy, Alg2Policy or StochCpPolicy
+    over independent worlds; any other policy raises TypeError.
 
     Worlds are drawn in blocks of BLOCK: block b draws every user threshold
     and every uncertain-edge uniform of its worlds in one call on a stream
@@ -258,10 +229,8 @@ def evaluate_policy(
     i % BLOCK of its block's rounding draws: ROUNDING_DRAWS uniforms per
     action, drawn on a stream keyed by (rng_seed, b, 1) for every row of the
     block, whatever the coin says, so this too depends only on (rng_seed, i).
-    A plain callable runs generate(world, rng) world by world with
-    rng = [rng_seed, i, 1], a seed for its own generator.  Every world of a
-    block is then scored in one reach-kernel pass and checked for
-    feasibility (see _simulate).
+    Every world of a block is then scored in one reach-kernel pass and
+    checked for feasibility by check_steps (see _simulate).
     """
     if worlds < 1:
         raise ValueError("worlds must be positive")
@@ -290,20 +259,19 @@ def evaluate_policy(
 
 def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     """Per block of worlds, in order: each world's realized spread (int64),
-    the number of infeasible runs and the count of each run's note.
+    the number of infeasible runs and the count of each branch taken.
 
     Each world's seeds fill its column of a bool (n, rows) seed matrix that
-    one sampled_spreads call scores.  An alg2 world's trace, and so its
-    verdict, depends only on its first accept's position in the order.  alg1
-    worlds are run a chunk of rows at a time (Alg1Policy.chunk_rows); the
-    chunks split the draws of the block's one generator in order, so they
-    change no draw, and check_steps gives every run its verdict.
+    one sampled_spreads call scores.  An alg2 world's run, and so its
+    verdict, depends only on its first accept's position in the order, so
+    check_steps judges each position once per evaluation.  alg1 worlds are
+    run a chunk of rows at a time (Alg1Policy.chunk_rows); the chunks split
+    the draws of the block's one generator in order, so they change no draw,
+    and check_steps gives every run its verdict.
     """
     graph = instance.graph
     n = instance.n_users
-    extended = getattr(policy, "extended", False)
     stoch = isinstance(policy, StochCpPolicy)
-    generate = None  # a plain callable's, run world by world
     if stoch:
         alg1, alg2 = policy.branch_alg1, policy.branch_alg2
     elif isinstance(policy, Alg1Policy):
@@ -311,11 +279,13 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     elif isinstance(policy, Alg2Policy):
         alg1, alg2 = None, policy
     else:
-        alg1, alg2, generate = None, None, getattr(policy, "generate", policy)
+        raise TypeError(
+            f"evaluate_policy takes an Alg1Policy, Alg2Policy or StochCpPolicy, not {type(policy).__name__}"
+        )
     if alg2 is not None:
         users = np.array(alg2.order.users, dtype=np.intp)
         accept_at = np.array([instance.attractiveness[v][alg2.order.coupon_index] for v in alg2.order.users])
-        bad_at = _position_verdicts(instance, alg2.order, extended)
+        bad_at = _position_verdicts(instance, alg2.order, policy.extended)
     for b, start in enumerate(range(0, worlds, BLOCK)):
         rows = min(BLOCK, worlds - start)
         draws = np.random.default_rng([rng_seed, b, 0]).random((rows, n + len(graph.uncertain_edges)))
@@ -338,17 +308,7 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
             if stoch:
                 notes["alg2"] = len(in_block)
         picked = np.flatnonzero(singly)
-        if generate is not None:
-            for r, mask in zip(picked.tolist(), live_masks(graph, live[singly])):
-                trace = generate(World(tuple(thresholds[r].tolist()), mask), [rng_seed, start + r, 1])
-                # item by item: a fancy index would cost about 3 us per world
-                for v in _seed_list(graph, trace.seeds):
-                    seeded[v, r] = True
-                if check_trace(instance, trace, extended=extended):
-                    bad += 1
-                if trace.note:
-                    notes[trace.note] = notes.get(trace.note, 0) + 1
-        elif alg1 is not None and len(picked):
+        if len(picked):
             if alg1.vacuous:
                 notes["alg1-vacuous"] = len(picked)
             else:
@@ -379,14 +339,20 @@ def _alg1_block(instance: Instance, policy: Alg1Policy, thresholds, singly, seed
 
 
 def _position_verdicts(instance: Instance, order: ProbeOrder, extended: bool) -> np.ndarray:
-    """Whether check_trace flags alg2_execute's trace at each first-accept
-    position (the last entry: nobody accepts), run in a world where only that
-    position's user accepts: every threshold is 2.0 but theirs, 0.0."""
-    verdicts = []
-    for k in range(len(order.users) + 1):
-        thresholds = [2.0] * instance.n_users
-        if k < len(order.users):
-            thresholds[order.users[k]] = 0.0
-        trace = alg2_execute(instance, order, World(tuple(thresholds), 0))
-        verdicts.append(bool(check_trace(instance, trace, extended=extended)))
-    return np.array(verdicts)
+    """Whether check_steps flags the run of the order that first accepts at
+    each position: row k of one Steps block offers the order's coupon to the
+    users at positions 0..k, once each, and only the last of them accepts;
+    the extra last row offers it to every user and nobody accepts."""
+    users = np.array(order.users, dtype=np.intp)
+    rows = np.arange(len(users) + 1)[:, None]
+    probed = np.arange(len(users)) <= rows
+    accepted = np.arange(len(users)) == rows
+    seeded = np.zeros((instance.n_users, len(rows)), dtype=bool)
+    seeded[users, np.arange(len(users))] = True
+    steps = Steps(
+        user=np.where(probed, users, -1),
+        offers=np.where(probed, order.coupon_index, -1)[:, :, None],
+        accepted=accepted,
+        spend=np.where(accepted, instance.coupons[order.coupon_index], 0.0),
+    )
+    return check_steps(instance, steps, seeded, extended)

@@ -1,10 +1,12 @@
 """Shared instance builders and tiny exact oracles for the test suite."""
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -12,10 +14,9 @@ from couponprobe import simplex
 from couponprobe.influence import (
     BLOCK,
     Graph,
-    _reach_mask,
+    _seed_list,
     influence_exact,
     live_mask_outcomes,
-    realized_influence,
 )
 from couponprobe.model import (
     COST_MODE_THRESHOLD,
@@ -24,21 +25,18 @@ from couponprobe.model import (
     PolicyTrace,
     ProbeStep,
     Steps,
-    World,
     build_action_space,
     check_trace,
     exact_expected_cost,
-    probe_user,
-    realize,
 )
-from couponprobe.oracle import _spread_table, conditional_accept
-from couponprobe.relaxation import RelaxationConfig, action_set_utility
+from couponprobe.oracle import OracleSizeError, _spread_table, conditional_accept
+from couponprobe.relaxation import RelaxationConfig
 from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
     PolicyEvaluation,
+    ProbeOrder,
     StochCpPolicy,
-    alg2_execute,
     first_accept_value,
 )
 
@@ -73,6 +71,260 @@ def wide_graph() -> Graph:
     edges += [(63, 64, 0.5), (127, 128, 0.3), (1, 2, 0.6), (64, 0, 0.25), (5, 100, 0.9),
               (100, 127, 0.4), (129, 7, 0.7), (66, 65, 0.0), (128, 3, 0.35)]
     return Graph(node_count=130, edges=tuple(edges))
+
+
+# ------------------------------------------------------ one world at a time
+#
+# The package simulates worlds only in blocks.  These are the per-world forms
+# that tests hold the block code against, and that acceptance criteria 07 and
+# 10 draw their numbers from.
+
+
+@dataclass(frozen=True)
+class World:
+    """A fully resolved random state: one threshold per user plus the live
+    edges of the cascade, as an int mask (bit i set when edge i is live)."""
+
+    thresholds: tuple[float, ...]
+    live_mask: int
+
+
+def sample_live_mask(graph: Graph, rng: np.random.Generator) -> int:
+    """Draw one live-edge realization as an int mask.
+
+    Edges with probability 1 are always live and edges with probability 0
+    never are; one uniform draw per uncertain edge, in edge order, decides
+    the rest.
+    """
+    mask = graph.forced_live_mask
+    unc = graph.uncertain_edges
+    if unc:
+        edges = graph.edges
+        for draw, i in zip(rng.random(len(unc)).tolist(), unc):
+            if draw < edges[i][2]:
+                mask |= 1 << i
+    return mask
+
+
+@functools.lru_cache(maxsize=None)
+def _out_edges(graph: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per node, its out-edges as (edge index, target) pairs."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(graph.node_count)]
+    for i, (u, v, _) in enumerate(graph.edges):
+        out[u].append((i, v))
+    return tuple(tuple(row) for row in out)
+
+
+def _reach_mask(graph: Graph, seed_ids: list[int], live_mask: int) -> int:
+    """Bitmask of the nodes reached from the seeds through the live edges."""
+    seen = 0
+    for s in seed_ids:
+        seen |= 1 << s
+    stack = list(seed_ids)
+    out_edges = _out_edges(graph)
+    while stack:
+        for i, v in out_edges[stack.pop()]:
+            if live_mask >> i & 1 and not seen >> v & 1:
+                seen |= 1 << v
+                stack.append(v)
+    return seen
+
+
+def realized_influence(graph: Graph, seeds: Iterable[int], live_mask: int) -> int:
+    """Number of nodes reached from the seeds through one live-edge realization.
+
+    Bit i of live_mask is set when edge i is live.  The search starts from
+    the seeds alone.
+    """
+    return _reach_mask(graph, _seed_list(graph, seeds), live_mask).bit_count()
+
+
+def sample_world(instance: Instance, rng: np.random.Generator) -> World:
+    thresholds = tuple(float(x) for x in rng.random(instance.n_users))
+    return World(thresholds, sample_live_mask(instance.graph, rng))
+
+
+def realize(instance: Instance, world: World, user: int, coupon_index: int) -> bool:
+    """Whether the user accepts this coupon in this world."""
+    return instance.attractiveness[user][coupon_index] >= world.thresholds[user]
+
+
+def expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> float:
+    """Expected amount redeemed when probing one user through one sequence.
+
+    The threshold mode is exact under the correlated acceptance model: the
+    user accepts coupon i (paying c_i) iff their threshold falls in
+    (p_{i-1}, p_i].  The paper mode instead compounds independent rejections,
+    which is not exact under the model but is kept as a selectable variant.
+    """
+    return float(exact_expected_cost(instance, action, mode))
+
+
+def probe_user(
+    instance: Instance, world: World, action: Action, remaining_budget: float
+) -> tuple[float | None, list[ProbeStep]]:
+    """Offer the sequence's coupons in increasing order, stopping at the first accept.
+
+    Returns the redeemed value (None if every offer was declined) and the list
+    of offers made.
+    """
+    if remaining_budget < 0.0:
+        raise ValueError("remaining budget must be non-negative")
+    steps: list[ProbeStep] = []
+    for i in action.sequence.coupon_indices:
+        value = instance.coupons[i]
+        accepted = realize(instance, world, action.user, i)
+        steps.append(ProbeStep(action.user, value, accepted))
+        if accepted:
+            return value, steps
+    return None, steps
+
+
+def action_set_utility(instance: Instance, actions: Iterable[Action], world: World) -> int:
+    """Realized spread when the given actions are all probed in one world.
+
+    A user seeds iff their threshold is met by the best coupon any of their
+    actions would offer; the budget is deliberately not consulted here.
+    """
+    best: dict[int, int] = {}
+    for action in actions:
+        top = action.sequence.coupon_indices[-1]
+        if best.get(action.user, -1) < top:
+            best[action.user] = top
+    seeds = [v for v, idx in best.items() if realize(instance, world, v, idx)]
+    if not seeds:
+        return 0
+    return realized_influence(instance.graph, seeds, world.live_mask)
+
+
+MAX_ENUM_EDGES = 12
+MAX_WORLD_CELLS = 2_000_000
+
+
+def enumerate_worlds(instance: Instance) -> Iterator[tuple[float, World]]:
+    """Yield (probability, world) pairs covering the world space exactly.
+
+    Thresholds only matter through which coupons they admit, so each user
+    contributes one cell per distinct attractiveness interval, represented by
+    the interval's right endpoint.  Cascades are the graph's live-edge
+    outcomes.
+    """
+    unc = instance.graph.uncertain_edges
+    if len(unc) > MAX_ENUM_EDGES:
+        raise OracleSizeError(
+            f"world enumeration handles at most {MAX_ENUM_EDGES} uncertain edges, got {len(unc)}"
+        )
+    user_cells: list[list[tuple[float, float]]] = []
+    for row in instance.attractiveness:
+        breaks = sorted({p for p in row if p > 0.0})
+        cells = []
+        prev = 0.0
+        for b in breaks:
+            cells.append((b - prev, b))
+            prev = b
+        if prev < 1.0:
+            cells.append((1.0 - prev, 1.0))
+        user_cells.append(cells)
+
+    total_cells = 1
+    for cells in user_cells:
+        total_cells *= len(cells)
+    total_cells *= 1 << len(unc)
+    if total_cells > MAX_WORLD_CELLS:
+        raise OracleSizeError(f"world enumeration would need {total_cells} cells")
+
+    cascades = [(w, mask) for w, mask in live_mask_outcomes(instance.graph) if w > 0.0]
+
+    for combo in itertools.product(*user_cells):
+        t_weight = 1.0
+        thresholds = []
+        for w, rep in combo:
+            t_weight *= w
+            thresholds.append(rep)
+        if t_weight == 0.0:
+            continue
+        for c_weight, mask in cascades:
+            yield t_weight * c_weight, World(tuple(thresholds), mask)
+
+
+def exact_policy_value(
+    instance: Instance, trace_generator: Callable[[World], PolicyTrace]
+) -> float:
+    """Exact expected spread of a deterministic-per-world policy."""
+    total = 0.0
+    for weight, world in enumerate_worlds(instance):
+        trace = trace_generator(world)
+        total += weight * realized_influence(instance.graph, trace.seeds, world.live_mask)
+    return total
+
+
+def independent_round(y: Mapping[Action, float], rng) -> frozenset[Action]:
+    """Include each action independently with probability equal to its mass.
+
+    One uniform draw per action, in y's iteration order.  y is taken as
+    already checked (continuous_greedy checks its output).
+    """
+    draws = np.random.default_rng(rng).random(len(y)).tolist()
+    return frozenset(action for (action, p), u in zip(y.items(), draws) if u < p)
+
+
+def contention_resolve(
+    raw: Collection[Action],
+    matroids: str = "one",
+    W: int | None = None,
+    rng=0,
+) -> frozenset[Action]:
+    """Drop actions until the survivors are independent in every constraint matroid.
+
+    Per user, one uniformly random contender survives.  In two-matroid mode an
+    independent uniform choice keeps at most W of the raw actions, and an
+    action must be kept by both rules.  Both rules retain any element less
+    often as the raw set grows, which is what makes their guarantees compose.
+    """
+    if matroids not in ("one", "two"):
+        raise ValueError("matroids must be 'one' or 'two'")
+    gen = np.random.default_rng(rng)
+
+    ordered = sorted(raw)
+    by_user: dict[int, list[Action]] = {}
+    for action in ordered:
+        by_user.setdefault(action.user, []).append(action)
+    survivors: set[Action] = set()
+    for group in by_user.values():  # ascending user, as ordered is sorted
+        survivors.add(group[gen.integers(len(group))] if len(group) > 1 else group[0])
+
+    if matroids == "two":
+        if W is None:
+            raise ValueError("two-matroid resolution needs W")
+        if len(ordered) > W:
+            idx = gen.choice(len(ordered), size=W, replace=False)
+            kept = {ordered[i] for i in idx}
+        else:
+            kept = set(ordered)
+        survivors &= kept
+
+    return frozenset(survivors)
+
+
+def alg2_execute(instance: Instance, order: ProbeOrder, world: World) -> PolicyTrace:
+    """Run a probe order in a world, stopping at (and seeding) the first accept."""
+    value = instance.coupons[order.coupon_index]
+    if value > instance.B:
+        raise ValueError(f"coupon value {value} exceeds the budget {instance.B}")
+    if instance.K < 1:
+        raise ValueError("probing requires K >= 1")
+    trace = PolicyTrace()
+    budget = instance.B
+    for v in order.users:
+        accepted = realize(instance, world, v, order.coupon_index)
+        trace.steps.append(ProbeStep(v, value, accepted))
+        if accepted:
+            budget -= value
+            trace.budget_after.append(budget)
+            trace.seeds = frozenset([v])
+            return trace
+        trace.budget_after.append(budget)
+    return trace
 
 
 def make_world(thresholds, live_mask: int = 0) -> World:
@@ -598,9 +850,10 @@ def alg1_trace(policy, world: World, draws) -> PolicyTrace:
     smallest contention key, in two-matroid mode only those among the W
     smallest W keys of all present actions, then probe_user in ascending
     order key while at least half the budget is left.  Ties go to the lower
-    action index, as the stable sorts give it."""
+    action index, as the stable sorts give it.  A vacuous policy probes
+    nobody."""
     if policy.vacuous:
-        return PolicyTrace(note="alg1-vacuous")
+        return PolicyTrace()
     instance = policy.instance
     presence, contend, w_keys, order_keys = draws
     actions = list(policy.fractional)
@@ -651,18 +904,16 @@ def evaluate_world_by_world(
     instance: Instance, policy, worlds: int, rng_seed: int, check=check_trace
 ) -> tuple[list[int], PolicyEvaluation]:
     """Reference for evaluate_policy: the same worlds and policy streams,
-    each world run through alg2_execute, alg1_trace (or a plain callable),
-    realized_influence and check, and summed as `total += value`.
+    each world run through alg2_execute or alg1_trace, realized_influence
+    and check, and summed as `total += value`.
 
     Returns every world's spread and the evaluation.  stoch-cp's coin for
     world i is row i % BLOCK of its block's draws keyed by (rng_seed, block,
-    2); alg1 worlds read their rounding_draws, and a plain callable's
-    randomness is seeded by [rng_seed, i, 1].
+    2), and alg1 worlds read their rounding_draws.
     """
     coins: list[float] = []
     for b, start in enumerate(range(0, worlds, BLOCK)):
         coins += np.random.default_rng([rng_seed, b, 2]).random(min(BLOCK, worlds - start)).tolist()
-    extended = getattr(policy, "extended", False)
     alg1 = policy.branch_alg1 if isinstance(policy, StochCpPolicy) else policy
     if isinstance(alg1, Alg1Policy) and not alg1.vacuous:
         draws = rounding_draws(alg1, worlds, rng_seed)
@@ -671,27 +922,25 @@ def evaluate_world_by_world(
     violations = 0
     branch_counts: dict[str, int] = {}
     for i, world in enumerate(block_worlds(instance, worlds, rng_seed)):
+        note = None
         if isinstance(policy, StochCpPolicy):
             if coins[i] < policy.alg1_weight:
-                trace = alg1_trace(alg1, world, draws[i])
-                trace.note = "alg1"
+                trace, note = alg1_trace(alg1, world, draws[i]), "alg1"
             else:
-                trace = alg2_execute(instance, policy.branch_alg2.order, world)
-                trace.note = "alg2"
+                trace, note = alg2_execute(instance, policy.branch_alg2.order, world), "alg2"
         elif isinstance(policy, Alg2Policy):
             trace = alg2_execute(instance, policy.order, world)
-        elif isinstance(policy, Alg1Policy):
-            trace = alg1_trace(policy, world, None if policy.vacuous else draws[i])
         else:
-            trace = getattr(policy, "generate", policy)(world, [rng_seed, i, 1])
+            trace = alg1_trace(policy, world, None if policy.vacuous else draws[i])
+            note = "alg1-vacuous" if policy.vacuous else None
         value = realized_influence(instance.graph, trace.seeds, world.live_mask)
         values.append(value)
         total += value
         total_sq += value * value
-        if check(instance, trace, extended=extended):
+        if check(instance, trace, extended=policy.extended):
             violations += 1
-        if trace.note:
-            branch_counts[trace.note] = branch_counts.get(trace.note, 0) + 1
+        if note:
+            branch_counts[note] = branch_counts.get(note, 0) + 1
     mean = total / worlds
     var = max(0.0, total_sq / worlds - mean * mean)
     return values, PolicyEvaluation(

@@ -29,9 +29,6 @@ from couponprobe.model import (
     ProbeSequence,
     build_action_space,
     exact_expected_cost,
-    expected_cost,
-    probe_user,
-    sample_world,
 )
 from couponprobe.oracle import (
     concave_extension_exact,
@@ -46,7 +43,6 @@ from couponprobe.relaxation import (
     solve_lp,
     user_mass,
 )
-from couponprobe.rounding import contention_resolve, independent_round
 from couponprobe.sequencing import (
     Alg2Policy,
     StochCpPolicy,
@@ -58,9 +54,14 @@ from couponprobe.sequencing import (
 )
 
 from helpers import (
+    contention_resolve,
     dp_brute_force,
+    expected_cost,
+    independent_round,
     mirror_lp,
+    probe_user,
     random_tiny_instance,
+    sample_world,
     sorted_row,
     threshold_cost,
     uniform_instance,

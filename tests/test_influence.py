@@ -13,12 +13,19 @@ from couponprobe.influence import (
     influence_exact,
     influence_mc_stats,
     live_mask_outcomes,
-    realized_influence,
-    sample_live_mask,
     singleton_influence_table,
 )
 
-from helpers import edgeless, exact_spreads_by_mask, mixed_graph, reach_masks, sim16_shaped_graph, wide_graph
+from helpers import (
+    edgeless,
+    exact_spreads_by_mask,
+    mixed_graph,
+    reach_masks,
+    realized_influence,
+    sample_live_mask,
+    sim16_shaped_graph,
+    wide_graph,
+)
 
 
 def test_single_edge_half() -> None:

@@ -14,14 +14,19 @@ from couponprobe.model import (
     build_action_space,
     check_trace,
     exact_expected_cost,
-    expected_cost,
     low_value_coupons,
-    probe_user,
-    realize,
-    sample_world,
 )
 
-from helpers import make_world, run_fixed_plan, single_user, uniform_instance
+from helpers import (
+    expected_cost,
+    make_world,
+    probe_user,
+    realize,
+    run_fixed_plan,
+    sample_world,
+    single_user,
+    uniform_instance,
+)
 
 
 def _act(user: int, *indices: int) -> Action:

@@ -21,19 +21,20 @@ from couponprobe.oracle import (
     concave_extension_exact,
     concave_relaxation_optimum,
     conditional_accept,
-    enumerate_worlds,
     exact_action_set_value,
     exact_action_set_value_frac,
-    exact_policy_value,
     multilinear_value_exact,
     optimal_adaptive_value,
 )
 from couponprobe.relaxation import RelaxationConfig, continuous_greedy
-from couponprobe.sequencing import Alg2Policy, alg2_execute, alg2_plan, alg2_value, evaluate_policy
+from couponprobe.sequencing import Alg2Policy, alg2_plan, alg2_value, evaluate_policy
 
 from helpers import (
     _random_edges,
+    alg2_execute,
     concave_extension_by_subsets,
+    enumerate_worlds,
+    exact_policy_value,
     multilinear_by_subsets,
     optimal_adaptive_value_by_states,
     oracle4_shaped,

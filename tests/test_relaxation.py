@@ -16,7 +16,6 @@ from couponprobe.relaxation import (
     _integer_costs,
     _integer_weights,
     _unique_knapsack_optimum,
-    action_set_utility,
     check_fractional,
     continuous_greedy,
     default_beta_basic,
@@ -26,6 +25,7 @@ from couponprobe.relaxation import (
 )
 
 from helpers import (
+    action_set_utility,
     knapsack_optimum_by_fractions,
     make_world,
     marginals_by_utility,

@@ -2,33 +2,30 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from couponprobe import rounding
 from couponprobe.model import (
     Action,
     ProbeSequence,
     Steps,
-    World,
     build_action_space,
     check_steps,
     check_trace,
-    expected_cost,
     low_value_coupons,
-    sample_world,
 )
 from couponprobe.relaxation import RelaxationConfig
-from couponprobe.rounding import (
-    ROUNDING_DRAWS,
-    Alg1Policy,
-    contention_resolve,
-    execute_probe_set,
-    independent_round,
-)
+from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
+from couponprobe.sequencing import evaluate_policy
 
 from helpers import (
     alg1_trace,
+    contention_resolve,
+    expected_cost,
+    independent_round,
     make_world,
     oracle4_shaped,
     random_tiny_instance,
@@ -133,61 +130,62 @@ def test_resolve_survival_rate_smoke() -> None:
         assert survived[a] / included[a] >= (1 - beta) - 0.02
 
 
-# --------------------------------------------------------- execute_probe_set
+# ------------------------------------------------- the gated execution
+
+
+def _planned(inst, y, extended=False) -> Alg1Policy:
+    """An Alg1Policy that rounds y, given over build_action_space(inst) in
+    its order, in place of the continuous greedy's plan."""
+    with mock.patch.object(rounding, "continuous_greedy", lambda *args, **kwargs: y):
+        return Alg1Policy(inst, RelaxationConfig(), extended=extended)
+
+
+def _run(policy: Alg1Policy, thresholds, gen):
+    """run_block on these thresholds with fresh uniforms from gen: the
+    present actions, the survivors, the Steps and their seed matrix."""
+    uniforms = gen.random((len(thresholds), ROUNDING_DRAWS, len(policy.fractional)))
+    present, chosen, steps = policy.run_block(np.asarray(thresholds, dtype=float), uniforms)
+    return present, chosen, steps, seeded_by(steps, policy.instance.n_users)
 
 
 def test_execute_empty_set() -> None:
     inst = single_user(0.5, coupon=1.0, B=3.0)
-    trace = execute_probe_set(inst, frozenset(), make_world([0.4]), order_seed=0)
-    assert trace.steps == []
-    assert trace.seeds == frozenset()
-    assert check_trace(inst, trace) == []
-
-
-def test_execute_refuses_high_value_coupons() -> None:
-    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=3.0)
-    with pytest.raises(ValueError):
-        execute_probe_set(inst, frozenset({_act(0, 1)}), make_world([0.4]), order_seed=0)
-
-
-def test_execute_requires_resolved_stage() -> None:
-    # two actions for one user is a raw set that contention never resolved
-    inst = uniform_instance(1, (1.0, 1.4), ((0.5, 0.8),), K=2, B=3.0)
-    raw = frozenset({_act(0, 0), _act(0, 1)})
-    with pytest.raises(ValueError):
-        execute_probe_set(inst, raw, make_world([0.4]), order_seed=0)
+    policy = _planned(inst, {_act(0, 0): F(1, 2)})
+    # presence uniforms of 1.0 are never below y: nothing is present
+    present, chosen, steps = policy.run_block(np.full((1, 1), 0.4), np.ones((1, ROUNDING_DRAWS, 1)))
+    assert not present.any() and (chosen == -1).all()
+    assert steps.user.shape == (1, 0)
+    seeded = seeded_by(steps, 1)
+    assert not seeded.any()
+    assert not check_steps(inst, steps, seeded).any()
+    assert check_trace(inst, steps_trace(inst, steps, seeded, 0)) == []
 
 
 def test_execute_budget_gate_discards_without_probing() -> None:
     # three always-accepting users at 1.4 each against budget 3: after two
     # redemptions the remaining 0.2 is below B/2, so one user is never offered
     inst = uniform_instance(3, (1.4,), ((1.0,),) * 3, K=1, B=3.0)
-    resolved = frozenset(_act(v, 0) for v in range(3))
-    world = make_world([0.5, 0.5, 0.5])
-    trace = execute_probe_set(inst, resolved, world, order_seed=11)
-    assert sum(1 for s in trace.steps if s.accepted) == 2
-    assert len(trace.seeds) == 2
-    probed = {s.user for s in trace.steps}
-    assert len(probed) == 2  # the third user saw no offer at all
-    assert trace.budget_after[-1] == pytest.approx(3.0 - 2.8)
-    assert check_trace(inst, trace) == []
+    policy = _planned(inst, {_act(v, 0): F(1) for v in range(3)})
+    present, chosen, steps, seeded = _run(policy, np.full((20, 3), 0.5), np.random.default_rng(11))
+    assert present.all() and (chosen >= 0).all()  # every user's action survives contention
+    assert (steps.accepted.sum(axis=1) == 2).all()
+    assert (seeded.sum(axis=0) == 2).all()
+    assert ((steps.user >= 0).sum(axis=1) == 2).all()  # the third user saw no offer at all
+    assert steps.spend.sum(axis=1) == pytest.approx([2.8] * 20)
+    assert not check_steps(inst, steps, seeded).any()
 
 
 def test_execute_never_overspends_on_random_runs() -> None:
-    gen = np.random.default_rng(23)
     inst = uniform_instance(
         4, (1.0, 1.4), (
             (0.3, 0.6), (0.5, 0.9), (0.2, 0.4), (0.7, 0.8),
         ), K=2, B=3.0,
     )
-    actions = build_action_space(inst)
-    for trial in range(300):
-        y = {a: F(1, 16) for a in actions}
-        raw = independent_round(y, gen)
-        resolved = contention_resolve(raw, matroids="one", rng=gen)
-        world = sample_world(inst, gen)
-        trace = execute_probe_set(inst, resolved, world, order_seed=gen)
-        assert check_trace(inst, trace) == []
+    policy = _planned(inst, {a: F(1, 16) for a in build_action_space(inst)})
+    gen = np.random.default_rng(23)
+    _, _, steps, seeded = _run(policy, gen.random((300, 4)), gen)
+    assert (steps.spend.sum(axis=1) <= inst.B).all()
+    assert not check_steps(inst, steps, seeded).any()
 
 
 def test_budget_gate_discard_probability_markov_bound() -> None:
@@ -199,20 +197,11 @@ def test_budget_gate_discard_probability_markov_bound() -> None:
     # b = 1.4 per action; 3 * y * 1.4 <= beta * 3 needs y <= beta/1.4
     y_val = F(15, 100)
     assert 3 * y_val * F(1.4) <= F(beta) * F(3.0)
-    y = {a: y_val for a in actions}
+    policy = _planned(inst, {a: y_val for a in actions})
     gen = np.random.default_rng(31)
-    resolved_count = 0
-    discarded = 0
-    for _ in range(10_000):
-        raw = independent_round(y, gen)
-        resolved = contention_resolve(raw, matroids="one", rng=gen)
-        world = sample_world(inst, gen)
-        trace = execute_probe_set(inst, resolved, world, order_seed=gen)
-        probed = {s.user for s in trace.steps}
-        for a in resolved:
-            resolved_count += 1
-            if a.user not in probed:
-                discarded += 1
+    _, chosen, steps, _ = _run(policy, gen.random((10_000, 3)), gen)
+    resolved_count = int((chosen >= 0).sum())
+    discarded = resolved_count - int((steps.user >= 0).sum())
     assert resolved_count > 0
     assert discarded / resolved_count <= 2 * beta + 0.02
 
@@ -224,9 +213,9 @@ def test_alg1_vacuous_without_low_coupons() -> None:
     inst = uniform_instance(2, (2.0,), ((0.5,), (0.5,)), K=1, B=3.0)
     policy = Alg1Policy(inst, RelaxationConfig(marginal_samples=50))
     assert policy.vacuous
-    trace = policy.generate(make_world([0.5, 0.5]), rng=0)
-    assert trace.steps == []
-    assert trace.note == "alg1-vacuous"
+    result = evaluate_policy(inst, policy, worlds=100, rng_seed=0)
+    assert (result.mean, result.violations) == (0.0, 0)
+    assert result.branch_counts == {"alg1-vacuous": 100}
 
 
 def test_alg1_seeds_both_users_when_everyone_accepts() -> None:
@@ -235,25 +224,22 @@ def test_alg1_seeds_both_users_when_everyone_accepts() -> None:
     policy = Alg1Policy(inst, config)
     actions = build_action_space(inst)
     assert all(policy.fractional[a] == 1 for a in actions)
-    for seed in range(10):
-        trace = policy.generate(make_world([0.9, 0.9]), rng=seed)
-        assert trace.seeds == frozenset({0, 1})
-        assert check_trace(inst, trace) == []
+    _, _, steps, seeded = _run(policy, np.full((10, 2), 0.9), np.random.default_rng(0))
+    assert seeded.all()
+    assert not check_steps(inst, steps, seeded).any()
 
 
 def test_alg1_one_shot_is_deterministic_and_feasible() -> None:
     gen = np.random.default_rng(2)
     inst = random_tiny_instance(gen, users=3)
     config = RelaxationConfig(delta=0.25, marginal_samples=100, rng_seed=3)
-    first, second = (
-        Alg1Policy(inst, config).generate(
-            sample_world(inst, np.random.default_rng([9, 0])), np.random.default_rng([9, 1])
-        )
-        for _ in range(2)
+    thresholds = np.random.default_rng([9, 0]).random((50, inst.n_users))
+    (present, chosen, steps, seeded), again = (
+        _run(Alg1Policy(inst, config), thresholds, np.random.default_rng([9, 1])) for _ in range(2)
     )
-    assert first.steps == second.steps
-    assert first.seeds == second.seeds
-    assert check_trace(inst, first) == []
+    for x, y in zip((present, chosen, *steps, seeded), (again[0], again[1], *again[2], again[3])):
+        assert np.array_equal(x, y)
+    assert not check_steps(inst, steps, seeded).any()
 
 
 def test_alg1_extended_respects_w() -> None:
@@ -263,10 +249,10 @@ def test_alg1_extended_respects_w() -> None:
     config = RelaxationConfig(delta=0.25, marginal_samples=80, rng_seed=1)
     policy = Alg1Policy(inst, config, extended=True)
     gen = np.random.default_rng(0)
-    for seed in range(50):
-        trace = policy.generate(sample_world(inst, gen), rng=seed)
-        assert len({s.user for s in trace.steps}) <= 1
-        assert check_trace(inst, trace, extended=True) == []
+    _, _, steps, seeded = _run(policy, gen.random((50, 3)), gen)
+    assert ((steps.user >= 0).sum(axis=1) <= 1).all()
+    assert not check_steps(inst, steps, seeded, extended=True).any()
+    assert evaluate_policy(inst, policy, worlds=500, rng_seed=1).violations == 0
 
 
 # ------------------------------------------------------- alg1 in blocks
@@ -311,6 +297,20 @@ def seeded_by(steps: Steps, n: int) -> np.ndarray:
 _MODES = [(case, extended) for case in ("relax48", "oracle4") for extended in (False, True)]
 
 
+@pytest.mark.parametrize("case,extended", _MODES)
+def test_alg1_offers_are_low_value(case, extended) -> None:
+    # an action runs only while at least B/2 is left, so no run overspends
+    # as long as no offer is worth more than B/2; both instances have a
+    # coupon above B/2
+    policy = _shaped_policy(case, extended)
+    inst = policy.instance
+    assert max(inst.coupons) > inst.B / 2
+    offered = policy._offers >= 0
+    assert offered[:, 0].all()
+    assert (np.array(inst.coupons)[policy._offers[offered]] <= inst.B / 2).all()
+    assert (policy._values <= inst.B / 2).all()
+
+
 @pytest.mark.parametrize("case,extended", _MODES + [("oracle4-W1", True)])
 def test_run_block_rows_replay_one_world_at_a_time(case, extended) -> None:
     policy = _shaped_policy(case, extended)
@@ -326,7 +326,7 @@ def test_run_block_rows_replay_one_world_at_a_time(case, extended) -> None:
     seeded = seeded_by(steps, inst.n_users)
     verdicts = check_steps(inst, steps, seeded, extended)
     for r in range(len(thresholds)):
-        want = alg1_trace(policy, World(tuple(thresholds[r].tolist()), 0), uniforms[r].tolist())
+        want = alg1_trace(policy, make_world(thresholds[r].tolist()), uniforms[r].tolist())
         assert steps_trace(inst, steps, seeded, r) == want
         assert verdicts[r] == bool(check_trace(inst, want, extended=extended))
     assert not verdicts.any()

@@ -10,16 +10,16 @@ import pytest
 
 from couponprobe import influence, sequencing
 from couponprobe.cli import make_policy
-from couponprobe.influence import BLOCK, Graph, realized_influence, singleton_influence_table
-from couponprobe.model import Instance, PolicyTrace, check_steps, check_trace
+from couponprobe.influence import BLOCK, Graph, singleton_influence_table
+from couponprobe.model import Instance, check_steps, check_trace
 from couponprobe.relaxation import RelaxationConfig
 from couponprobe.rounding import Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
+    ProbeOrder,
     StochCpPolicy,
     UnsolvableError,
     alg2_dp,
-    alg2_execute,
     alg2_plan,
     alg2_value,
     budgeted_first_accept_plan,
@@ -28,13 +28,11 @@ from couponprobe.sequencing import (
 )
 
 from helpers import (
-    alg1_trace,
-    block_worlds,
+    alg2_execute,
     dp_brute_force,
     evaluate_world_by_world,
     make_world,
     mixed_graph,
-    rounding_draws,
     sim16_shaped_graph,
     uniform_instance,
     wide_graph,
@@ -342,11 +340,9 @@ def test_extended_combiner_traces_respect_w() -> None:
 
 
 def test_evaluate_never_probe_policy_is_zero() -> None:
-    inst = _inst([0.5, 0.5])
-
-    def idle(world, rng) -> PolicyTrace:
-        return PolicyTrace()
-
+    inst = _inst([0.5, 0.5])  # no coupon is worth at most B/2, so alg1 probes nobody
+    idle = Alg1Policy(inst, RelaxationConfig())
+    assert idle.vacuous
     result = evaluate_policy(inst, idle, worlds=50, rng_seed=0)
     assert result.mean == 0.0
     assert result.stderr == 0.0
@@ -364,7 +360,14 @@ def test_evaluate_single_user_closed_form() -> None:
 def test_evaluate_requires_worlds() -> None:
     inst = _inst([0.5])
     with pytest.raises(ValueError):
-        evaluate_policy(inst, lambda w, r: PolicyTrace(), worlds=0)
+        evaluate_policy(inst, Alg2Policy(inst), worlds=0)
+
+
+def test_evaluate_rejects_other_policy_types() -> None:
+    inst = _inst([0.5])
+    for policy in (lambda world, rng: None, Alg2Policy(inst).order, None):
+        with pytest.raises(TypeError, match=type(policy).__name__):
+            evaluate_policy(inst, policy, worlds=10)
 
 
 # ------------------------------------------------------ worlds in blocks
@@ -386,7 +389,7 @@ def _flag_position_one(instance, trace, extended=False):
 
 
 def _flag_two_offers(instance, steps, seeded, extended=False):
-    # _flag_position_one's rule for alg1's block checker: rows with exactly two offers
+    # _flag_position_one's rule for the block checker: rows with exactly two offers
     return ((steps.offers >= 0).sum(axis=(1, 2)) == 2) | check_steps(instance, steps, seeded, extended)
 
 
@@ -412,7 +415,6 @@ def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
     check = check_trace
     if case == "check-flags-one-position":
         check = _flag_position_one
-        monkeypatch.setattr(sequencing, "check_trace", check)
         monkeypatch.setattr(sequencing, "check_steps", _flag_two_offers)
     worlds = 2 * BLOCK + 37  # two full blocks and a partial one
     values, want = evaluate_world_by_world(inst, policy, worlds, 41, check)
@@ -454,49 +456,69 @@ def test_alg1_blocks_do_not_depend_on_draw_chunks(name, monkeypatch) -> None:
     assert [(v.tolist(), bad, notes) for v, bad, notes in got] == [(v.tolist(), bad, notes) for v, bad, notes in want]
 
 
-class _Recorder:
-    """A plain callable policy that probes nobody and records what it is given."""
-
-    def __init__(self) -> None:
-        self.seen: list = []
-
-    def __call__(self, world, rng) -> PolicyTrace:
-        self.seen.append((world, rng))
-        return PolicyTrace()
+def _values(inst, policy, worlds: int, seed: int) -> np.ndarray:
+    return np.concatenate([v for v, _, _ in sequencing._simulate(inst, policy, worlds, seed)])
 
 
 def test_world_i_depends_only_on_seed_and_i() -> None:
     inst = _on_graph(mixed_graph())
-    short, long = _Recorder(), _Recorder()
     n = BLOCK + 5  # ends in a partial block; 2n + 7 worlds end in another
-    evaluate_policy(inst, short, n, 8)
-    evaluate_policy(inst, long, 2 * n + 7, 8)
-    assert long.seen[:n] == short.seen
-    assert [world for world, _ in short.seen] == block_worlds(inst, n, 8)
-    assert [rng for _, rng in short.seen] == [[8, i, 1] for i in range(n)]
+    for name in ("alg1", "alg2", "stoch-cp"):
+        policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+        short, long = _values(inst, policy, n, 8), _values(inst, policy, 2 * n + 7, 8)
+        assert long[:n].tolist() == short.tolist()
+        assert long[n:].any()
+        # world i is row i % BLOCK of block i // BLOCK, as block_worlds draws it
+        assert short.tolist() == evaluate_world_by_world(inst, policy, n, 8)[0]
 
 
 def test_policies_with_one_seed_see_the_same_worlds() -> None:
+    # stoch-cp's values are alg1's on its heads worlds and alg2's on the
+    # others: neither the worlds nor alg1's rounding draws depend on the coin
     inst = _on_graph(mixed_graph())
     worlds = BLOCK + 300
-    recorder = _Recorder()
-    evaluate_policy(inst, recorder, worlds, 12)
-    seen = [world for world, _ in recorder.seen]
-    assert seen == block_worlds(inst, worlds, 12)
+    config = RelaxationConfig(delta=0.25, marginal_samples=20)
+    values = {name: _values(inst, make_policy(name, inst, config), worlds, 12) for name in ("alg1", "alg2", "stoch-cp")}
+    coins = np.concatenate([np.random.default_rng([12, b, 2]).random(min(BLOCK, worlds - start))
+                            for b, start in enumerate(range(0, worlds, BLOCK))])
+    heads = coins < 0.5
+    assert 0 < heads.sum() < worlds
+    assert values["stoch-cp"].tolist() == np.where(heads, values["alg1"], values["alg2"]).tolist()
+    assert (values["alg1"] != values["alg2"]).any()
 
-    alg1 = Alg1Policy(inst, RelaxationConfig(delta=0.25, marginal_samples=20))
-    draws = rounding_draws(alg1, worlds, 12)
-    values = np.concatenate([v for v, _, _ in sequencing._simulate(inst, alg1, worlds, 12)])
-    assert values.tolist() == [
-        realized_influence(inst.graph, alg1_trace(alg1, w, d).seeds, w.live_mask)
-        for w, d in zip(seen, draws)
-    ]
-    alg2 = Alg2Policy(inst)
-    values = np.concatenate([v for v, _, _ in sequencing._simulate(inst, alg2, worlds, 12)])
-    assert values.tolist() == [
-        realized_influence(inst.graph, alg2_execute(inst, alg2.order, w).seeds, w.live_mask)
-        for w in seen
-    ]
+
+def _check_position_verdicts(inst, order: ProbeOrder, extended: bool) -> np.ndarray:
+    """_position_verdicts against check_trace on alg2_execute's trace in a
+    world where only the user at the position accepts (the last entry:
+    nobody accepts)."""
+    got = sequencing._position_verdicts(inst, order, extended)
+    want = []
+    for k in range(len(order.users) + 1):
+        thresholds = [2.0] * inst.n_users
+        if k < len(order.users):
+            thresholds[order.users[k]] = 0.0
+        trace = alg2_execute(inst, order, make_world(thresholds))
+        assert len(trace.steps) == min(k + 1, len(order.users))
+        want.append(bool(check_trace(inst, trace, extended=extended)))
+    assert got.tolist() == want
+    return got
+
+
+@pytest.mark.parametrize("name", ["alg2", "e-alg2"])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_position_verdicts_match_check_trace(case, name) -> None:
+    inst = _BLOCK_CASES[case]()
+    policy = make_policy(name, inst, RelaxationConfig())
+    assert not _check_position_verdicts(inst, policy.order, policy.extended).any()
+
+
+def test_position_verdicts_flag_orders_longer_than_w() -> None:
+    inst = _on_graph(mixed_graph())  # W = 3
+    order = ProbeOrder(users=(4, 0, 6, 2, 5), coupon_index=inst.c_max_index)
+    # a run that reaches a fourth user probes more than W
+    assert _check_position_verdicts(inst, order, True).tolist() == [False] * 3 + [True] * 3
+    assert not _check_position_verdicts(inst, order, False).any()
+    assert _check_position_verdicts(inst, ProbeOrder((), inst.c_max_index), True).tolist() == [False]
 
 
 def test_million_world_alg2_evaluation_is_bounded() -> None:
