@@ -122,11 +122,13 @@ def check_fractional(y: Mapping[Action, Fraction]) -> None:
 
 def estimate_marginals(
     instance: Instance,
-    y: Mapping[Action, Fraction],
+    y: Mapping[Action, float | Fraction],
     config: RelaxationConfig,
     iteration: int = 0,
 ) -> dict[Action, float]:
     """Monte Carlo estimate of each action's marginal utility at y.
+
+    y's masses may be floats or Fractions; they are read as floats.
 
     Samples are drawn in blocks of BLOCK.  Block b draws one row per sample
     in one call on the stream keyed by (rng_seed, iteration, b): each user's
@@ -398,7 +400,8 @@ def continuous_greedy(
     direction's nonzero entries, a few per round.  on_step receives (t, y)
     after each round, y as a dict of its own that later rounds leave alone.
     Every action's exact cost, and its integer form for the LP, is computed
-    once.  The result is a convex combination of exactly feasible LP
+    once, and the marginals read a float copy of y that is updated only where
+    y moves.  The result is a convex combination of exactly feasible LP
     vertices, so it satisfies the scaled constraints exactly (the output
     stays rational end to end).
     """
@@ -409,11 +412,12 @@ def continuous_greedy(
     delta = Fraction(config.resolved_delta(len(actions)))
     costs = action_costs_exact(instance, actions, config.cost_mode)
     y = {a: Fraction(0) for a in actions}
+    probs = dict.fromkeys(actions, 0.0)  # y as floats, for the marginals
     t = Fraction(0)
     iteration = 0
     while t < 1:
         step = min(delta, 1 - t)
-        omega = estimate_marginals(instance, y, config, iteration=iteration)
+        omega = estimate_marginals(instance, probs, config, iteration=iteration)
         direction = solve_lp(
             omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
         )
@@ -421,6 +425,7 @@ def continuous_greedy(
         for a, d in direction.items():
             if d:
                 y[a] += step * d
+                probs[a] = float(y[a])
         t += step
         iteration += 1
         if on_step is not None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from couponprobe import influence, simplex
+from couponprobe import influence, relaxation, simplex
 from couponprobe.influence import BLOCK
 from couponprobe.model import COST_MODES, Action, ProbeSequence, build_action_space
 from couponprobe.oracle import multilinear_value_exact
@@ -511,6 +511,31 @@ def test_greedy_iteration_count_and_monotone_trajectory() -> None:
     # exact multilinear value never decreases along the trajectory
     values = [multilinear_value_exact(inst, snap) for snap in snapshots]
     assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
+
+
+def test_greedy_marginals_read_floats_of_the_current_point(monkeypatch) -> None:
+    # every step's marginals see y's masses as floats, in y's key order, and
+    # the estimate equals the one from y's Fractions
+    inst = uniform_instance(
+        3, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9), (0.6, 0.7)), K=2, B=3.0,
+        edges=((0, 1, 0.6), (2, 1, 0.3)),
+    )
+    estimate = relaxation.estimate_marginals
+    seen: list[dict] = []
+
+    def spy(instance, y, config, iteration=0):
+        seen.append(dict(y))
+        return estimate(instance, y, config, iteration)
+
+    monkeypatch.setattr(relaxation, "estimate_marginals", spy)
+    points = [dict.fromkeys(build_action_space(inst), F(0))]
+    config = RelaxationConfig(delta=0.2, marginal_samples=50, rng_seed=3)
+    continuous_greedy(inst, config, on_step=lambda t, y: points.append(y))
+    assert len(seen) == len(points) - 1 == 5
+    for iteration, (probs, y) in enumerate(zip(seen, points)):
+        assert list(probs) == list(y)
+        assert all(type(p) is float and p == float(y[a]) for a, p in probs.items())
+        assert estimate(inst, probs, config, iteration) == estimate(inst, y, config, iteration)
 
 
 def test_greedy_output_feasible_exactly() -> None:
