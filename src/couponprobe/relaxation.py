@@ -6,11 +6,11 @@ a block of samples at a time; the direction-finding LP is solved exactly, on
 integers or over rationals; and the ascent accumulates in exact arithmetic so
 the scaled constraints hold with no slack.
 
-One ascent step costs about 0.6 ms with 10 marginal samples and 0.8-0.9 ms
+One ascent step costs 0.6-1.2 ms with 10 marginal samples and about 1.1 ms
 with the default 200 on a 48-action instance (8 users, K=2; 2-core x86 host,
-Python 3.11, numpy 2.4): the marginal samples take 0.4-0.6 ms of it and the
-direction LP about 0.2 ms.  The default step 1/|S|^2 takes 2305 steps there:
-about 2 s.
+Python 3.11, numpy 2.4, where repeated runs differ by up to 2x): the marginal
+samples take 0.35-0.7 ms of it and the direction LP 0.15-0.35 ms.  The
+default step 1/|S|^2 takes 2305 steps there: 2.1-2.4 s.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class RelaxationConfig:
     beta and delta default to None and are resolved against the instance:
     beta to the mode's optimized constant, delta to 1/|S|^2 where S is the
     action space.  That default step size is safe but slow (|S|^2 steps of
-    marginal_samples samples each: about 2 s at |S| = 48 with 200 samples);
+    marginal_samples samples each: 2.1-2.4 s at |S| = 48 with 200 samples);
     larger values trade the guarantee for speed.
     """
 
@@ -241,32 +241,30 @@ def _by_slope(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> int
     return s[0] * t[1] - t[0] * s[1]
 
 
-def _unique_knapsack_optimum(
+def _knapsack_optimum(
     actions: list[Action], weights: list[int], costs: list[int], budget: int
-) -> list[Fraction] | None:
-    """Optimum of the direction LP without the W row, if that optimum is unique.
+) -> list[Fraction]:
+    """An optimum of the direction LP without the W row.
 
     Without W the LP is a multiple-choice knapsack LP: each user picks a point
     in the convex hull of the origin and its actions' (cost, weight) points.
     Walking every user's upper hull, steepest segment first, until the budget
-    runs out reaches an optimum in which at most one user is split between two
-    hull points (Sinha & Zoltners 1979).  The split segment's slope lam (0
-    when the budget is slack) and pi_u = max(0, max_a w_a - lam*c_a) are then
-    an optimal dual, so the optimal face is every feasible point that uses
-    only tight actions (w_a - lam*c_a = pi_u), gives a user with pi_u > 0 its
-    whole unit and, when lam > 0, spends the whole budget.  Each user's free
-    directions number its tight points less one, the origin counting as a
-    point when pi_u = 0.  The split user has exactly one, between the split
-    segment's endpoints, and the budget equation pins it since they differ in
-    cost; so the optimum is unique iff the free directions number 1 with a
-    split and 0 without.  Returns None otherwise: on a tie the simplex picks
-    its own vertex.
+    runs out reaches an optimal vertex in which at most one user is split
+    between two hull points (Sinha & Zoltners 1979).  Any optimal vertex
+    serves the continuous greedy's guarantee (Calinescu, Chekuri, Pal and
+    Vondrak 2011), so on a tie the walk returns its own, by a fixed rule:
+    a user's hull starts at their first zero-cost action of highest weight,
+    or at the origin when no zero-cost action has positive weight; among
+    points of equal cost and weight the lowest action index is kept; a point
+    on the segment between two others is dropped, so only extreme hull points
+    get mass; and segments of equal slope are taken in the order of their
+    users' first actions, so the user who comes first in action order is
+    filled first.
 
     The walk is exact on integers: weights, costs and budget come scaled by
     positive constants (_integer_weights, _integer_costs), which changes no
     comparison and no split fraction.  Slopes are compared by
-    cross-multiplication, and lam = dw/dc enters the reduced costs as
-    w*dc - dw*c.
+    cross-multiplication.
     """
     by_user: dict[int, list[int]] = {}
     for i, a in enumerate(actions):
@@ -294,27 +292,17 @@ def _unique_knapsack_optimum(
         segments.extend(
             (q[1] - p[1], q[0] - p[0], user, k) for k, (p, q) in enumerate(itertools.pairwise(hull))
         )
-    segments.sort(key=cmp_to_key(_by_slope), reverse=True)
+    segments.sort(key=cmp_to_key(_by_slope), reverse=True)  # stable: equal slopes keep user order
 
     position = dict.fromkeys(hulls, 0)
     left = budget
-    lam_w, lam_c = 0, 1
     split: tuple[int, Fraction] | None = None
-    for rise, step, user, k in segments:
+    for _, step, user, k in segments:
         if step > left:
-            lam_w, lam_c, split = rise, step, (user, Fraction(left, step))
+            split = (user, Fraction(left, step))
             break
         left -= step
         position[user] = k + 1
-
-    allowed = 0 if split is None else 1
-    free = 0
-    for user, idx in by_user.items():
-        reduced = [weights[i] * lam_c - lam_w * costs[i] for i in idx]
-        pi = max(0, max(reduced))
-        free += reduced.count(pi) - (1 if pi > 0 else 0)
-        if free > allowed:
-            return None
 
     x = [ZERO] * len(actions)
     for user, k in position.items():
@@ -348,9 +336,9 @@ def solve_lp(
     cost_mode; otherwise it is built here.  continuous_greedy builds it once,
     as an ActionCosts, so every step reuses its integer costs.
 
-    Without the W row a unique optimum comes from the exact hull greedy of
-    _unique_knapsack_optimum; the W row, and a tie among optima, go to the
-    simplex, so the returned vertex is always the one the simplex would pick.
+    Without the W row the hull walk of _knapsack_optimum solves it on
+    integers and returns its own optimal vertex, by its stated tie rule; with
+    the W row the simplex solves it and returns the simplex's vertex.
     """
     actions = list(weights)
     for a, w in weights.items():
@@ -367,23 +355,13 @@ def solve_lp(
     budget = Fraction(beta) * Fraction(instance.B)
     if not use_W:
         int_costs, int_budget = _integer_costs(actions, costs, budget)
-        x = _unique_knapsack_optimum(actions, _integer_weights(floats), int_costs, int_budget)
-        if x is not None:
-            return dict(zip(actions, x))
-    objective = [Fraction(w) for w in floats]
-    cost_row = [costs[a] for a in actions]
-    lhs: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    users = sorted({a.user for a in actions})
-    for user in users:
-        lhs.append([Fraction(1 if a.user == user else 0) for a in actions])
-        rhs.append(Fraction(1))
-    lhs.append(cost_row)
-    rhs.append(budget)
-    if use_W:
-        lhs.append([Fraction(1)] * len(actions))
-        rhs.append(Fraction(beta) * Fraction(instance.W))
-    _, x = simplex.maximize(objective, lhs, rhs)
+        x = _knapsack_optimum(actions, _integer_weights(floats), int_costs, int_budget)
+    else:
+        users = sorted({a.user for a in actions})
+        lhs = [[Fraction(1 if a.user == user else 0) for a in actions] for user in users]
+        lhs += [[costs[a] for a in actions], [Fraction(1)] * len(actions)]
+        rhs = [Fraction(1)] * len(users) + [budget, Fraction(beta) * Fraction(instance.W)]
+        _, x = simplex.maximize([Fraction(w) for w in floats], lhs, rhs)
     return dict(zip(actions, x))
 
 

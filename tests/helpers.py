@@ -505,9 +505,9 @@ def mirror_lp(inst, weights, beta, use_W=False, cost_mode=COST_MODE_THRESHOLD):
 
 
 def knapsack_optimum_by_fractions(actions, weights, costs, budget):
-    """Reference for relaxation._unique_knapsack_optimum: the same hull walk
-    and uniqueness test on Fractions, with slopes as Fractions.  weights,
-    costs and budget are Fractions in the LP's own units."""
+    """Reference for relaxation._knapsack_optimum: the same hull walk and tie
+    rule on Fractions, with slopes as Fractions.  weights, costs and budget
+    are Fractions in the LP's own units."""
     def slope(p, q):
         return (q[1] - p[1]) / (q[0] - p[0])
 
@@ -534,22 +534,14 @@ def knapsack_optimum_by_fractions(actions, weights, costs, budget):
         segments.extend((slope(p, q), user, k) for k, (p, q) in enumerate(itertools.pairwise(hull)))
     segments.sort(key=lambda seg: seg[0], reverse=True)
     position = dict.fromkeys(hulls, 0)
-    left, lam, split = budget, zero, None
-    for lam_here, user, k in segments:
+    left, split = budget, None
+    for _, user, k in segments:
         step = hulls[user][k + 1][0] - hulls[user][k][0]
         if step > left:
-            lam, split = lam_here, (user, left / step)
+            split = (user, left / step)
             break
         left -= step
         position[user] = k + 1
-    allowed = 0 if split is None else 1
-    free = 0
-    for user, idx in by_user.items():
-        reduced = [weights[i] - lam * costs[i] for i in idx]
-        pi = max(zero, max(reduced))
-        free += sum(1 for r in reduced if r == pi) - (1 if pi > 0 else 0)
-        if free > allowed:
-            return None
     x = [zero] * len(actions)
     for user, k in position.items():
         at = hulls[user][k][2]

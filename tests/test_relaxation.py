@@ -15,7 +15,7 @@ from couponprobe.relaxation import (
     RelaxationConfig,
     _integer_costs,
     _integer_weights,
-    _unique_knapsack_optimum,
+    _knapsack_optimum,
     check_fractional,
     continuous_greedy,
     default_beta_basic,
@@ -368,11 +368,23 @@ def _gridded_weights(gen: np.random.Generator, actions) -> dict:
     return weights
 
 
-def test_lp_without_w_returns_the_simplex_vertex_on_ties(monkeypatch) -> None:
+def _assert_greedy_direction(x, obj, lhs, rhs, maximize) -> None:
+    # what the greedy needs of a direction x: the LP's optimum value, every
+    # constraint exactly, and at most one user split between hull points
+    assert sum(o * v for o, v in zip(obj, x)) == maximize(obj, lhs, rhs)[0]
+    assert all(0 <= v <= 1 for v in x)
+    assert all(sum(c * v for c, v in zip(row, x)) <= r for row, r in zip(lhs, rhs))
+    users = lhs[:-1]  # one mass row per user, then the budget row
+    assert sum(any(c and 0 < v < 1 for c, v in zip(row, x)) for row in users) <= 1
+
+
+def test_lp_without_w_is_optimal_on_ties_without_the_simplex(monkeypatch) -> None:
+    # ties are common on these grids; the hull walk keeps its own vertex,
+    # equal to the Fraction walk's, and never calls the simplex
     maximize = simplex.maximize
     calls = _count_simplex_calls(monkeypatch)
     gen = np.random.default_rng(2024)
-    solved = 0
+    elsewhere = 0
     for _ in range(300):
         inst = _gridded_instance(gen)
         weights = _gridded_weights(gen, build_action_space(inst))
@@ -380,21 +392,21 @@ def test_lp_without_w_returns_the_simplex_vertex_on_ties(monkeypatch) -> None:
         for cost_mode in COST_MODES:
             y = solve_lp(weights, inst, beta, use_W=False, cost_mode=cost_mode)
             acts, obj, lhs, rhs = mirror_lp(inst, weights, beta, cost_mode=cost_mode)
-            _, x = maximize(obj, lhs, rhs)
-            assert y == dict(zip(acts, x))
-            assert _integer_hull(acts, weights, lhs[-1], rhs[-1]) == knapsack_optimum_by_fractions(
-                acts, obj, lhs[-1], rhs[-1]
-            )
-            solved += 1
-    # ties are common on these grids and go to the simplex; most LPs are untied
-    assert 0 < len(calls) < solved / 2
+            x = [y[a] for a in acts]
+            _assert_greedy_direction(x, obj, lhs, rhs, maximize)
+            assert x == _integer_hull(acts, weights, lhs[-1], rhs[-1])
+            assert x == knapsack_optimum_by_fractions(acts, obj, lhs[-1], rhs[-1])
+            elsewhere += x != maximize(obj, lhs, rhs)[1]
+    assert calls == []
+    # some tied LPs end on another optimal vertex than the simplex's
+    assert elsewhere > 0
 
 
 def _integer_hull(actions, weights, cost_row, budget):
     # the package's integer walk on the LP of mirror_lp's rows
     costs = dict(zip(actions, cost_row))
     floats = [float(weights[a]) for a in actions]
-    return _unique_knapsack_optimum(actions, _integer_weights(floats), *_integer_costs(actions, costs, budget))
+    return _knapsack_optimum(actions, _integer_weights(floats), *_integer_costs(actions, costs, budget))
 
 
 def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypatch) -> None:
@@ -406,7 +418,6 @@ def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypat
     gen = np.random.default_rng(909)
     pool = (0.0, 5e-324, 1e-300, 0.1, 0.7, 1.0, 3.0, 1e300)
     dens = (3, 5, 7, 11, 13)
-    certified = 0
     for trial in range(200):
         inst = _gridded_instance(gen)
         actions = build_action_space(inst)
@@ -419,14 +430,45 @@ def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypat
         row = [exact[a] for a in actions]
         reference = knapsack_optimum_by_fractions(actions, obj, row, budget)
         assert _integer_hull(actions, weights, row, budget) == reference
+        y = solve_lp(weights, inst, beta, costs=costs)
+        assert [y[a] for a in actions] == reference
         users = sorted({a.user for a in actions})
         lhs = [[F(int(a.user == u)) for a in actions] for u in users] + [row]
-        _, x = maximize(obj, lhs, [F(1)] * len(users) + [budget])
-        assert solve_lp(weights, inst, beta, costs=costs) == dict(zip(actions, x))
-        certified += reference is not None
-    # every uncertified LP, and only those, went to the simplex
-    assert len(calls) == 200 - certified
-    assert certified > 50
+        _assert_greedy_direction(reference, obj, lhs, [F(1)] * len(users) + [budget], maximize)
+    assert calls == []
+
+
+def test_tied_users_fill_in_action_order() -> None:
+    # two users with equal (cost, weight): user 0 is filled first
+    inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=4.0)
+    first, second = build_action_space(inst)
+    costs = {first: F(1), second: F(1)}
+    weights = {first: 1.0, second: 1.0}
+    assert solve_lp(weights, inst, 0.25, costs=costs) == {first: 1, second: 0}
+    inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=6.0)
+    assert solve_lp(weights, inst, 0.25, costs=costs) == {first: 1, second: F(1, 2)}
+
+
+def test_tied_actions_of_one_user_go_to_the_lowest_index() -> None:
+    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=40.0)
+    low, pair, high = build_action_space(inst)  # (0,), (0, 1), (1,)
+    weights = {low: 1.0, pair: 3.0, high: 3.0}
+    y = solve_lp(weights, inst, 0.25, costs={low: F(1), pair: F(2), high: F(2)})
+    assert y == {low: 0, pair: 1, high: 0}
+    # zero costs: the walk starts at the first zero-cost action of most weight
+    weights = {low: 2.0, pair: 1.0, high: 2.0}
+    y = solve_lp(weights, inst, 0.25, costs=dict.fromkeys(weights, F(0)))
+    assert y == {low: 1, pair: 0, high: 0}
+
+
+def test_collinear_hull_point_gets_no_mass() -> None:
+    # (1, 2), (2, 3) and (3, 4) lie on one line: the middle point is dropped,
+    # and a budget of 2 splits the user between its neighbours
+    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=8.0)
+    low, pair, high = build_action_space(inst)
+    weights = {low: 2.0, pair: 3.0, high: 4.0}
+    costs = {low: F(1), pair: F(2), high: F(3)}
+    assert solve_lp(weights, inst, 0.25, costs=costs) == {low: F(1, 2), pair: 0, high: F(1, 2)}
 
 
 def test_untied_lp_without_w_makes_no_simplex_call(monkeypatch) -> None:
