@@ -23,6 +23,12 @@ COST_MODE_THRESHOLD = "threshold"
 COST_MODE_PAPER = "paper"
 COST_MODES = (COST_MODE_THRESHOLD, COST_MODE_PAPER)
 
+# The most actions build_action_space enumerates.  Every marginal estimate
+# draws one float64 per action for each of a block's 1024 samples, so 4096
+# actions put a block's draws near 32 MB; the default step 1/|S|^2 would
+# already take 16.8 million greedy steps there.
+MAX_ACTIONS = 4096
+
 
 def _count(value, field: str) -> int:
     """A non-negative integer of any integer type (numpy's too), as a plain int."""
@@ -158,14 +164,19 @@ def build_action_space(instance: Instance) -> list[Action]:
     Sorted by user, then by coupon indices: the one action order, which y, its
     marginals and the LP direction inherit and every draw over them follows.
     Empty when there are no low-value coupons or no probes are allowed; callers
-    treat an empty space as "this route has nothing to offer".
+    treat an empty space as "this route has nothing to offer".  Raises
+    ValueError, before enumerating, when the space would hold more than
+    MAX_ACTIONS actions.
     """
     low = low_value_coupons(instance)
-    sequences = sorted(
-        ProbeSequence(combo)
-        for k in range(1, min(instance.K, len(low)) + 1)
-        for combo in itertools.combinations(low, k)
-    )
+    lengths = range(1, min(instance.K, len(low)) + 1)
+    count = instance.n_users * sum(math.comb(len(low), k) for k in lengths)
+    if count > MAX_ACTIONS:
+        raise ValueError(
+            f"the action space would hold {count} actions (n = {instance.n_users}, "
+            f"L = {len(low)} low-value coupons, K = {instance.K}), above the limit of {MAX_ACTIONS}"
+        )
+    sequences = sorted(ProbeSequence(combo) for k in lengths for combo in itertools.combinations(low, k))
     return [Action(user, seq) for user in range(instance.n_users) for seq in sequences]
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from couponprobe import influence
 from couponprobe.cli import main
 from couponprobe.instance_io import InstanceFormatError, load_instance, save_instance
+from couponprobe.model import MAX_ACTIONS
 from couponprobe.oracle import optimal_adaptive_value
 
 TOY = """\
@@ -289,6 +292,25 @@ def test_oracle_size_guard_exits_2(tmp_path, capsys) -> None:
     code, out, err = _run(capsys, ["oracle", _write(tmp_path, TOY)])
     assert code == 2 and out == ""
     assert err.startswith("error:")
+
+
+def test_run_refuses_a_huge_action_space_exits_2(tmp_path, capsys) -> None:
+    # L = K = 20: 2^20 - 1 actions per user, refused before any enumeration
+    text = "\n".join([
+        "nodes 1",
+        "coupons " + " ".join(str(float(c)) for c in range(1, 21)),
+        "attract " + " ".join(str(round(0.04 * c, 2)) for c in range(1, 21)),
+        "K 20",
+        "B 40.0",
+    ]) + "\n"
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["run", _write(tmp_path, text), "--policy", "alg1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the action space would hold 1048575 actions (n = 1, "
+        f"L = 20 low-value coupons, K = 20), above the limit of {MAX_ACTIONS}\n"
+    )
 
 
 # -------------------------------------------------------------------- compare

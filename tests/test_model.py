@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from couponprobe import model
 from couponprobe.model import (
+    MAX_ACTIONS,
     Action,
     Instance,
     PolicyTrace,
@@ -16,6 +19,7 @@ from couponprobe.model import (
     exact_expected_cost,
     low_value_coupons,
 )
+from couponprobe.oracle import concave_relaxation_optimum
 
 from helpers import (
     expected_cost,
@@ -162,6 +166,34 @@ def test_action_space_counts() -> None:
 
     capped = uniform_instance(1, (1.0, 1.2), ((0.3, 0.4),), K=5, B=3.0)
     assert len(build_action_space(capped)) == 3
+
+
+def _twenty_coupons(n: int) -> Instance:
+    # L = K = 20: every coupon is low-value, 2^20 - 1 sequences per user
+    row = tuple(round(0.04 * (i + 1), 2) for i in range(20))
+    return uniform_instance(n, range(1, 21), (row,) * n, K=20, B=40.0)
+
+
+def test_action_space_refuses_a_huge_space_before_enumerating() -> None:
+    inst = _twenty_coupons(2)
+    start = time.perf_counter()
+    for build in (build_action_space, concave_relaxation_optimum):
+        with pytest.raises(ValueError) as err:
+            build(inst)
+        assert str(err.value) == (
+            "the action space would hold 2097150 actions (n = 2, "
+            f"L = 20 low-value coupons, K = 20), above the limit of {MAX_ACTIONS}"
+        )
+    assert time.perf_counter() - start < 0.5
+
+
+def test_action_space_limit_is_inclusive(monkeypatch) -> None:
+    three_low = uniform_instance(2, (1.0, 1.2, 1.4), ((0.3, 0.4, 0.5),) * 2, K=2, B=3.0)
+    monkeypatch.setattr(model, "MAX_ACTIONS", 12)
+    assert len(build_action_space(three_low)) == 12
+    monkeypatch.setattr(model, "MAX_ACTIONS", 11)
+    with pytest.raises(ValueError, match="12 actions"):
+        build_action_space(three_low)
 
 
 def test_action_space_empty_when_no_low_coupons() -> None:
