@@ -16,10 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "couponprobe").glob("*.py"))
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "couponprobe").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py"))
-)
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
