@@ -120,13 +120,15 @@ def live_mask_outcomes(graph: Graph) -> Iterator[tuple[float, int]]:
         yield weight, mask
 
 
-def _chunk_columns(graph: Graph) -> int:
+def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     """Outcome columns per kernel pass: the largest count, at least 1, whose
     arrays fit in KERNEL_BYTES = 4 MB, at 8 bytes per column for each node's
     reach words (twice, for temporaries), each uncertain edge's live column
-    and six outcome vectors."""
+    and six outcome vectors, plus extra_bytes per column that the caller
+    holds alongside them."""
     words = -(-graph.node_count // 64)
-    return max(1, KERNEL_BYTES // (8 * (2 * graph.node_count * words + len(graph.uncertain_edges) + 6)))
+    column = 8 * (2 * graph.node_count * words + len(graph.uncertain_edges) + 6) + extra_bytes
+    return max(1, KERNEL_BYTES // column)
 
 
 def _reach_columns(graph: Graph, live: np.ndarray) -> np.ndarray:

@@ -6,11 +6,13 @@ a block of samples at a time; the direction-finding LP is solved exactly, on
 integers or over rationals; and the ascent accumulates in exact arithmetic so
 the scaled constraints hold with no slack.
 
-One ascent step costs 0.6-1.2 ms with 10 marginal samples and about 1.1 ms
-with the default 200 on a 48-action instance (8 users, K=2; 2-core x86 host,
-Python 3.11, numpy 2.4, where repeated runs differ by up to 2x): the marginal
-samples take 0.35-0.7 ms of it and the direction LP 0.15-0.35 ms.  The
-default step 1/|S|^2 takes 2305 steps there: 2.1-2.4 s.
+The ascent runs on action indices.  Its marginal samples do not depend on
+the point, so one reach-kernel pass scores the samples of a window of steps.
+On a 48-action instance (8 users, K=2; 2-core x86 host, Python 3.11, numpy
+2.4, where repeated runs differ by up to 2x) one step costs 0.17-0.3 ms with
+10 marginal samples, 0.08-0.12 ms of it in the direction LP, and 0.33-0.48 ms
+with the default 200.  The default step 1/|S|^2 takes 2305 steps there:
+0.75-1.1 s.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import simplex
+from . import influence, simplex
 from .influence import BLOCK, _sampled_reach, _seeded_union, live_edges
 from .model import (
     COST_MODE_THRESHOLD,
@@ -35,6 +37,11 @@ from .model import (
     exact_expected_cost,
 )
 from .simplex import ONE, ZERO
+
+# The greedy refuses to take more steps than this.  Its step count,
+# ceil(1/delta), is known before the first draw; the default delta = 1/|S|^2
+# passes up to |S| = 1024 actions.
+MAX_STEPS = 1 << 20
 
 
 def default_beta_basic() -> float:
@@ -70,8 +77,9 @@ class RelaxationConfig:
     beta and delta default to None and are resolved against the instance:
     beta to the mode's optimized constant, delta to 1/|S|^2 where S is the
     action space.  That default step size is safe but slow (|S|^2 steps of
-    marginal_samples samples each: 2.1-2.4 s at |S| = 48 with 200 samples);
-    larger values trade the guarantee for speed.
+    marginal_samples samples each: 0.75-1.1 s at |S| = 48 with 200 samples,
+    and refused above |S| = 1024, where it passes MAX_STEPS); larger values
+    trade the guarantee for speed.
     """
 
     beta: float | None = None
@@ -120,6 +128,100 @@ def check_fractional(y: Mapping[Action, Fraction]) -> None:
             raise ValueError(f"user {user} carries fractional mass {mass} > 1")
 
 
+class _Sampler:
+    """Marginal estimation over a fixed list of actions, with everything that
+    does not depend on the point y built once: each action's user and the
+    acceptance of its top coupon, and the actions grouped by user for one
+    any() per user and sample.
+    """
+
+    def __init__(self, instance: Instance, actions: list[Action], config: RelaxationConfig):
+        self.graph = instance.graph
+        self.n = instance.n_users
+        self.unc = len(self.graph.uncertain_edges)
+        self.samples_per_step = config.marginal_samples
+        self.rng_seed = config.rng_seed
+        self.users = np.array([a.user for a in actions], dtype=np.intp)
+        self.top_accept = np.array(
+            [instance.attractiveness[a.user][a.sequence.coupon_indices[-1]] for a in actions]
+        )
+        self.order = np.argsort(self.users, kind="stable")
+        self.group_users, self.group_starts = np.unique(self.users[self.order], return_index=True)
+
+    def samples(self, first: int, steps: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """The samples of iterations first..first+steps-1, in order, as pieces
+        (iteration, accepts, presence uniforms, reach) of consecutive rows.
+
+        Iteration i's samples are estimate_marginals' at iteration i: block b
+        is drawn on the stream keyed by (rng_seed, i, b), and the generators
+        are called in (iteration, block) order.  Consecutive blocks form a
+        window whose arrays and reach fit in half of influence.KERNEL_BYTES,
+        and one kernel pass gives the reach of the whole window; a block too
+        large for that is a window of its own, and the kernel chunks it.
+        Nothing here depends on y.
+        """
+        total = self.samples_per_step
+        blocks = [min(BLOCK, total - start) for start in range(0, total, BLOCK)]
+        # a window row holds its presence uniforms at 8 bytes, its accepts
+        # and its live edges at 1; a window's last step still holds it while
+        # the next window is drawn, so each gets half of KERNEL_BYTES
+        limit = influence._chunk_columns(self.graph, 9 * len(self.users) + self.unc) // 2
+        window: list[tuple[int, int, int]] = []  # (iteration, block, rows)
+        rows = 0
+        for i in range(first, first + steps):
+            for b, block_rows in enumerate(blocks):
+                if window and rows + block_rows > limit:
+                    yield from self._window(window, rows)
+                    window, rows = [], 0
+                window.append((i, b, block_rows))
+                rows += block_rows
+        yield from self._window(window, rows)
+
+    def _window(
+        self, blocks: list[tuple[int, int, int]], rows: int
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        n, unc, m = self.n, self.unc, len(self.users)
+        accepts = np.empty((rows, m), dtype=bool)
+        presence = np.empty((rows, m))
+        live = np.empty((rows, unc), dtype=bool)
+        spans: list[list[int]] = []  # [iteration, first row, end row]
+        at = 0
+        for i, b, block_rows in blocks:
+            draws = np.random.default_rng([self.rng_seed, i, b]).random((block_rows, n + unc + m))
+            end = at + block_rows
+            accepts[at:end] = self.top_accept >= draws[:, self.users]  # thresholds are columns 0..n-1
+            live[at:end] = live_edges(self.graph, draws[:, n:n + unc])
+            presence[at:end] = draws[:, n + unc:]
+            if spans and spans[-1][0] == i:
+                spans[-1][2] = end
+            else:
+                spans.append([i, at, end])
+            at = end
+        for first, reach in _sampled_reach(self.graph, live):
+            end = first + reach.shape[2]
+            for i, lo, hi in spans:
+                lo, hi = max(lo, first), min(hi, end)
+                if lo < hi:
+                    yield i, accepts[lo:hi], presence[lo:hi], reach[:, :, lo - first:hi - first]
+
+    def marginals(self, probs: np.ndarray, pieces: Iterable[tuple]) -> np.ndarray:
+        """Every action's marginal estimate at the point whose masses, as
+        floats in action order, are probs, over the pieces of one iteration:
+        the part of estimate_marginals that depends on y."""
+        totals = np.zeros(len(self.users), dtype=np.int64)
+        for _, accepts, presence, reach in pieces:
+            present = presence < probs
+            seeded = np.zeros((self.n, len(present)), dtype=bool)
+            seeded[self.group_users] = np.logical_or.reduceat(
+                (present & accepts)[:, self.order], self.group_starts, axis=1
+            ).T
+            union = _seeded_union(reach, seeded)
+            gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
+            gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
+            totals += np.where(accepts & ~present, gains[self.users].T, 0).sum(axis=0)
+        return totals / self.samples_per_step
+
+
 def estimate_marginals(
     instance: Instance,
     y: Mapping[Action, float | Fraction],
@@ -143,66 +245,22 @@ def estimate_marginals(
     consulted.  Attractiveness rows are non-decreasing, so an action's gain
     is zero unless it would newly seed its user, and then it is what that
     user's reach adds to the union of the seeded users' reach: one
-    reach-kernel pass per block gives every sample's union and every user's
-    gain.  Marginals are therefore
-    non-negative sample by sample.
+    reach-kernel pass gives every sample's union and every user's gain.
+    Marginals are therefore non-negative sample by sample.  continuous_greedy
+    runs the same _Sampler on action indices.
     """
     actions = list(y)
     if not actions:
         return {}
-    graph = instance.graph
-    n, m = instance.n_users, len(actions)
-    unc = len(graph.uncertain_edges)
+    sampler = _Sampler(instance, actions, config)
     probs = np.array([float(p) for p in y.values()])
-    users = np.array([a.user for a in actions], dtype=np.intp)
-    top_accept = np.array([instance.attractiveness[a.user][a.sequence.coupon_indices[-1]] for a in actions])
-    # actions grouped by user, for one any() per user and sample
-    order = np.argsort(users, kind="stable")
-    group_users, group_starts = np.unique(users[order], return_index=True)
-    totals = np.zeros(m, dtype=np.int64)
-    for b, start in enumerate(range(0, config.marginal_samples, BLOCK)):
-        rows = min(BLOCK, config.marginal_samples - start)
-        draws = np.random.default_rng([config.rng_seed, iteration, b]).random((rows, n + unc + m))
-        accepts = top_accept >= draws[:, users]  # thresholds are columns 0..n-1
-        present = draws[:, n + unc:] < probs
-        seeded = np.zeros((n, rows), dtype=bool)
-        seeded[group_users] = np.logical_or.reduceat((present & accepts)[:, order], group_starts, axis=1).T
-        candidates = accepts & ~present
-        for first, reach in _sampled_reach(graph, live_edges(graph, draws[:, n:n + unc])):
-            cols = slice(first, first + reach.shape[2])
-            union = _seeded_union(reach, seeded[:, cols])
-            gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
-            gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
-            totals += np.where(candidates[cols], gains[users].T, 0).sum(axis=0)
-    return dict(zip(actions, (totals / config.marginal_samples).tolist()))
-
-
-class ActionCosts(Mapping[Action, Fraction]):
-    """Each action's exact expected cost, read-only, with the integer form the
-    hull LP walks: every cost times the LCM of their denominators, in the
-    mapping's action order.  Built once, it serves every step of a greedy.
-    """
-
-    def __init__(self, costs: Mapping[Action, Fraction]):
-        self._costs = dict(costs)
-        self.actions = list(self._costs)
-        self.scale = math.lcm(*(c.denominator for c in self._costs.values()))
-        self.scaled = [c.numerator * (self.scale // c.denominator) for c in self._costs.values()]
-
-    def __getitem__(self, action: Action) -> Fraction:
-        return self._costs[action]
-
-    def __iter__(self):
-        return iter(self._costs)
-
-    def __len__(self) -> int:
-        return len(self._costs)
+    return dict(zip(actions, sampler.marginals(probs, sampler.samples(iteration, 1)).tolist()))
 
 
 def action_costs_exact(
     instance: Instance, actions: Iterable[Action], cost_mode: str = COST_MODE_THRESHOLD
-) -> ActionCosts:
-    return ActionCosts({a: exact_expected_cost(instance, a, cost_mode) for a in actions})
+) -> dict[Action, Fraction]:
+    return {a: exact_expected_cost(instance, a, cost_mode) for a in actions}
 
 
 # A point of a user's upper hull in integer units: (cost, weight, action
@@ -225,15 +283,10 @@ def _integer_costs(
     actions: list[Action], costs: Mapping[Action, Fraction], budget: Fraction
 ) -> tuple[list[int], int]:
     """The actions' costs and the budget times the LCM of their denominators,
-    as exact ints.  An ActionCosts over the same actions in the same order
-    gives its integer costs as they are, or times one factor when the
-    budget's denominator needs it."""
-    if not (isinstance(costs, ActionCosts) and costs.actions == actions):
-        costs = ActionCosts({a: costs[a] for a in actions})
-    factor = budget.denominator // math.gcd(costs.scale, budget.denominator)
-    scale = costs.scale * factor
-    scaled = costs.scaled if factor == 1 else [c * factor for c in costs.scaled]
-    return scaled, budget.numerator * (scale // budget.denominator)
+    as exact ints."""
+    exact = [costs[a] for a in actions]
+    scale = math.lcm(budget.denominator, *(c.denominator for c in exact))
+    return [c.numerator * (scale // c.denominator) for c in exact], budget.numerator * (scale // budget.denominator)
 
 
 def _by_slope(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> int:
@@ -241,8 +294,17 @@ def _by_slope(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> int
     return s[0] * t[1] - t[0] * s[1]
 
 
+def _user_groups(actions: list[Action]) -> list[list[int]]:
+    """The action indices of each user, users in the order of their first
+    action."""
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(actions):
+        groups.setdefault(a.user, []).append(i)
+    return list(groups.values())
+
+
 def _knapsack_optimum(
-    actions: list[Action], weights: list[int], costs: list[int], budget: int
+    groups: list[list[int]], weights: list[int], costs: list[int], budget: int
 ) -> list[Fraction]:
     """An optimum of the direction LP without the W row.
 
@@ -261,18 +323,15 @@ def _knapsack_optimum(
     users' first actions, so the user who comes first in action order is
     filled first.
 
-    The walk is exact on integers: weights, costs and budget come scaled by
+    groups holds each user's action indices, as _user_groups gives them.  The
+    walk is exact on integers: weights, costs and budget come scaled by
     positive constants (_integer_weights, _integer_costs), which changes no
     comparison and no split fraction.  Slopes are compared by
     cross-multiplication.
     """
-    by_user: dict[int, list[int]] = {}
-    for i, a in enumerate(actions):
-        by_user.setdefault(a.user, []).append(i)
-
-    hulls: dict[int, list[_HullPoint]] = {}
-    segments: list[tuple[int, int, int, int]] = []  # (weight rise, cost rise, user, hull position)
-    for user, idx in by_user.items():
+    hulls: list[list[_HullPoint]] = []
+    segments: list[tuple[int, int, int, int]] = []  # (weight rise, cost rise, group, hull position)
+    for g, idx in enumerate(groups):
         start: _HullPoint = (0, 0, None)
         for i in idx:
             if costs[i] == 0 and weights[i] > start[1]:
@@ -288,35 +347,71 @@ def _knapsack_optimum(
                     break  # the last point stays: slope(-2, -1) > slope(-1, new)
                 hull.pop()
             hull.append((c, w, i))
-        hulls[user] = hull
+        hulls.append(hull)
         segments.extend(
-            (q[1] - p[1], q[0] - p[0], user, k) for k, (p, q) in enumerate(itertools.pairwise(hull))
+            (q[1] - p[1], q[0] - p[0], g, k) for k, (p, q) in enumerate(itertools.pairwise(hull))
         )
     segments.sort(key=cmp_to_key(_by_slope), reverse=True)  # stable: equal slopes keep user order
 
-    position = dict.fromkeys(hulls, 0)
+    position = [0] * len(groups)
     left = budget
     split: tuple[int, Fraction] | None = None
-    for _, step, user, k in segments:
+    for _, step, g, k in segments:
         if step > left:
-            split = (user, Fraction(left, step))
+            split = (g, Fraction(left, step))
             break
         left -= step
-        position[user] = k + 1
+        position[g] = k + 1
 
-    x = [ZERO] * len(actions)
-    for user, k in position.items():
-        at = hulls[user][k][2]
+    x = [ZERO] * len(weights)
+    for hull, k in zip(hulls, position):
+        at = hull[k][2]
         if at is not None:
             x[at] = ONE
     if split is not None:
-        user, theta = split
-        k = position[user]
-        at, to = hulls[user][k][2], hulls[user][k + 1][2]
+        g, theta = split
+        k = position[g]
+        at, to = hulls[g][k][2], hulls[g][k + 1][2]
         if at is not None:
             x[at] = ONE - theta
         x[to] = theta
     return x
+
+
+class _DirectionLP:
+    """The direction LP over a fixed list of actions, with every part but its
+    weights built once: without the W row, the actions grouped by user and
+    the integer costs and budget of the hull walk; with it, the simplex's
+    constraint rows."""
+
+    def __init__(
+        self,
+        instance: Instance,
+        actions: list[Action],
+        beta: float,
+        use_W: bool,
+        costs: Mapping[Action, Fraction],
+    ):
+        if use_W and instance.W is None:
+            raise ValueError("use_W requires an instance with W set")
+        if not 0.0 <= beta <= 0.5:
+            raise ValueError("beta must lie in [0, 1/2]")
+        self.use_W = use_W
+        budget = Fraction(beta) * Fraction(instance.B)
+        if not use_W:
+            self.groups = _user_groups(actions)
+            self.costs, self.budget = _integer_costs(actions, costs, budget)
+        else:
+            users = sorted({a.user for a in actions})
+            self.lhs = [[Fraction(1 if a.user == user else 0) for a in actions] for user in users]
+            self.lhs += [[costs[a] for a in actions], [Fraction(1)] * len(actions)]
+            self.rhs = [Fraction(1)] * len(users) + [budget, Fraction(beta) * Fraction(instance.W)]
+
+    def solve(self, weights: list[float]) -> list[Fraction]:
+        """An exact optimal direction for these weights, in action order."""
+        if not self.use_W:
+            return _knapsack_optimum(self.groups, _integer_weights(weights), self.costs, self.budget)
+        return simplex.maximize([Fraction(w) for w in weights], self.lhs, self.rhs)[1]
 
 
 def solve_lp(
@@ -333,36 +428,22 @@ def solve_lp(
     cost at most beta*B, every coordinate in [0, 1], and (when use_W is set)
     total mass at most beta*W.  The solution is returned as exact rationals.
     costs, when given, holds every action's exact expected cost under
-    cost_mode; otherwise it is built here.  continuous_greedy builds it once,
-    as an ActionCosts, so every step reuses its integer costs.
+    cost_mode; otherwise it is built here.
 
     Without the W row the hull walk of _knapsack_optimum solves it on
     integers and returns its own optimal vertex, by its stated tie rule; with
     the W row the simplex solves it and returns the simplex's vertex.
+    continuous_greedy builds the same _DirectionLP once and solves it at
+    every step.
     """
     actions = list(weights)
     for a, w in weights.items():
         if not math.isfinite(w):
             raise ValueError(f"non-finite weight for {a}")
-    if use_W and instance.W is None:
-        raise ValueError("use_W requires an instance with W set")
-    if not 0.0 <= beta <= 0.5:
-        raise ValueError("beta must lie in [0, 1/2]")
-
     if costs is None:
         costs = action_costs_exact(instance, actions, cost_mode)
-    floats = [float(w) for w in weights.values()]
-    budget = Fraction(beta) * Fraction(instance.B)
-    if not use_W:
-        int_costs, int_budget = _integer_costs(actions, costs, budget)
-        x = _knapsack_optimum(actions, _integer_weights(floats), int_costs, int_budget)
-    else:
-        users = sorted({a.user for a in actions})
-        lhs = [[Fraction(1 if a.user == user else 0) for a in actions] for user in users]
-        lhs += [[costs[a] for a in actions], [Fraction(1)] * len(actions)]
-        rhs = [Fraction(1)] * len(users) + [budget, Fraction(beta) * Fraction(instance.W)]
-        _, x = simplex.maximize([Fraction(w) for w in floats], lhs, rhs)
-    return dict(zip(actions, x))
+    lp = _DirectionLP(instance, actions, beta, use_W, costs)
+    return dict(zip(actions, lp.solve([float(w) for w in weights.values()])))
 
 
 def continuous_greedy(
@@ -373,40 +454,46 @@ def continuous_greedy(
 ) -> dict[Action, Fraction]:
     """Measured continuous greedy over the scaled feasible region.
 
-    Runs ceil(1/delta) rounds; each round estimates marginals at the current
-    point, solves the LP exactly, and advances by the step size along the
-    direction's nonzero entries, a few per round.  on_step receives (t, y)
-    after each round, y as a dict of its own that later rounds leave alone.
-    Every action's exact cost, and its integer form for the LP, is computed
-    once, and the marginals read a float copy of y that is updated only where
-    y moves.  The result is a convex combination of exactly feasible LP
-    vertices, so it satisfies the scaled constraints exactly (the output
-    stays rational end to end).
+    Runs ceil(1/delta) rounds, and refuses with ValueError, before drawing
+    anything, when that is more than MAX_STEPS.  Round i estimates the
+    marginals at the current point from the samples estimate_marginals
+    draws at iteration i, solves the LP exactly, and advances by the step
+    size along the direction's nonzero entries, a few per round.  on_step
+    receives (t, y) after each round, y as a dict of its own.
+
+    The rounds run on action indices: y is a list of Fractions in action
+    order with a float copy for the marginals, updated only where y moves,
+    and every part of the marginals and the LP that does not depend on y is
+    built once (_Sampler, _DirectionLP).  The samples do not depend on y
+    either, so their reach comes a window of rounds at a time.  The result
+    is a convex combination of exactly feasible LP vertices, so it satisfies
+    the scaled constraints exactly (the output stays rational end to end).
     """
     actions = build_action_space(instance)
     if not actions:
         raise ValueError("action space is empty; the fractional route has nothing to probe")
     beta = config.resolved_beta(use_W)
     delta = Fraction(config.resolved_delta(len(actions)))
-    costs = action_costs_exact(instance, actions, config.cost_mode)
-    y = {a: Fraction(0) for a in actions}
-    probs = dict.fromkeys(actions, 0.0)  # y as floats, for the marginals
-    t = Fraction(0)
-    iteration = 0
-    while t < 1:
-        step = min(delta, 1 - t)
-        omega = estimate_marginals(instance, probs, config, iteration=iteration)
-        direction = solve_lp(
-            omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
+    steps = math.ceil(1 / delta)
+    if steps > MAX_STEPS:
+        raise ValueError(
+            f"the continuous greedy would take {steps} steps (delta = {float(delta)!r}, "
+            f"|S| = {len(actions)} actions), above the limit of {MAX_STEPS}"
         )
-        y = dict(y)  # a fresh snapshot for on_step
-        for a, d in direction.items():
+    lp = _DirectionLP(instance, actions, beta, use_W, action_costs_exact(instance, actions, config.cost_mode))
+    sampler = _Sampler(instance, actions, config)
+    y = [ZERO] * len(actions)
+    probs = np.zeros(len(actions))  # y as floats, for the marginals
+    last = 1 - (steps - 1) * delta  # every step but the last is delta
+    for i, pieces in itertools.groupby(sampler.samples(0, steps), key=lambda piece: piece[0]):
+        direction = lp.solve(sampler.marginals(probs, pieces).tolist())
+        step = delta if i < steps - 1 else last
+        for j, d in enumerate(direction):
             if d:
-                y[a] += step * d
-                probs[a] = float(y[a])
-        t += step
-        iteration += 1
+                y[j] += step * d
+                probs[j] = float(y[j])
         if on_step is not None:
-            on_step(float(t), y)
-    check_fractional(y)
-    return y
+            on_step(float(min(delta * (i + 1), ONE)), dict(zip(actions, y)))
+    result = dict(zip(actions, y))
+    check_fractional(result)
+    return result

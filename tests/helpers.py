@@ -30,7 +30,13 @@ from couponprobe.model import (
     exact_expected_cost,
 )
 from couponprobe.oracle import OracleSizeError, _spread_table, conditional_accept
-from couponprobe.relaxation import RelaxationConfig
+from couponprobe.relaxation import (
+    RelaxationConfig,
+    action_costs_exact,
+    check_fractional,
+    estimate_marginals,
+    solve_lp,
+)
 from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
@@ -586,6 +592,54 @@ def marginals_by_utility(
                     continue  # already present: zero marginal this sample
                 totals[i] += action_set_utility(instance, base + [action], world) - base_value
     return {a: totals[i] / samples for i, a in enumerate(actions)}
+
+
+def continuous_greedy_by_dicts(
+    instance: Instance,
+    config: RelaxationConfig,
+    use_W: bool = False,
+    on_step: Callable[[float, dict[Action, Fraction]], None] | None = None,
+) -> dict[Action, Fraction]:
+    """Reference for relaxation.continuous_greedy: the greedy on dicts keyed
+    by Action, one estimate_marginals and one solve_lp call per step, with t
+    advanced by t += step.
+
+    Runs ceil(1/delta) rounds; each round estimates marginals at the current
+    point, solves the LP exactly, and advances by the step size along the
+    direction's nonzero entries, a few per round.  on_step receives (t, y)
+    after each round, y as a dict of its own that later rounds leave alone.
+    Every action's exact cost is computed once, and the marginals read a
+    float copy of y that is updated only where y moves.  The result is a convex combination of exactly feasible LP
+    vertices, so it satisfies the scaled constraints exactly (the output
+    stays rational end to end).
+    """
+    actions = build_action_space(instance)
+    if not actions:
+        raise ValueError("action space is empty; the fractional route has nothing to probe")
+    beta = config.resolved_beta(use_W)
+    delta = Fraction(config.resolved_delta(len(actions)))
+    costs = action_costs_exact(instance, actions, config.cost_mode)
+    y = {a: Fraction(0) for a in actions}
+    probs = dict.fromkeys(actions, 0.0)  # y as floats, for the marginals
+    t = Fraction(0)
+    iteration = 0
+    while t < 1:
+        step = min(delta, 1 - t)
+        omega = estimate_marginals(instance, probs, config, iteration=iteration)
+        direction = solve_lp(
+            omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
+        )
+        y = dict(y)  # a fresh snapshot for on_step
+        for a, d in direction.items():
+            if d:
+                y[a] += step * d
+                probs[a] = float(y[a])
+        t += step
+        iteration += 1
+        if on_step is not None:
+            on_step(float(t), y)
+    check_fractional(y)
+    return y
 
 
 def row_world(instance: Instance, row: list[float]) -> World:

@@ -9,6 +9,7 @@ from couponprobe.cli import main
 from couponprobe.instance_io import InstanceFormatError, load_instance, save_instance
 from couponprobe.model import MAX_ACTIONS
 from couponprobe.oracle import optimal_adaptive_value
+from couponprobe.relaxation import MAX_STEPS
 
 TOY = """\
 # five users, two coupon values, per-user cap 1
@@ -310,6 +311,18 @@ def test_run_refuses_a_huge_action_space_exits_2(tmp_path, capsys) -> None:
     assert err == (
         "error: the action space would hold 1048575 actions (n = 1, "
         f"L = 20 low-value coupons, K = 20), above the limit of {MAX_ACTIONS}\n"
+    )
+
+
+def test_run_refuses_a_tiny_delta_exits_2(tmp_path, capsys) -> None:
+    # delta 1e-7: ten million greedy steps, refused before any sample is drawn
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["run", _write(tmp_path, TOY), "--policy", "alg1", "--delta", "1e-7"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == (
+        "error: the continuous greedy would take 10000001 steps (delta = 1e-07, "
+        f"|S| = 5 actions), above the limit of {MAX_STEPS}\n"
     )
 
 

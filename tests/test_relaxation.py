@@ -11,11 +11,11 @@ from couponprobe.influence import BLOCK
 from couponprobe.model import COST_MODES, Action, ProbeSequence, build_action_space
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
-    ActionCosts,
     RelaxationConfig,
     _integer_costs,
     _integer_weights,
     _knapsack_optimum,
+    _user_groups,
     check_fractional,
     continuous_greedy,
     default_beta_basic,
@@ -26,10 +26,13 @@ from couponprobe.relaxation import (
 
 from helpers import (
     action_set_utility,
+    continuous_greedy_by_dicts,
     knapsack_optimum_by_fractions,
     make_world,
     marginals_by_utility,
     mirror_lp,
+    oracle4_shaped,
+    relax48_shaped,
     single_user,
     sorted_row,
     threshold_cost,
@@ -251,23 +254,34 @@ def test_marginals_do_not_depend_on_kernel_chunks(monkeypatch) -> None:
     assert [v.hex() for v in chunked.values()] == [v.hex() for v in whole.values()]
 
 
-def test_marginal_samples_run_in_blocks_and_kernel_chunks(monkeypatch) -> None:
-    # one generator per block and one reach-kernel call per chunk, never a
-    # call per sample: 48 actions, as on the relax48 benchmark shape
+def _instance_48():
+    # 48 actions, as on the relax48 benchmark shape
     gen = np.random.default_rng(48)
     edges = ((0, 1, 0.3), (1, 2, 0.5), (2, 3, 0.2), (3, 4, 0.6), (4, 5, 0.4),
              (5, 6, 0.1), (6, 7, 0.5), (7, 0, 0.3), (2, 6, 0.45), (5, 1, 0.25))
     inst = uniform_instance(8, (1.0, 2.0, 3.0, 6.0), [sorted_row(gen, 4) for _ in range(8)],
                             K=2, B=7.0, edges=edges)
-    actions = build_action_space(inst)
-    assert len(actions) == 48
-    y = {a: F(1, 16) for a in actions}
+    assert len(build_action_space(inst)) == 48
+    return inst
+
+
+def _count_draws_and_kernel_calls(monkeypatch) -> tuple[list, list[int]]:
+    # the key of every generator built and the columns of every reach-kernel call
     generators: list = []
     columns: list[int] = []
     default_rng, reach_columns = np.random.default_rng, influence._reach_columns
     monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: generators.append(a) or default_rng(*a, **k))
     monkeypatch.setattr(influence, "_reach_columns",
                         lambda g, live: columns.append(live.shape[1]) or reach_columns(g, live))
+    return generators, columns
+
+
+def test_marginal_samples_run_in_blocks_and_kernel_chunks(monkeypatch) -> None:
+    # one generator per block and one reach-kernel call per chunk, never a
+    # call per sample
+    inst = _instance_48()
+    y = {a: F(1, 16) for a in build_action_space(inst)}
+    generators, columns = _count_draws_and_kernel_calls(monkeypatch)
     estimate_marginals(inst, y, RelaxationConfig(marginal_samples=200, rng_seed=3), 4)
     assert generators == [([3, 4, 0],)]
     assert columns == [200]
@@ -406,13 +420,13 @@ def _integer_hull(actions, weights, cost_row, budget):
     # the package's integer walk on the LP of mirror_lp's rows
     costs = dict(zip(actions, cost_row))
     floats = [float(weights[a]) for a in actions]
-    return _knapsack_optimum(actions, _integer_weights(floats), *_integer_costs(actions, costs, budget))
+    return _knapsack_optimum(_user_groups(actions), _integer_weights(floats), *_integer_costs(actions, costs, budget))
 
 
 def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypatch) -> None:
     # weights from the smallest subnormal to 1e300, zero and non-dyadic costs
-    # with coprime denominators; costs given as a plain dict, as an
-    # ActionCosts in the weights' order and as one in reverse order
+    # with coprime denominators; costs given in the weights' order and in
+    # reverse order
     maximize = simplex.maximize
     calls = _count_simplex_calls(monkeypatch)
     gen = np.random.default_rng(909)
@@ -423,7 +437,7 @@ def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypat
         actions = build_action_space(inst)
         weights = {a: float(gen.choice(pool)) for a in actions}
         exact = {a: F(int(gen.integers(0, 12)), int(gen.choice(dens))) for a in actions}
-        costs = (exact, ActionCosts(exact), ActionCosts(dict(reversed(exact.items()))))[trial % 3]
+        costs = (exact, dict(reversed(exact.items())))[trial % 2]
         beta = float(gen.choice([0.25, 0.5]))
         budget = F(beta) * F(inst.B)
         obj = [F(weights[a]) for a in actions]
@@ -556,28 +570,123 @@ def test_greedy_iteration_count_and_monotone_trajectory() -> None:
 
 
 def test_greedy_marginals_read_floats_of_the_current_point(monkeypatch) -> None:
-    # every step's marginals see y's masses as floats, in y's key order, and
-    # the estimate equals the one from y's Fractions
+    # every step's marginals, as the LP receives them, are floats .hex()-equal
+    # to estimate_marginals at that step's point, given as Fractions or floats
     inst = uniform_instance(
         3, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9), (0.6, 0.7)), K=2, B=3.0,
         edges=((0, 1, 0.6), (2, 1, 0.3)),
     )
-    estimate = relaxation.estimate_marginals
-    seen: list[dict] = []
+    solve = relaxation._DirectionLP.solve
+    seen: list[list[float]] = []
 
-    def spy(instance, y, config, iteration=0):
-        seen.append(dict(y))
-        return estimate(instance, y, config, iteration)
+    def spy(lp, weights):
+        seen.append(weights)
+        return solve(lp, weights)
 
-    monkeypatch.setattr(relaxation, "estimate_marginals", spy)
+    monkeypatch.setattr(relaxation._DirectionLP, "solve", spy)
     points = [dict.fromkeys(build_action_space(inst), F(0))]
     config = RelaxationConfig(delta=0.2, marginal_samples=50, rng_seed=3)
     continuous_greedy(inst, config, on_step=lambda t, y: points.append(y))
     assert len(seen) == len(points) - 1 == 5
-    for iteration, (probs, y) in enumerate(zip(seen, points)):
-        assert list(probs) == list(y)
-        assert all(type(p) is float and p == float(y[a]) for a, p in probs.items())
-        assert estimate(inst, probs, config, iteration) == estimate(inst, y, config, iteration)
+    assert any(seen[-1])
+    for iteration, (weights, y) in enumerate(zip(seen, points)):
+        assert all(type(w) is float for w in weights)
+        for point in (y, {a: float(v) for a, v in y.items()}):
+            want = estimate_marginals(inst, point, config, iteration)
+            assert [w.hex() for w in weights] == [v.hex() for v in want.values()]
+
+
+def _greedy_cases():
+    # relax48- and oracle4-shaped instances in both cost modes, with and
+    # without the W row, at the benchmark's step and sample count
+    for cost_mode in COST_MODES:
+        for use_W in (False, True):
+            config = RelaxationConfig(delta=0.0208333, marginal_samples=10, rng_seed=5, cost_mode=cost_mode)
+            yield relax48_shaped(5, W=3), config, use_W
+            for seed in (1, 2):
+                config = RelaxationConfig(delta=0.25, marginal_samples=10, rng_seed=seed, cost_mode=cost_mode)
+                yield oracle4_shaped(seed), config, use_W
+
+
+def _assert_greedy_equals_the_dict_greedy(inst, config, use_W) -> None:
+    steps, ref_steps = [], []
+    y = continuous_greedy(inst, config, use_W, on_step=lambda t, y: steps.append((t, y)))
+    want = continuous_greedy_by_dicts(inst, config, use_W, on_step=lambda t, y: ref_steps.append((t, y)))
+    assert list(y.items()) == list(want.items())
+    assert steps == ref_steps
+    assert any(y.values())
+
+
+def test_greedy_on_indices_equals_the_dict_greedy() -> None:
+    for inst, config, use_W in _greedy_cases():
+        _assert_greedy_equals_the_dict_greedy(inst, config, use_W)
+
+
+def test_greedy_equals_the_dict_greedy_on_small_kernel_windows(monkeypatch) -> None:
+    # 1500 bytes: every window holds one step, whose ten samples the kernel
+    # scores in chunks of a few
+    generators, columns = _count_draws_and_kernel_calls(monkeypatch)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    assert influence._chunk_columns(relax48_shaped(5).graph) < 10
+    for use_W in (False, True):
+        inst = relax48_shaped(5, W=3 if use_W else None)
+        config = RelaxationConfig(delta=0.0208333, marginal_samples=10, rng_seed=5)
+        generators.clear()
+        columns.clear()
+        continuous_greedy(inst, config, use_W)
+        assert generators == [([5, i, 0],) for i in range(49)]
+        assert len(columns) > 49 and max(columns) < 10
+        _assert_greedy_equals_the_dict_greedy(inst, config, use_W)
+
+
+def test_greedy_draws_in_step_order_and_scores_a_window_per_kernel_call(monkeypatch) -> None:
+    inst = _instance_48()
+    generators, columns = _count_draws_and_kernel_calls(monkeypatch)
+    continuous_greedy(inst, RelaxationConfig(delta=0.0208333, marginal_samples=10, rng_seed=3))
+    assert generators == [([3, i, 0],) for i in range(49)]
+    assert columns == [490]  # the whole ascent in one window
+    # 200 samples: windows of as many whole steps as fit in half of
+    # KERNEL_BYTES, which bounds what a window keeps of the draws
+    generators.clear()
+    columns.clear()
+    continuous_greedy(inst, RelaxationConfig(delta=0.0208333, marginal_samples=200, rng_seed=3))
+    assert generators == [([3, i, 0],) for i in range(49)]
+    per_window = columns[0] // 200
+    assert 1 < len(columns) < 49 and columns[0] == 200 * per_window
+    assert columns == [200 * per_window] * (49 // per_window) + [200 * (49 % per_window)] * (49 % per_window > 0)
+    # presence uniforms at 8 bytes, accepts at 1 (48 actions), live edges at 1 (10 edges)
+    assert 2 * columns[0] * (9 * 48 + 10) < influence.KERNEL_BYTES
+    # 1224 samples: two blocks a step, drawn in order, in windows of whole steps
+    generators.clear()
+    columns.clear()
+    continuous_greedy(inst, RelaxationConfig(delta=0.25, marginal_samples=BLOCK + 200, rng_seed=3))
+    assert generators == [([3, i, b],) for i in range(4) for b in (0, 1)]
+    assert sum(columns) == 4 * (BLOCK + 200) and all(c % (BLOCK + 200) == 0 for c in columns)
+
+
+def test_greedy_refuses_too_many_steps_before_drawing(monkeypatch) -> None:
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew samples")
+
+    inst = uniform_instance(2, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9)), K=1, B=3.0)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError) as err:
+        continuous_greedy(inst, RelaxationConfig(delta=1e-7))
+    assert str(err.value) == (
+        "the continuous greedy would take 10000001 steps (delta = 1e-07, |S| = 4 actions), "
+        f"above the limit of {relaxation.MAX_STEPS}"
+    )
+    # the default delta, the double nearest 1/|S|^2, passes the limit above
+    # 1024 actions: 1230 here, one step more than 1230^2
+    wide = uniform_instance(205, (1.0, 2.0, 3.0, 6.0), ((0.1, 0.2, 0.3, 0.4),) * 205, K=2, B=7.0)
+    with pytest.raises(ValueError, match="take 1512901 steps"):
+        continuous_greedy(wide, RelaxationConfig())
+    # the limit itself is allowed
+    monkeypatch.undo()
+    monkeypatch.setattr(relaxation, "MAX_STEPS", 4)
+    assert len(continuous_greedy(inst, RelaxationConfig(delta=0.25, marginal_samples=5))) == 4
+    with pytest.raises(ValueError, match="take 5 steps"):
+        continuous_greedy(inst, RelaxationConfig(delta=0.24, marginal_samples=5))
 
 
 def test_greedy_output_feasible_exactly() -> None:
