@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
+from unittest import mock
 
 import numpy as np
 
-from couponprobe import simplex
+from couponprobe import rounding, simplex
 from couponprobe.influence import (
     BLOCK,
     Graph,
@@ -155,17 +155,6 @@ def realize(instance: Instance, world: World, user: int, coupon_index: int) -> b
     return instance.attractiveness[user][coupon_index] >= world.thresholds[user]
 
 
-def expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> float:
-    """Expected amount redeemed when probing one user through one sequence.
-
-    The threshold mode is exact under the correlated acceptance model: the
-    user accepts coupon i (paying c_i) iff their threshold falls in
-    (p_{i-1}, p_i].  The paper mode instead compounds independent rejections,
-    which is not exact under the model but is kept as a selectable variant.
-    """
-    return float(exact_expected_cost(instance, action, mode))
-
-
 def probe_user(
     instance: Instance, world: World, action: Action, remaining_budget: float
 ) -> tuple[float | None, list[ProbeStep]]:
@@ -262,54 +251,6 @@ def exact_policy_value(
         trace = trace_generator(world)
         total += weight * realized_influence(instance.graph, trace.seeds, world.live_mask)
     return total
-
-
-def independent_round(y: Mapping[Action, float], rng) -> frozenset[Action]:
-    """Include each action independently with probability equal to its mass.
-
-    One uniform draw per action, in y's iteration order.  y is taken as
-    already checked (continuous_greedy checks its output).
-    """
-    draws = np.random.default_rng(rng).random(len(y)).tolist()
-    return frozenset(action for (action, p), u in zip(y.items(), draws) if u < p)
-
-
-def contention_resolve(
-    raw: Collection[Action],
-    matroids: str = "one",
-    W: int | None = None,
-    rng=0,
-) -> frozenset[Action]:
-    """Drop actions until the survivors are independent in every constraint matroid.
-
-    Per user, one uniformly random contender survives.  In two-matroid mode an
-    independent uniform choice keeps at most W of the raw actions, and an
-    action must be kept by both rules.  Both rules retain any element less
-    often as the raw set grows, which is what makes their guarantees compose.
-    """
-    if matroids not in ("one", "two"):
-        raise ValueError("matroids must be 'one' or 'two'")
-    gen = np.random.default_rng(rng)
-
-    ordered = sorted(raw)
-    by_user: dict[int, list[Action]] = {}
-    for action in ordered:
-        by_user.setdefault(action.user, []).append(action)
-    survivors: set[Action] = set()
-    for group in by_user.values():  # ascending user, as ordered is sorted
-        survivors.add(group[gen.integers(len(group))] if len(group) > 1 else group[0])
-
-    if matroids == "two":
-        if W is None:
-            raise ValueError("two-matroid resolution needs W")
-        if len(ordered) > W:
-            idx = gen.choice(len(ordered), size=W, replace=False)
-            kept = {ordered[i] for i in idx}
-        else:
-            kept = set(ordered)
-        survivors &= kept
-
-    return frozenset(survivors)
 
 
 def alg2_execute(instance: Instance, order: ProbeOrder, world: World) -> PolicyTrace:
@@ -888,6 +829,35 @@ def rounding_draws(policy, worlds: int, rng_seed: int) -> list[list[list[float]]
         shape = (min(BLOCK, worlds - start), ROUNDING_DRAWS, len(policy.fractional))
         out += np.random.default_rng([rng_seed, b, 1]).random(shape).tolist()
     return out
+
+
+def planned(inst, y, extended=False) -> Alg1Policy:
+    """An Alg1Policy that rounds y, given over build_action_space(inst) in
+    its order, in place of the continuous greedy's plan."""
+    with mock.patch.object(rounding, "continuous_greedy", lambda *args, **kwargs: y):
+        return Alg1Policy(inst, RelaxationConfig(), extended=extended)
+
+
+def run_blocks(policy: Alg1Policy, worlds: int, seed: int):
+    """run_block over `worlds` fresh worlds, chunk_rows at a time, every draw
+    from one generator keyed by seed: per chunk its thresholds, uniforms,
+    present actions, survivors, Steps and seed matrix."""
+    n, m = policy.instance.n_users, len(policy.fractional)
+    gen = np.random.default_rng(seed)
+    for start in range(0, worlds, policy.chunk_rows):
+        rows = min(policy.chunk_rows, worlds - start)
+        thresholds = gen.random((rows, n))
+        uniforms = gen.random((rows, ROUNDING_DRAWS, m))
+        present, chosen, steps = policy.run_block(thresholds, uniforms)
+        yield thresholds, uniforms, present, chosen, steps, seeded_by(steps, n)
+
+
+def seeded_by(steps: Steps, n: int) -> np.ndarray:
+    """The (n, rows) seed matrix of a block's Steps: each row's accepting users."""
+    seeded = np.zeros((n, len(steps.user)), dtype=bool)
+    won = steps.accepted
+    seeded[steps.user[won], np.nonzero(won)[0]] = True
+    return seeded
 
 
 def alg1_trace(policy, world: World, draws) -> PolicyTrace:

@@ -4,8 +4,10 @@ One test per promised behavior: the approximation guarantees of the combined
 policy in both constraint modes, constraint discipline under simulation, the
 exactness claims of the sequencing layer, cost accounting, the rational LP
 and extension machinery, influence-law sanity, and contention-resolution
-survival rates.  These are slower than the unit files on purpose; each prints
-a short summary line when it passes.
+survival rates.  Cost accounting and survival rates are checked on the
+package's own rounding path, Alg1Policy.run_block, with the plan patched in.
+These are slower than the unit files on purpose; each prints a short summary
+line when it passes.
 """
 from __future__ import annotations
 
@@ -54,14 +56,11 @@ from couponprobe.sequencing import (
 )
 
 from helpers import (
-    contention_resolve,
     dp_brute_force,
-    expected_cost,
-    independent_round,
     mirror_lp,
-    probe_user,
+    planned,
     random_tiny_instance,
-    sample_world,
+    run_blocks,
     sorted_row,
     threshold_cost,
     uniform_instance,
@@ -194,15 +193,15 @@ def test_criterion_07_expected_cost_matches_simulation() -> None:
             user=0,
             sequence=ProbeSequence(coupon_indices=tuple(range(len(inst.coupons)))),
         )
-        want = expected_cost(inst, action)  # threshold mode is the default
-        gen = np.random.default_rng(77)
-        spends = np.empty(100_000)
-        for i in range(spends.size):
-            _, steps = probe_user(inst, sample_world(inst, gen), action, inst.B)
-            spends[i] = sum(s.coupon_value for s in steps if s.accepted)
+        want = float(exact_expected_cost(inst, action))  # threshold mode is the default
+        # the one action at mass 1 is present, survives and runs in every world
+        policy = planned(inst, {a: F(1 if a == action else 0) for a in build_action_space(inst)})
+        spends = np.concatenate([
+            steps.spend.sum(axis=1) for *_, steps, _ in run_blocks(policy, 100_000, 77)
+        ])
         stderr = float(spends.std(ddof=1)) / math.sqrt(spends.size)
         assert abs(float(spends.mean()) - want) <= 4 * stderr
-    print("criterion 7: PASS (3 sequence lengths at 100000 worlds, within 4 stderr)")
+    print("criterion 7: PASS (3 sequence lengths at 100000 run_block worlds, within 4 stderr)")
 
 
 @pytest.mark.xfail(
@@ -325,20 +324,14 @@ def test_criterion_10_contention_survival_rates() -> None:
     assert len(actions) == 12  # several contenders per user, not one
     y = {a: beta / 6 for a in actions}
 
-    for matroids, floor in (("one", 1 - beta), ("two", (1 - beta) ** 2)):
-        gen_round = np.random.default_rng(10_000)
-        gen_resolve = np.random.default_rng(10_001)
+    rates = []
+    for extended, seed, floor in ((False, 10_000, 1 - beta), (True, 10_001, (1 - beta) ** 2)):
         appeared = 0
         survived = 0
-        for _ in range(100_000):
-            raw = independent_round(y, gen_round)
-            if not raw:
-                continue
-            resolved = contention_resolve(
-                raw, matroids=matroids, W=inst.W, rng=gen_resolve,
-            )
-            appeared += len(raw)
-            survived += len(resolved & raw)
-        rate = survived / appeared
-        assert rate >= float(floor) - 0.01
-    print("criterion 10: PASS (survival above 1-beta and (1-beta)^2 floors)")
+        for _, _, present, chosen, _, _ in run_blocks(planned(inst, y, extended), 100_000, seed):
+            appeared += int(present.sum())
+            survived += int((chosen >= 0).sum())
+        rates.append(survived / appeared)
+        assert rates[-1] >= float(floor) - 0.01
+    print(f"criterion 10: PASS (run_block survival {rates[0]:.3f} and {rates[1]:.3f} "
+          "above 1-beta and (1-beta)^2 floors)")

@@ -1,10 +1,12 @@
-"""Every name a module imports is used in it, and every private name the
-package defines is read in the package.
+"""Every name a module imports is used in it, every private name the
+package defines is read in the package, and every name tests/helpers.py
+defines is read by the tests or by helpers.py itself.
 
 No linter runs in the test suite, and deleting code tends to leave stale
 imports and helpers behind.  The import check parses each package module (but
 the package's __init__, which imports to re-export) and each test module; the
-private-name check parses the whole package.
+private-name check parses the whole package, and the helper check the whole
+test directory.
 """
 
 from __future__ import annotations
@@ -45,13 +47,11 @@ def test_no_unused_imports(path) -> None:
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private names (one leading underscore) that one of the
-    sources defines and none of them reads, as a name, an attribute or an
-    imported name.  sources maps a module's name to its text."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def names_read(trees) -> set[str]:
+    """Every name the parsed modules read, as a name, an attribute or an
+    imported name."""
     read: set[str] = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -59,20 +59,31 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, ast.Assign):
-                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined = [node.target.id]
-            else:
-                continue
-            unread += [f"{module}: {name}" for name in defined
-                       if name.startswith("_") and not name.startswith("__") and name not in read]
-    return unread
+    return read
+
+
+def top_level_names(tree) -> list[str]:
+    """The functions, classes and assigned names a parsed module defines at
+    its top level, in order."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private names (one leading underscore) that one of the
+    sources defines and none of them reads.  sources maps a module's name
+    to its text."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = names_read(trees.values())
+    return [f"{module}: {name}" for module, tree in trees.items() for name in top_level_names(tree)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
 
 
 def test_private_name_checker_flags_an_unread_name() -> None:
@@ -86,3 +97,23 @@ def test_private_name_checker_flags_an_unread_name() -> None:
 
 def test_every_private_package_name_is_read() -> None:
     assert unread_private_names({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def unread_helpers(sources: dict[str, str]) -> list[str]:
+    """Top-level names of sources["helpers"] that none of the sources reads."""
+    trees = [ast.parse(source) for source in sources.values()]
+    read = names_read(trees)
+    return [name for name in top_level_names(ast.parse(sources["helpers"])) if name not in read]
+
+
+def test_helper_checker_flags_an_unread_helper() -> None:
+    sources = {
+        "helpers": "N = 1\ndef f():\n    return N\ndef g(): pass\nclass C: pass\n",
+        "test_a": "from helpers import f\n",
+    }
+    assert unread_helpers(sources) == ["g", "C"]
+
+
+def test_every_helper_is_read() -> None:
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert unread_helpers({p.stem: p.read_text(encoding="utf-8") for p in tests}) == []

@@ -22,7 +22,6 @@ from couponprobe.model import (
 from couponprobe.oracle import concave_relaxation_optimum
 
 from helpers import (
-    expected_cost,
     make_world,
     probe_user,
     realize,
@@ -207,21 +206,21 @@ def test_action_space_empty_when_no_low_coupons() -> None:
 def test_expected_cost_two_coupon_example() -> None:
     inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
     act = _act(0, 0, 1)
-    assert expected_cost(inst, act, mode="threshold") == pytest.approx(1.1)
-    assert expected_cost(inst, act, mode="paper") == pytest.approx(1.3)
+    assert exact_expected_cost(inst, act, mode="threshold") == pytest.approx(1.1)
+    assert exact_expected_cost(inst, act, mode="paper") == pytest.approx(1.3)
 
 
 def test_expected_cost_single_coupon_agrees_across_modes() -> None:
     inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
     act = _act(0, 1)
-    assert expected_cost(inst, act, mode="threshold") == pytest.approx(0.8 * 2.0)
-    assert expected_cost(inst, act, mode="paper") == pytest.approx(0.8 * 2.0)
+    assert exact_expected_cost(inst, act, mode="threshold") == pytest.approx(0.8 * 2.0)
+    assert exact_expected_cost(inst, act, mode="paper") == pytest.approx(0.8 * 2.0)
 
 
 def test_expected_cost_rejects_unknown_mode() -> None:
     inst = single_user(0.5)
     with pytest.raises(ValueError):
-        expected_cost(inst, _act(0, 0), mode="midpoint")
+        exact_expected_cost(inst, _act(0, 0), mode="midpoint")
 
 
 def test_exact_expected_cost_is_rational() -> None:
@@ -243,7 +242,7 @@ def test_expected_cost_matches_simulated_spend() -> None:
         spends[i] = 0.0 if value is None else value
     mean = float(spends.mean())
     stderr = float(spends.std(ddof=1) / np.sqrt(n))
-    assert abs(mean - expected_cost(inst, act)) <= 4 * stderr
+    assert abs(mean - exact_expected_cost(inst, act)) <= 4 * stderr
 
 
 # ---------------------------------------------------------------- probe_user

@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from couponprobe import rounding
 from couponprobe.model import (
     Action,
     ProbeSequence,
@@ -15,6 +13,7 @@ from couponprobe.model import (
     build_action_space,
     check_steps,
     check_trace,
+    exact_expected_cost,
     low_value_coupons,
 )
 from couponprobe.relaxation import RelaxationConfig
@@ -23,13 +22,13 @@ from couponprobe.sequencing import evaluate_policy
 
 from helpers import (
     alg1_trace,
-    contention_resolve,
-    expected_cost,
-    independent_round,
     make_world,
     oracle4_shaped,
+    planned,
     random_tiny_instance,
     relax48_shaped,
+    run_blocks,
+    seeded_by,
     single_user,
     steps_trace,
     uniform_instance,
@@ -42,102 +41,7 @@ def _act(user: int, *indices: int) -> Action:
     return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
 
 
-# --------------------------------------------------------- independent_round
-
-
-def test_round_zero_vector_gives_empty_set() -> None:
-    y = {_act(0, 0): F(0), _act(1, 0): F(0)}
-    raw = independent_round(y, np.random.default_rng(0))
-    assert raw == frozenset()
-
-
-def test_round_certain_inclusion() -> None:
-    a = _act(0, 0)
-    y = {a: F(1)}
-    for seed in range(20):
-        raw = independent_round(y, np.random.default_rng(seed))
-        assert raw == frozenset({a})
-
-
-def test_round_frequencies_match_mass() -> None:
-    a, b = _act(0, 0), _act(1, 0)
-    y = {a: F(3, 10), b: F(4, 5)}
-    trials = 20_000
-    gen = np.random.default_rng(8)
-    hits = {a: 0, b: 0}
-    for _ in range(trials):
-        raw = independent_round(y, gen)
-        for action in raw:
-            hits[action] += 1
-    assert hits[a] / trials == pytest.approx(0.3, abs=0.01)
-    assert hits[b] / trials == pytest.approx(0.8, abs=0.01)
-
-
-def test_round_is_deterministic_per_seed() -> None:
-    y = {_act(0, 0): F(1, 2), _act(1, 0): F(1, 2)}
-    first = independent_round(y, np.random.default_rng(5))
-    second = independent_round(y, np.random.default_rng(5))
-    assert first == second
-
-
-# -------------------------------------------------------- contention_resolve
-
-
-def test_resolve_keeps_independent_sets_in_one_matroid_mode() -> None:
-    a, b = _act(0, 0), _act(1, 0)
-    resolved = contention_resolve(frozenset({a, b}), matroids="one")
-    assert resolved == {a, b}
-
-
-def test_resolve_picks_one_action_per_user() -> None:
-    a, b = _act(0, 0), _act(0, 1)
-    raw = frozenset({a, b})
-    seen = set()
-    for seed in range(40):
-        resolved = contention_resolve(raw, matroids="one", rng=seed)
-        assert len(resolved) == 1
-        seen |= resolved
-    assert seen == {a, b}  # both get picked across seeds
-
-
-def test_resolve_two_matroid_caps_cardinality() -> None:
-    actions = [_act(v, 0) for v in range(4)]
-    raw = frozenset(actions)
-    for seed in range(30):
-        resolved = contention_resolve(raw, matroids="two", W=2, rng=seed)
-        assert len(resolved) <= 2
-        assert len({a.user for a in resolved}) == len(resolved)
-
-
-def test_resolve_survival_rate_smoke() -> None:
-    # per-user class mass kept at beta so the survival bound is in force;
-    # the full-scale version lives in the acceptance suite
-    beta = 0.25
-    actions = [_act(0, 0), _act(0, 1), _act(1, 0)]
-    y = {a: F(1, 8) for a in actions}
-    gen = np.random.default_rng(17)
-    included = {a: 0 for a in actions}
-    survived = {a: 0 for a in actions}
-    for _ in range(20_000):
-        raw = independent_round(y, gen)
-        resolved = contention_resolve(raw, matroids="one", rng=gen)
-        for a in raw:
-            included[a] += 1
-            if a in resolved:
-                survived[a] += 1
-    for a in actions:
-        assert included[a] > 0
-        assert survived[a] / included[a] >= (1 - beta) - 0.02
-
-
 # ------------------------------------------------- the gated execution
-
-
-def _planned(inst, y, extended=False) -> Alg1Policy:
-    """An Alg1Policy that rounds y, given over build_action_space(inst) in
-    its order, in place of the continuous greedy's plan."""
-    with mock.patch.object(rounding, "continuous_greedy", lambda *args, **kwargs: y):
-        return Alg1Policy(inst, RelaxationConfig(), extended=extended)
 
 
 def _run(policy: Alg1Policy, thresholds, gen):
@@ -150,7 +54,7 @@ def _run(policy: Alg1Policy, thresholds, gen):
 
 def test_execute_empty_set() -> None:
     inst = single_user(0.5, coupon=1.0, B=3.0)
-    policy = _planned(inst, {_act(0, 0): F(1, 2)})
+    policy = planned(inst, {_act(0, 0): F(1, 2)})
     # presence uniforms of 1.0 are never below y: nothing is present
     present, chosen, steps = policy.run_block(np.full((1, 1), 0.4), np.ones((1, ROUNDING_DRAWS, 1)))
     assert not present.any() and (chosen == -1).all()
@@ -165,7 +69,7 @@ def test_execute_budget_gate_discards_without_probing() -> None:
     # three always-accepting users at 1.4 each against budget 3: after two
     # redemptions the remaining 0.2 is below B/2, so one user is never offered
     inst = uniform_instance(3, (1.4,), ((1.0,),) * 3, K=1, B=3.0)
-    policy = _planned(inst, {_act(v, 0): F(1) for v in range(3)})
+    policy = planned(inst, {_act(v, 0): F(1) for v in range(3)})
     present, chosen, steps, seeded = _run(policy, np.full((20, 3), 0.5), np.random.default_rng(11))
     assert present.all() and (chosen >= 0).all()  # every user's action survives contention
     assert (steps.accepted.sum(axis=1) == 2).all()
@@ -181,7 +85,7 @@ def test_execute_never_overspends_on_random_runs() -> None:
             (0.3, 0.6), (0.5, 0.9), (0.2, 0.4), (0.7, 0.8),
         ), K=2, B=3.0,
     )
-    policy = _planned(inst, {a: F(1, 16) for a in build_action_space(inst)})
+    policy = planned(inst, {a: F(1, 16) for a in build_action_space(inst)})
     gen = np.random.default_rng(23)
     _, _, steps, seeded = _run(policy, gen.random((300, 4)), gen)
     assert (steps.spend.sum(axis=1) <= inst.B).all()
@@ -197,7 +101,7 @@ def test_budget_gate_discard_probability_markov_bound() -> None:
     # b = 1.4 per action; 3 * y * 1.4 <= beta * 3 needs y <= beta/1.4
     y_val = F(15, 100)
     assert 3 * y_val * F(1.4) <= F(beta) * F(3.0)
-    policy = _planned(inst, {a: y_val for a in actions})
+    policy = planned(inst, {a: y_val for a in actions})
     gen = np.random.default_rng(31)
     _, chosen, steps, _ = _run(policy, gen.random((10_000, 3)), gen)
     resolved_count = int((chosen >= 0).sum())
@@ -269,28 +173,6 @@ _SHAPED = {
 def _shaped_policy(case: str, extended: bool) -> Alg1Policy:
     inst, config = _SHAPED[case]()
     return Alg1Policy(inst, config, extended=extended)
-
-
-def _run_blocks(policy: Alg1Policy, worlds: int, seed: int):
-    """run_block over `worlds` fresh worlds, chunk_rows at a time: per chunk
-    its thresholds, uniforms, present actions, survivors, Steps and seed
-    matrix."""
-    n, m = policy.instance.n_users, len(policy.fractional)
-    gen = np.random.default_rng(seed)
-    for start in range(0, worlds, policy.chunk_rows):
-        rows = min(policy.chunk_rows, worlds - start)
-        thresholds = gen.random((rows, n))
-        uniforms = gen.random((rows, ROUNDING_DRAWS, m))
-        present, chosen, steps = policy.run_block(thresholds, uniforms)
-        yield thresholds, uniforms, present, chosen, steps, seeded_by(steps, n)
-
-
-def seeded_by(steps: Steps, n: int) -> np.ndarray:
-    """The (n, rows) seed matrix of a block's Steps: each row's accepting users."""
-    seeded = np.zeros((n, len(steps.user)), dtype=bool)
-    won = steps.accepted
-    seeded[steps.user[won], np.nonzero(won)[0]] = True
-    return seeded
 
 
 # the benchmark shapes in both matroid modes, for the floors
@@ -425,7 +307,7 @@ def _corrupt(inst, steps, seeded, extended):
 def test_check_steps_flags_corrupted_rows_as_check_trace_does(case, extended) -> None:
     policy = _shaped_policy(case, extended)
     inst = policy.instance
-    _, _, _, _, steps, seeded = next(_run_blocks(policy, 2000, 7))
+    _, _, _, _, steps, seeded = next(run_blocks(policy, 2000, 7))
     steps, seeded, rows = _corrupt(inst, steps, seeded, extended)
     verdicts = check_steps(inst, steps, seeded, extended)
     want = [bool(check_trace(inst, steps_trace(inst, steps, seeded, r), extended=extended))
@@ -445,7 +327,7 @@ def _action_counts(case: str, extended: bool):
     resolved = np.zeros(m, dtype=np.int64)
     executed = np.zeros(m, dtype=np.int64)
     spends = []
-    for _, _, here, chosen, steps, _ in _run_blocks(policy, 100_000, 11):
+    for _, _, here, chosen, steps, _ in run_blocks(policy, 100_000, 11):
         present += here.sum(axis=0)
         resolved += np.bincount(chosen[chosen >= 0], minlength=m)
         probed = steps.user >= 0
@@ -515,7 +397,7 @@ def test_spend_stays_within_budget_and_expected_cost(case, extended) -> None:
     inst = policy.instance
     *_, spends = _action_counts(case, extended)
     assert (spends <= inst.B).all()
-    expected = sum(y * expected_cost(inst, a) for a, y in policy.fractional.items())
+    expected = sum(y * exact_expected_cost(inst, a) for a, y in policy.fractional.items())
     assert expected <= policy.config.resolved_beta(extended) * inst.B + 1e-9
     stderr = spends.std() / np.sqrt(len(spends))
     assert spends.mean() <= expected + 4 * stderr
