@@ -82,8 +82,7 @@ def wide_graph() -> Graph:
 # ------------------------------------------------------ one world at a time
 #
 # The package simulates worlds only in blocks.  These are the per-world forms
-# that tests hold the block code against, and that acceptance criteria 07 and
-# 10 draw their numbers from.
+# that tests hold the block code against.
 
 
 @dataclass(frozen=True)
@@ -840,16 +839,15 @@ def planned(inst, y, extended=False) -> Alg1Policy:
 
 def run_blocks(policy: Alg1Policy, worlds: int, seed: int):
     """run_block over `worlds` fresh worlds, chunk_rows at a time, every draw
-    from one generator keyed by seed: per chunk its thresholds, uniforms,
-    present actions, survivors, Steps and seed matrix."""
+    from one generator keyed by seed: per chunk its present actions,
+    survivors and Steps."""
     n, m = policy.instance.n_users, len(policy.fractional)
     gen = np.random.default_rng(seed)
     for start in range(0, worlds, policy.chunk_rows):
         rows = min(policy.chunk_rows, worlds - start)
         thresholds = gen.random((rows, n))
         uniforms = gen.random((rows, ROUNDING_DRAWS, m))
-        present, chosen, steps = policy.run_block(thresholds, uniforms)
-        yield thresholds, uniforms, present, chosen, steps, seeded_by(steps, n)
+        yield policy.run_block(thresholds, uniforms)
 
 
 def seeded_by(steps: Steps, n: int) -> np.ndarray:

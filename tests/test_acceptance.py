@@ -197,7 +197,7 @@ def test_criterion_07_expected_cost_matches_simulation() -> None:
         # the one action at mass 1 is present, survives and runs in every world
         policy = planned(inst, {a: F(1 if a == action else 0) for a in build_action_space(inst)})
         spends = np.concatenate([
-            steps.spend.sum(axis=1) for *_, steps, _ in run_blocks(policy, 100_000, 77)
+            steps.spend.sum(axis=1) for _, _, steps in run_blocks(policy, 100_000, 77)
         ])
         stderr = float(spends.std(ddof=1)) / math.sqrt(spends.size)
         assert abs(float(spends.mean()) - want) <= 4 * stderr
@@ -328,7 +328,7 @@ def test_criterion_10_contention_survival_rates() -> None:
     for extended, seed, floor in ((False, 10_000, 1 - beta), (True, 10_001, (1 - beta) ** 2)):
         appeared = 0
         survived = 0
-        for _, _, present, chosen, _, _ in run_blocks(planned(inst, y, extended), 100_000, seed):
+        for present, chosen, _ in run_blocks(planned(inst, y, extended), 100_000, seed):
             appeared += int(present.sum())
             survived += int((chosen >= 0).sum())
         rates.append(survived / appeared)

@@ -18,7 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "couponprobe").glob("*.py"))
-MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + TESTS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -101,9 +102,9 @@ def test_every_private_package_name_is_read() -> None:
 
 def unread_helpers(sources: dict[str, str]) -> list[str]:
     """Top-level names of sources["helpers"] that none of the sources reads."""
-    trees = [ast.parse(source) for source in sources.values()]
-    read = names_read(trees)
-    return [name for name in top_level_names(ast.parse(sources["helpers"])) if name not in read]
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = names_read(trees.values())
+    return [name for name in top_level_names(trees["helpers"]) if name not in read]
 
 
 def test_helper_checker_flags_an_unread_helper() -> None:
@@ -115,5 +116,4 @@ def test_helper_checker_flags_an_unread_helper() -> None:
 
 
 def test_every_helper_is_read() -> None:
-    tests = sorted((ROOT / "tests").glob("*.py"))
-    assert unread_helpers({p.stem: p.read_text(encoding="utf-8") for p in tests}) == []
+    assert unread_helpers({p.stem: p.read_text(encoding="utf-8") for p in TESTS}) == []

@@ -307,7 +307,8 @@ def _corrupt(inst, steps, seeded, extended):
 def test_check_steps_flags_corrupted_rows_as_check_trace_does(case, extended) -> None:
     policy = _shaped_policy(case, extended)
     inst = policy.instance
-    _, _, _, _, steps, seeded = next(run_blocks(policy, 2000, 7))
+    _, _, steps = next(run_blocks(policy, 2000, 7))
+    seeded = seeded_by(steps, inst.n_users)
     steps, seeded, rows = _corrupt(inst, steps, seeded, extended)
     verdicts = check_steps(inst, steps, seeded, extended)
     want = [bool(check_trace(inst, steps_trace(inst, steps, seeded, r), extended=extended))
@@ -327,7 +328,7 @@ def _action_counts(case: str, extended: bool):
     resolved = np.zeros(m, dtype=np.int64)
     executed = np.zeros(m, dtype=np.int64)
     spends = []
-    for _, _, here, chosen, steps, _ in run_blocks(policy, 100_000, 11):
+    for here, chosen, steps in run_blocks(policy, 100_000, 11):
         present += here.sum(axis=0)
         resolved += np.bincount(chosen[chosen >= 0], minlength=m)
         probed = steps.user >= 0
