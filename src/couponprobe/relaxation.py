@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -49,25 +49,13 @@ def default_beta_basic() -> float:
     return (3.0 - math.sqrt(3.0)) / 6.0
 
 
-@lru_cache(maxsize=1)
 def default_beta_extended() -> float:
     """Scaling constant maximizing beta*(1-beta)^2*(1-2*beta) on [0, 1/2].
 
-    Found numerically: the derivative 1 - 8b + 15b^2 - 8b^3 has a single sign
-    change on the interval.
+    The derivative 1 - 8b + 15b^2 - 8b^3 = (1 - b)(8b^2 - 7b + 1) changes sign
+    on the interval only at the smaller root of the quadratic.
     """
-
-    def deriv(b: float) -> float:
-        return 1.0 - 8.0 * b + 15.0 * b * b - 8.0 * b ** 3
-
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return (7.0 - math.sqrt(17.0)) / 16.0
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from couponprobe.model import (
     Action,
     Instance,
     PolicyTrace,
+    ProbeSequence,
     ProbeStep,
     Steps,
     build_action_space,
@@ -94,23 +95,6 @@ class World:
     live_mask: int
 
 
-def sample_live_mask(graph: Graph, rng: np.random.Generator) -> int:
-    """Draw one live-edge realization as an int mask.
-
-    Edges with probability 1 are always live and edges with probability 0
-    never are; one uniform draw per uncertain edge, in edge order, decides
-    the rest.
-    """
-    mask = graph.forced_live_mask
-    unc = graph.uncertain_edges
-    if unc:
-        edges = graph.edges
-        for draw, i in zip(rng.random(len(unc)).tolist(), unc):
-            if draw < edges[i][2]:
-                mask |= 1 << i
-    return mask
-
-
 @functools.lru_cache(maxsize=None)
 def _out_edges(graph: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per node, its out-edges as (edge index, target) pairs."""
@@ -142,11 +126,6 @@ def realized_influence(graph: Graph, seeds: Iterable[int], live_mask: int) -> in
     the seeds alone.
     """
     return _reach_mask(graph, _seed_list(graph, seeds), live_mask).bit_count()
-
-
-def sample_world(instance: Instance, rng: np.random.Generator) -> World:
-    thresholds = tuple(float(x) for x in rng.random(instance.n_users))
-    return World(thresholds, sample_live_mask(instance.graph, rng))
 
 
 def realize(instance: Instance, world: World, user: int, coupon_index: int) -> bool:
@@ -271,6 +250,11 @@ def alg2_execute(instance: Instance, order: ProbeOrder, world: World) -> PolicyT
             return trace
         trace.budget_after.append(budget)
     return trace
+
+
+def act(user: int, *indices: int) -> Action:
+    """The action that offers the user the coupons at these indices."""
+    return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
 
 
 def make_world(thresholds, live_mask: int = 0) -> World:
@@ -773,33 +757,6 @@ def optimal_adaptive_value_by_states(
         return value
 
     return best(PolicyState(tuple((0, -1, -1) for _ in range(n))))
-
-
-def run_fixed_plan(instance: Instance, world: World, actions: Iterable[Action]) -> PolicyTrace:
-    """Execute actions in the given order under plain budget feasibility.
-
-    Each offer is made only while its coupon value still fits in the remaining
-    budget (offers are in increasing value order, so the first unaffordable
-    coupon ends that user's sequence).  No other gating is applied.
-    """
-    trace = PolicyTrace()
-    budget = instance.B
-    seeds: set[int] = set()
-    for action in actions:
-        for i in action.sequence.coupon_indices:
-            value = instance.coupons[i]
-            if value > budget:
-                break
-            accepted = realize(instance, world, action.user, i)
-            trace.steps.append(ProbeStep(action.user, value, accepted))
-            if accepted:
-                budget -= value
-                seeds.add(action.user)
-                trace.budget_after.append(budget)
-                break
-            trace.budget_after.append(budget)
-    trace.seeds = frozenset(seeds)
-    return trace
 
 
 def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:

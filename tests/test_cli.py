@@ -210,6 +210,10 @@ def test_validate_bad_file_exits_2(tmp_path, capsys) -> None:
     code, out, err = _run(capsys, ["validate", path])
     assert code == 2 and out == ""
     assert err.startswith(f"error: {path}:4:")
+    path = _write(tmp_path, TINY.replace("coupons 1.0", "coupons"), "no-coupons.txt")
+    code, out, err = _run(capsys, ["validate", path])
+    assert code == 2 and out == ""
+    assert err == f"error: {path}:3: at least one coupon value is required\n"
 
 
 # ------------------------------------------------------------------------ run

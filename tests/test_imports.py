@@ -1,12 +1,13 @@
 """Every name a module imports is used in it, every private name the
-package defines is read in the package, and every name tests/helpers.py
-defines is read by the tests or by helpers.py itself.
+package defines is read in the package, every name tests/helpers.py
+defines is read by the tests or by helpers.py itself, and no two test
+functions have the same arguments and body.
 
 No linter runs in the test suite, and deleting code tends to leave stale
 imports and helpers behind.  The import check parses each package module (but
 the package's __init__, which imports to re-export) and each test module; the
-private-name check parses the whole package, and the helper check the whole
-test directory.
+private-name check parses the whole package, and the helper and duplicate
+checks the whole test directory.
 """
 
 from __future__ import annotations
@@ -117,3 +118,24 @@ def test_helper_checker_flags_an_unread_helper() -> None:
 
 def test_every_helper_is_read() -> None:
     assert unread_helpers({p.stem: p.read_text(encoding="utf-8") for p in TESTS}) == []
+
+
+def duplicate_functions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions of the sources that share their arguments and
+    body, as ast.dump gives them, each set as "module.name, module.name"."""
+    defined: dict[str, list[str]] = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                key = ast.dump(node.args) + "".join(ast.dump(stmt) for stmt in node.body)
+                defined.setdefault(key, []).append(f"{module}.{node.name}")
+    return [", ".join(names) for names in defined.values() if len(names) > 1]
+
+
+def test_duplicate_checker_flags_a_copied_function() -> None:
+    sources = {"a": "def f(x): return x\ndef g(y): return y\n", "b": "def h(x): return x\n"}
+    assert duplicate_functions(sources) == ["a.f, b.h"]
+
+
+def test_no_function_is_defined_twice_in_the_tests() -> None:
+    assert duplicate_functions({p.stem: p.read_text(encoding="utf-8") for p in TESTS}) == []

@@ -13,6 +13,7 @@ from couponprobe.influence import (
     influence_exact,
     influence_mc_stats,
     live_mask_outcomes,
+    sampled_spreads,
     singleton_influence_table,
 )
 
@@ -22,7 +23,6 @@ from helpers import (
     mixed_graph,
     reach_masks,
     realized_influence,
-    sample_live_mask,
     sim16_shaped_graph,
     wide_graph,
 )
@@ -81,12 +81,13 @@ def test_graph_validation() -> None:
         Graph(node_count=2, edges=((0, 3, 0.5),))
 
 
-def test_realized_influence_counts_reachable() -> None:
+def test_sampled_spreads_counts_reachable() -> None:
     g = Graph(node_count=3, edges=((0, 1, 0.5), (1, 2, 0.5)))
-    assert realized_influence(g, {0}, 0b00) == 1
-    assert realized_influence(g, {0}, 0b01) == 2
-    assert realized_influence(g, {0}, 0b11) == 3
-    assert realized_influence(g, {0}, 0b10) == 1
+    # one outcome per live-edge pattern, seeded at node 0, then one unseeded
+    live = np.array([[False, False], [True, False], [True, True], [False, True], [True, True]])
+    seeded = np.zeros((3, 5), dtype=bool)
+    seeded[0, :4] = True
+    assert sampled_spreads(g, live, seeded).tolist() == [1, 2, 3, 1, 0]
 
 
 def test_mc_full_seeding_saturates() -> None:
@@ -174,18 +175,6 @@ def test_monotone_and_submodular_exhaustively() -> None:
                     assert gain_s >= gain_t - 1e-9
 
 
-def test_sample_live_mask_draws_once_per_uncertain_edge() -> None:
-    g = mixed_graph()
-    gen, ref = np.random.default_rng(9), np.random.default_rng(9)
-    for _ in range(200):
-        draws = ref.random(len(g.uncertain_edges))
-        expected = g.forced_live_mask
-        for j, i in enumerate(g.uncertain_edges):
-            if draws[j] < g.edges[i][2]:
-                expected |= 1 << i
-        assert sample_live_mask(g, gen) == expected
-
-
 def test_singleton_table_deterministic_edge() -> None:
     g = Graph(node_count=2, edges=((0, 1, 1.0),))
     assert singleton_influence_table(g) == {0: 2.0, 1: 1.0}
@@ -209,9 +198,7 @@ def test_live_masks_respect_forced_and_dead_edges() -> None:
     assert len(g.uncertain_edges) == 10
     dead = sum(1 << i for i, (_, _, p) in enumerate(g.edges) if p == 0.0)
     outcomes = list(live_mask_outcomes(g))
-    gen = np.random.default_rng(4)
-    sampled = [sample_live_mask(g, gen) for _ in range(500)]
-    for mask in [m for _, m in outcomes] + sampled:
+    for _, mask in outcomes:
         assert mask & g.forced_live_mask == g.forced_live_mask
         assert mask & dead == 0
     assert len({m for _, m in outcomes}) == 1 << 10

@@ -1,39 +1,42 @@
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from couponprobe import model
+from couponprobe import model, simplex
+from couponprobe.cli import make_policy
+from couponprobe.influence import influence_mc_stats
 from couponprobe.model import (
     MAX_ACTIONS,
-    Action,
     Instance,
     PolicyTrace,
     ProbeSequence,
     ProbeStep,
+    Steps,
     build_action_space,
     check_trace,
     exact_expected_cost,
     low_value_coupons,
 )
-from couponprobe.oracle import concave_relaxation_optimum
+from couponprobe.oracle import concave_relaxation_optimum, optimal_adaptive_value
+from couponprobe.relaxation import RelaxationConfig, estimate_marginals
+from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
+from couponprobe.sequencing import Alg2Policy, alg2_dp
 
 from helpers import (
-    make_world,
-    probe_user,
-    realize,
-    run_fixed_plan,
-    sample_world,
+    act,
+    edgeless,
+    planned,
+    run_blocks,
+    seeded_by,
     single_user,
+    steps_trace,
     uniform_instance,
 )
-
-
-def _act(user: int, *indices: int) -> Action:
-    return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
 
 
 # ---------------------------------------------------------------- validation
@@ -94,48 +97,68 @@ def test_probe_sequence_must_increase() -> None:
         ProbeSequence(coupon_indices=())
 
 
-# ------------------------------------------------------------------- realize
+# ------------------------------------------------------------ offers and accepts
 
 
-def test_realize_threshold_semantics() -> None:
-    inst = single_user(0.8)
-    assert realize(inst, make_world([0.5]), 0, 0)
-    low = single_user(0.3)
-    assert not realize(low, make_world([0.5]), 0, 0)
+def _planned_at_one(inst: Instance, plan, extended: bool = False) -> Alg1Policy:
+    """An Alg1Policy whose plan puts mass 1 on these actions and 0 on every other."""
+    return planned(inst, {a: int(a in plan) for a in build_action_space(inst)}, extended)
+
+
+def _probe(inst: Instance, plan, thresholds) -> Steps:
+    """run_block's Steps in worlds with these user thresholds, for a plan at
+    mass 1 and zero rounding uniforms: each planned action is present, wins
+    contention and runs, in user order."""
+    policy = _planned_at_one(inst, plan)
+    thresholds = np.asarray(thresholds, dtype=float)
+    uniforms = np.zeros((len(thresholds), ROUNDING_DRAWS, len(policy.fractional)))
+    return policy.run_block(thresholds, uniforms)[2]
+
+
+# attractiveness (0.5, 0.8) for coupons 1 and 2: a threshold up to 0.5 takes
+# the first offer, one up to 0.8 the second, and one above declines both
+_THRESHOLD_CASES = [
+    (0.2, [0, -1], True, 1.0),
+    (0.5, [0, -1], True, 1.0),
+    (0.6, [0, 1], True, 2.0),
+    (0.8, [0, 1], True, 2.0),
+    (0.9, [0, 1], False, 0.0),
+]
+
+
+@pytest.mark.parametrize("threshold, offers, accepted, spend", _THRESHOLD_CASES,
+                         ids=[str(case[0]) for case in _THRESHOLD_CASES])
+def test_probe_threshold_semantics(threshold, offers, accepted, spend) -> None:
+    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
+    steps = _probe(inst, [act(0, 0, 1)], [[threshold]])
+    assert steps.user.tolist() == [[0]]
+    assert steps.offers.tolist() == [[offers]]
+    assert steps.accepted.tolist() == [[accepted]]
+    assert steps.spend.tolist() == [[spend]]
 
 
 def test_accepts_are_upward_closed_in_value() -> None:
+    # every coupon up to the lowest one whose attractiveness reaches the
+    # user's threshold is offered, and that one is accepted
     inst = uniform_instance(1, (1.0, 2.0), ((0.4, 0.7),), K=2, B=10.0)
-    w = make_world([0.55])
-    assert not realize(inst, w, 0, 0)
-    assert realize(inst, w, 0, 1)
-    # exhaustively: accept at index i implies accept at every j > i
+    steps = _probe(inst, [act(0, 0, 1)], [[0.55]])
+    assert steps.offers.tolist() == [[[0, 1]]] and steps.accepted.tolist() == [[True]]
     gen = np.random.default_rng(5)
     rand = uniform_instance(
         2, (1.0, 2.0, 3.0),
         (tuple(sorted(gen.uniform(size=3))), tuple(sorted(gen.uniform(size=3)))),
         K=3, B=10.0,
     )
-    for _ in range(200):
-        w = sample_world(rand, gen)
-        for v in range(2):
-            accepted = [c for c in range(3) if realize(rand, w, v, c)]
-            assert accepted == list(range(3 - len(accepted), 3))
-
-
-def test_marginal_acceptance_rate_converges() -> None:
-    inst = uniform_instance(1, (1.0, 2.0), ((0.3, 0.65),), K=2, B=10.0)
-    gen = np.random.default_rng(42)
-    n = 100_000
-    hits = np.zeros(2, dtype=int)
-    for _ in range(n):
-        w = sample_world(inst, gen)
-        for c in range(2):
-            hits[c] += realize(inst, w, 0, c)
-    for c, p in enumerate((0.3, 0.65)):
-        freq = hits[c] / n
-        stderr = float(np.sqrt(p * (1 - p) / n))
-        assert abs(freq - p) <= 4 * stderr
+    thresholds = gen.random((200, 2))
+    steps = _probe(rand, [act(0, 0, 1, 2), act(1, 0, 1, 2)], thresholds)
+    assert (steps.user == [0, 1]).all()
+    for r, row in enumerate(thresholds.tolist()):
+        for v, t in enumerate(row):
+            reached = [c for c in range(3) if rand.attractiveness[v][c] >= t]
+            last = reached[0] if reached else 2
+            assert [c for c in steps.offers[r, v].tolist() if c >= 0] == list(range(last + 1))
+            assert steps.accepted[r, v] == bool(reached)
+            assert steps.spend[r, v] == (rand.coupons[last] if reached else 0.0)
 
 
 # ------------------------------------------------- coupon classes and actions
@@ -205,70 +228,29 @@ def test_action_space_empty_when_no_low_coupons() -> None:
 
 def test_expected_cost_two_coupon_example() -> None:
     inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    act = _act(0, 0, 1)
-    assert exact_expected_cost(inst, act, mode="threshold") == pytest.approx(1.1)
-    assert exact_expected_cost(inst, act, mode="paper") == pytest.approx(1.3)
+    action = act(0, 0, 1)
+    assert exact_expected_cost(inst, action, mode="threshold") == pytest.approx(1.1)
+    assert exact_expected_cost(inst, action, mode="paper") == pytest.approx(1.3)
 
 
 def test_expected_cost_single_coupon_agrees_across_modes() -> None:
     inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    act = _act(0, 1)
-    assert exact_expected_cost(inst, act, mode="threshold") == pytest.approx(0.8 * 2.0)
-    assert exact_expected_cost(inst, act, mode="paper") == pytest.approx(0.8 * 2.0)
+    action = act(0, 1)
+    assert exact_expected_cost(inst, action, mode="threshold") == pytest.approx(0.8 * 2.0)
+    assert exact_expected_cost(inst, action, mode="paper") == pytest.approx(0.8 * 2.0)
 
 
 def test_expected_cost_rejects_unknown_mode() -> None:
     inst = single_user(0.5)
     with pytest.raises(ValueError):
-        exact_expected_cost(inst, _act(0, 0), mode="midpoint")
+        exact_expected_cost(inst, act(0, 0), mode="midpoint")
 
 
 def test_exact_expected_cost_is_rational() -> None:
     inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    cost = exact_expected_cost(inst, _act(0, 0, 1))
+    cost = exact_expected_cost(inst, act(0, 0, 1))
     assert isinstance(cost, Fraction)
     assert float(cost) == pytest.approx(1.1)
-
-
-def test_expected_cost_matches_simulated_spend() -> None:
-    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    act = _act(0, 0, 1)
-    gen = np.random.default_rng(9)
-    n = 100_000
-    spends = np.empty(n)
-    for i in range(n):
-        w = sample_world(inst, gen)
-        value, _ = probe_user(inst, w, act, remaining_budget=10.0)
-        spends[i] = 0.0 if value is None else value
-    mean = float(spends.mean())
-    stderr = float(spends.std(ddof=1) / np.sqrt(n))
-    assert abs(mean - exact_expected_cost(inst, act)) <= 4 * stderr
-
-
-# ---------------------------------------------------------------- probe_user
-
-
-def test_probe_user_stops_at_first_accept() -> None:
-    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    act = _act(0, 0, 1)
-    value, steps = probe_user(inst, make_world([0.2]), act, 10.0)
-    assert value == 1.0
-    assert [s.accepted for s in steps] == [True]
-
-
-def test_probe_user_middle_threshold() -> None:
-    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    value, steps = probe_user(inst, make_world([0.6]), _act(0, 0, 1), 10.0)
-    assert value == 2.0
-    assert [(s.coupon_value, s.accepted) for s in steps] == [(1.0, False), (2.0, True)]
-
-
-def test_probe_user_all_rejects() -> None:
-    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=10.0)
-    value, steps = probe_user(inst, make_world([0.9]), _act(0, 0, 1), 10.0)
-    assert value is None
-    assert len(steps) == 2
-    assert not any(s.accepted for s in steps)
 
 
 # ------------------------------------------------------- traces and checking
@@ -277,32 +259,6 @@ def test_probe_user_all_rejects() -> None:
 def _toy_instance() -> Instance:
     # five users, coupons 1 and 2, per-user cap 1, budget 3
     return uniform_instance(5, (1.0, 2.0), ((0.5, 0.8),) * 5, K=1, B=3.0)
-
-
-def test_fixed_plan_replays_the_toy_walkthrough() -> None:
-    inst = _toy_instance()
-    # d rejects 1, a accepts 2, b accepts 1; c and e never probed
-    world = make_world([0.7, 0.3, 0.9, 0.6, 0.99])
-    plan = [_act(3, 0), _act(0, 1), _act(1, 0)]
-    trace = run_fixed_plan(inst, world, plan)
-    assert [(s.user, s.coupon_value, s.accepted) for s in trace.steps] == [
-        (3, 1.0, False),
-        (0, 2.0, True),
-        (1, 1.0, True),
-    ]
-    assert trace.budget_after == [3.0, 1.0, 0.0]
-    assert trace.seeds == frozenset({0, 1})
-    assert check_trace(inst, trace) == []
-
-
-def test_fixed_plan_skips_unaffordable_actions() -> None:
-    inst = _toy_instance()
-    world = make_world([0.0, 0.0, 0.0, 0.0, 0.0])
-    plan = [_act(0, 1), _act(1, 1), _act(2, 0)]
-    trace = run_fixed_plan(inst, world, plan)
-    # budget 3: user 0 takes 2, user 1's coupon 2 no longer fits, user 2 takes 1
-    assert [(s.user, s.accepted) for s in trace.steps] == [(0, True), (2, True)]
-    assert trace.budget_after == [1.0, 0.0]
 
 
 def test_check_trace_flags_overspend() -> None:
@@ -362,8 +318,48 @@ def test_check_trace_flags_w_violation_in_extended_mode() -> None:
 
 def test_check_trace_accepts_clean_run() -> None:
     inst = uniform_instance(2, (1.0, 2.0), ((0.5, 0.8),) * 2, K=2, B=10.0, W=2)
-    gen = np.random.default_rng(3)
-    for _ in range(50):
-        w = sample_world(inst, gen)
-        trace = run_fixed_plan(inst, w, [_act(0, 0, 1), _act(1, 0)])
-        assert check_trace(inst, trace, extended=True) == []
+    policy = _planned_at_one(inst, [act(0, 0, 1), act(1, 0)], extended=True)
+    _, _, steps = next(run_blocks(policy, 50, 3))
+    assert (steps.user >= 0).all()  # both users probed, in either order
+    seeded = seeded_by(steps, inst.n_users)
+    for r in range(50):
+        assert check_trace(inst, steps_trace(inst, steps, seeded, r), extended=True) == []
+
+
+# ------------------------------------------------ refusals and empty inputs
+
+_EDGE_CASES = {
+    "alg2-K-zero": (lambda: Alg2Policy(single_user(0.5, K=0)), "probing requires K >= 1"),
+    "alg2-dp-W-negative": (lambda: alg2_dp(single_user(0.5), {0: 1.0}, W=-1), "W must be non-negative"),
+    "oracle-use-W-without-W": (
+        lambda: optimal_adaptive_value(single_user(0.5), use_W=True), "use_W requires an instance with W set"),
+    "relaxation-optimum-use-W-without-W": (
+        lambda: concave_relaxation_optimum(single_user(0.5), use_W=True), "use_W requires an instance with W set"),
+    "ledger-wrong-length": (
+        lambda: check_trace(single_user(0.5), PolicyTrace(steps=[ProbeStep(0, 1.0, False)])),
+        ["budget ledger length differs from step count"]),
+    "extended-check-without-W": (
+        lambda: check_trace(single_user(0.5), PolicyTrace(), extended=True),
+        ["extended check requested but instance has no W"]),
+    "no-coupons": (lambda: uniform_instance(1, (), ((),), K=1, B=1.0), "at least one coupon value is required"),
+    "simplex-short-row": (lambda: simplex.maximize([1, 1], [[1]], [1]), "row 0 has wrong width"),
+    "simplex-rhs-mismatch": (
+        lambda: simplex.maximize([1], [[1]], [1, 1]), "rhs length does not match number of rows"),
+    "opt-oracle-simulated": (
+        lambda: make_policy("opt-oracle", single_user(0.5), RelaxationConfig()),
+        "'opt-oracle' is not world-simulated"),
+    "marginals-empty-y": (lambda: estimate_marginals(single_user(0.5), {}, RelaxationConfig()), {}),
+    "mc-stats-no-seeds": (lambda: influence_mc_stats(edgeless(2), [], samples=10, rng_seed=0), (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_refusals_and_empty_inputs(case) -> None:
+    # a string is the message of the ValueError the call must raise; any
+    # other value is what the call must return
+    call, want = _EDGE_CASES[case]
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            call()
+    else:
+        assert call() == want

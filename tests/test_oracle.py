@@ -9,10 +9,8 @@ import pytest
 
 from couponprobe.influence import Graph, singleton_influence_table
 from couponprobe.model import (
-    Action,
     Instance,
     PolicyTrace,
-    ProbeSequence,
     build_action_space,
 )
 from couponprobe.oracle import (
@@ -31,6 +29,7 @@ from couponprobe.sequencing import Alg2Policy, alg2_plan, alg2_value, evaluate_p
 
 from helpers import (
     _random_edges,
+    act,
     alg2_execute,
     concave_extension_by_subsets,
     enumerate_worlds,
@@ -46,10 +45,6 @@ from helpers import (
 )
 
 F = Fraction
-
-
-def _act(user: int, *indices: int) -> Action:
-    return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
 
 
 # ------------------------------------------------------ conditional threshold
@@ -227,14 +222,14 @@ def test_exact_value_matches_closed_form_and_simulation() -> None:
 
 def test_concave_extension_at_a_vertex() -> None:
     inst = uniform_instance(1, (1.0,), ((0.5,),), K=1, B=3.0)
-    a = _act(0, 0)
+    a = act(0, 0)
     got = concave_extension_exact(inst, {a: F(1)})
     assert got == exact_action_set_value_frac(inst, [a])
 
 
 def test_concave_extension_of_zero_is_zero() -> None:
     inst = uniform_instance(1, (1.0,), ((0.5,),), K=1, B=3.0)
-    assert concave_extension_exact(inst, {_act(0, 0): F(0)}) == 0
+    assert concave_extension_exact(inst, {act(0, 0): F(0)}) == 0
 
 
 def _agreement_instances() -> list:

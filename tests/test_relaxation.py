@@ -8,7 +8,7 @@ import pytest
 
 from couponprobe import influence, relaxation, simplex
 from couponprobe.influence import BLOCK
-from couponprobe.model import COST_MODES, Action, ProbeSequence, build_action_space
+from couponprobe.model import COST_MODES, build_action_space
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
     RelaxationConfig,
@@ -25,6 +25,7 @@ from couponprobe.relaxation import (
 )
 
 from helpers import (
+    act,
     action_set_utility,
     continuous_greedy_by_dicts,
     knapsack_optimum_by_fractions,
@@ -41,10 +42,6 @@ from helpers import (
 )
 
 F = Fraction
-
-
-def _act(user: int, *indices: int) -> Action:
-    return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
 
 
 # ------------------------------------------------------------------- simplex
@@ -134,13 +131,13 @@ def test_utility_of_empty_set_is_zero() -> None:
 
 def test_utility_single_seed_no_spread() -> None:
     inst = single_user(0.5)
-    assert action_set_utility(inst, [_act(0, 0)], make_world([0.4])) == 1
-    assert action_set_utility(inst, [_act(0, 0)], make_world([0.6])) == 0
+    assert action_set_utility(inst, [act(0, 0)], make_world([0.4])) == 1
+    assert action_set_utility(inst, [act(0, 0)], make_world([0.6])) == 0
 
 
 def test_utility_uses_max_coupon_per_user() -> None:
     inst = uniform_instance(1, (1.0, 2.0), ((0.4, 0.7),), K=2, B=10.0)
-    both = [_act(0, 0), _act(0, 1)]
+    both = [act(0, 0), act(0, 1)]
     # union semantics: seeded iff the best offered coupon would be accepted
     for sigma in (0.05, 0.35, 0.4, 0.55, 0.7, 0.95):
         got = action_set_utility(inst, both, make_world([sigma]))
@@ -150,7 +147,7 @@ def test_utility_uses_max_coupon_per_user() -> None:
 def test_utility_ignores_budget() -> None:
     # utilities feed the extension estimate, which is unconstrained by design
     inst = uniform_instance(3, (1.0,), ((1.0,),) * 3, K=1, B=1.0)
-    actions = [_act(0, 0), _act(1, 0), _act(2, 0)]
+    actions = [act(0, 0), act(1, 0), act(2, 0)]
     world = make_world([0.5, 0.5, 0.5])
     assert action_set_utility(inst, actions, world) == 3
 
@@ -173,7 +170,7 @@ def test_marginals_at_zero_match_acceptance_probability() -> None:
 
 def test_marginal_of_dominated_action_is_zero_when_forced_in() -> None:
     inst = uniform_instance(1, (1.0, 1.2), ((0.3, 0.5),), K=1, B=3.0)
-    big, small = _act(0, 1), _act(0, 0)
+    big, small = act(0, 1), act(0, 0)
     y = {big: F(1), small: F(0)}
     omega = estimate_marginals(inst, y, RelaxationConfig(marginal_samples=500, rng_seed=2))
     # the larger coupon is always present, so adding the smaller changes nothing
@@ -300,21 +297,21 @@ def test_marginal_samples_run_in_blocks_and_kernel_chunks(monkeypatch) -> None:
 
 def test_lp_single_action_budget_binding() -> None:
     inst = single_user(1.0, coupon=1.0, B=1.0, K=1)
-    a = _act(0, 0)
+    a = act(0, 0)
     y = solve_lp({a: 1.0}, inst, beta=0.5)
     assert y[a] == F(1, 2)  # b = p*c = 1, budget 0.5
 
 
 def test_lp_user_mass_cap() -> None:
     inst = uniform_instance(1, (0.5, 0.6), ((0.2, 0.25),), K=1, B=10.0)
-    acts = [_act(0, 0), _act(0, 1)]
+    acts = [act(0, 0), act(0, 1)]
     y = solve_lp({acts[0]: 1.0, acts[1]: 1.0}, inst, beta=0.5)
     assert sum(y[a] for a in acts) == F(1)
 
 
 def test_lp_rejects_bad_inputs() -> None:
     inst = single_user(0.5)
-    a = _act(0, 0)
+    a = act(0, 0)
     with pytest.raises(ValueError):
         solve_lp({a: float("nan")}, inst, beta=0.2)
     with pytest.raises(ValueError):
@@ -502,6 +499,7 @@ def test_untied_lp_without_w_makes_no_simplex_call(monkeypatch) -> None:
 def test_beta_defaults() -> None:
     assert default_beta_basic() == pytest.approx((3 - math.sqrt(3)) / 6)
     b = default_beta_extended()
+    assert b == (7 - math.sqrt(17)) / 16
     assert 0.0 < b < 0.5
     # stationarity of beta (1-beta)^2 (1-2 beta): derivative crosses zero here
     d = 1 - 8 * b + 15 * b * b - 8 * b ** 3
@@ -527,7 +525,7 @@ def test_config_validation_and_resolution() -> None:
 
 
 def test_check_fractional_rejects_overfull_users_and_negative_mass() -> None:
-    a, b = _act(0, 0), _act(0, 1)
+    a, b = act(0, 0), act(0, 1)
     with pytest.raises(ValueError):
         check_fractional({a: F(3, 4), b: F(1, 2)})
     with pytest.raises(ValueError):
@@ -544,7 +542,7 @@ def test_greedy_single_action_hits_the_budget_cap_exactly() -> None:
     y = continuous_greedy(inst, config)
     # beta*B/b lands exactly on the budget cap, carried as a rational of the
     # float inputs (0.4 the double, not 2/5)
-    assert y[_act(0, 0)] == F(0.4) * F(2.0)
+    assert y[act(0, 0)] == F(0.4) * F(2.0)
 
 
 def test_greedy_iteration_count_and_monotone_trajectory() -> None:

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from couponprobe.model import (
-    Action,
-    ProbeSequence,
     Steps,
     build_action_space,
     check_steps,
@@ -21,6 +19,7 @@ from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import evaluate_policy
 
 from helpers import (
+    act,
     alg1_trace,
     make_world,
     oracle4_shaped,
@@ -37,10 +36,6 @@ from helpers import (
 F = Fraction
 
 
-def _act(user: int, *indices: int) -> Action:
-    return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
-
-
 # ------------------------------------------------- the gated execution
 
 
@@ -54,7 +49,7 @@ def _run(policy: Alg1Policy, thresholds, gen):
 
 def test_execute_empty_set() -> None:
     inst = single_user(0.5, coupon=1.0, B=3.0)
-    policy = planned(inst, {_act(0, 0): F(1, 2)})
+    policy = planned(inst, {act(0, 0): F(1, 2)})
     # presence uniforms of 1.0 are never below y: nothing is present
     present, chosen, steps = policy.run_block(np.full((1, 1), 0.4), np.ones((1, ROUNDING_DRAWS, 1)))
     assert not present.any() and (chosen == -1).all()
@@ -69,7 +64,7 @@ def test_execute_budget_gate_discards_without_probing() -> None:
     # three always-accepting users at 1.4 each against budget 3: after two
     # redemptions the remaining 0.2 is below B/2, so one user is never offered
     inst = uniform_instance(3, (1.4,), ((1.0,),) * 3, K=1, B=3.0)
-    policy = planned(inst, {_act(v, 0): F(1) for v in range(3)})
+    policy = planned(inst, {act(v, 0): F(1) for v in range(3)})
     present, chosen, steps, seeded = _run(policy, np.full((20, 3), 0.5), np.random.default_rng(11))
     assert present.all() and (chosen >= 0).all()  # every user's action survives contention
     assert (steps.accepted.sum(axis=1) == 2).all()
@@ -97,7 +92,7 @@ def test_budget_gate_discard_probability_markov_bound() -> None:
     # probability at most 2*beta
     beta = 0.25
     inst = uniform_instance(3, (1.4,), ((1.0,),) * 3, K=1, B=3.0)
-    actions = [_act(v, 0) for v in range(3)]
+    actions = [act(v, 0) for v in range(3)]
     # b = 1.4 per action; 3 * y * 1.4 <= beta * 3 needs y <= beta/1.4
     y_val = F(15, 100)
     assert 3 * y_val * F(1.4) <= F(beta) * F(3.0)
@@ -319,9 +314,11 @@ def test_check_steps_flags_corrupted_rows_as_check_trace_does(case, extended) ->
     assert verdicts.sum() == len(flagged)
 
 
+@functools.cache
 def _action_counts(case: str, extended: bool):
     """Per action, over 100,000 run_block worlds: how often it was present,
-    survived contention and was executed; and every world's spend."""
+    survived contention and was executed; and every world's spend.  Drawn
+    once per mode and shared by the tests, so the arrays are read-only."""
     policy = _shaped_policy(case, extended)
     m = len(policy.fractional)
     present = np.zeros(m, dtype=np.int64)
@@ -334,7 +331,10 @@ def _action_counts(case: str, extended: bool):
         probed = steps.user >= 0
         executed += np.bincount(chosen[np.nonzero(probed)[0], steps.user[probed]], minlength=m)
         spends.append(steps.spend.sum(axis=1))
-    return present, resolved, executed, np.concatenate(spends)
+    counts = present, resolved, executed, np.concatenate(spends)
+    for array in counts:
+        array.flags.writeable = False
+    return counts
 
 
 _LEAST = 400  # a rate is tested only over at least this many tries
