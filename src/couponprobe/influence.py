@@ -4,10 +4,12 @@ A live-edge realization is an int mask: bit i is set when edge i is live.
 This module owns that representation, its one enumerator of outcomes and
 its sampler, which reads a block of outcomes off one array of uniforms.
 One vectorized reach kernel computes every node's reach over a set of
-live-edge outcomes at once.  It computes spread exactly, over every outcome
-in the enumerator's order, when the graph is small enough, and scores
-blocks of sampled outcomes: Monte Carlo estimates, marginal samples and
-simulated worlds.
+live-edge outcomes at once, in one pass over the graph's links when it is
+acyclic: it visits the strongly connected components sinks first and
+repeats only the links inside a component.  It computes spread exactly, over
+every outcome in the enumerator's order, when the graph is small enough, and
+scores blocks of sampled outcomes: Monte Carlo estimates, marginal samples
+and simulated worlds.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ import numpy as np
 
 # 2^20 live-edge realizations is the largest enumeration we are willing to run.
 EXACT_EDGE_LIMIT = 20
-# The exact kernel sizes its chunks of outcomes so that a chunk's arrays stay
-# within this many bytes; larger chunks run no faster on 16-node graphs and
-# raise peak memory.
+# A kernel pass takes as many outcome columns as keep its arrays within this
+# many bytes (_chunk_columns); the exact path rounds that down to a power of
+# two and reuses one reach buffer from chunk to chunk.  Larger chunks run no
+# faster on 16-node graphs and raise peak memory.
 KERNEL_BYTES = 4 << 20
 # Sampled outcomes are drawn in blocks of this many rows: outcome i is row
 # i % BLOCK of block i // BLOCK, whose stream is keyed by the block, so it
@@ -31,6 +34,10 @@ KERNEL_BYTES = 4 << 20
 # On 16 nodes a block's arrays take about 0.5 MB; 2048 rows ran 25% faster
 # per world there but raised peak RSS by 0.6 MB.
 BLOCK = 1024
+
+# reach links (source, target, live column or None for a forced edge): the
+# source gains the target's reach where the edge is live
+Links = tuple[tuple[int, int, int | None], ...]
 
 
 class InstanceError(ValueError):
@@ -89,6 +96,68 @@ class Graph:
         """singleton_influence_table at its defaults, computed once per graph."""
         return MappingProxyType(singleton_influence_table(self))
 
+    @cached_property
+    def reach_order(self) -> tuple[tuple[tuple[int, ...], Links, Links], ...]:
+        """The reach kernel's link order: (members, leaving links, inner
+        links) per strongly connected component of the positive-probability
+        edges, sinks first, so every link that leaves a component points at
+        one already done.  Inner links are sorted by their source's DFS
+        index, deepest first; on a DAG no component has any."""
+        column = {i: j for j, i in enumerate(self.uncertain_edges)}
+        links: list[list[tuple[int, int, int | None]]] = [[] for _ in range(self.node_count)]
+        for i, (u, v, p) in enumerate(self.edges):
+            if p > 0.0:
+                links[u].append((u, v, column.get(i)))
+        components, index = _tarjan([[v for _, v, _ in out] for out in links])
+        owner = {u: c for c, members in enumerate(components) for u in members}
+        order = []
+        for c, members in enumerate(components):
+            out = [link for u in members for link in links[u]]
+            inner = sorted((link for link in out if owner[link[1]] == c),
+                           key=lambda link: (-index[link[0]], -index[link[1]]))
+            order.append((tuple(members), tuple(link for link in out if owner[link[1]] != c), tuple(inner)))
+        return tuple(order)
+
+
+def _tarjan(succ: list[list[int]]) -> tuple[list[list[int]], dict[int, int]]:
+    """Strongly connected components of the graph with successor lists succ,
+    in the order Tarjan's algorithm completes them (sinks first), and each
+    node's DFS index.  The search keeps its own stack, so its depth is not
+    bounded by the interpreter's recursion limit."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    components: list[list[int]] = []
+    for root in range(len(succ)):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            u, targets = work[-1]
+            for v in targets:
+                if v not in index:
+                    index[v] = low[v] = len(index)
+                    stack.append(v)
+                    on_stack.add(v)
+                    work.append((v, iter(succ[v])))
+                    break
+                if v in on_stack:
+                    low[u] = min(low[u], index[v])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[u])
+                if low[u] == index[u]:
+                    at = stack.index(u)
+                    components.append(stack[at:])
+                    on_stack.difference_update(stack[at:])
+                    del stack[at:]
+    return components, index
+
 
 def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
     out = sorted({int(s) for s in seeds})
@@ -124,96 +193,109 @@ def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     """Outcome columns per kernel pass: the largest count, at least 1, whose
     arrays fit in KERNEL_BYTES = 4 MB, at 8 bytes per column for each node's
     reach words (twice, for temporaries), each uncertain edge's live column
-    and six outcome vectors, plus extra_bytes per column that the caller
-    holds alongside them."""
+    and six outcome vectors (weights, gains, a union and its counts), plus
+    extra_bytes per column that the caller holds alongside them.
+    _exact_spreads rounds it down to a power of two; sampled outcomes take it
+    as it is."""
     words = -(-graph.node_count // 64)
     column = 8 * (2 * graph.node_count * words + len(graph.uncertain_edges) + 6) + extra_bytes
     return max(1, KERNEL_BYTES // column)
 
 
-def _reach_columns(graph: Graph, live: np.ndarray) -> np.ndarray:
+def _or_links(rows: list[np.ndarray], live: np.ndarray, step: np.ndarray, links: Links) -> None:
+    """One pass of rows[u] |= rows[v] over links, masked by live[j] for an
+    uncertain edge; step is a scratch row."""
+    for u, v, j in links:
+        if j is None:
+            np.bitwise_or(rows[u], rows[v], out=rows[u])
+        else:
+            np.bitwise_and(rows[v], live[j], out=step)
+            np.bitwise_or(rows[u], step, out=rows[u])
+
+
+def _reach_columns(graph: Graph, live: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each node's reach in each column of live-edge outcomes.
 
     live[j] is all ones in the columns where edge uncertain_edges[j] is live
     and zero elsewhere; forced edges are live in every column and dead edges
-    in none.  Returns uint64 words of shape (n, ceil(n / 64), columns), where
-    bit t of node u's words is set when u reaches t; reach is ORed along the
-    live edges until no pass adds a node.
+    in none.  Returns uint64 words of shape (n, ceil(n / 64), columns), in out
+    when given, where bit t of node u's words is set when u reaches t.  Reach
+    is ORed along the live edges one component of graph.reach_order at a
+    time, sinks first: the links leaving a component once, as their targets'
+    reach is already whole, then its inner links until the bit count of its
+    rows stops moving.  On a DAG that is one pass over the links.
     """
-    unc = graph.uncertain_edges
     n = graph.node_count
-    column = {i: j for j, i in enumerate(unc)}
-    # (source, target, live column or None for a forced edge)
-    links = [(u, v, column.get(i)) for i, (u, v, p) in enumerate(graph.edges) if p > 0.0]
+    shape = (n, -(-n // 64), live.shape[1])
     nodes = np.arange(n)
-    reach = np.zeros((n, -(-n // 64), live.shape[1]), dtype=np.uint64)
-    reach[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))[:, None]
+    itself = np.zeros(shape[:2] + (1,), dtype=np.uint64)
+    itself[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))[:, None]
+    reach = np.empty(shape, dtype=np.uint64) if out is None else out
+    np.copyto(reach, itself)
     rows = list(reach)  # per-node views, updated in place
-    step = np.empty(reach.shape[1:], dtype=np.uint64)
-    count = n * live.shape[1]
-    while True:
-        for u, v, j in links:
-            if j is None:
-                np.bitwise_or(rows[u], rows[v], out=rows[u])
-            else:
-                np.bitwise_and(rows[v], live[j], out=step)
-                np.bitwise_or(rows[u], step, out=rows[u])
-        # reach only grows, so an unchanged bit count means a fixpoint
-        new_count = int(np.bitwise_count(reach).sum())
-        if new_count == count:
-            return reach
-        count = new_count
+    step = np.empty(shape[1:], dtype=np.uint64)
+    for members, leaving, inner in graph.reach_order:
+        _or_links(rows, live, step, leaving)
+        count = -1
+        while inner:
+            _or_links(rows, live, step, inner)
+            # reach only grows, so an unchanged bit count means a fixpoint
+            new_count = sum(int(np.bitwise_count(rows[u]).sum()) for u in members)
+            if new_count == count:
+                break
+            count = new_count
+    return reach
 
 
 def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
     """Exact expected spread of each (non-empty, validated) seed set.
 
     Enumerates every live-edge outcome in live_mask_outcomes order, in chunks
-    of _chunk_columns outcomes, and carries each set's running total from
-    chunk to chunk.
+    of 2^m outcomes: the largest power of two within _chunk_columns, and at
+    most all of them.  Outcome `high << m | c` is column c of chunk `high`,
+    so the low m bits vary with the column and the others are constant in a
+    chunk.  The low-bit weights and live columns are built once, the weights
+    by doubling; each chunk multiplies the weights by its high-bit factors
+    as scalars, and makes each high-bit edge live or dead in every column.
+    That is the per-edge product of live_mask_outcomes in its order, and each
+    set's sum is a sequential cumsum started from the total carried over
+    from the last chunk, so every total equals the per-outcome loop
+    `total += weight * reached` bit for bit.
     """
     unc = graph.uncertain_edges
     if len(unc) > EXACT_EDGE_LIMIT:
         raise ValueError(
             f"exact influence needs at most {EXACT_EDGE_LIMIT} uncertain edges, got {len(unc)}"
         )
-    chunk = _chunk_columns(graph)
-    outcomes = 1 << len(unc)
+    probs = [graph.edges[i][2] for i in unc]
+    m = min(_chunk_columns(graph).bit_length() - 1, len(unc))
+    low = np.ones(1)
+    for p in probs[:m]:
+        low = np.concatenate((low * (1.0 - p), low * p))
+    live = np.empty((len(unc), 1 << m), dtype=np.uint64)
+    for j in range(m):
+        halves = live[j].reshape(-1, 2, 1 << j)  # [:, 1] are the columns with bit j set
+        halves[:, 0] = 0
+        halves[:, 1] = np.iinfo(np.uint64).max
+    reach = None
+    gains = np.empty(1 << m)
     totals = [0.0] * len(seed_sets)
-    for start in range(0, outcomes, chunk):
-        _add_chunk(graph, seed_sets, totals, start, min(start + chunk, outcomes))
+    for high in range(1 << (len(unc) - m)):
+        weights = low
+        for j in range(m, len(unc)):
+            live_high = high >> (j - m) & 1
+            weights = weights * (probs[j] if live_high else 1.0 - probs[j])
+            live[j] = np.iinfo(np.uint64).max if live_high else 0
+        reach = _reach_columns(graph, live, out=reach)
+        for k, ids in enumerate(seed_sets):
+            union = reach[ids[0]]
+            for s in ids[1:]:
+                union = union | reach[s]
+            counts = np.bitwise_count(union)  # one word needs no sum
+            np.multiply(counts[0] if len(counts) == 1 else counts.sum(axis=0), weights, out=gains)
+            gains[0] += totals[k]
+            totals[k] = float(np.cumsum(gains, out=gains)[-1])
     return totals
-
-
-def _add_chunk(
-    graph: Graph, seed_sets: list[list[int]], totals: list[float], start: int, stop: int
-) -> None:
-    """Add outcomes start..stop-1 to each seed set's total, in outcome order.
-
-    Column c is outcome `start + c`: its bit j makes edge uncertain_edges[j]
-    live.  Weights are multiplied per edge in the order live_mask_outcomes
-    uses, and the sum is a sequential cumsum started from the carried total,
-    so every total equals the per-outcome loop `total += weight * reached`
-    bit for bit.
-    """
-    unc = graph.uncertain_edges
-    combos = np.arange(start, stop, dtype=np.int64)
-    weights = np.ones(stop - start)
-    live = np.empty((len(unc), stop - start), dtype=np.uint64)
-    for j, i in enumerate(unc):
-        p = graph.edges[i][2]
-        bit = combos >> j & 1
-        weights *= np.where(bit == 1, p, 1.0 - p)
-        live[j] = bit
-    np.negative(live, out=live)  # all ones where the edge is live
-    reach = _reach_columns(graph, live)
-    for k, ids in enumerate(seed_sets):
-        union = reach[ids[0]]
-        for s in ids[1:]:
-            union = union | reach[s]
-        gains = np.bitwise_count(union).sum(axis=0) * weights
-        gains[0] += totals[k]
-        totals[k] = float(np.cumsum(gains)[-1])
 
 
 def live_edges(graph: Graph, uniforms: np.ndarray) -> np.ndarray:

@@ -232,12 +232,85 @@ def test_exact_spreads_match_per_mask_reference(name) -> None:
     _check_against_reference(_REFERENCE_CASES[name]())
 
 
-@pytest.mark.parametrize("kernel_bytes", [1, 1500])
-def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes) -> None:
-    # 1 byte floors the chunk at one outcome; 1500 bytes gives chunks of a
-    # few outcomes, which do not divide the 2^10 outcomes evenly
+def _five_edge_graph() -> Graph:
+    # a cycle through a forced edge, a dead edge and five uncertain edges
+    return Graph(node_count=4, edges=(
+        (0, 1, 0.3), (1, 2, 1.0), (2, 0, 0.6), (1, 3, 0.45), (3, 2, 0.0), (2, 3, 0.8), (3, 0, 0.25),
+    ))
+
+
+@pytest.mark.parametrize("kernel_bytes, make_graph, chunk", [
+    pytest.param(1, _five_edge_graph, 1, id="1"),
+    pytest.param(2000, mixed_graph, 8, id="2000"),
+])
+def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes, make_graph, chunk) -> None:
+    # 1 byte floors the chunk at one outcome, so every weight factor is a
+    # high-bit scalar; 2000 bytes give mixed_graph chunks of 2^3 outcomes,
+    # three low bits built by doubling and seven high-bit scalars
     monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
-    _check_against_reference(mixed_graph())
+    columns: list[int] = []
+    reach_columns = influence._reach_columns
+    monkeypatch.setattr(influence, "_reach_columns",
+                        lambda g, live, out=None: columns.append(live.shape[1]) or reach_columns(g, live, out))
+    _check_against_reference(make_graph())
+    assert set(columns) == {chunk}
+
+
+def _cycle_worst_order(n: int) -> Graph:
+    # u gains v's reach along u -> v, so listing the cycle from 0 onwards
+    # moves reach one node per pass over the edge list
+    return Graph(node_count=n, edges=tuple((u, (u + 1) % n, 1.0 if u % 3 == 0 else 0.7) for u in range(n)))
+
+
+def _chain_source_first(n: int) -> Graph:
+    # listed source first, like the cycle
+    return Graph(node_count=n, edges=tuple((u, u + 1, 1.0 if u % 2 else 0.6) for u in range(n - 1)))
+
+
+def _nested_components() -> Graph:
+    # {1, 2, 3} is a cycle inside the component {0, 1, 2, 3, 4}, with a
+    # forced and a dead edge inside; it leaves to the component {5, 6},
+    # which leaves to the sink 7
+    return Graph(node_count=8, edges=(
+        (0, 1, 0.5), (1, 2, 1.0), (2, 3, 0.4), (3, 1, 0.7), (3, 4, 0.6), (4, 0, 0.3), (2, 4, 0.0),
+        (4, 5, 0.5), (5, 6, 1.0), (6, 5, 0.45), (1, 6, 0.2), (6, 7, 0.9), (0, 7, 0.0),
+    ))
+
+
+def _ring_over_words() -> Graph:
+    # 70 nodes: a ring whose reach crosses the 64-bit word boundary, with
+    # chords in both directions across it
+    edges = [(u, (u + 1) % 70, 1.0) for u in range(70) if u not in (10, 62, 65)]
+    edges += [(10, 11, 0.5), (62, 63, 0.3), (65, 66, 0.8), (68, 3, 0.6), (2, 66, 0.25), (64, 60, 0.4)]
+    return Graph(node_count=70, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: _cycle_worst_order(9), lambda: _chain_source_first(12), _nested_components, _ring_over_words,
+], ids=["cycle", "chain", "nested", "ring70"])
+def test_reach_columns_match_reach_masks(make_graph) -> None:
+    # column c is outcome c: bit j of c makes edge uncertain_edges[j] live
+    g = make_graph()
+    unc = g.uncertain_edges
+    combos = np.arange(1 << len(unc), dtype=np.uint64)
+    reach = influence._reach_columns(g, np.negative([combos >> np.uint64(j) & np.uint64(1) for j in range(len(unc))]))
+    for c in range(len(combos)):
+        mask = g.forced_live_mask | sum(1 << i for j, i in enumerate(unc) if c >> j & 1)
+        got = [sum(int(w) << (64 * k) for k, w in enumerate(reach[u, :, c])) for u in range(g.node_count)]
+        assert got == list(reach_masks(g, mask)), c
+
+
+def test_reach_order_components() -> None:
+    for g in (_chain_source_first(12), Graph(4, ((0, 1, 0.5), (0, 2, 0.5), (1, 3, 1.0), (2, 3, 0.5)))):
+        order = g.reach_order
+        assert len(order) == g.node_count
+        assert all(len(members) == 1 and not inner for members, _, inner in order)
+    # a sink comes before every component that reaches it, and a dead edge
+    # is no link
+    order = _nested_components().reach_order
+    assert [sorted(members) for members, _, _ in order] == [[7], [5, 6], [0, 1, 2, 3, 4]]
+    assert all((2, 4) != link[:2] and (0, 7) != link[:2] for _, leaving, inner in order for link in leaving + inner)
+    assert len(_cycle_worst_order(5000).reach_order) == 1
 
 
 def test_realized_influence_matches_reach_masks_union() -> None:
