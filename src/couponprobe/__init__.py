@@ -13,7 +13,6 @@ from .model import (
     Action,
     Instance,
     PolicyTrace,
-    ProbeSequence,
     ProbeStep,
     Steps,
     build_action_space,
@@ -42,9 +41,7 @@ from .relaxation import (
 from .rounding import Alg1Policy
 from .sequencing import (
     Alg2Policy,
-    DpTable,
     PolicyEvaluation,
-    ProbeOrder,
     StochCpPolicy,
     UnsolvableError,
     alg2_dp,

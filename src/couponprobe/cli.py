@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
 
 from .instance_io import load_instance
 from .model import COST_MODE_THRESHOLD, COST_MODES, Instance
@@ -22,24 +21,6 @@ from .rounding import Alg1Policy
 from .sequencing import Alg2Policy, PolicyEvaluation, StochCpPolicy, evaluate_policy
 
 POLICY_NAMES = ("alg1", "alg2", "stoch-cp", "e-alg1", "e-alg2", "e-stoch-cp", "opt-oracle")
-
-
-@dataclass
-class RunReport:
-    policy: str
-    instance_sha256: str
-    worlds: int
-    rng_seed: int
-    beta: float
-    delta: float | None
-    marginal_samples: int
-    cost_mode: str
-    extended: bool
-    mean: float
-    stderr: float
-    violations: int
-    branch_freq: dict[str, float]
-    elapsed_s: float
 
 
 def _resolve_policy_name(name: str, extended_flag: bool) -> tuple[str, bool]:
@@ -77,7 +58,9 @@ def _config_from_args(args) -> RelaxationConfig:
     )
 
 
-def build_run_report(args, instance: Instance, name: str, instance_sha256: str) -> RunReport:
+def _evaluate(args, instance: Instance, name: str) -> tuple[RelaxationConfig, bool, PolicyEvaluation, float]:
+    """Evaluate one policy by CLI name: its config, whether it runs in
+    extended mode, its evaluation and the seconds that took."""
     config = _config_from_args(args)
     base, extended = _resolve_policy_name(name, args.extended)
     start = time.perf_counter()
@@ -87,55 +70,32 @@ def build_run_report(args, instance: Instance, name: str, instance_sha256: str) 
     else:
         policy = make_policy(name, instance, config, args.extended)
         evaluation = evaluate_policy(instance, policy, args.worlds, args.seed)
-    elapsed = time.perf_counter() - start
-    branch_freq = {
-        branch: count / evaluation.worlds
-        for branch, count in sorted(evaluation.branch_counts.items())
-    }
-    return RunReport(
-        policy=name,
-        instance_sha256=instance_sha256,
-        worlds=evaluation.worlds,
-        rng_seed=args.seed,
-        beta=config.resolved_beta(extended),
-        delta=args.delta,
-        marginal_samples=args.marginal_samples,
-        cost_mode=args.cost_mode,
-        extended=extended,
-        mean=evaluation.mean,
-        stderr=evaluation.stderr,
-        violations=evaluation.violations,
-        branch_freq=branch_freq,
-        elapsed_s=elapsed,
-    )
-
-
-def format_run_report(report: RunReport, timing: bool = False) -> str:
-    lines = [
-        f"policy {report.policy}",
-        f"instance_sha256 {report.instance_sha256}",
-        f"worlds {report.worlds}",
-        f"seed {report.rng_seed}",
-        f"beta {report.beta!r}",
-        f"delta {report.delta!r}" if report.delta is not None else "delta auto",
-        f"marginal_samples {report.marginal_samples}",
-        f"cost_mode {report.cost_mode}",
-        f"extended {str(report.extended).lower()}",
-        f"mean {report.mean!r}",
-        f"stderr {report.stderr!r}",
-        f"violations {report.violations}",
-    ]
-    for branch, freq in report.branch_freq.items():
-        lines.append(f"branch_{branch} {freq!r}")
-    if timing:
-        lines.append(f"elapsed_s {report.elapsed_s!r}")
-    return "\n".join(lines) + "\n"
+    return config, extended, evaluation, time.perf_counter() - start
 
 
 def _cmd_run(args) -> int:
     instance = load_instance(args.instance)
-    report = build_run_report(args, instance, args.policy, _sha256(args.instance))
-    sys.stdout.write(format_run_report(report, timing=args.timing))
+    digest = _sha256(args.instance)
+    config, extended, evaluation, elapsed = _evaluate(args, instance, args.policy)
+    lines = [
+        f"policy {args.policy}",
+        f"instance_sha256 {digest}",
+        f"worlds {evaluation.worlds}",
+        f"seed {args.seed}",
+        f"beta {config.resolved_beta(extended)!r}",
+        f"delta {args.delta!r}" if args.delta is not None else "delta auto",
+        f"marginal_samples {args.marginal_samples}",
+        f"cost_mode {args.cost_mode}",
+        f"extended {str(extended).lower()}",
+        f"mean {evaluation.mean!r}",
+        f"stderr {evaluation.stderr!r}",
+        f"violations {evaluation.violations}",
+    ]
+    for branch, count in sorted(evaluation.branch_counts.items()):
+        lines.append(f"branch_{branch} {count / evaluation.worlds!r}")
+    if args.timing:
+        lines.append(f"elapsed_s {elapsed!r}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -146,18 +106,17 @@ def _cmd_compare(args) -> int:
     if len(names) < 2:
         raise ValueError("compare needs at least two policies")
     instance = load_instance(args.instance)
-    digest = _sha256(args.instance)
     out = [
-        f"# instance_sha256 {digest}",
+        f"# instance_sha256 {_sha256(args.instance)}",
         f"# worlds {args.worlds}",
         f"# seed {args.seed}",
         "policy,mean,stderr,violations,error",
     ]
     for name in names:
         try:
-            report = build_run_report(args, instance, name, digest)
-            out.append(f"{name},{report.mean!r},{report.stderr!r},{report.violations},")
-        except Exception as exc:  # isolate the failing row, keep comparing
+            _, _, evaluation, _ = _evaluate(args, instance, name)
+            out.append(f"{name},{evaluation.mean!r},{evaluation.stderr!r},{evaluation.violations},")
+        except ValueError as exc:  # every refusal the package makes; keep comparing
             out.append(f"{name},,,,{str(exc).replace(',', ';')}")
     sys.stdout.write("\n".join(out) + "\n")
     return 0

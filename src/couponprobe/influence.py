@@ -1,12 +1,13 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
-A live-edge realization is an int mask: bit i is set when edge i is live.
-This module owns that representation, its one enumerator of outcomes and
-its sampler, which reads a block of outcomes off one array of uniforms.
-One vectorized reach kernel computes every node's reach over a set of
-live-edge outcomes at once, in one pass over the graph's links when it is
-acyclic: it visits the strongly connected components sinks first and
-repeats only the links inside a component.  It computes spread exactly, over
+The reference enumerator of live-edge outcomes yields each as an int mask,
+bit i set when edge i is live.  The sampler reads a block of outcomes off
+one array of uniforms as bool rows, and the kernel takes outcomes as uint64
+columns, all ones where an uncertain edge is live.  One vectorized reach
+kernel computes every node's reach over a set of live-edge outcomes at once,
+in one pass over the graph's links when it is acyclic: it visits the
+strongly connected components sinks first and repeats only the links inside
+a component.  It computes spread exactly, over
 every outcome in the enumerator's order, when the graph is small enough, and
 scores blocks of sampled outcomes: Monte Carlo estimates, marginal samples
 and simulated worlds.
@@ -14,6 +15,7 @@ and simulated worlds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -55,6 +57,18 @@ class InstanceError(ValueError):
         self.first = first
 
 
+def _count(value, field: str, index: int | None = None, label: str | None = None) -> int:
+    """A non-negative integer of any integer type (numpy's too), as a plain
+    int; anything else raises InstanceError naming the field."""
+    try:
+        count = int(operator.index(value))
+    except TypeError:
+        count = None
+    if count is None or count < 0:
+        raise InstanceError(f"{label or field} must be a non-negative integer, got {value!r}", field, index)
+    return count
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed graph with an independent activation probability per edge.
@@ -67,9 +81,13 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "node_count", _count(self.node_count, "node_count"))
         if self.node_count < 1:
             raise InstanceError(f"node count must be positive, got {self.node_count}", "node_count")
-        object.__setattr__(self, "edges", tuple((int(u), int(v), float(p)) for u, v, p in self.edges))
+        object.__setattr__(self, "edges", tuple(
+            (_count(u, "edges", i, "edge endpoint"), _count(v, "edges", i, "edge endpoint"), float(p))
+            for i, (u, v, p) in enumerate(self.edges)
+        ))
         seen: dict[tuple[int, int], int] = {}
         for i, (u, v, p) in enumerate(self.edges):
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .influence import Graph, InstanceError
+from .influence import Graph, InstanceError, _count
 
 COST_MODE_THRESHOLD = "threshold"
 COST_MODE_PAPER = "paper"
@@ -28,17 +28,6 @@ COST_MODES = (COST_MODE_THRESHOLD, COST_MODE_PAPER)
 # actions put a block's draws near 32 MB; the default step 1/|S|^2 would
 # already take 16.8 million greedy steps there.
 MAX_ACTIONS = 4096
-
-
-def _count(value, field: str) -> int:
-    """A non-negative integer of any integer type (numpy's too), as a plain int."""
-    try:
-        count = int(operator.index(value))
-    except TypeError:
-        count = None
-    if count is None or count < 0:
-        raise InstanceError(f"{field} must be a non-negative integer, got {value!r}", field)
-    return count
 
 
 @dataclass(frozen=True)
@@ -98,8 +87,10 @@ class Instance:
                         "attractiveness", v,
                     )
         object.__setattr__(self, "K", _count(self.K, "K"))
-        if not (math.isfinite(self.B) and self.B > 0.0):
+        B = float(self.B) if isinstance(self.B, numbers.Real) else math.nan
+        if not (math.isfinite(B) and B > 0.0):
             raise InstanceError(f"B must be positive and finite, got {self.B!r}", "B")
+        object.__setattr__(self, "B", B)
         if self.W is not None:
             object.__setattr__(self, "W", _count(self.W, "W"))
 
@@ -113,29 +104,20 @@ class Instance:
 
 
 @dataclass(frozen=True, order=True)
-class ProbeSequence:
-    """Coupon indices offered to one user, in strictly increasing order."""
-
-    coupon_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coupon_indices", tuple(int(i) for i in self.coupon_indices))
-        if not self.coupon_indices:
-            raise ValueError("a probe sequence must contain at least one coupon")
-        for a, b in itertools.pairwise(self.coupon_indices):
-            if b <= a:
-                raise ValueError("coupon indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.coupon_indices)
-
-
-@dataclass(frozen=True, order=True)
 class Action:
-    """One user paired with one probe sequence."""
+    """One user paired with the coupon indices offered to them, in strictly
+    increasing order, until the first accept."""
 
     user: int
-    sequence: ProbeSequence
+    coupons: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coupons", tuple(int(i) for i in self.coupons))
+        if not self.coupons:
+            raise ValueError("a probe sequence must contain at least one coupon")
+        for a, b in itertools.pairwise(self.coupons):
+            if b <= a:
+                raise ValueError("coupon indices must be strictly increasing")
 
 
 class ProbeStep(NamedTuple):
@@ -176,8 +158,16 @@ def build_action_space(instance: Instance) -> list[Action]:
             f"the action space would hold {count} actions (n = {instance.n_users}, "
             f"L = {len(low)} low-value coupons, K = {instance.K}), above the limit of {MAX_ACTIONS}"
         )
-    sequences = sorted(ProbeSequence(combo) for k in lengths for combo in itertools.combinations(low, k))
-    return [Action(user, seq) for user in range(instance.n_users) for seq in sequences]
+    sequences = sorted(combo for k in lengths for combo in itertools.combinations(low, k))
+    return [Action(user, coupons) for user in range(instance.n_users) for coupons in sequences]
+
+
+def user_groups(actions: Iterable[Action]) -> dict[int, list[int]]:
+    """Each user's action indices, users in the order of their first action."""
+    groups: dict[int, list[int]] = {}
+    for i, action in enumerate(actions):
+        groups.setdefault(action.user, []).append(i)
+    return groups
 
 
 def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> Fraction:
@@ -195,13 +185,13 @@ def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MOD
     total = Fraction(0)
     if mode == COST_MODE_THRESHOLD:
         prev = Fraction(0)
-        for i in action.sequence.coupon_indices:
+        for i in action.coupons:
             p = Fraction(row[i])
             total += (p - prev) * Fraction(instance.coupons[i])
             prev = p
     else:
         alive = Fraction(1)
-        for i in action.sequence.coupon_indices:
+        for i in action.coupons:
             p = Fraction(row[i])
             total += alive * p * Fraction(instance.coupons[i])
             alive *= 1 - p

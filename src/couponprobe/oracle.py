@@ -27,7 +27,7 @@ from typing import Collection, Iterable, Mapping
 
 from . import simplex
 from .influence import _exact_spreads
-from .model import Action, Instance, build_action_space, exact_expected_cost
+from .model import Action, Instance, build_action_space, exact_expected_cost, user_groups
 
 MAX_ORACLE_USERS = 4
 MAX_ORACLE_COUPONS = 3
@@ -142,7 +142,7 @@ def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) 
 
 def _accept(instance: Instance, action: Action) -> Fraction:
     """Probability that the action seeds its user: that of its top coupon."""
-    return Fraction(instance.attractiveness[action.user][action.sequence.coupon_indices[-1]])
+    return Fraction(instance.attractiveness[action.user][action.coupons[-1]])
 
 
 def exact_action_set_value_frac(instance: Instance, actions: Iterable[Action]) -> Fraction:
@@ -167,9 +167,7 @@ def _by_user(actions: list[Action]) -> dict[int, list[int]]:
     A profile is at most one action per user, so there are prod(1 + |S_u|)
     of them, never more than the 2^|S| action subsets.
     """
-    groups: dict[int, list[int]] = {}
-    for i, action in enumerate(actions):
-        groups.setdefault(action.user, []).append(i)
+    groups = user_groups(actions)
     count = math.prod(1 + len(group) for group in groups.values())
     if count > MAX_LP_COLUMNS:
         raise OracleSizeError(f"the exact LP handles at most {MAX_LP_COLUMNS} action profiles, got {count}")
@@ -232,7 +230,7 @@ def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> F
     for user, group in _by_user(actions).items():
         none_above = Fraction(1)
         accept[user] = Fraction(0)
-        for i in sorted(group, key=lambda i: -actions[i].sequence.coupon_indices[-1]):
+        for i in sorted(group, key=lambda i: -actions[i].coupons[-1]):
             accept[user] += none_above * masses[i] * _accept(instance, actions[i])
             none_above *= 1 - masses[i]
     return _seeding_value(_spread_table(instance, accept), accept)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -35,6 +36,7 @@ from .model import (
     Instance,
     build_action_space,
     exact_expected_cost,
+    user_groups,
 )
 from .simplex import ONE, ZERO
 
@@ -81,8 +83,13 @@ class RelaxationConfig:
             raise ValueError("beta must lie in [0, 1/2]")
         if self.delta is not None and not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.marginal_samples < 1:
-            raise ValueError("marginal_samples must be positive")
+        try:
+            samples = operator.index(self.marginal_samples)
+        except TypeError:
+            samples = 0
+        if samples < 1:
+            raise ValueError(f"marginal_samples must be a positive integer, got {self.marginal_samples!r}")
+        object.__setattr__(self, "marginal_samples", int(samples))
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
 
@@ -119,8 +126,9 @@ def check_fractional(y: Mapping[Action, Fraction]) -> None:
 class _Sampler:
     """Marginal estimation over a fixed list of actions, with everything that
     does not depend on the point y built once: each action's user and the
-    acceptance of its top coupon, and the actions grouped by user for one
-    any() per user and sample.
+    acceptance of its top coupon, and the action indices of user_groups laid
+    end to end, with each group's user and first position, for one any() per
+    user and sample.
     """
 
     def __init__(self, instance: Instance, actions: list[Action], config: RelaxationConfig):
@@ -130,11 +138,11 @@ class _Sampler:
         self.samples_per_step = config.marginal_samples
         self.rng_seed = config.rng_seed
         self.users = np.array([a.user for a in actions], dtype=np.intp)
-        self.top_accept = np.array(
-            [instance.attractiveness[a.user][a.sequence.coupon_indices[-1]] for a in actions]
-        )
-        self.order = np.argsort(self.users, kind="stable")
-        self.group_users, self.group_starts = np.unique(self.users[self.order], return_index=True)
+        self.top_accept = np.array([instance.attractiveness[a.user][a.coupons[-1]] for a in actions])
+        groups = user_groups(actions)
+        self.group_users = np.array(list(groups), dtype=np.intp)
+        self.order = np.array([i for group in groups.values() for i in group], dtype=np.intp)
+        self.group_starts = np.cumsum([0, *(len(group) for group in groups.values())])[:-1]
 
     def samples(self, first: int, steps: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         """The samples of iterations first..first+steps-1, in order, as pieces
@@ -282,15 +290,6 @@ def _by_slope(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> int
     return s[0] * t[1] - t[0] * s[1]
 
 
-def _user_groups(actions: list[Action]) -> list[list[int]]:
-    """The action indices of each user, users in the order of their first
-    action."""
-    groups: dict[int, list[int]] = {}
-    for i, a in enumerate(actions):
-        groups.setdefault(a.user, []).append(i)
-    return list(groups.values())
-
-
 def _knapsack_optimum(
     groups: list[list[int]], weights: list[int], costs: list[int], budget: int
 ) -> list[Fraction]:
@@ -311,7 +310,7 @@ def _knapsack_optimum(
     users' first actions, so the user who comes first in action order is
     filled first.
 
-    groups holds each user's action indices, as _user_groups gives them.  The
+    groups holds each user's action indices, as user_groups gives them.  The
     walk is exact on integers: weights, costs and budget come scaled by
     positive constants (_integer_weights, _integer_costs), which changes no
     comparison and no split fraction.  Slopes are compared by
@@ -387,7 +386,7 @@ class _DirectionLP:
         self.use_W = use_W
         budget = Fraction(beta) * Fraction(instance.B)
         if not use_W:
-            self.groups = _user_groups(actions)
+            self.groups = list(user_groups(actions).values())
             self.costs, self.budget = _integer_costs(actions, costs, budget)
         else:
             users = sorted({a.user for a in actions})

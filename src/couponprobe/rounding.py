@@ -33,8 +33,6 @@ class Alg1Policy:
     also keeps its offers as arrays for run_block.
     """
 
-    name = "alg1"
-
     def __init__(self, instance: Instance, config: RelaxationConfig, extended: bool = False):
         if extended and instance.W is None:
             raise ValueError("extended mode requires an instance with W set")
@@ -50,11 +48,11 @@ class Alg1Policy:
             # per action and offer slot, padded past its sequence's end: the
             # coupon index (-1), the user's attractiveness for it (inf, which
             # no threshold exceeds) and its value (0.0)
-            longest = max(len(a.sequence) for a in y)
+            longest = max(len(a.coupons) for a in y)
             self._offers = np.full((len(y), longest), -1, dtype=np.intp)
             self._attract = np.full((len(y), longest), np.inf)
             for i, action in enumerate(y):
-                coupons = action.sequence.coupon_indices
+                coupons = action.coupons
                 self._offers[i, :len(coupons)] = coupons
                 self._attract[i, :len(coupons)] = [instance.attractiveness[action.user][c] for c in coupons]
             self._lengths = (self._offers >= 0).sum(axis=1)

@@ -25,26 +25,6 @@ class UnsolvableError(ValueError):
     """Raised when neither route of the combiner applies to an instance."""
 
 
-@dataclass(frozen=True)
-class ProbeOrder:
-    """Users to probe, in order, all with the same coupon."""
-
-    users: tuple[int, ...]
-    coupon_index: int
-
-
-@dataclass(frozen=True)
-class DpTable:
-    """Values of the user-cap dynamic program.
-
-    users lists the scan order (ascending influence); values[i][l] is the best
-    expected spread using the first i scanned users and at most l probes.
-    """
-
-    users: tuple[int, ...]
-    values: tuple[tuple[float, ...], ...]
-
-
 def first_accept_value(probs: Sequence, influences: Sequence):
     """Expected spread of probing candidates in order, stopping at the first accept.
 
@@ -92,53 +72,46 @@ def budgeted_first_accept_plan(probs: Sequence, influences: Sequence, cap: int):
     return values, chosen
 
 
-def _descending_influence(instance: Instance, table: Mapping[int, float]) -> list[int]:
-    # ties broken by user id so plans are reproducible
-    return sorted(range(instance.n_users), key=lambda v: (-table[v], v))
+def alg2_plan(instance: Instance, singleton_table: Mapping[int, float]) -> tuple[int, ...]:
+    """Every user, most influential first, to be probed with the largest
+    coupon; ties go to the lower user id, so plans are reproducible."""
+    return tuple(sorted(range(instance.n_users), key=lambda v: (-singleton_table[v], v)))
 
 
-def alg2_plan(instance: Instance, singleton_table: Mapping[int, float]) -> ProbeOrder:
-    """Probe everyone with the largest coupon, most influential user first."""
-    return ProbeOrder(
-        users=tuple(_descending_influence(instance, singleton_table)),
-        coupon_index=instance.c_max_index,
-    )
-
-
-def alg2_value(instance: Instance, order: ProbeOrder, singleton_table: Mapping[int, float]) -> float:
-    """Closed-form expected spread of a stop-at-first-accept probe order."""
-    probs = [instance.attractiveness[v][order.coupon_index] for v in order.users]
-    influences = [singleton_table[v] for v in order.users]
+def alg2_value(instance: Instance, order: Sequence[int], singleton_table: Mapping[int, float]) -> float:
+    """Closed-form expected spread of probing the users in order with the
+    largest coupon, stopping at the first accept."""
+    probs = [instance.attractiveness[v][instance.c_max_index] for v in order]
+    influences = [singleton_table[v] for v in order]
     return float(first_accept_value(probs, influences))
 
 
 def alg2_dp(
     instance: Instance, singleton_table: Mapping[int, float], W: int
-) -> tuple[DpTable, ProbeOrder]:
+) -> tuple[list[list[float]], tuple[int, ...]]:
     """Best at-most-W-user probe plan for the largest coupon.
 
-    Users are scanned in ascending influence order; the returned plan lists
-    the selected users in the order they should be probed (descending).
+    Users are scanned in ascending influence order.  Returns the DP's values,
+    where values[i][l] is the best expected spread using the first i scanned
+    users and at most l probes, and the selected users in the order they
+    should be probed (descending influence).
     """
     if W < 0:
         raise ValueError("W must be non-negative")
-    scan = list(reversed(_descending_influence(instance, singleton_table)))
+    scan = alg2_plan(instance, singleton_table)[::-1]
     ci = instance.c_max_index
     # exact rationals inside: the table is then reproducible bit for bit
     probs = [Fraction(instance.attractiveness[v][ci]) for v in scan]
     influences = [Fraction(singleton_table[v]) for v in scan]
     values, chosen = budgeted_first_accept_plan(probs, influences, W)
-    table = DpTable(
-        users=tuple(scan),
-        values=tuple(tuple(float(x) for x in row) for row in values),
-    )
-    picked = [scan[i] for i in chosen]
-    picked.reverse()  # probe in descending influence order
-    return table, ProbeOrder(users=tuple(picked), coupon_index=ci)
+    return [[float(x) for x in row] for row in values], tuple(scan[i] for i in reversed(chosen))
 
 
 class Alg2Policy:
-    """Largest-coupon route; in extended mode probes at most W users, chosen by the DP."""
+    """Largest-coupon route.  order is the tuple of users it probes with the
+    largest coupon, all of them by descending influence (alg2_plan), or in
+    extended mode at most W of them, chosen by the DP (alg2_dp); table is the
+    singleton influence table it ranks them by."""
 
     def __init__(
         self,
@@ -158,12 +131,10 @@ class Alg2Policy:
         self.instance = instance
         self.table = dict(instance.graph.singleton_table if singleton_table is None else singleton_table)
         self.extended = extended
-        self.name = "e-alg2" if extended else "alg2"
         if extended:
-            self.dp_table, self.order = alg2_dp(instance, self.table, instance.W)
+            _, self.order = alg2_dp(instance, self.table, instance.W)
         else:
             self.order = alg2_plan(instance, self.table)
-            self.dp_table = None
 
 
 class StochCpPolicy:
@@ -179,7 +150,6 @@ class StochCpPolicy:
     def __init__(self, instance: Instance, config: RelaxationConfig, extended: bool = False):
         self.instance = instance
         self.extended = extended
-        self.name = "e-stoch-cp" if extended else "stoch-cp"
         c_max = instance.coupons[instance.c_max_index]
         alg1_ok = bool(low_value_coupons(instance)) and instance.K >= 1
         alg2_ok = c_max <= instance.B and instance.K >= 1
@@ -283,8 +253,8 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
             f"evaluate_policy takes an Alg1Policy, Alg2Policy or StochCpPolicy, not {type(policy).__name__}"
         )
     if alg2 is not None:
-        users = np.array(alg2.order.users, dtype=np.intp)
-        accept_at = np.array([instance.attractiveness[v][alg2.order.coupon_index] for v in alg2.order.users])
+        users = np.array(alg2.order, dtype=np.intp)
+        accept_at = np.array([instance.attractiveness[v][instance.c_max_index] for v in alg2.order])
         bad_at = _position_verdicts(instance, alg2.order, policy.extended)
     for b, start in enumerate(range(0, worlds, BLOCK)):
         rows = min(BLOCK, worlds - start)
@@ -338,12 +308,13 @@ def _alg1_block(instance: Instance, policy: Alg1Policy, thresholds, singly, seed
     return bad
 
 
-def _position_verdicts(instance: Instance, order: ProbeOrder, extended: bool) -> np.ndarray:
+def _position_verdicts(instance: Instance, order: Sequence[int], extended: bool) -> np.ndarray:
     """Whether check_steps flags the run of the order that first accepts at
-    each position: row k of one Steps block offers the order's coupon to the
+    each position: row k of one Steps block offers the largest coupon to the
     users at positions 0..k, once each, and only the last of them accepts;
     the extra last row offers it to every user and nobody accepts."""
-    users = np.array(order.users, dtype=np.intp)
+    ci = instance.c_max_index
+    users = np.array(order, dtype=np.intp)
     rows = np.arange(len(users) + 1)[:, None]
     probed = np.arange(len(users)) <= rows
     accepted = np.arange(len(users)) == rows
@@ -351,8 +322,8 @@ def _position_verdicts(instance: Instance, order: ProbeOrder, extended: bool) ->
     seeded[users, np.arange(len(users))] = True
     steps = Steps(
         user=np.where(probed, users, -1),
-        offers=np.where(probed, order.coupon_index, -1)[:, :, None],
+        offers=np.where(probed, ci, -1)[:, :, None],
         accepted=accepted,
-        spend=np.where(accepted, instance.coupons[order.coupon_index], 0.0),
+        spend=np.where(accepted, instance.coupons[ci], 0.0),
     )
     return check_steps(instance, steps, seeded, extended)

@@ -23,7 +23,6 @@ from couponprobe.model import (
     Action,
     Instance,
     PolicyTrace,
-    ProbeSequence,
     ProbeStep,
     Steps,
     build_action_space,
@@ -42,7 +41,6 @@ from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
     PolicyEvaluation,
-    ProbeOrder,
     StochCpPolicy,
     first_accept_value,
 )
@@ -144,7 +142,7 @@ def probe_user(
     if remaining_budget < 0.0:
         raise ValueError("remaining budget must be non-negative")
     steps: list[ProbeStep] = []
-    for i in action.sequence.coupon_indices:
+    for i in action.coupons:
         value = instance.coupons[i]
         accepted = realize(instance, world, action.user, i)
         steps.append(ProbeStep(action.user, value, accepted))
@@ -161,7 +159,7 @@ def action_set_utility(instance: Instance, actions: Iterable[Action], world: Wor
     """
     best: dict[int, int] = {}
     for action in actions:
-        top = action.sequence.coupon_indices[-1]
+        top = action.coupons[-1]
         if best.get(action.user, -1) < top:
             best[action.user] = top
     seeds = [v for v, idx in best.items() if realize(instance, world, v, idx)]
@@ -231,17 +229,19 @@ def exact_policy_value(
     return total
 
 
-def alg2_execute(instance: Instance, order: ProbeOrder, world: World) -> PolicyTrace:
-    """Run a probe order in a world, stopping at (and seeding) the first accept."""
-    value = instance.coupons[order.coupon_index]
+def alg2_execute(instance: Instance, order: tuple[int, ...], world: World) -> PolicyTrace:
+    """Offer the largest coupon to the users in order in a world, stopping at
+    (and seeding) the first accept."""
+    ci = instance.c_max_index
+    value = instance.coupons[ci]
     if value > instance.B:
         raise ValueError(f"coupon value {value} exceeds the budget {instance.B}")
     if instance.K < 1:
         raise ValueError("probing requires K >= 1")
     trace = PolicyTrace()
     budget = instance.B
-    for v in order.users:
-        accepted = realize(instance, world, v, order.coupon_index)
+    for v in order:
+        accepted = realize(instance, world, v, ci)
         trace.steps.append(ProbeStep(v, value, accepted))
         if accepted:
             budget -= value
@@ -254,7 +254,7 @@ def alg2_execute(instance: Instance, order: ProbeOrder, world: World) -> PolicyT
 
 def act(user: int, *indices: int) -> Action:
     """The action that offers the user the coupons at these indices."""
-    return Action(user=user, sequence=ProbeSequence(coupon_indices=tuple(indices)))
+    return Action(user=user, coupons=indices)
 
 
 def make_world(thresholds, live_mask: int = 0) -> World:
@@ -399,7 +399,7 @@ def threshold_cost(inst, action) -> Fraction:
     """Expected spend of one action, exact, threshold-consistent accounting."""
     prev = Fraction(0)
     total = Fraction(0)
-    for idx in action.sequence.coupon_indices:
+    for idx in action.coupons:
         p = Fraction(inst.attractiveness[action.user][idx])
         total += (p - prev) * Fraction(inst.coupons[idx])
         prev = p
@@ -410,7 +410,7 @@ def paper_cost(inst, action) -> Fraction:
     """Expected spend of one action, exact, compounding independent rejections."""
     alive = Fraction(1)
     total = Fraction(0)
-    for idx in action.sequence.coupon_indices:
+    for idx in action.coupons:
         p = Fraction(inst.attractiveness[action.user][idx])
         total += alive * p * Fraction(inst.coupons[idx])
         alive *= 1 - p
@@ -609,7 +609,7 @@ def subset_value_table(instance: Instance, actions: list[Action]) -> list[Fracti
         best: dict[int, int] = {}
         for i, action in enumerate(actions):
             if sub >> i & 1:
-                best[action.user] = max(best.get(action.user, -1), action.sequence.coupon_indices[-1])
+                best[action.user] = max(best.get(action.user, -1), action.coupons[-1])
         users = sorted(best)
         total = Fraction(0)
         for seeded in range(1 << len(users)):

@@ -28,7 +28,6 @@ from couponprobe.model import (
     COST_MODE_PAPER,
     COST_MODE_THRESHOLD,
     Action,
-    ProbeSequence,
     build_action_space,
     exact_expected_cost,
 )
@@ -167,16 +166,16 @@ def test_criterion_06_user_cap_dp_matches_brute_force() -> None:
         rows = tuple(sorted_row(gen, 1) for _ in range(n))
         inst = uniform_instance(n, (1.0,), rows, K=1, B=2.0, W=W)
         table = {v: round(float(gen.uniform(1.0, n)), 3) for v in range(n)}
-        dp, order = alg2_dp(inst, table, W=W)
+        values, order = alg2_dp(inst, table, W=W)
         want = dp_brute_force(
             [F(rows[v][0]) for v in range(n)],
             [F(table[v]) for v in range(n)],
             W,
         )
-        assert dp.values[-1][-1] == float(want)
+        assert values[-1][-1] == float(want)
         replay = first_accept_value(
-            [F(rows[v][0]) for v in order.users],
-            [F(table[v]) for v in order.users],
+            [F(rows[v][0]) for v in order],
+            [F(table[v]) for v in order],
         )
         assert replay == want
     print("criterion 6: PASS (8 instances up to 8 users, bit-exact)")
@@ -189,10 +188,7 @@ def test_criterion_07_expected_cost_matches_simulation() -> None:
         uniform_instance(1, (1.0, 2.0, 3.0), ((0.3, 0.65, 0.9),), K=3, B=9.0),
     )
     for inst in cases:
-        action = Action(
-            user=0,
-            sequence=ProbeSequence(coupon_indices=tuple(range(len(inst.coupons)))),
-        )
+        action = Action(user=0, coupons=tuple(range(len(inst.coupons))))
         want = float(exact_expected_cost(inst, action))  # threshold mode is the default
         # the one action at mass 1 is present, survives and runs in every world
         policy = planned(inst, {a: F(1 if a == action else 0) for a in build_action_space(inst)})
@@ -214,7 +210,7 @@ def test_criterion_07_multiplicative_cost_never_below_threshold_cost() -> None:
     inst = uniform_instance(1, (1.0, 2.0, 3.0), ((0.9, 0.9, 1.0),), K=3, B=9.0)
     for r in range(1, 4):
         for combo in itertools.combinations(range(3), r):
-            action = Action(user=0, sequence=ProbeSequence(coupon_indices=combo))
+            action = Action(user=0, coupons=combo)
             paper = exact_expected_cost(inst, action, COST_MODE_PAPER)
             threshold = exact_expected_cost(inst, action, COST_MODE_THRESHOLD)
             assert paper >= threshold, (

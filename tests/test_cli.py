@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from couponprobe import influence
+from couponprobe import cli, influence
 from couponprobe.cli import main
 from couponprobe.instance_io import InstanceFormatError, load_instance, save_instance
 from couponprobe.model import MAX_ACTIONS
@@ -368,6 +368,16 @@ def test_compare_extended_policy_needs_w(tmp_path, capsys, policy) -> None:
     code, out, _ = _run(capsys, ["compare", path, "--policy", f"alg2,{policy}", "--worlds", "50"])
     assert code == 0
     assert out.splitlines()[-1] == f"{policy},,,,extended mode requires an instance with W set"
+
+
+def test_compare_lets_programming_errors_through(tmp_path, capsys, monkeypatch) -> None:
+    # only refusals (ValueError) become error cells; a bug stops the command
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a refusal")
+
+    monkeypatch.setattr(cli, "make_policy", broken)
+    with pytest.raises(TypeError, match="a bug, not a refusal"):
+        main(["compare", _write(tmp_path, TOY), "--policy", "alg2,opt-oracle", "--worlds", "50"])
 
 
 def test_compare_stoch_cp_mean_sits_between_branches(tmp_path, capsys) -> None:

@@ -9,12 +9,12 @@ import pytest
 
 from couponprobe import model, simplex
 from couponprobe.cli import make_policy
-from couponprobe.influence import influence_mc_stats
+from couponprobe.influence import Graph, InstanceError, influence_mc_stats
 from couponprobe.model import (
     MAX_ACTIONS,
+    Action,
     Instance,
     PolicyTrace,
-    ProbeSequence,
     ProbeStep,
     Steps,
     build_action_space,
@@ -76,6 +76,12 @@ def test_constraint_parameter_validation() -> None:
         uniform_instance(2, (1.0,), ((0.5,),), K=1, B=1.0)  # missing a row
     with pytest.raises(ValueError):
         uniform_instance(1, (1.0,), ((1.5,),), K=1, B=1.0)  # p out of range
+    with pytest.raises(InstanceError, match="B must be positive") as err:
+        single_user(0.5, B="2")
+    assert err.value.field == "B"
+    for bad in (2.5, "3", 0):
+        with pytest.raises(ValueError, match="marginal_samples must be a positive integer"):
+            RelaxationConfig(marginal_samples=bad)
 
 
 def test_numpy_integer_counts_are_stored_as_int() -> None:
@@ -86,15 +92,32 @@ def test_numpy_integer_counts_are_stored_as_int() -> None:
         single_user(0.5, K=1.5)
     with pytest.raises(ValueError):
         single_user(0.5, W=1.5)
+    graph = Graph(np.int64(3), ((np.int32(0), np.int64(1), 0.5),))
+    assert graph.node_count == 3 and type(graph.node_count) is int
+    assert all(type(end) is int for end in graph.edges[0][:2])
+    with pytest.raises(InstanceError, match="node_count must be a non-negative integer") as err:
+        Graph(2.5, ())
+    assert err.value.field == "node_count"
+    with pytest.raises(InstanceError, match="edge endpoint must be a non-negative integer, got 1.7") as err:
+        Graph(3, ((0, 1, 0.5), (0, 1.7, 0.5)))
+    assert (err.value.field, err.value.index) == ("edges", 1)
+    # B is stored as a float, as the coupons are
+    inst = single_user(0.5, B=np.float32(4.0))
+    assert inst.B == 4.0 and type(inst.B) is float
+    assert type(single_user(0.5, B=2).B) is float
+    config = RelaxationConfig(marginal_samples=np.int64(3))
+    assert config.marginal_samples == 3 and type(config.marginal_samples) is int
 
 
 def test_probe_sequence_must_increase() -> None:
-    with pytest.raises(ValueError):
-        ProbeSequence(coupon_indices=(1, 0))
-    with pytest.raises(ValueError):
-        ProbeSequence(coupon_indices=(0, 0))
-    with pytest.raises(ValueError):
-        ProbeSequence(coupon_indices=())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Action(0, (1, 0))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Action(0, (0, 0))
+    with pytest.raises(ValueError, match="at least one coupon"):
+        Action(0, ())
+    action = Action(0, (np.int64(0), np.int32(2)))
+    assert action.coupons == (0, 2) and all(type(i) is int for i in action.coupons)
 
 
 # ------------------------------------------------------------ offers and accepts
@@ -185,6 +208,9 @@ def test_action_space_counts() -> None:
     assert len(actions) == 2 * (3 + 3)
     assert len(set(actions)) == len(actions)
     assert actions == sorted(actions)
+    # the one action order, which every draw over the actions follows
+    assert [a.coupons for a in actions if a.user == 0] == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    assert [a.user for a in actions] == [0] * 6 + [1] * 6
 
     capped = uniform_instance(1, (1.0, 1.2), ((0.3, 0.4),), K=5, B=3.0)
     assert len(build_action_space(capped)) == 3

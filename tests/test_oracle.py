@@ -411,8 +411,8 @@ def test_relaxation_optimum_dominates_integral_solutions() -> None:
                     continue
                 cost = sum(
                     (
-                        F(trial.attractiveness[a.user][a.sequence.coupon_indices[-1]])
-                        * F(trial.coupons[a.sequence.coupon_indices[-1]])
+                        F(trial.attractiveness[a.user][a.coupons[-1]])
+                        * F(trial.coupons[a.coupons[-1]])
                         for a in subset
                     ),
                     F(0),

@@ -8,14 +8,13 @@ import pytest
 
 from couponprobe import influence, relaxation, simplex
 from couponprobe.influence import BLOCK
-from couponprobe.model import COST_MODES, build_action_space
+from couponprobe.model import COST_MODES, build_action_space, user_groups
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
     RelaxationConfig,
     _integer_costs,
     _integer_weights,
     _knapsack_optimum,
-    _user_groups,
     check_fractional,
     continuous_greedy,
     default_beta_basic,
@@ -162,7 +161,7 @@ def test_marginals_at_zero_match_acceptance_probability() -> None:
     config = RelaxationConfig(marginal_samples=4000, rng_seed=5)
     omega = estimate_marginals(inst, y, config)
     for a in actions:
-        best = max(a.sequence.coupon_indices)
+        best = max(a.coupons)
         p = inst.attractiveness[a.user][best]
         stderr = math.sqrt(p * (1 - p) / 4000)
         assert abs(omega[a] - p) <= 4 * max(stderr, 1e-12)
@@ -218,6 +217,19 @@ def test_marginals_match_the_per_action_utility_loop() -> None:
         assert list(got) == list(want)
         assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
         assert any(got.values()) or samples == 1
+
+
+def test_marginals_match_the_per_action_utility_loop_with_users_out_of_order() -> None:
+    # the last user's actions come first, so users are grouped in the order
+    # of their first action, not by id
+    inst, y = _marginals_instance()
+    y = dict(reversed(y.items()))
+    assert next(iter(y)).user == inst.n_users - 1
+    config = RelaxationConfig(marginal_samples=300, rng_seed=4)
+    got = estimate_marginals(inst, y, config, 2)
+    want = marginals_by_utility(inst, y, config, 2)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+    assert any(got.values())
 
 
 def test_marginals_match_the_reference_on_gridded_draws(monkeypatch) -> None:
@@ -373,7 +385,7 @@ def _gridded_weights(gen: np.random.Generator, actions) -> dict:
     shared: dict = {}
     weights = {}
     for a in actions:
-        key = (a.user, a.sequence.coupon_indices[-1])
+        key = (a.user, a.coupons[-1])
         shared.setdefault(key, round(0.1 * int(gen.integers(0, 11)), 1))
         weights[a] = shared[key] if gen.random() < 0.7 else round(0.1 * int(gen.integers(0, 11)), 1)
     return weights
@@ -417,7 +429,8 @@ def _integer_hull(actions, weights, cost_row, budget):
     # the package's integer walk on the LP of mirror_lp's rows
     costs = dict(zip(actions, cost_row))
     floats = [float(weights[a]) for a in actions]
-    return _knapsack_optimum(_user_groups(actions), _integer_weights(floats), *_integer_costs(actions, costs, budget))
+    groups = list(user_groups(actions).values())
+    return _knapsack_optimum(groups, _integer_weights(floats), *_integer_costs(actions, costs, budget))
 
 
 def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypatch) -> None:
@@ -724,6 +737,6 @@ def test_greedy_toy_budget_feasibility() -> None:
     y = continuous_greedy(inst, config)
     beta = F(config.resolved_beta(False))
     actions = build_action_space(inst)
-    assert {a.sequence.coupon_indices for a in actions} == {(0,)}
+    assert {a.coupons for a in actions} == {(0,)}
     spend = sum(y[a] * threshold_cost(inst, a) for a in actions)
     assert spend <= beta * F(3.0)

@@ -16,7 +16,6 @@ from couponprobe.relaxation import RelaxationConfig
 from couponprobe.rounding import Alg1Policy
 from couponprobe.sequencing import (
     Alg2Policy,
-    ProbeOrder,
     StochCpPolicy,
     UnsolvableError,
     alg2_dp,
@@ -70,7 +69,7 @@ def test_alg2_value_absorbing_first_probe() -> None:
     inst = _inst([1.0, 0.3])
     table = {0: 2.0, 1: 1.0}
     order = alg2_plan(inst, table)
-    assert order.users == (0, 1)
+    assert order == (0, 1)
     assert alg2_value(inst, order, table) == pytest.approx(2.0)
 
 
@@ -87,19 +86,20 @@ def test_alg2_value_three_user_chain() -> None:
 def test_plan_sorts_by_influence_descending() -> None:
     inst = _inst([0.5, 0.5, 0.5])
     order = alg2_plan(inst, {0: 1.0, 1: 3.0, 2: 2.0})
-    assert order.users == (1, 2, 0)
+    assert order == (1, 2, 0)
 
 
 def test_plan_breaks_ties_by_id() -> None:
     inst = _inst([0.5, 0.5, 0.5])
     order = alg2_plan(inst, {0: 1.0, 1: 1.0, 2: 1.0})
-    assert order.users == (0, 1, 2)
+    assert order == (0, 1, 2)
 
 
 def test_plan_uses_cmax() -> None:
     inst = _inst([(0.2, 0.6)], coupons=(1.0, 2.0), B=3.0)
     order = alg2_plan(inst, {0: 1.0})
-    assert order.coupon_index == 1
+    # priced at the largest coupon's acceptance, 0.6, not the smaller one's 0.2
+    assert alg2_value(inst, order, {0: 1.0}) == 0.6
 
 
 def test_plan_on_real_graph_follows_exact_influence() -> None:
@@ -110,7 +110,7 @@ def test_plan_on_real_graph_follows_exact_influence() -> None:
     table = singleton_influence_table(inst.graph)
     order = alg2_plan(inst, table)
     ranked = sorted(range(5), key=lambda v: (-table[v], v))
-    assert list(order.users) == ranked
+    assert list(order) == ranked
 
 
 # -------------------------------------------------- greedy order optimality
@@ -207,20 +207,20 @@ def test_closed_form_matches_simulation() -> None:
 def test_dp_equals_full_greedy_when_w_not_binding() -> None:
     inst = _inst([0.5, 0.5, 0.5], W=3)
     table = {0: 3.0, 1: 2.0, 2: 1.0}
-    dp, order = alg2_dp(inst, table, W=3)
-    assert dp.values[-1][-1] == alg2_value(inst, alg2_plan(inst, table), table)
-    assert order.users == (0, 1, 2)
+    values, order = alg2_dp(inst, table, W=3)
+    assert values[-1][-1] == alg2_value(inst, alg2_plan(inst, table), table)
+    assert order == (0, 1, 2)
 
 
 def test_dp_single_probe_takes_argmax_product() -> None:
     inst = _inst([0.9, 0.5, 0.4], W=1)
     table = {0: 1.0, 1: 3.0, 2: 2.0}
-    dp, order = alg2_dp(inst, table, W=1)
+    values, order = alg2_dp(inst, table, W=1)
     products = {v: F(inst.attractiveness[v][0]) * F(table[v]) for v in range(3)}
     best = max(products.values())
-    assert F(dp.values[-1][-1]) == best
-    assert len(order.users) == 1
-    assert products[order.users[0]] == best
+    assert F(values[-1][-1]) == best
+    assert len(order) == 1
+    assert products[order[0]] == best
 
 
 def test_dp_matches_brute_force_exactly() -> None:
@@ -232,24 +232,24 @@ def test_dp_matches_brute_force_exactly() -> None:
         i_vals = [round(float(gen.uniform(1.0, 6.0)), 3) for _ in range(n)]
         inst = _inst(p_vals, W=W)
         table = {v: i_vals[v] for v in range(n)}
-        dp, order = alg2_dp(inst, table, W=W)
+        values, order = alg2_dp(inst, table, W=W)
         want = dp_brute_force(
             [F(p) for p in p_vals], [F(i) for i in i_vals], W
         )
         # the table runs on exact rationals internally and rounds only on
         # output, so it agrees with the rational brute force to the last bit
-        assert dp.values[-1][-1] == float(want), f"trial {trial}"
+        assert values[-1][-1] == float(want), f"trial {trial}"
         exact_values, _ = budgeted_first_accept_plan(
             [F(p_vals[v]) for v in reversed(sorted(range(n), key=lambda u: (-i_vals[u], u)))],
             [F(i_vals[v]) for v in reversed(sorted(range(n), key=lambda u: (-i_vals[u], u)))],
             W,
         )
         assert exact_values[-1][-1] == want, f"trial {trial}"
-        assert len(order.users) <= W
+        assert len(order) <= W
         # the reported order reproduces the optimal value
         replay = first_accept_value(
-            [F(inst.attractiveness[v][0]) for v in order.users],
-            [F(table[v]) for v in order.users],
+            [F(inst.attractiveness[v][0]) for v in order],
+            [F(table[v]) for v in order],
         )
         assert replay == want
 
@@ -257,12 +257,12 @@ def test_dp_matches_brute_force_exactly() -> None:
 def test_dp_table_monotone() -> None:
     inst = _inst([0.3, 0.8, 0.5, 0.6], W=3)
     table = {0: 4.0, 1: 1.0, 2: 3.0, 3: 2.0}
-    dp, _ = alg2_dp(inst, table, W=3)
-    for row in dp.values:
+    values, _ = alg2_dp(inst, table, W=3)
+    for row in values:
         assert row[0] == 0.0
         for lo, hi in zip(row, row[1:]):
             assert hi >= lo
-    for prev, cur in zip(dp.values, dp.values[1:]):
+    for prev, cur in zip(values, values[1:]):
         for l in range(len(prev)):
             assert cur[l] >= prev[l]
 
@@ -487,18 +487,18 @@ def test_policies_with_one_seed_see_the_same_worlds() -> None:
     assert (values["alg1"] != values["alg2"]).any()
 
 
-def _check_position_verdicts(inst, order: ProbeOrder, extended: bool) -> np.ndarray:
+def _check_position_verdicts(inst, order: tuple[int, ...], extended: bool) -> np.ndarray:
     """_position_verdicts against check_trace on alg2_execute's trace in a
     world where only the user at the position accepts (the last entry:
     nobody accepts)."""
     got = sequencing._position_verdicts(inst, order, extended)
     want = []
-    for k in range(len(order.users) + 1):
+    for k in range(len(order) + 1):
         thresholds = [2.0] * inst.n_users
-        if k < len(order.users):
-            thresholds[order.users[k]] = 0.0
+        if k < len(order):
+            thresholds[order[k]] = 0.0
         trace = alg2_execute(inst, order, make_world(thresholds))
-        assert len(trace.steps) == min(k + 1, len(order.users))
+        assert len(trace.steps) == min(k + 1, len(order))
         want.append(bool(check_trace(inst, trace, extended=extended)))
     assert got.tolist() == want
     return got
@@ -514,11 +514,11 @@ def test_position_verdicts_match_check_trace(case, name) -> None:
 
 def test_position_verdicts_flag_orders_longer_than_w() -> None:
     inst = _on_graph(mixed_graph())  # W = 3
-    order = ProbeOrder(users=(4, 0, 6, 2, 5), coupon_index=inst.c_max_index)
+    order = (4, 0, 6, 2, 5)
     # a run that reaches a fourth user probes more than W
     assert _check_position_verdicts(inst, order, True).tolist() == [False] * 3 + [True] * 3
     assert not _check_position_verdicts(inst, order, False).any()
-    assert _check_position_verdicts(inst, ProbeOrder((), inst.c_max_index), True).tolist() == [False]
+    assert _check_position_verdicts(inst, (), True).tolist() == [False]
 
 
 def test_million_world_alg2_evaluation_is_bounded() -> None:
