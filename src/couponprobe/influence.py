@@ -15,6 +15,7 @@ and simulated worlds.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -69,6 +70,22 @@ def _count(value, field: str, index: int | None = None, label: str | None = None
     return count
 
 
+def _is_real(value) -> bool:
+    """The one rule for real-valued fields: a number of any real type
+    (numpy's too) but bool."""
+    if type(value) is float:
+        return True  # what the instance parser yields, without numbers.Real's slower check
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(value, field: str, index: int | None = None, label: str | None = None) -> float:
+    """A real number (_is_real) as a plain float; anything else raises
+    InstanceError naming the field."""
+    if not _is_real(value):
+        raise InstanceError(f"{label or field} must be a real number, got {value!r}", field, index)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Directed graph with an independent activation probability per edge.
@@ -85,7 +102,11 @@ class Graph:
         if self.node_count < 1:
             raise InstanceError(f"node count must be positive, got {self.node_count}", "node_count")
         object.__setattr__(self, "edges", tuple(
-            (_count(u, "edges", i, "edge endpoint"), _count(v, "edges", i, "edge endpoint"), float(p))
+            (
+                _count(u, "edges", i, "edge endpoint"),
+                _count(v, "edges", i, "edge endpoint"),
+                _real(p, "edges", i, "edge probability"),
+            )
             for i, (u, v, p) in enumerate(self.edges)
         ))
         seen: dict[tuple[int, int], int] = {}

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .influence import Graph, InstanceError, _count
+from .influence import Graph, InstanceError, _count, _is_real, _real
 
 COST_MODE_THRESHOLD = "threshold"
 COST_MODE_PAPER = "paper"
@@ -49,10 +48,13 @@ class Instance:
     W: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coupons", tuple(float(c) for c in self.coupons))
         object.__setattr__(
-            self, "attractiveness", tuple(tuple(float(p) for p in row) for row in self.attractiveness)
+            self, "coupons", tuple(_real(c, "coupons", i, "coupon value") for i, c in enumerate(self.coupons))
         )
+        object.__setattr__(self, "attractiveness", tuple(
+            tuple(_real(p, "attractiveness", v, f"user {v}: attractiveness") for p in row)
+            for v, row in enumerate(self.attractiveness)
+        ))
         coupons = self.coupons
         if not coupons:
             raise InstanceError("at least one coupon value is required", "coupons")
@@ -87,7 +89,7 @@ class Instance:
                         "attractiveness", v,
                     )
         object.__setattr__(self, "K", _count(self.K, "K"))
-        B = float(self.B) if isinstance(self.B, numbers.Real) else math.nan
+        B = float(self.B) if _is_real(self.B) else math.nan
         if not (math.isfinite(B) and B > 0.0):
             raise InstanceError(f"B must be positive and finite, got {self.B!r}", "B")
         object.__setattr__(self, "B", B)
@@ -170,6 +172,17 @@ def user_groups(actions: Iterable[Action]) -> dict[int, list[int]]:
     return groups
 
 
+def check_actions(instance: Instance, actions: Iterable[Action]) -> None:
+    """Raise ValueError naming the first action whose user or coupon index
+    the instance does not have."""
+    n, m = instance.n_users, len(instance.coupons)
+    for action in actions:
+        if not 0 <= action.user < n:
+            raise ValueError(f"{action} does not fit the instance: its users are 0..{n - 1}")
+        if not 0 <= action.coupons[0] <= action.coupons[-1] < m:
+            raise ValueError(f"{action} does not fit the instance: its coupon indices are 0..{m - 1}")
+
+
 def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MODE_THRESHOLD) -> Fraction:
     """Expected amount redeemed when probing one user through one sequence,
     as an exact rational.
@@ -181,6 +194,7 @@ def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MOD
     """
     if mode not in COST_MODES:
         raise ValueError(f"unknown cost mode {mode!r}; expected one of {COST_MODES}")
+    check_actions(instance, (action,))
     row = instance.attractiveness[action.user]
     total = Fraction(0)
     if mode == COST_MODE_THRESHOLD:

@@ -27,7 +27,7 @@ from typing import Collection, Iterable, Mapping
 
 from . import simplex
 from .influence import _exact_spreads
-from .model import Action, Instance, build_action_space, exact_expected_cost, user_groups
+from .model import Action, Instance, build_action_space, check_actions, exact_expected_cost, user_groups
 
 MAX_ORACLE_USERS = 4
 MAX_ORACLE_COUPONS = 3
@@ -151,6 +151,8 @@ def exact_action_set_value_frac(instance: Instance, actions: Iterable[Action]) -
     A user seeds iff they accept their largest offered coupon, and rows are
     non-decreasing, so that coupon's acceptance is the user's best one.
     """
+    actions = list(actions)
+    check_actions(instance, actions)
     accept: dict[int, Fraction] = {}
     for action in actions:
         accept[action.user] = max(accept.get(action.user, Fraction(0)), _accept(instance, action))
@@ -161,12 +163,14 @@ def exact_action_set_value(instance: Instance, actions: Iterable[Action]) -> flo
     return float(exact_action_set_value_frac(instance, actions))
 
 
-def _by_user(actions: list[Action]) -> dict[int, list[int]]:
-    """Each user's action indices, refusing more than MAX_LP_COLUMNS profiles.
+def _by_user(instance: Instance, actions: list[Action]) -> dict[int, list[int]]:
+    """Each user's action indices, refusing actions that do not fit the
+    instance and more than MAX_LP_COLUMNS profiles.
 
     A profile is at most one action per user, so there are prod(1 + |S_u|)
     of them, never more than the 2^|S| action subsets.
     """
+    check_actions(instance, actions)
     groups = user_groups(actions)
     count = math.prod(1 + len(group) for group in groups.values())
     if count > MAX_LP_COLUMNS:
@@ -182,7 +186,7 @@ def _profile_columns(instance: Instance, actions: list[Action]) -> tuple[list[tu
     higher-top action: same value, and no more of any row.  An LP over the
     profiles therefore reaches the optimum of the LP over all action subsets.
     """
-    groups = _by_user(actions)
+    groups = _by_user(instance, actions)
     spread = _spread_table(instance, groups)
     accept = [_accept(instance, a) for a in actions]
     profiles = [
@@ -227,7 +231,7 @@ def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> F
     masses = _masses(y)
     actions = list(y)
     accept: dict[int, Fraction] = {}
-    for user, group in _by_user(actions).items():
+    for user, group in _by_user(instance, actions).items():
         none_above = Fraction(1)
         accept[user] = Fraction(0)
         for i in sorted(group, key=lambda i: -actions[i].coupons[-1]):

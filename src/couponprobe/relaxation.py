@@ -8,21 +8,22 @@ the scaled constraints hold with no slack.
 
 The ascent runs on action indices.  Its marginal samples do not depend on
 the point, so one reach-kernel pass scores the samples of a window of steps.
-On a 48-action instance (8 users, K=2; 2-core x86 host, Python 3.11, numpy
-2.4, where repeated runs differ by up to 2x) one step costs 0.17-0.3 ms with
-10 marginal samples, 0.08-0.12 ms of it in the direction LP, and 0.33-0.48 ms
-with the default 200.  The default step 1/|S|^2 takes 2305 steps there:
-0.75-1.1 s.
+On the 48-action relax48 instances (8 users, K=2; 2-core x86 host, Python
+3.11, numpy 2.4, where repeated runs differ by up to 2x) one step costs
+0.27-0.36 ms with 10 marginal samples, 0.08-0.12 ms of it in the direction
+LP, and 0.62-0.71 ms with the default 200, 0.10-0.13 ms of it in the LP.
+The default step 1/|S|^2 takes 2305 steps there: 0.50-0.62 s with 10
+samples and 1.1-1.3 s with 200.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -35,6 +36,7 @@ from .model import (
     Action,
     Instance,
     build_action_space,
+    check_actions,
     exact_expected_cost,
     user_groups,
 )
@@ -67,7 +69,7 @@ class RelaxationConfig:
     beta and delta default to None and are resolved against the instance:
     beta to the mode's optimized constant, delta to 1/|S|^2 where S is the
     action space.  That default step size is safe but slow (|S|^2 steps of
-    marginal_samples samples each: 0.75-1.1 s at |S| = 48 with 200 samples,
+    marginal_samples samples each: 1.1-1.3 s at |S| = 48 with 200 samples,
     and refused above |S| = 1024, where it passes MAX_STEPS); larger values
     trade the guarantee for speed.
     """
@@ -246,6 +248,7 @@ def estimate_marginals(
     runs the same _Sampler on action indices.
     """
     actions = list(y)
+    check_actions(instance, actions)
     if not actions:
         return {}
     sampler = _Sampler(instance, actions, config)
@@ -262,6 +265,10 @@ def action_costs_exact(
 # A point of a user's upper hull in integer units: (cost, weight, action
 # index or None for the origin, which stands for leaving mass unassigned).
 _HullPoint = tuple[int, int, int | None]
+# A user's actions by integer cost, as the hull walk reads them: the indices
+# of their zero-cost actions, and (cost, indices) for each positive cost,
+# costs increasing and indices in action order.
+_CostRuns = tuple[list[int], list[tuple[int, list[int]]]]
 
 
 def _integer_weights(weights: list[float]) -> list[int]:
@@ -285,15 +292,36 @@ def _integer_costs(
     return [c.numerator * (scale // c.denominator) for c in exact], budget.numerator * (scale // budget.denominator)
 
 
-def _by_slope(s: tuple[int, int, int, int], t: tuple[int, int, int, int]) -> int:
-    """Compare two segments (weight rise, cost rise, ...) by slope; rises in cost are positive."""
-    return s[0] * t[1] - t[0] * s[1]
+def _cost_runs(groups: Iterable[list[int]], costs: list[int]) -> list[_CostRuns]:
+    """Each group's actions split by cost, for _knapsack_optimum."""
+    runs: list[_CostRuns] = []
+    for idx in groups:
+        positive = sorted((i for i in idx if costs[i] > 0), key=costs.__getitem__)  # stable: action order
+        runs.append((
+            [i for i in idx if costs[i] == 0],
+            [(c, list(run)) for c, run in itertools.groupby(positive, key=costs.__getitem__)],
+        ))
+    return runs
 
 
-def _knapsack_optimum(
-    groups: list[list[int]], weights: list[int], costs: list[int], budget: int
-) -> list[Fraction]:
-    """An optimum of the direction LP without the W row.
+class _Segment:
+    """A hull segment in the walk's order: steeper first, then the user
+    (group) who comes first."""
+
+    __slots__ = ("rise", "run", "group", "end")
+
+    def __init__(self, hull: list[_HullPoint], group: int, end: int):
+        (c0, w0, _), (c1, w1, _) = hull[end - 1], hull[end]
+        self.rise, self.run, self.group, self.end = w1 - w0, c1 - c0, group, end
+
+    def __lt__(self, other: _Segment) -> bool:
+        ahead = self.rise * other.run - other.rise * self.run
+        return ahead > 0 or (ahead == 0 and self.group < other.group)
+
+
+def _knapsack_optimum(users: list[_CostRuns], weights: list[int], budget: int) -> dict[int, Fraction]:
+    """An optimum of the direction LP without the W row, as its nonzero
+    masses by action index.
 
     Without W the LP is a multiple-choice knapsack LP: each user picks a point
     in the convex hull of the origin and its actions' (cost, weight) points.
@@ -310,22 +338,27 @@ def _knapsack_optimum(
     users' first actions, so the user who comes first in action order is
     filled first.
 
-    groups holds each user's action indices, as user_groups gives them.  The
-    walk is exact on integers: weights, costs and budget come scaled by
-    positive constants (_integer_weights, _integer_costs), which changes no
-    comparison and no split fraction.  Slopes are compared by
-    cross-multiplication.
+    users holds each user's actions split by cost (_cost_runs), users in the
+    order of their first actions.  A run of equal cost adds at most its
+    highest-weight action to the hull, the lowest index on ties; the others
+    cost as much for no more weight.  Each hull comes out in decreasing
+    slope, so a heap of every user's next segment yields the segments in the
+    walk's order, and the walk stops at the split.  The walk is exact on
+    integers: weights, costs and budget come scaled by positive constants
+    (_integer_weights, _integer_costs), which changes no comparison and no
+    split fraction.  Slopes are compared by cross-multiplication.
     """
     hulls: list[list[_HullPoint]] = []
-    segments: list[tuple[int, int, int, int]] = []  # (weight rise, cost rise, group, hull position)
-    for g, idx in enumerate(groups):
+    heap: list[_Segment] = []
+    for g, (zero, runs) in enumerate(users):
         start: _HullPoint = (0, 0, None)
-        for i in idx:
-            if costs[i] == 0 and weights[i] > start[1]:
+        for i in zero:
+            if weights[i] > start[1]:
                 start = (0, weights[i], i)
         hull = [start]
-        for i in sorted((i for i in idx if costs[i] > 0), key=lambda i: (costs[i], -weights[i])):
-            c, w = costs[i], weights[i]
+        for c, run in runs:
+            i = run[0] if len(run) == 1 else max(run, key=weights.__getitem__)
+            w = weights[i]
             if w <= hull[-1][1]:
                 continue  # dominated: costs at least as much for no more weight
             while len(hull) > 1:
@@ -335,41 +368,43 @@ def _knapsack_optimum(
                 hull.pop()
             hull.append((c, w, i))
         hulls.append(hull)
-        segments.extend(
-            (q[1] - p[1], q[0] - p[0], g, k) for k, (p, q) in enumerate(itertools.pairwise(hull))
-        )
-    segments.sort(key=cmp_to_key(_by_slope), reverse=True)  # stable: equal slopes keep user order
+        if len(hull) > 1:
+            heap.append(_Segment(hull, g, 1))
+    heapq.heapify(heap)
 
-    position = [0] * len(groups)
+    position = [0] * len(users)
     left = budget
-    split: tuple[int, Fraction] | None = None
-    for _, step, g, k in segments:
-        if step > left:
-            split = (g, Fraction(left, step))
+    split: tuple[int, int] | None = None  # (group, budget into its next segment)
+    while heap:
+        segment = heap[0]
+        g, end = segment.group, segment.end
+        if segment.run > left:
+            split = (g, left)
             break
-        left -= step
-        position[g] = k + 1
+        left -= segment.run
+        position[g] = end
+        if end + 1 < len(hulls[g]):
+            heapq.heapreplace(heap, _Segment(hulls[g], g, end + 1))
+        else:
+            heapq.heappop(heap)
 
-    x = [ZERO] * len(weights)
-    for hull, k in zip(hulls, position):
-        at = hull[k][2]
-        if at is not None:
-            x[at] = ONE
+    x = {hull[k][2]: ONE for hull, k in zip(hulls, position)}
     if split is not None:
-        g, theta = split
+        g, used = split
         k = position[g]
-        at, to = hulls[g][k][2], hulls[g][k + 1][2]
-        if at is not None:
-            x[at] = ONE - theta
-        x[to] = theta
+        (c0, _, at), (c1, _, to) = hulls[g][k:k + 2]
+        x[at] = Fraction(c1 - c0 - used, c1 - c0)
+        if used:
+            x[to] = Fraction(used, c1 - c0)
+    x.pop(None, None)  # the origin: mass left unassigned
     return x
 
 
 class _DirectionLP:
     """The direction LP over a fixed list of actions, with every part but its
-    weights built once: without the W row, the actions grouped by user and
-    the integer costs and budget of the hull walk; with it, the simplex's
-    constraint rows."""
+    weights built once: without the W row, the actions of each user split
+    into runs of equal integer cost, and the integer budget, for the hull
+    walk; with it, the simplex's constraint rows."""
 
     def __init__(
         self,
@@ -386,19 +421,22 @@ class _DirectionLP:
         self.use_W = use_W
         budget = Fraction(beta) * Fraction(instance.B)
         if not use_W:
-            self.groups = list(user_groups(actions).values())
-            self.costs, self.budget = _integer_costs(actions, costs, budget)
+            integer_costs, self.budget = _integer_costs(actions, costs, budget)
+            self.users = _cost_runs(user_groups(actions).values(), integer_costs)
         else:
             users = sorted({a.user for a in actions})
             self.lhs = [[Fraction(1 if a.user == user else 0) for a in actions] for user in users]
             self.lhs += [[costs[a] for a in actions], [Fraction(1)] * len(actions)]
             self.rhs = [Fraction(1)] * len(users) + [budget, Fraction(beta) * Fraction(instance.W)]
 
-    def solve(self, weights: list[float]) -> list[Fraction]:
-        """An exact optimal direction for these weights, in action order."""
+    def solve(self, weights: list[float]) -> dict[int, Fraction]:
+        """An exact optimal direction for these weights, as its nonzero
+        masses by action index: without the W row, at most one per user and
+        one more."""
         if not self.use_W:
-            return _knapsack_optimum(self.groups, _integer_weights(weights), self.costs, self.budget)
-        return simplex.maximize([Fraction(w) for w in weights], self.lhs, self.rhs)[1]
+            return _knapsack_optimum(self.users, _integer_weights(weights), self.budget)
+        x = simplex.maximize([Fraction(w) for w in weights], self.lhs, self.rhs)[1]
+        return {j: v for j, v in enumerate(x) if v}
 
 
 def solve_lp(
@@ -424,13 +462,17 @@ def solve_lp(
     every step.
     """
     actions = list(weights)
+    check_actions(instance, actions)
     for a, w in weights.items():
         if not math.isfinite(w):
             raise ValueError(f"non-finite weight for {a}")
     if costs is None:
         costs = action_costs_exact(instance, actions, cost_mode)
     lp = _DirectionLP(instance, actions, beta, use_W, costs)
-    return dict(zip(actions, lp.solve([float(w) for w in weights.values()])))
+    x = dict.fromkeys(actions, ZERO)
+    for j, v in lp.solve([float(w) for w in weights.values()]).items():
+        x[actions[j]] = v
+    return x
 
 
 def continuous_greedy(
@@ -448,11 +490,13 @@ def continuous_greedy(
     size along the direction's nonzero entries, a few per round.  on_step
     receives (t, y) after each round, y as a dict of its own.
 
-    The rounds run on action indices: y is a list of Fractions in action
-    order with a float copy for the marginals, updated only where y moves,
-    and every part of the marginals and the LP that does not depend on y is
-    built once (_Sampler, _DirectionLP).  The samples do not depend on y
-    either, so their reach comes a window of rounds at a time.  The result
+    The rounds run on action indices: y is a list of integer numerators in
+    action order over one common denominator, which grows only when a step's
+    own denominator does not divide it, with a float copy for the marginals,
+    updated only where y moves; Fractions are built only for on_step and the
+    result.  Every part of the marginals and the LP that does not depend on
+    y is built once (_Sampler, _DirectionLP).  The samples do not depend on
+    y either, so their reach comes a window of rounds at a time.  The result
     is a convex combination of exactly feasible LP vertices, so it satisfies
     the scaled constraints exactly (the output stays rational end to end).
     """
@@ -469,18 +513,29 @@ def continuous_greedy(
         )
     lp = _DirectionLP(instance, actions, beta, use_W, action_costs_exact(instance, actions, config.cost_mode))
     sampler = _Sampler(instance, actions, config)
-    y = [ZERO] * len(actions)
+    nums = [0] * len(actions)  # y times den
+    den = 1
     probs = np.zeros(len(actions))  # y as floats, for the marginals
     last = 1 - (steps - 1) * delta  # every step but the last is delta
     for i, pieces in itertools.groupby(sampler.samples(0, steps), key=lambda piece: piece[0]):
         direction = lp.solve(sampler.marginals(probs, pieces).tolist())
         step = delta if i < steps - 1 else last
-        for j, d in enumerate(direction):
-            if d:
-                y[j] += step * d
-                probs[j] = float(y[j])
+        for j, d in direction.items():
+            num, dem = step.numerator * d.numerator, step.denominator * d.denominator
+            common = math.gcd(num, dem)
+            num, dem = num // common, dem // common
+            if den % dem:
+                scale = dem // math.gcd(den, dem)
+                den *= scale
+                nums = [v * scale for v in nums]
+            nums[j] += num * (den // dem)
+            probs[j] = nums[j] / den  # correctly rounded, as float(Fraction) is
         if on_step is not None:
-            on_step(float(min(delta * (i + 1), ONE)), dict(zip(actions, y)))
-    result = dict(zip(actions, y))
+            on_step(float(min(delta * (i + 1), ONE)), _point(actions, nums, den))
+    result = _point(actions, nums, den)
     check_fractional(result)
     return result
+
+
+def _point(actions: list[Action], nums: list[int], den: int) -> dict[Action, Fraction]:
+    return {a: Fraction(num, den) for a, num in zip(actions, nums)}

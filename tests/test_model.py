@@ -22,8 +22,14 @@ from couponprobe.model import (
     exact_expected_cost,
     low_value_coupons,
 )
-from couponprobe.oracle import concave_relaxation_optimum, optimal_adaptive_value
-from couponprobe.relaxation import RelaxationConfig, estimate_marginals
+from couponprobe.oracle import (
+    concave_extension_exact,
+    concave_relaxation_optimum,
+    exact_action_set_value_frac,
+    multilinear_value_exact,
+    optimal_adaptive_value,
+)
+from couponprobe.relaxation import RelaxationConfig, estimate_marginals, solve_lp
 from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import Alg2Policy, alg2_dp
 
@@ -105,8 +111,50 @@ def test_numpy_integer_counts_are_stored_as_int() -> None:
     inst = single_user(0.5, B=np.float32(4.0))
     assert inst.B == 4.0 and type(inst.B) is float
     assert type(single_user(0.5, B=2).B) is float
+    # so are coupons, attractiveness and edge probabilities of any real type
+    inst = Instance(Graph(2, ((0, 1, Fraction(1, 2)),)), (np.float32(1.0), 2), ((0, np.float64(0.5)),) * 2, 1, 3)
+    assert inst.coupons == (1.0, 2.0) and inst.attractiveness == ((0.0, 0.5),) * 2
+    assert inst.graph.edges == ((0, 1, 0.5),)
+    assert all(type(v) is float for v in (*inst.coupons, *inst.attractiveness[0], inst.graph.edges[0][2]))
     config = RelaxationConfig(marginal_samples=np.int64(3))
     assert config.marginal_samples == 3 and type(config.marginal_samples) is int
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, np.bool_(False), None])
+def test_real_fields_refuse_strings_and_bools(bad) -> None:
+    # coupons, attractiveness, edge probabilities and B share one rule
+    calls = {
+        ("coupons", 1, "coupon value must be a real number"):
+            lambda: Instance(edgeless(1), (1.0, bad), ((0.2, 0.4),), K=1, B=3.0),
+        ("attractiveness", 1, "user 1: attractiveness must be a real number"):
+            lambda: Instance(edgeless(2), (1.0,), ((0.2,), (bad,)), K=1, B=3.0),
+        ("edges", 0, "edge probability must be a real number"): lambda: Graph(2, ((0, 1, bad),)),
+        ("B", None, "B must be positive and finite"): lambda: single_user(0.5, B=bad),
+    }
+    for (field, index, message), call in calls.items():
+        with pytest.raises(InstanceError, match=message) as err:
+            call()
+        assert (err.value.field, err.value.index) == (field, index)
+
+
+def test_actions_that_do_not_fit_the_instance_are_refused() -> None:
+    # every function that takes actions from a caller refuses, naming the
+    # action, a user or coupon index the instance does not have
+    inst = uniform_instance(3, (1.0, 2.0), ((0.2, 0.4),) * 3, K=2, B=3.0)
+    fits = act(0, 0)
+    for bad in (Action(-1, (0,)), Action(3, (0,)), Action(0, (5,)), Action(1, (0, 2))):
+        y = {bad: 0.0, fits: 0.5}
+        calls = (
+            lambda: estimate_marginals(inst, y, RelaxationConfig(marginal_samples=5)),
+            lambda: solve_lp({fits: 1.0, bad: 1.0}, inst, 0.25),
+            lambda: exact_expected_cost(inst, bad),
+            lambda: multilinear_value_exact(inst, y),
+            lambda: concave_extension_exact(inst, y),
+            lambda: exact_action_set_value_frac(inst, [fits, bad]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"{bad} does not fit the instance")):
+                call()
 
 
 def test_probe_sequence_must_increase() -> None:

@@ -8,10 +8,11 @@ import pytest
 
 from couponprobe import influence, relaxation, simplex
 from couponprobe.influence import BLOCK
-from couponprobe.model import COST_MODES, build_action_space, user_groups
+from couponprobe.model import COST_MODES, Action, build_action_space, user_groups
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
     RelaxationConfig,
+    _cost_runs,
     _integer_costs,
     _integer_weights,
     _knapsack_optimum,
@@ -426,11 +427,11 @@ def test_lp_without_w_is_optimal_on_ties_without_the_simplex(monkeypatch) -> Non
 
 
 def _integer_hull(actions, weights, cost_row, budget):
-    # the package's integer walk on the LP of mirror_lp's rows
-    costs = dict(zip(actions, cost_row))
-    floats = [float(weights[a]) for a in actions]
-    groups = list(user_groups(actions).values())
-    return _knapsack_optimum(groups, _integer_weights(floats), *_integer_costs(actions, costs, budget))
+    # the package's integer walk on the LP of mirror_lp's rows, as a dense list
+    costs, scaled_budget = _integer_costs(actions, dict(zip(actions, cost_row)), budget)
+    users = _cost_runs(user_groups(actions).values(), costs)
+    x = _knapsack_optimum(users, _integer_weights([float(weights[a]) for a in actions]), scaled_budget)
+    return [x.get(i, F(0)) for i in range(len(actions))]
 
 
 def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypatch) -> None:
@@ -460,6 +461,29 @@ def test_integer_hull_is_exact_on_extreme_weights_and_non_dyadic_costs(monkeypat
         lhs = [[F(int(a.user == u)) for a in actions] for u in users] + [row]
         _assert_greedy_direction(reference, obj, lhs, [F(1)] * len(users) + [budget], maximize)
     assert calls == []
+
+
+def test_hull_walk_equals_the_fraction_walk_on_tied_integer_cases() -> None:
+    # small integers make equal costs, equal weights and equal slopes common;
+    # users' actions interleave, so a user's group is not contiguous, and
+    # budgets run from 0 past the total cost
+    gen = np.random.default_rng(20)
+    splits = zero_cost = interleaved = 0
+    for _ in range(10_000):
+        size = int(gen.integers(1, 9))
+        users = gen.integers(0, int(gen.integers(1, 5)), size).tolist()
+        actions = [Action(u, (k,)) for k, u in enumerate(users)]
+        weights = gen.integers(0, 5, size).tolist()
+        costs = gen.integers(0, 4, size).tolist()
+        budget = int(gen.integers(0, sum(costs) + 2))
+        x = _knapsack_optimum(_cost_runs(user_groups(actions).values(), costs), weights, budget)
+        assert all(x.values())
+        reference = knapsack_optimum_by_fractions(actions, list(map(F, weights)), list(map(F, costs)), F(budget))
+        assert [x.get(i, F(0)) for i in range(size)] == reference
+        splits += any(v != 1 for v in x.values())
+        zero_cost += any(costs[i] == 0 for i in x)
+        interleaved += any(a != b and a in users[k + 1:] for k, (a, b) in enumerate(zip(users, users[1:])))
+    assert min(splits, zero_cost, interleaved) > 1000
 
 
 def test_tied_users_fill_in_action_order() -> None:
@@ -631,6 +655,23 @@ def _assert_greedy_equals_the_dict_greedy(inst, config, use_W) -> None:
 def test_greedy_on_indices_equals_the_dict_greedy() -> None:
     for inst, config, use_W in _greedy_cases():
         _assert_greedy_equals_the_dict_greedy(inst, config, use_W)
+
+
+@pytest.mark.parametrize("use_W", [False, True])
+@pytest.mark.parametrize("cost_mode", COST_MODES)
+def test_greedy_equals_the_dict_greedy_at_the_default_step(cost_mode, use_W) -> None:
+    # delta = 1/|S|^2 = 1/144 on 12 actions, whose double lies below 1/144:
+    # 145 steps, many of them ending on a split user, whose denominators y's
+    # one denominator has to take in
+    inst = oracle4_shaped(1)
+    config = RelaxationConfig(marginal_samples=10, rng_seed=7, cost_mode=cost_mode)
+    steps = []
+    y = continuous_greedy(inst, config, use_W, on_step=lambda t, y: steps.append(y))
+    assert len(build_action_space(inst)) == 12 and len(steps) == 145
+    # without W, split users leave non-dyadic masses; with it, the vertices
+    # here split on the W row, whose bound beta*W is dyadic
+    assert any(v.denominator & (v.denominator - 1) for v in y.values()) != use_W
+    _assert_greedy_equals_the_dict_greedy(inst, config, use_W)
 
 
 def test_greedy_equals_the_dict_greedy_on_small_kernel_windows(monkeypatch) -> None:
