@@ -131,7 +131,8 @@ def _spread_table(instance: Instance, users: Collection[int]) -> dict[int, float
 
 def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) -> Fraction:
     """Exact expected spread when each user v in accept seeds, independently,
-    with probability accept[v]: the one way this module values actions."""
+    with probability accept[v]: the way this module values actions, which
+    _profile_columns computes one user at a time."""
     weights = {0: Fraction(1)}  # seed mask -> probability
     for v, q in accept.items():
         seeded = {mask | 1 << v: w * q for mask, w in weights.items()}
@@ -185,16 +186,30 @@ def _profile_columns(instance: Instance, actions: list[Action]) -> tuple[list[tu
     actions of one user is dominated by the one that keeps only the
     higher-top action: same value, and no more of any row.  An LP over the
     profiles therefore reaches the optimum of the LP over all action subsets.
+
+    A profile's value is _seeding_value's, computed user by user: the spread
+    table, over the masks of the users not yet chosen for, folds its lowest
+    user in once per choice (no action, or an action that seeds the user
+    with probability q), and profiles that share their first choices share
+    the folded tables.  Profiles come in itertools.product order, the last
+    user's choice varying fastest.
     """
     groups = _by_user(instance, actions)
     spread = _spread_table(instance, groups)
     accept = [_accept(instance, a) for a in actions]
-    profiles = [
-        tuple(i for i in combo if i is not None)
-        for combo in itertools.product(*([None, *group] for group in groups.values()))
+    users = list(groups)
+    # bit k of a table index stands for users[k]
+    table = [
+        Fraction(spread[sum(1 << v for k, v in enumerate(users) if m >> k & 1)]) for m in range(1 << len(users))
     ]
-    values = [_seeding_value(spread, {actions[i].user: accept[i] for i in p}) for p in profiles]
-    return profiles, values
+    level = [((), table)]
+    for group in groups.values():
+        level = [
+            (p, t[0::2]) if i is None else (p + (i,), [b + accept[i] * (a - b) for b, a in zip(t[0::2], t[1::2])])
+            for p, t in level
+            for i in (None, *group)
+        ]
+    return [p for p, _ in level], [t[0] for _, t in level]
 
 
 def _masses(y: Mapping[Action, object]) -> list[Fraction]:

@@ -2,9 +2,11 @@
 
 The fractional solution lives on the action space (user, coupon sequence).
 Marginal utilities are estimated by Monte Carlo with common random numbers,
-a block of samples at a time; the direction-finding LP is solved exactly, on
-integers or over rationals; and the ascent accumulates in exact arithmetic so
-the scaled constraints hold with no slack.
+a block of samples at a time; the direction-finding LP is solved exactly on
+integers, by a walk over the users' convex hulls and, when the W row binds, a
+search over the W row's Lagrange multiplier made of such walks; and the
+ascent accumulates in exact arithmetic so the scaled constraints hold with no
+slack.
 
 The ascent runs on action indices.  Its marginal samples do not depend on
 the point, so one reach-kernel pass scores the samples of a window of steps.
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import influence, simplex
+from . import influence
 from .influence import BLOCK, _sampled_reach, _seeded_union, live_edges
 from .model import (
     COST_MODE_THRESHOLD,
@@ -40,7 +42,9 @@ from .model import (
     exact_expected_cost,
     user_groups,
 )
-from .simplex import ONE, ZERO
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 # The greedy refuses to take more steps than this.  Its step count,
 # ceil(1/delta), is known before the first draw; the default delta = 1/|S|^2
@@ -400,11 +404,134 @@ def _knapsack_optimum(users: list[_CostRuns], weights: list[int], budget: int) -
     return x
 
 
+def _lagrangian_optimum(
+    users: list[_CostRuns], weights: list[int], budget: int, cap: Fraction, heavy: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """An optimum of the direction LP with the W row sum(x) <= cap, given
+    heavy, the hull walk's vertex without it, whose mass exceeds cap.
+
+    Pricing the W row at mu leaves the LP without it on the weights w - mu;
+    each vertex x has the line value(x) - mu * mass(x) there, and the
+    Lagrangian dual is the upper envelope of these lines (plus mu * cap),
+    convex in mu.  The search keeps a heavy vertex (mass above cap) and a
+    light one (mass below; at first the empty vertex) and probes where their
+    lines meet, a Newton step on the envelope: one hull walk on the integer
+    weights q*w - p for mu = p/q.  A probe whose value lies on the two lines
+    proves that mu minimizes the dual, and the convex combination of the two
+    vertices with mass exactly cap is then optimal; a probe above the lines
+    replaces the vertex on its side of cap, or is itself optimal when its
+    mass is cap.  Each probe raises the lower of the two lines' meeting
+    value, so no pair comes back and the search ends.  mu stays at or above
+    0, where the heavy vertex's line touches the envelope, so the W row is
+    priced with the sign its dual needs.
+    """
+    light: dict[int, Fraction] = {}
+    if cap == 0:
+        return light
+
+    def line(x: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
+        return sum((weights[i] * v for i, v in x.items()), ZERO), sum(x.values(), ZERO)
+
+    (hv, hm), (lv, lm) = line(heavy), (ZERO, ZERO)
+    while True:
+        mu = (hv - lv) / (hm - lm)
+        p, q = mu.numerator, mu.denominator
+        x = _knapsack_optimum(users, [q * w - p for w in weights], budget)
+        v, m = line(x)
+        if v - mu * m == hv - mu * hm:
+            break
+        if m == cap:
+            return x
+        if m > cap:
+            heavy, hv, hm = x, v, m
+        else:
+            light, lv, lm = x, v, m
+    t = (cap - lm) / (hm - lm)
+    z = {i: t * v for i, v in heavy.items()}
+    for i, v in light.items():
+        z[i] = z.get(i, ZERO) + (1 - t) * v
+    return z
+
+
+def _dependence(effects: list[tuple[int, ...]]) -> dict[int, int] | None:
+    """Integer coefficients, by position, of a vanishing combination of the
+    first linearly dependent effects, or None when all are independent.
+
+    Fraction-free elimination: each effect is reduced by the independent ones
+    before it, and its own coefficient, a product of nonzero pivots, never
+    vanishes; coefficients that do are left out.
+    """
+    basis: list[tuple[int, list[int], dict[int, int]]] = []  # (pivot, reduced effect, combination)
+    for j, effect in enumerate(effects):
+        vec, comb = list(effect), {j: 1}
+        for p, bvec, bcomb in basis:
+            if vec[p]:
+                f, g = bvec[p], vec[p]
+                vec = [f * a - g * b for a, b in zip(vec, bvec)]
+                comb = {i: f * comb.get(i, 0) - g * bcomb.get(i, 0) for i in comb.keys() | bcomb.keys()}
+        if not any(vec):
+            return {i: c for i, c in comb.items() if c}
+        basis.append((next(p for p, a in enumerate(vec) if a), vec, comb))
+    return None
+
+
+def _vertex(z: dict[int, Fraction], costs: list[int], groups: list[list[int]], budget: int) -> dict[int, Fraction]:
+    """A vertex of the direction LP reached from z, an optimum whose W row
+    is tight, along the face of optima.
+
+    z moves only along the directions its support leaves free: a user below
+    one unit may change each of their masses, and a user at one unit may
+    move mass from their first action in the support to another.  Each such
+    move changes the W row and, when the budget row is tight, the budget row
+    by integer amounts.  While the moves' effects on those rows are linearly
+    dependent, z steps along the first vanishing combination (_dependence,
+    moves by user, in action order), in the direction that raises the first
+    move in it, until a mass reaches 0, a user reaches one unit, or the
+    budget row becomes tight.  Each step ends a move or adds the budget row,
+    so the loop ends, at a point whose free moves are independent on at most
+    two rows: at most two moves, and every fractional user has one, so at
+    most two users are fractional.  A step along a vanishing combination
+    changes no tight row, and its objective change is 0 because z is optimal
+    and may step either way.
+    """
+    while True:
+        cost = sum((costs[i] * v for i, v in z.items()), ZERO)
+        moves: list[dict[int, int]] = []
+        for idx in groups:
+            support = [i for i in idx if i in z]
+            if sum((z[i] for i in support), ZERO) == 1:
+                moves += [{i: 1, support[0]: -1} for i in support[1:]]
+            else:
+                moves += [{i: 1} for i in support]
+        tight = cost == budget
+        comb = _dependence([(sum(d.values()), sum(costs[i] * s for i, s in d.items()))[:1 + tight] for d in moves])
+        if comb is None:
+            return z
+        sign = 1 if comb[min(comb)] > 0 else -1  # the first move of the combination gains
+        direction: dict[int, int] = {}
+        for j, coefficient in comb.items():
+            for i, s in moves[j].items():
+                direction[i] = direction.get(i, 0) + sign * coefficient * s
+        bounds = [-z[i] / s for i, s in direction.items() if s < 0]
+        for idx in groups:
+            rise = sum(direction.get(i, 0) for i in idx)
+            if rise > 0:
+                bounds.append((1 - sum((z[i] for i in idx if i in z), ZERO)) / rise)
+        spend = sum(costs[i] * s for i, s in direction.items())
+        if spend > 0 and not tight:
+            bounds.append((budget - cost) / spend)
+        step = min(bounds)
+        for i, s in direction.items():
+            z[i] = z.get(i, ZERO) + step * s
+            if not z[i]:
+                del z[i]
+
+
 class _DirectionLP:
     """The direction LP over a fixed list of actions, with every part but its
-    weights built once: without the W row, the actions of each user split
-    into runs of equal integer cost, and the integer budget, for the hull
-    walk; with it, the simplex's constraint rows."""
+    weights built once: the actions of each user split into runs of equal
+    integer cost and the integer budget, for the hull walk, and the W row's
+    bound beta*W when it is used."""
 
     def __init__(
         self,
@@ -418,25 +545,22 @@ class _DirectionLP:
             raise ValueError("use_W requires an instance with W set")
         if not 0.0 <= beta <= 0.5:
             raise ValueError("beta must lie in [0, 1/2]")
-        self.use_W = use_W
-        budget = Fraction(beta) * Fraction(instance.B)
-        if not use_W:
-            integer_costs, self.budget = _integer_costs(actions, costs, budget)
-            self.users = _cost_runs(user_groups(actions).values(), integer_costs)
-        else:
-            users = sorted({a.user for a in actions})
-            self.lhs = [[Fraction(1 if a.user == user else 0) for a in actions] for user in users]
-            self.lhs += [[costs[a] for a in actions], [Fraction(1)] * len(actions)]
-            self.rhs = [Fraction(1)] * len(users) + [budget, Fraction(beta) * Fraction(instance.W)]
+        self.costs, self.budget = _integer_costs(actions, costs, Fraction(beta) * Fraction(instance.B))
+        self.groups = list(user_groups(actions).values())
+        self.users = _cost_runs(self.groups, self.costs)
+        self.cap = Fraction(beta) * Fraction(instance.W) if use_W else None
 
     def solve(self, weights: list[float]) -> dict[int, Fraction]:
         """An exact optimal direction for these weights, as its nonzero
-        masses by action index: without the W row, at most one per user and
-        one more."""
-        if not self.use_W:
-            return _knapsack_optimum(self.users, _integer_weights(weights), self.budget)
-        x = simplex.maximize([Fraction(w) for w in weights], self.lhs, self.rhs)[1]
-        return {j: v for j, v in enumerate(x) if v}
+        masses by action index: the hull walk's vertex when the W row is
+        absent or that vertex meets it, else the vertex _vertex reaches from
+        _lagrangian_optimum's combination of two walk vertices."""
+        integer_weights = _integer_weights(weights)
+        x = _knapsack_optimum(self.users, integer_weights, self.budget)
+        if self.cap is None or sum(x.values(), ZERO) <= self.cap:
+            return x
+        z = _lagrangian_optimum(self.users, integer_weights, self.budget, self.cap, x)
+        return _vertex(z, self.costs, self.groups, self.budget)
 
 
 def solve_lp(
@@ -455,11 +579,15 @@ def solve_lp(
     costs, when given, holds every action's exact expected cost under
     cost_mode; otherwise it is built here.
 
-    Without the W row the hull walk of _knapsack_optimum solves it on
-    integers and returns its own optimal vertex, by its stated tie rule; with
-    the W row the simplex solves it and returns the simplex's vertex.
-    continuous_greedy builds the same _DirectionLP once and solves it at
-    every step.
+    The LP is solved on integers, without a simplex, and each tie goes by a
+    fixed rule.  Without the W row, or when the vertex meets it, the hull
+    walk of _knapsack_optimum returns its own optimal vertex, with at most
+    one user split, by its stated tie rule.  When the W row binds,
+    _lagrangian_optimum searches its multiplier over hull walks and returns
+    the convex combination of two walk vertices with mass exactly beta*W;
+    _vertex then moves that optimum along the face of optima to a vertex,
+    with at most two users fractional.  continuous_greedy builds the same
+    _DirectionLP once and solves it at every step.
     """
     actions = list(weights)
     check_actions(instance, actions)
@@ -486,7 +614,9 @@ def continuous_greedy(
     Runs ceil(1/delta) rounds, and refuses with ValueError, before drawing
     anything, when that is more than MAX_STEPS.  Round i estimates the
     marginals at the current point from the samples estimate_marginals
-    draws at iteration i, solves the LP exactly, and advances by the step
+    draws at iteration i, solves the LP exactly, by solve_lp's tie rule (the
+    hull walk's vertex when W is unused or slack, else the vertex reached
+    from the combination of two walk vertices), and advances by the step
     size along the direction's nonzero entries, a few per round.  on_step
     receives (t, y) after each round, y as a dict of its own.
 

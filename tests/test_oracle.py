@@ -12,10 +12,15 @@ from couponprobe.model import (
     Instance,
     PolicyTrace,
     build_action_space,
+    user_groups,
 )
 from couponprobe.oracle import (
     MAX_LP_COLUMNS,
     OracleSizeError,
+    _accept,
+    _profile_columns,
+    _seeding_value,
+    _spread_table,
     concave_extension_exact,
     concave_relaxation_optimum,
     conditional_accept,
@@ -281,6 +286,21 @@ def test_profile_values_match_subset_references() -> None:
     )
     y = {a: F(int(gen.integers(0, 3)), 12) for a in build_action_space(wide)}
     assert multilinear_value_exact(wide, y) == multilinear_by_subsets(wide, y)
+
+
+def test_profile_values_equal_per_profile_seeding_values() -> None:
+    # the folded spread tables give every profile, in itertools.product
+    # order, the value _seeding_value gives it from scratch, exactly
+    for inst in (*_agreement_instances(), oracle4_shaped(1)):
+        actions = build_action_space(inst)
+        groups = user_groups(actions)
+        spread = _spread_table(inst, groups)
+        profiles, values = _profile_columns(inst, actions)
+        assert profiles == [
+            tuple(i for i in combo if i is not None)
+            for combo in itertools.product(*([None, *group] for group in groups.values()))
+        ]
+        assert values == [_seeding_value(spread, {actions[i].user: _accept(inst, actions[i]) for i in p}) for p in profiles]
 
 
 def test_multilinear_value_rejects_mass_outside_unit_interval() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -392,14 +393,17 @@ def _gridded_weights(gen: np.random.Generator, actions) -> dict:
     return weights
 
 
-def _assert_greedy_direction(x, obj, lhs, rhs, maximize) -> None:
+def _assert_greedy_direction(x, obj, lhs, rhs, maximize, coupling=1) -> list:
     # what the greedy needs of a direction x: the LP's optimum value, every
-    # constraint exactly, and at most one user split between hull points
-    assert sum(o * v for o, v in zip(obj, x)) == maximize(obj, lhs, rhs)[0]
+    # constraint exactly, and at most one user fractional per coupling row
+    # (the budget row, then the W row if any); returns the simplex's vertex
+    value, vertex = maximize(obj, lhs, rhs)
+    assert sum(o * v for o, v in zip(obj, x)) == value
     assert all(0 <= v <= 1 for v in x)
     assert all(sum(c * v for c, v in zip(row, x)) <= r for row, r in zip(lhs, rhs))
-    users = lhs[:-1]  # one mass row per user, then the budget row
-    assert sum(any(c and 0 < v < 1 for c, v in zip(row, x)) for row in users) <= 1
+    users = lhs[:-coupling]  # one mass row per user, then the coupling rows
+    assert sum(any(c and 0 < v < 1 for c, v in zip(row, x)) for row in users) <= coupling
+    return vertex
 
 
 def test_lp_without_w_is_optimal_on_ties_without_the_simplex(monkeypatch) -> None:
@@ -417,13 +421,101 @@ def test_lp_without_w_is_optimal_on_ties_without_the_simplex(monkeypatch) -> Non
             y = solve_lp(weights, inst, beta, use_W=False, cost_mode=cost_mode)
             acts, obj, lhs, rhs = mirror_lp(inst, weights, beta, cost_mode=cost_mode)
             x = [y[a] for a in acts]
-            _assert_greedy_direction(x, obj, lhs, rhs, maximize)
+            vertex = _assert_greedy_direction(x, obj, lhs, rhs, maximize)
             assert x == _integer_hull(acts, weights, lhs[-1], rhs[-1])
             assert x == knapsack_optimum_by_fractions(acts, obj, lhs[-1], rhs[-1])
-            elsewhere += x != maximize(obj, lhs, rhs)[1]
+            elsewhere += x != vertex
     assert calls == []
     # some tied LPs end on another optimal vertex than the simplex's
     assert elsewhere > 0
+
+
+def test_lp_with_w_is_optimal_on_ties_without_the_simplex(monkeypatch) -> None:
+    # gridded weights tie often, continuous ones seldom; W runs from 1 to the
+    # number of users, so the W row is slack in some LPs and binds in others
+    maximize = simplex.maximize
+    calls = _count_simplex_calls(monkeypatch)
+    moved: list[bool] = []
+    vertex = relaxation._vertex
+
+    def spy(z, *rest):
+        before = dict(z)
+        after = vertex(z, *rest)
+        moved.append(after != before)
+        return after
+
+    monkeypatch.setattr(relaxation, "_vertex", spy)
+    gen = np.random.default_rng(11)
+    elsewhere = binding = 0
+    for trial in range(150):
+        inst = _gridded_instance(gen)
+        inst = dataclasses.replace(inst, W=int(gen.integers(1, inst.n_users + 1)))
+        actions = build_action_space(inst)
+        weights = _gridded_weights(gen, actions) if trial % 2 else {a: float(gen.random()) for a in actions}
+        for beta in (0.25, 0.5, default_beta_extended()):
+            for cost_mode in COST_MODES:
+                y = solve_lp(weights, inst, beta, use_W=True, cost_mode=cost_mode)
+                acts, obj, lhs, rhs = mirror_lp(inst, weights, beta, True, cost_mode)
+                x = [y[a] for a in acts]
+                elsewhere += x != _assert_greedy_direction(x, obj, lhs, rhs, maximize, coupling=2)
+                binding += sum(x) == rhs[-1] != sum(solve_lp(weights, inst, beta, cost_mode=cost_mode).values())
+    assert calls == []
+    # some tied LPs end on another optimal vertex than the simplex's; the
+    # search runs on many LPs, and on some its combination is not a vertex
+    assert elsewhere > 0
+    assert binding > 100 and len(moved) >= binding and any(moved)
+
+
+def test_w_row_binding_between_two_users() -> None:
+    # 3 x0 + 4 x1 at costs 1 and 3, budget 2 and W bound 1: without W the
+    # walk takes (1, 1/3); with it both rows bind at (1/2, 1/2)
+    inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=4.0, W=2)
+    first, second = build_action_space(inst)
+    costs = {first: F(1), second: F(3)}
+    weights = {first: 3.0, second: 4.0}
+    assert solve_lp(weights, inst, 0.5, costs=costs) == {first: 1, second: F(1, 3)}
+    assert solve_lp(weights, inst, 0.5, use_W=True, costs=costs) == {first: F(1, 2), second: F(1, 2)}
+    # W = 0 leaves only the empty direction, though a free action fits the budget
+    free = {first: F(0), second: F(3)}
+    assert solve_lp(weights, dataclasses.replace(inst, W=0), 0.5, use_W=True, costs=free) == {first: 0, second: 0}
+
+
+def test_slack_w_row_keeps_the_walks_vertex() -> None:
+    # the collinear case: the walk splits the user between the ends of the
+    # line, where the simplex takes the middle point; W bound 1 is slack
+    inst = uniform_instance(1, (1.0, 2.0), ((0.5, 0.8),), K=2, B=8.0, W=4)
+    actions = build_action_space(inst)
+    weights = dict(zip(actions, (2.0, 3.0, 4.0)))
+    costs = dict(zip(actions, (F(1), F(2), F(3))))
+    y = solve_lp(weights, inst, 0.25, use_W=True, costs=costs)
+    assert list(y.values()) == _integer_hull(actions, weights, list(costs.values()), F(2)) == [F(1, 2), 0, F(1, 2)]
+    _, obj, lhs, rhs = mirror_lp(inst, weights, 0.25, True)
+    lhs[-2] = list(costs.values())
+    assert simplex.maximize(obj, lhs, rhs)[1] == [0, 1, 0]
+
+
+def test_w_row_tie_among_three_users_ends_on_a_vertex() -> None:
+    # every mix of three equal users is optimal: the two bracketing walk
+    # vertices (everyone, no one) combine to 1/2 each, and _vertex moves mass
+    # to the first user until one user is left fractional
+    inst = uniform_instance(3, (1.0,), ((0.5,),) * 3, K=1, B=8.0, W=3)
+    actions = build_action_space(inst)
+    costs = dict.fromkeys(actions, F(1))
+    y = solve_lp(dict.fromkeys(actions, 1.0), inst, 0.5, use_W=True, costs=costs)
+    assert list(y.values()) == [1, 0, F(1, 2)]
+
+
+def test_greedy_with_w_makes_no_simplex_call(monkeypatch) -> None:
+    assert "simplex" not in vars(relaxation)
+    calls = _count_simplex_calls(monkeypatch)
+    searches: list[int] = []
+    search = relaxation._lagrangian_optimum
+    monkeypatch.setattr(relaxation, "_lagrangian_optimum", lambda *args: searches.append(1) or search(*args))
+    for cost_mode in COST_MODES:
+        config = RelaxationConfig(delta=0.25, marginal_samples=50, rng_seed=1, cost_mode=cost_mode)
+        continuous_greedy(oracle4_shaped(1), config, use_W=True)
+    assert calls == []
+    assert searches  # the W row binds
 
 
 def _integer_hull(actions, weights, cost_row, budget):
