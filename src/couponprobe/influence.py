@@ -59,10 +59,10 @@ class InstanceError(ValueError):
 
 
 def _count(value, field: str, index: int | None = None, label: str | None = None) -> int:
-    """A non-negative integer of any integer type (numpy's too), as a plain
-    int; anything else raises InstanceError naming the field."""
+    """A non-negative integer of any integer type (numpy's too) but bool, as
+    a plain int; anything else raises InstanceError naming the field."""
     try:
-        count = int(operator.index(value))
+        count = None if isinstance(value, bool) else int(operator.index(value))
     except TypeError:
         count = None
     if count is None or count < 0:

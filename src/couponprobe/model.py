@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -210,6 +211,15 @@ def exact_expected_cost(instance: Instance, action: Action, mode: str = COST_MOD
             total += alive * p * Fraction(instance.coupons[i])
             alive *= 1 - p
     return total
+
+
+def scaled_integers(values: Iterable[numbers.Real]) -> list[int]:
+    """The values, rationals as they are and other reals as their floats,
+    times the LCM of their denominators: the smallest positive scale that
+    makes them all ints, so no comparison and no ratio between them moves."""
+    exact = [Fraction(v) if isinstance(v, numbers.Rational) else Fraction(float(v)) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact]
 
 
 def check_trace(instance: Instance, trace: PolicyTrace, extended: bool = False) -> list[str]:

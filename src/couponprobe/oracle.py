@@ -27,7 +27,9 @@ from typing import Collection, Iterable, Mapping
 
 from . import simplex
 from .influence import _exact_spreads
-from .model import Action, Instance, build_action_space, check_actions, exact_expected_cost, user_groups
+from .model import (
+    Action, Instance, build_action_space, check_actions, exact_expected_cost, scaled_integers, user_groups,
+)
 
 MAX_ORACLE_USERS = 4
 MAX_ORACLE_COUPONS = 3
@@ -71,9 +73,7 @@ def optimal_adaptive_value(
 
     K = instance.K
     cap = instance.W if use_W else n  # fresh users are offered while fewer are probed; n never binds
-    exact = [Fraction(c) for c in (*instance.coupons, instance.B)]
-    scale = math.lcm(*(f.denominator for f in exact))
-    *costs, budget = (int(f * scale) for f in exact)
+    *costs, budget = scaled_integers((*instance.coupons, instance.B))
     spread = _spread_table(instance, range(n))
     # offers[v][rej]: (coupon, cost, q, 1 - q) for every coupon user v takes
     # with probability q > 0 after rejecting coupon rej; rej = -1, the last

@@ -9,13 +9,14 @@ ascent accumulates in exact arithmetic so the scaled constraints hold with no
 slack.
 
 The ascent runs on action indices.  Its marginal samples do not depend on
-the point, so one reach-kernel pass scores the samples of a window of steps.
-On the 48-action relax48 instances (8 users, K=2; 2-core x86 host, Python
-3.11, numpy 2.4, where repeated runs differ by up to 2x) one step costs
-0.27-0.36 ms with 10 marginal samples, 0.08-0.12 ms of it in the direction
-LP, and 0.62-0.71 ms with the default 200, 0.10-0.13 ms of it in the LP.
-The default step 1/|S|^2 takes 2305 steps there: 0.50-0.62 s with 10
-samples and 1.1-1.3 s with 200.
+the point, so one reach-kernel pass scores the samples of a window of steps,
+and the LP reads each step's integer sample totals as they are.  On the
+48-action relax48 instances (8 users, K=2; 2-core x86 host, Python 3.11,
+numpy 2.4, nine runs, which differ by up to 1.6x) one step costs 0.20-0.29
+ms with 10 marginal samples, 0.026-0.038 ms of it in the direction LP, and
+0.30-0.49 ms with the default 200, 0.029-0.050 ms of it in the LP.  The
+default step, exactly 1/|S|^2, takes 2304 steps there: 0.46-0.67 s with 10
+samples and 0.69-1.12 s with 200.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import influence
-from .influence import BLOCK, _sampled_reach, _seeded_union, live_edges
+from .influence import BLOCK, _count, _is_real, _sampled_reach, _seeded_union, live_edges
 from .model import (
     COST_MODE_THRESHOLD,
     COST_MODES,
@@ -40,6 +40,7 @@ from .model import (
     build_action_space,
     check_actions,
     exact_expected_cost,
+    scaled_integers,
     user_groups,
 )
 
@@ -71,11 +72,11 @@ class RelaxationConfig:
     """Knobs for the fractional stage.
 
     beta and delta default to None and are resolved against the instance:
-    beta to the mode's optimized constant, delta to 1/|S|^2 where S is the
-    action space.  That default step size is safe but slow (|S|^2 steps of
-    marginal_samples samples each: 1.1-1.3 s at |S| = 48 with 200 samples,
-    and refused above |S| = 1024, where it passes MAX_STEPS); larger values
-    trade the guarantee for speed.
+    beta to the mode's optimized constant, delta to exactly 1/|S|^2 where S
+    is the action space.  That default step size is safe but slow (|S|^2
+    steps of marginal_samples samples each, refused above |S| = 1024, where
+    they pass MAX_STEPS); larger values trade the guarantee for speed.  beta
+    and delta are reals but bool, marginal_samples and rng_seed counts.
     """
 
     beta: float | None = None
@@ -85,17 +86,18 @@ class RelaxationConfig:
     cost_mode: str = COST_MODE_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.beta is not None and not 0.0 <= self.beta <= 0.5:
-            raise ValueError("beta must lie in [0, 1/2]")
-        if self.delta is not None and not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
+        if self.beta is not None and not (_is_real(self.beta) and 0.0 <= self.beta <= 0.5):
+            raise ValueError(f"beta must lie in [0, 1/2], got {self.beta!r}")
+        if self.delta is not None and not (_is_real(self.delta) and 0.0 < self.delta <= 1.0):
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
         try:
-            samples = operator.index(self.marginal_samples)
-        except TypeError:
+            samples = _count(self.marginal_samples, "marginal_samples")
+        except ValueError:
             samples = 0
         if samples < 1:
             raise ValueError(f"marginal_samples must be a positive integer, got {self.marginal_samples!r}")
-        object.__setattr__(self, "marginal_samples", int(samples))
+        object.__setattr__(self, "marginal_samples", samples)
+        object.__setattr__(self, "rng_seed", _count(self.rng_seed, "rng_seed"))
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
 
@@ -104,10 +106,10 @@ class RelaxationConfig:
             return self.beta
         return default_beta_extended() if use_W else default_beta_basic()
 
-    def resolved_delta(self, n_actions: int) -> float:
+    def resolved_delta(self, n_actions: int) -> float | Fraction:
         if self.delta is not None:
             return self.delta
-        return 1.0 / float(n_actions * n_actions)
+        return Fraction(1, n_actions * n_actions)
 
 
 def user_mass(y: Mapping[Action, Fraction]) -> dict[int, Fraction]:
@@ -206,10 +208,10 @@ class _Sampler:
                 if lo < hi:
                     yield i, accepts[lo:hi], presence[lo:hi], reach[:, :, lo - first:hi - first]
 
-    def marginals(self, probs: np.ndarray, pieces: Iterable[tuple]) -> np.ndarray:
-        """Every action's marginal estimate at the point whose masses, as
-        floats in action order, are probs, over the pieces of one iteration:
-        the part of estimate_marginals that depends on y."""
+    def totals(self, probs: np.ndarray, pieces: Iterable[tuple]) -> np.ndarray:
+        """Every action's gain summed over one iteration's samples, as int64,
+        at the point whose masses, as floats in action order, are probs: the
+        part of estimate_marginals that depends on y, undivided."""
         totals = np.zeros(len(self.users), dtype=np.int64)
         for _, accepts, presence, reach in pieces:
             present = presence < probs
@@ -221,7 +223,7 @@ class _Sampler:
             gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
             gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
             totals += np.where(accepts & ~present, gains[self.users].T, 0).sum(axis=0)
-        return totals / self.samples_per_step
+        return totals
 
 
 def estimate_marginals(
@@ -248,8 +250,9 @@ def estimate_marginals(
     is zero unless it would newly seed its user, and then it is what that
     user's reach adds to the union of the seeded users' reach: one
     reach-kernel pass gives every sample's union and every user's gain.
-    Marginals are therefore non-negative sample by sample.  continuous_greedy
-    runs the same _Sampler on action indices.
+    Marginals are therefore non-negative sample by sample; each is an int
+    total over the samples divided by their count.  continuous_greedy runs
+    the same _Sampler on action indices and hands its LP the totals.
     """
     actions = list(y)
     check_actions(instance, actions)
@@ -257,7 +260,8 @@ def estimate_marginals(
         return {}
     sampler = _Sampler(instance, actions, config)
     probs = np.array([float(p) for p in y.values()])
-    return dict(zip(actions, sampler.marginals(probs, sampler.samples(iteration, 1)).tolist()))
+    totals = sampler.totals(probs, sampler.samples(iteration, 1))
+    return dict(zip(actions, (totals / sampler.samples_per_step).tolist()))
 
 
 def action_costs_exact(
@@ -273,27 +277,6 @@ _HullPoint = tuple[int, int, int | None]
 # of their zero-cost actions, and (cost, indices) for each positive cost,
 # costs increasing and indices in action order.
 _CostRuns = tuple[list[int], list[tuple[int, list[int]]]]
-
-
-def _integer_weights(weights: list[float]) -> list[int]:
-    """The weights times one common power of two, as exact ints.
-
-    A float's as_integer_ratio denominator is a power of two, so the largest
-    one is a multiple of every other.
-    """
-    ratios = [w.as_integer_ratio() for w in weights]
-    scale = max((den for _, den in ratios), default=1)
-    return [num * (scale // den) for num, den in ratios]
-
-
-def _integer_costs(
-    actions: list[Action], costs: Mapping[Action, Fraction], budget: Fraction
-) -> tuple[list[int], int]:
-    """The actions' costs and the budget times the LCM of their denominators,
-    as exact ints."""
-    exact = [costs[a] for a in actions]
-    scale = math.lcm(budget.denominator, *(c.denominator for c in exact))
-    return [c.numerator * (scale // c.denominator) for c in exact], budget.numerator * (scale // budget.denominator)
 
 
 def _cost_runs(groups: Iterable[list[int]], costs: list[int]) -> list[_CostRuns]:
@@ -349,7 +332,7 @@ def _knapsack_optimum(users: list[_CostRuns], weights: list[int], budget: int) -
     slope, so a heap of every user's next segment yields the segments in the
     walk's order, and the walk stops at the split.  The walk is exact on
     integers: weights, costs and budget come scaled by positive constants
-    (_integer_weights, _integer_costs), which changes no comparison and no
+    (sample totals, scaled_integers), which changes no comparison and no
     split fraction.  Slopes are compared by cross-multiplication.
     """
     hulls: list[list[_HullPoint]] = []
@@ -530,8 +513,8 @@ def _vertex(z: dict[int, Fraction], costs: list[int], groups: list[list[int]], b
 class _DirectionLP:
     """The direction LP over a fixed list of actions, with every part but its
     weights built once: the actions of each user split into runs of equal
-    integer cost and the integer budget, for the hull walk, and the W row's
-    bound beta*W when it is used."""
+    integer cost and the integer budget (scaled_integers), for the hull walk,
+    and the W row's bound beta*W when it is used.  Weights come as ints."""
 
     def __init__(
         self,
@@ -545,26 +528,26 @@ class _DirectionLP:
             raise ValueError("use_W requires an instance with W set")
         if not 0.0 <= beta <= 0.5:
             raise ValueError("beta must lie in [0, 1/2]")
-        self.costs, self.budget = _integer_costs(actions, costs, Fraction(beta) * Fraction(instance.B))
+        budget = Fraction(beta) * Fraction(instance.B)
+        *self.costs, self.budget = scaled_integers([*(costs[a] for a in actions), budget])
         self.groups = list(user_groups(actions).values())
         self.users = _cost_runs(self.groups, self.costs)
         self.cap = Fraction(beta) * Fraction(instance.W) if use_W else None
 
-    def solve(self, weights: list[float]) -> dict[int, Fraction]:
-        """An exact optimal direction for these weights, as its nonzero
-        masses by action index: the hull walk's vertex when the W row is
-        absent or that vertex meets it, else the vertex _vertex reaches from
-        _lagrangian_optimum's combination of two walk vertices."""
-        integer_weights = _integer_weights(weights)
-        x = _knapsack_optimum(self.users, integer_weights, self.budget)
+    def solve(self, weights: list[int]) -> dict[int, Fraction]:
+        """An exact optimal direction for these integer weights, as its
+        nonzero masses by action index: the hull walk's vertex when the W row
+        is absent or that vertex meets it, else the vertex _vertex reaches
+        from _lagrangian_optimum's combination of two walk vertices."""
+        x = _knapsack_optimum(self.users, weights, self.budget)
         if self.cap is None or sum(x.values(), ZERO) <= self.cap:
             return x
-        z = _lagrangian_optimum(self.users, integer_weights, self.budget, self.cap, x)
+        z = _lagrangian_optimum(self.users, weights, self.budget, self.cap, x)
         return _vertex(z, self.costs, self.groups, self.budget)
 
 
 def solve_lp(
-    weights: Mapping[Action, float],
+    weights: Mapping[Action, float | Fraction],
     instance: Instance,
     beta: float,
     use_W: bool = False,
@@ -580,14 +563,15 @@ def solve_lp(
     cost_mode; otherwise it is built here.
 
     The LP is solved on integers, without a simplex, and each tie goes by a
-    fixed rule.  Without the W row, or when the vertex meets it, the hull
-    walk of _knapsack_optimum returns its own optimal vertex, with at most
-    one user split, by its stated tie rule.  When the W row binds,
-    _lagrangian_optimum searches its multiplier over hull walks and returns
-    the convex combination of two walk vertices with mass exactly beta*W;
-    _vertex then moves that optimum along the face of optima to a vertex,
-    with at most two users fractional.  continuous_greedy builds the same
-    _DirectionLP once and solves it at every step.
+    fixed rule.  The weights, ints, Fractions or floats, are read exactly
+    (scaled_integers): Fractions that tie are a tie.  Without the W row, or
+    when the vertex meets it, the hull walk of _knapsack_optimum returns its
+    own optimal vertex, with at most one user split, by its stated tie rule.
+    When the W row binds, _lagrangian_optimum searches its multiplier over
+    hull walks and returns the convex combination of two walk vertices with
+    mass exactly beta*W; _vertex then moves that optimum along the face of
+    optima to a vertex, with at most two users fractional.  continuous_greedy
+    builds the same _DirectionLP once and solves it on every step's totals.
     """
     actions = list(weights)
     check_actions(instance, actions)
@@ -598,7 +582,7 @@ def solve_lp(
         costs = action_costs_exact(instance, actions, cost_mode)
     lp = _DirectionLP(instance, actions, beta, use_W, costs)
     x = dict.fromkeys(actions, ZERO)
-    for j, v in lp.solve([float(w) for w in weights.values()]).items():
+    for j, v in lp.solve(scaled_integers(weights.values())).items():
         x[actions[j]] = v
     return x
 
@@ -612,9 +596,9 @@ def continuous_greedy(
     """Measured continuous greedy over the scaled feasible region.
 
     Runs ceil(1/delta) rounds, and refuses with ValueError, before drawing
-    anything, when that is more than MAX_STEPS.  Round i estimates the
-    marginals at the current point from the samples estimate_marginals
-    draws at iteration i, solves the LP exactly, by solve_lp's tie rule (the
+    anything, when that is more than MAX_STEPS.  Round i takes the marginals
+    at the current point, as the int sample totals of estimate_marginals at
+    iteration i, solves the LP exactly on them, by solve_lp's tie rule (the
     hull walk's vertex when W is unused or slack, else the vertex reached
     from the combination of two walk vertices), and advances by the step
     size along the direction's nonzero entries, a few per round.  on_step
@@ -648,7 +632,7 @@ def continuous_greedy(
     probs = np.zeros(len(actions))  # y as floats, for the marginals
     last = 1 - (steps - 1) * delta  # every step but the last is delta
     for i, pieces in itertools.groupby(sampler.samples(0, steps), key=lambda piece: piece[0]):
-        direction = lp.solve(sampler.marginals(probs, pieces).tolist())
+        direction = lp.solve(sampler.totals(probs, pieces).tolist())
         step = delta if i < steps - 1 else last
         for j, d in direction.items():
             num, dem = step.numerator * d.numerator, step.denominator * d.denominator

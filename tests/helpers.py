@@ -526,7 +526,9 @@ def continuous_greedy_by_dicts(
 ) -> dict[Action, Fraction]:
     """Reference for relaxation.continuous_greedy: the greedy on dicts keyed
     by Action, one estimate_marginals and one solve_lp call per step, with t
-    advanced by t += step.
+    advanced by t += step.  solve_lp gets each estimate as the exact
+    Fraction(total, samples) it rounds, its sample total recovered by
+    round(m * samples).
 
     Runs ceil(1/delta) rounds; each round estimates marginals at the current
     point, solves the LP exactly, and advances by the step size along the
@@ -543,6 +545,7 @@ def continuous_greedy_by_dicts(
     beta = config.resolved_beta(use_W)
     delta = Fraction(config.resolved_delta(len(actions)))
     costs = action_costs_exact(instance, actions, config.cost_mode)
+    samples = config.marginal_samples
     y = {a: Fraction(0) for a in actions}
     probs = dict.fromkeys(actions, 0.0)  # y as floats, for the marginals
     t = Fraction(0)
@@ -550,8 +553,9 @@ def continuous_greedy_by_dicts(
     while t < 1:
         step = min(delta, 1 - t)
         omega = estimate_marginals(instance, probs, config, iteration=iteration)
+        exact = {a: Fraction(round(m * samples), samples) for a, m in omega.items()}
         direction = solve_lp(
-            omega, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
+            exact, instance, beta, use_W=use_W, cost_mode=config.cost_mode, costs=costs
         )
         y = dict(y)  # a fresh snapshot for on_step
         for a, d in direction.items():

@@ -21,6 +21,7 @@ from couponprobe.model import (
     check_trace,
     exact_expected_cost,
     low_value_coupons,
+    scaled_integers,
 )
 from couponprobe.oracle import (
     concave_extension_exact,
@@ -135,6 +136,31 @@ def test_real_fields_refuse_strings_and_bools(bad) -> None:
         with pytest.raises(InstanceError, match=message) as err:
             call()
         assert (err.value.field, err.value.index) == (field, index)
+
+
+@pytest.mark.parametrize("field", ["K", "W", "node_count", "edge endpoint"])
+@pytest.mark.parametrize("bad", [True, False])
+def test_count_fields_refuse_bools(field, bad) -> None:
+    # counts share the integer rule, which refuses bool as the real rule does
+    calls = {
+        "K": lambda: single_user(0.5, K=bad),
+        "W": lambda: single_user(0.5, W=bad),
+        "node_count": lambda: Graph(bad, ()),
+        "edge endpoint": lambda: Graph(2, ((bad, 1 - bad, 0.5),)),
+    }
+    with pytest.raises(InstanceError, match=f"{field} must be a non-negative integer, got {bad}"):
+        calls[field]()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("beta", False), ("beta", "0.25"), ("delta", True), ("delta", "0.5"),
+    ("marginal_samples", True), ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", True),
+])
+def test_relaxation_config_refuses_bad_values_when_built(field, bad) -> None:
+    # beta and delta follow the real-number rule, marginal_samples and
+    # rng_seed the count rule
+    with pytest.raises(ValueError, match=field):
+        RelaxationConfig(**{field: bad})
 
 
 def test_actions_that_do_not_fit_the_instance_are_refused() -> None:
@@ -325,6 +351,31 @@ def test_exact_expected_cost_is_rational() -> None:
     cost = exact_expected_cost(inst, act(0, 0, 1))
     assert isinstance(cost, Fraction)
     assert float(cost) == pytest.approx(1.1)
+
+
+def _power_of_two_scaling(values: list[float]) -> list[int]:
+    # the scaling the direction LP once applied to float weights: each
+    # as_integer_ratio numerator times the largest denominator over its own
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max((den for _, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios]
+
+
+def test_scaled_integers_on_floats_equal_the_power_of_two_scaling() -> None:
+    gen = np.random.default_rng(22)
+    pool = np.array([0.0, 5e-324, 2.2e-308, 0.1, 0.3, 1.0, 3.0, 1e300])
+    for _ in range(2000):
+        size = int(gen.integers(0, 10))
+        mixed = gen.choice(pool, size) * gen.choice([-1.0, 1.0], size)
+        scaled = gen.random(size) * 10.0 ** gen.integers(-300, 300, size).astype(float)
+        values = [float(v) for v in np.where(gen.random(size) < 0.5, mixed, scaled)]
+        assert scaled_integers(values) == _power_of_two_scaling(values)
+    # numpy reals are read as their floats
+    assert scaled_integers([np.float32(0.1), np.float64(0.3)]) == _power_of_two_scaling([float(np.float32(0.1)), 0.3])
+    # rationals scale by the LCM of their denominators, mixed with floats too
+    assert scaled_integers([Fraction(1, 6), Fraction(3, 4), 2, np.int64(1)]) == [2, 9, 24, 12]
+    assert scaled_integers([0.5, Fraction(1, 3)]) == [3, 2]
+    assert scaled_integers([]) == []
 
 
 # ------------------------------------------------------- traces and checking

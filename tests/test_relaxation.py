@@ -9,13 +9,11 @@ import pytest
 
 from couponprobe import influence, relaxation, simplex
 from couponprobe.influence import BLOCK
-from couponprobe.model import COST_MODES, Action, build_action_space, user_groups
+from couponprobe.model import COST_MODES, Action, build_action_space, scaled_integers, user_groups
 from couponprobe.oracle import multilinear_value_exact
 from couponprobe.relaxation import (
     RelaxationConfig,
     _cost_runs,
-    _integer_costs,
-    _integer_weights,
     _knapsack_optimum,
     check_fractional,
     continuous_greedy,
@@ -520,9 +518,9 @@ def test_greedy_with_w_makes_no_simplex_call(monkeypatch) -> None:
 
 def _integer_hull(actions, weights, cost_row, budget):
     # the package's integer walk on the LP of mirror_lp's rows, as a dense list
-    costs, scaled_budget = _integer_costs(actions, dict(zip(actions, cost_row)), budget)
+    *costs, scaled_budget = scaled_integers([*cost_row, budget])
     users = _cost_runs(user_groups(actions).values(), costs)
-    x = _knapsack_optimum(users, _integer_weights([float(weights[a]) for a in actions]), scaled_budget)
+    x = _knapsack_optimum(users, scaled_integers(float(weights[a]) for a in actions), scaled_budget)
     return [x.get(i, F(0)) for i in range(len(actions))]
 
 
@@ -601,6 +599,21 @@ def test_tied_actions_of_one_user_go_to_the_lowest_index() -> None:
     assert y == {low: 1, pair: 0, high: 0}
 
 
+def test_exact_tie_in_tenths_follows_the_tie_rule() -> None:
+    # user 0 starts at a free action of weight 1/10 and rises to 3/10 at
+    # cost 1, user 1 rises to 2/10 at cost 1: both slopes are exactly 2/10,
+    # so the budget of 1 goes to user 0, who comes first.  As floats,
+    # 0.3 - 0.1 lies below 0.2, and user 1's steeper segment takes it.
+    assert F(3, 10) - F(1, 10) == F(2, 10) and 0.3 - 0.1 < 0.2
+    inst = uniform_instance(2, (1.0, 2.0), ((0.5, 0.8),) * 2, K=1, B=4.0)
+    free, paid, other, rest = build_action_space(inst)
+    costs = {free: F(0), paid: F(1), other: F(1), rest: F(1)}
+    tenths = {free: F(1, 10), paid: F(3, 10), other: F(2, 10), rest: F(0)}
+    assert solve_lp(tenths, inst, 0.25, costs=costs) == {free: 0, paid: 1, other: 0, rest: 0}
+    floats = {a: float(w) for a, w in tenths.items()}
+    assert solve_lp(floats, inst, 0.25, costs=costs) == {free: 1, paid: 0, other: 1, rest: 0}
+
+
 def test_collinear_hull_point_gets_no_mass() -> None:
     # (1, 2), (2, 3) and (3, 4) lie on one line: the middle point is dropped,
     # and a budget of 2 splits the user between its neighbours
@@ -653,6 +666,13 @@ def test_config_validation_and_resolution() -> None:
     assert fixed.resolved_delta(100) == 0.5
 
 
+def test_default_delta_is_exactly_one_over_the_squared_action_count() -> None:
+    # the double nearest 1/48^2 lies below it, and would take one step more
+    assert RelaxationConfig().resolved_delta(48) == F(1, 2304) != F(1 / 2304)
+    # an explicit delta keeps its float value
+    assert RelaxationConfig(delta=0.0208333).resolved_delta(48) == 0.0208333
+
+
 def test_check_fractional_rejects_overfull_users_and_negative_mass() -> None:
     a, b = act(0, 0), act(0, 1)
     with pytest.raises(ValueError):
@@ -697,14 +717,15 @@ def test_greedy_iteration_count_and_monotone_trajectory() -> None:
 
 
 def test_greedy_marginals_read_floats_of_the_current_point(monkeypatch) -> None:
-    # every step's marginals, as the LP receives them, are floats .hex()-equal
-    # to estimate_marginals at that step's point, given as Fractions or floats
+    # the LP receives every step's marginals as int sample totals, whose
+    # quotients by the sample count are .hex()-equal to estimate_marginals at
+    # that step's point, given as Fractions or floats
     inst = uniform_instance(
         3, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9), (0.6, 0.7)), K=2, B=3.0,
         edges=((0, 1, 0.6), (2, 1, 0.3)),
     )
     solve = relaxation._DirectionLP.solve
-    seen: list[list[float]] = []
+    seen: list[list[int]] = []
 
     def spy(lp, weights):
         seen.append(weights)
@@ -717,10 +738,10 @@ def test_greedy_marginals_read_floats_of_the_current_point(monkeypatch) -> None:
     assert len(seen) == len(points) - 1 == 5
     assert any(seen[-1])
     for iteration, (weights, y) in enumerate(zip(seen, points)):
-        assert all(type(w) is float for w in weights)
+        assert all(type(w) is int for w in weights)
         for point in (y, {a: float(v) for a, v in y.items()}):
             want = estimate_marginals(inst, point, config, iteration)
-            assert [w.hex() for w in weights] == [v.hex() for v in want.values()]
+            assert [(w / config.marginal_samples).hex() for w in weights] == [v.hex() for v in want.values()]
 
 
 def _greedy_cases():
@@ -752,17 +773,19 @@ def test_greedy_on_indices_equals_the_dict_greedy() -> None:
 @pytest.mark.parametrize("use_W", [False, True])
 @pytest.mark.parametrize("cost_mode", COST_MODES)
 def test_greedy_equals_the_dict_greedy_at_the_default_step(cost_mode, use_W) -> None:
-    # delta = 1/|S|^2 = 1/144 on 12 actions, whose double lies below 1/144:
-    # 145 steps, many of them ending on a split user, whose denominators y's
-    # one denominator has to take in
+    # delta = 1/|S|^2, exactly 1/144 on 12 actions: 144 steps, many of them
+    # ending on a split user, whose denominators y's one denominator has to
+    # take in
     inst = oracle4_shaped(1)
     config = RelaxationConfig(marginal_samples=10, rng_seed=7, cost_mode=cost_mode)
     steps = []
     y = continuous_greedy(inst, config, use_W, on_step=lambda t, y: steps.append(y))
-    assert len(build_action_space(inst)) == 12 and len(steps) == 145
-    # without W, split users leave non-dyadic masses; with it, the vertices
-    # here split on the W row, whose bound beta*W is dyadic
-    assert any(v.denominator & (v.denominator - 1) for v in y.values()) != use_W
+    assert len(build_action_space(inst)) == 12 and len(steps) == 144
+    # without W, split users leave masses whose denominators, less the steps'
+    # factor 144, are not powers of two; with it, the vertices here split on
+    # the W row, whose bound beta*W is dyadic
+    odd = [v.denominator // math.gcd(v.denominator, 144) for v in y.values()]
+    assert any(d & (d - 1) for d in odd) != use_W
     _assert_greedy_equals_the_dict_greedy(inst, config, use_W)
 
 
@@ -820,10 +843,10 @@ def test_greedy_refuses_too_many_steps_before_drawing(monkeypatch) -> None:
         "the continuous greedy would take 10000001 steps (delta = 1e-07, |S| = 4 actions), "
         f"above the limit of {relaxation.MAX_STEPS}"
     )
-    # the default delta, the double nearest 1/|S|^2, passes the limit above
-    # 1024 actions: 1230 here, one step more than 1230^2
+    # the default delta, exactly 1/|S|^2, passes the limit above 1024
+    # actions: 1230 here, 1230^2 steps
     wide = uniform_instance(205, (1.0, 2.0, 3.0, 6.0), ((0.1, 0.2, 0.3, 0.4),) * 205, K=2, B=7.0)
-    with pytest.raises(ValueError, match="take 1512901 steps"):
+    with pytest.raises(ValueError, match="take 1512900 steps"):
         continuous_greedy(wide, RelaxationConfig())
     # the limit itself is allowed
     monkeypatch.undo()
