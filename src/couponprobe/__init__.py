@@ -24,7 +24,6 @@ from .oracle import (
     OracleSizeError,
     concave_extension_exact,
     concave_relaxation_optimum,
-    exact_action_set_value,
     multilinear_value_exact,
     optimal_adaptive_value,
 )

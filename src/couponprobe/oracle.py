@@ -1,16 +1,19 @@
 """Ground-truth values for desk-sized instances.
 
-The optimal adaptive policy comes from memoized backward induction over
-states of one (offers made, coupon last rejected or -1, coupon accepted or
--1) per user.  B and the coupon values are scaled by the LCM of their exact
-denominators, so budget tests run exactly on ints.  A user who can be offered
-nothing more is finished, (K, -1, -1), or (K, -1, coupon) once accepted,
-whatever the history; so, in restricted mode, is a user the policy leaves for
-a fresh one, so no state records who was probed last.  Merged states have
-the same futures, so every value is float for float the per-history one.  On
-oracle4-shaped instances (4 users, 3 coupons, K = 2; median of 32) a call
-takes about 9 ms over about 1,500 states, 5 ms restricted and under 2 ms
-with the W cap (2-core x86 host, Python 3.11).
+The optimal adaptive policy comes from memoized backward induction.  Each
+user has a few local states: fresh, finished, accepted coupon j, and (offers
+made, coupon last rejected) while an offer is left.  A state is one
+mixed-radix integer over the users' local states and indexes a flat memo;
+each user's moves from each local state are precomputed as integer deltas to
+the accept and reject states.  B and the coupon values are scaled by the LCM
+of their exact denominators, so budget tests run exactly on ints.  A user who
+can be offered nothing more is finished, or accepted, whatever the history;
+so, in restricted mode, is a user the policy leaves for a fresh one, so no
+state records who was probed last.  Merged states have the same futures, so
+every value is float for float the per-history one.  On oracle4-shaped
+instances (4 users, 3 coupons, K = 2; median of 32) a call takes about 4 ms
+over 1,473 of the memo's 2,401 states, 2 ms restricted and under 1 ms with
+the W cap (2-core x86 host, Python 3.11).
 
 Action-set values, the multilinear and concave extensions and the concave
 relaxation's optimum are exact rationals; the last two come from exact LPs
@@ -72,53 +75,76 @@ def optimal_adaptive_value(
         raise ValueError("use_W requires an instance with W set")
 
     K = instance.K
+    L = len(instance.coupons)
     cap = instance.W if use_W else n  # fresh users are offered while fewer are probed; n never binds
     *costs, budget = scaled_integers((*instance.coupons, instance.B))
     spread = _spread_table(instance, range(n))
-    # offers[v][rej]: (coupon, cost, q, 1 - q) for every coupon user v takes
-    # with probability q > 0 after rejecting coupon rej; rej = -1, the last
-    # entry, is a user offered nothing yet
-    offers = [
-        [
-            [(j, cost, q, 1.0 - q) for j, (p, cost) in enumerate(zip(row, costs))
-             if (q := conditional_accept(p, p_rej)) > 0.0]
+    spread = [spread[mask] for mask in range(1 << n)]
+    # A user's local states: 0 fresh, 1 finished, 2 + j accepted coupon j,
+    # then one per (offers made m, coupon j last rejected) with 0 < m < K and
+    # an offer left.  A state is the sum over users of local state times
+    # stride; users[v] holds v's stride, radix, moves per local state and bit.
+    users = []
+    size = 1
+    for v, row in enumerate(instance.attractiveness):
+        stride = size
+        # offers[rej]: (coupon, cost, q) for every coupon v takes with
+        # probability q > 0 after rejecting coupon rej; rej = -1, the last
+        # entry, is a user offered nothing yet
+        offers = [
+            [(j, cost, q) for j, (p, cost) in enumerate(zip(row, costs)) if (q := conditional_accept(p, p_rej)) > 0.0]
             for p_rej in (*row, 0.0)
         ]
-        for row in instance.attractiveness
-    ]
-    finished = (K, -1, -1)
-    memo: dict[tuple, float] = {}
+        part_way = [(m, j) for m in range(1, K) for j in range(L) if offers[j]]
+        # the local states with offers left, by (offers made, coupon last
+        # rejected); at K = 0 a fresh user has none
+        local_of = ({(0, -1): 0} if K else {}) | {key: 2 + L + k for k, key in enumerate(part_way)}
+        table: list[tuple] = [()] * (2 + L + len(part_way))
+        for (made, rej), local in local_of.items():
+            # (cost, q, 1 - q, accept delta, reject delta, the delta that
+            # finishes v after a reject), coupons ascending
+            moves = []
+            for j, cost, q in offers[rej]:
+                after = local_of.get((made + 1, j), 1)
+                finish = (1 - after) * stride if restricted else 0
+                moves.append((cost, q, 1.0 - q, (2 + j - local) * stride, (after - local) * stride, finish))
+            table[local] = tuple(moves)
+        users.append((stride, len(table), table, 1 << v))
+        size *= len(table)
+    memo: list[float | None] = [None] * size
 
-    def best(users: tuple, accepted: int, remaining: int, probed: int) -> float:
+    def best(s: int, accepted: int, remaining: int, probed: int, finish: int) -> float:
         # accepted (user bitmask), remaining (scaled budget) and probed (users
-        # offered anything) are running totals over users
-        value = memo.get(users)
+        # offered anything) are running totals over users; finish moves the
+        # user part-way through its offers, if any, to finished
+        value = memo[s]
         if value is not None:
             return value
         value = spread[accepted]  # stopping is always allowed
-        # a restricted policy that turns to a fresh user never comes back to
-        # the one it leaves, so that user is finished from then on
-        left = tuple(finished if 0 < u[0] < K else u for u in users) if restricted else users
-        for v, (made, rej, _) in enumerate(users):
-            if made >= K or made == 0 and probed >= cap:
+        for stride, radix, table, bit in users:
+            local = s // stride % radix
+            if local:
+                base, now = s, probed
+            elif probed < cap:
+                # a restricted policy that turns to a fresh user never comes
+                # back to the one it leaves
+                base, now = s + finish, probed + 1
+            else:
                 continue
-            base = users if made else left
-            head, tail = base[:v], base[v + 1 :]
-            for j, cost, q, q_dec in offers[v][rej]:
+            for cost, q, q_dec, to_acc, to_rej, finish_rej in table[local]:
                 if cost > remaining:
                     break  # coupons are sorted; nothing later is affordable
-                val_acc = best(head + ((K, -1, j),) + tail, accepted | 1 << v, remaining - cost, probed + (made == 0))
+                val_acc = best(base + to_acc, accepted | bit, remaining - cost, now, 0)
                 if q >= 1.0:
                     cand = val_acc
                 else:
-                    after = (made + 1, j, -1) if made + 1 < K and offers[v][j] else finished
-                    cand = q * val_acc + q_dec * best(head + (after,) + tail, accepted, remaining, probed + (made == 0))
+                    cand = q * val_acc + q_dec * best(base + to_rej, accepted, remaining, now, finish_rej)
                 if cand > value:
                     value = cand
-        memo[users] = value
+        memo[s] = value
         return value
 
-    return best(((0, -1, -1),) * n, 0, budget, 0)
+    return best(0, 0, budget, 0, 0)
 
 
 def _spread_table(instance: Instance, users: Collection[int]) -> dict[int, float]:
@@ -158,10 +184,6 @@ def exact_action_set_value_frac(instance: Instance, actions: Iterable[Action]) -
     for action in actions:
         accept[action.user] = max(accept.get(action.user, Fraction(0)), _accept(instance, action))
     return _seeding_value(_spread_table(instance, accept), accept)
-
-
-def exact_action_set_value(instance: Instance, actions: Iterable[Action]) -> float:
-    return float(exact_action_set_value_frac(instance, actions))
 
 
 def _by_user(instance: Instance, actions: list[Action]) -> dict[int, list[int]]:

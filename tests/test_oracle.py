@@ -24,7 +24,6 @@ from couponprobe.oracle import (
     concave_extension_exact,
     concave_relaxation_optimum,
     conditional_accept,
-    exact_action_set_value,
     exact_action_set_value_frac,
     multilinear_value_exact,
     optimal_adaptive_value,
@@ -139,7 +138,9 @@ NON_DYADIC = (0.1, 0.2, 0.3, 1.2, 1.4)
 def _oracle_exactness_instances() -> list[Instance]:
     """Every size the oracle takes, rows pinned at 0.0 and 1.0, non-dyadic
     coupon values with B the float sum of two or three of them (equal to,
-    above or below their exact sum), and oracle4-shaped instances."""
+    above or below their exact sum), oracle4-shaped instances, and the edge
+    cases: K = 0 (a fresh user is then also finished), W = 0, a sure accept
+    at K = 1 and B below the cheapest coupon."""
     gen = np.random.default_rng(12)
     out = []
     for n, m, K in itertools.product((1, 2, 3, 4), (1, 2, 3), (1, 2)):
@@ -156,7 +157,15 @@ def _oracle_exactness_instances() -> list[Instance]:
             rows = [sorted_row(gen, 3) for _ in range(3)]
             out.append(Instance(Graph(3, _random_edges(gen, 3, 2, 0.1, 0.9)), coupons, rows,
                                 K=2, B=sum(picked), W=int(gen.integers(1, 4))))
-    return out + [oracle4_shaped(seed) for seed in (1, 2)]
+    base = oracle4_shaped(3)
+    edge_cases = [
+        Instance(base.graph, base.coupons, base.attractiveness, K=0, B=base.B, W=2),
+        Instance(base.graph, base.coupons, base.attractiveness, K=2, B=base.B, W=0),
+        Instance(base.graph, base.coupons, ((0.3, 1.0, 1.0), (1.0, 1.0, 1.0), *base.attractiveness[2:]),
+                 K=1, B=base.B, W=2),
+        Instance(base.graph, base.coupons, base.attractiveness, K=2, B=0.5, W=2),
+    ]
+    return out + [oracle4_shaped(seed) for seed in (1, 2)] + edge_cases
 
 
 @pytest.mark.parametrize("restricted,use_W", itertools.product((False, True), repeat=2))
@@ -164,6 +173,25 @@ def test_oracle_equals_reference_by_states(restricted: bool, use_W: bool) -> Non
     for inst in _oracle_exactness_instances():
         got = optimal_adaptive_value(inst, restricted=restricted, use_W=use_W)
         assert got == optimal_adaptive_value_by_states(inst, restricted=restricted, use_W=use_W)
+
+
+@pytest.mark.parametrize("restricted,use_W", itertools.product((False, True), repeat=2))
+def test_oracle_value_is_invariant_under_relabeling_users(restricted: bool, use_W: bool) -> None:
+    # users and graph nodes permuted together; only the order of the spread
+    # sums may change
+    gen = np.random.default_rng(31)
+    for n in (3, 4) * 4:
+        m, K = int(gen.integers(1, 4)), int(gen.integers(1, 3))
+        coupons = np.sort(gen.choice(np.arange(2, 21) / 10.0, size=m, replace=False))
+        rows = [sorted_row(gen, m) for _ in range(n)]
+        edges = _random_edges(gen, n, int(gen.integers(0, n + 1)), 0.1, 0.9)
+        inst = Instance(Graph(n, edges), coupons, rows, K=K, B=round(float(gen.uniform(1.0, 4.0)), 1),
+                        W=int(gen.integers(1, n + 1)))
+        perm = gen.permutation(n)
+        relabeled = Instance(Graph(n, tuple((int(perm[u]), int(perm[v]), p) for u, v, p in edges)), coupons,
+                             [rows[v] for v in np.argsort(perm)], K=K, B=inst.B, W=inst.W)
+        got = optimal_adaptive_value(relabeled, restricted=restricted, use_W=use_W)
+        assert got == pytest.approx(optimal_adaptive_value(inst, restricted=restricted, use_W=use_W), rel=1e-12)
 
 
 def test_oracle_size_guard() -> None:
@@ -442,8 +470,8 @@ def test_relaxation_optimum_dominates_integral_solutions() -> None:
                 assert optimum >= exact_action_set_value_frac(trial, subset)
 
 
-def test_exact_action_set_value_float_wrapper() -> None:
+def test_exact_action_set_value_of_two_independent_seeds() -> None:
     inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=3.0)
     actions = build_action_space(inst)
-    exact = exact_action_set_value(inst, actions)
+    exact = float(exact_action_set_value_frac(inst, actions))
     assert exact == pytest.approx(1.0)  # two independent 0.5 seeds, no edges
