@@ -5,7 +5,6 @@ from .influence import (
     InstanceError,
     influence_exact,
     influence_mc_stats,
-    live_mask_outcomes,
     singleton_influence_table,
 )
 from .instance_io import InstanceFormatError, load_instance, save_instance

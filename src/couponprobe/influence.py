@@ -1,14 +1,12 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
-The reference enumerator of live-edge outcomes yields each as an int mask,
-bit i set when edge i is live.  The sampler reads a block of outcomes off
-one array of uniforms as bool rows, and the kernel takes outcomes as uint64
-columns, all ones where an uncertain edge is live.  One vectorized reach
-kernel computes every node's reach over a set of live-edge outcomes at once,
-in one pass over the graph's links when it is acyclic: it visits the
-strongly connected components sinks first and repeats only the links inside
-a component.  It computes spread exactly, over
-every outcome in the enumerator's order, when the graph is small enough, and
+The sampler reads a block of live-edge outcomes off one array of uniforms as
+bool rows, and the kernel takes outcomes as uint64 columns, all ones where an
+uncertain edge is live.  One vectorized reach kernel computes every node's
+reach over a set of live-edge outcomes at once, in one pass over the graph's
+links when it is acyclic: it visits the strongly connected components sinks
+first and repeats only the links inside a component.  It computes spread
+exactly, over every outcome in order, when the graph is small enough, and
 scores blocks of sampled outcomes: Monte Carlo estimates, marginal samples
 and simulated worlds.
 """
@@ -127,10 +125,6 @@ class Graph:
         return tuple(i for i, (_, _, p) in enumerate(self.edges) if 0.0 < p < 1.0)
 
     @cached_property
-    def forced_live_mask(self) -> int:
-        return sum(1 << i for i, (_, _, p) in enumerate(self.edges) if p == 1.0)
-
-    @cached_property
     def singleton_table(self) -> Mapping[int, float]:
         """singleton_influence_table at its defaults, computed once per graph."""
         return MappingProxyType(singleton_influence_table(self))
@@ -206,28 +200,6 @@ def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
     return out
 
 
-def live_mask_outcomes(graph: Graph) -> Iterator[tuple[float, int]]:
-    """Every live-edge realization as (probability, mask), one per subset of
-    the uncertain edges.
-
-    There are 2^len(graph.uncertain_edges) outcomes; callers bound that count
-    before iterating.
-    """
-    unc = graph.uncertain_edges
-    probs = [graph.edges[i][2] for i in unc]
-    base = graph.forced_live_mask
-    for combo in range(1 << len(unc)):
-        weight = 1.0
-        mask = base
-        for j, i in enumerate(unc):
-            if combo >> j & 1:
-                weight *= probs[j]
-                mask |= 1 << i
-            else:
-                weight *= 1.0 - probs[j]
-        yield weight, mask
-
-
 def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     """Outcome columns per kernel pass: the largest count, at least 1, whose
     arrays fit in KERNEL_BYTES = 4 MB, at 8 bytes per column for each node's
@@ -289,17 +261,19 @@ def _reach_columns(graph: Graph, live: np.ndarray, out: np.ndarray | None = None
 def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
     """Exact expected spread of each (non-empty, validated) seed set.
 
-    Enumerates every live-edge outcome in live_mask_outcomes order, in chunks
-    of 2^m outcomes: the largest power of two within _chunk_columns, and at
-    most all of them.  Outcome `high << m | c` is column c of chunk `high`,
-    so the low m bits vary with the column and the others are constant in a
-    chunk.  The low-bit weights and live columns are built once, the weights
-    by doubling; each chunk multiplies the weights by its high-bit factors
-    as scalars, and makes each high-bit edge live or dead in every column.
-    That is the per-edge product of live_mask_outcomes in its order, and each
-    set's sum is a sequential cumsum started from the total carried over
-    from the last chunk, so every total equals the per-outcome loop
-    `total += weight * reached` bit for bit.
+    Enumerates the live-edge outcomes k = 0, 1, ..., 2^e - 1 of the e
+    uncertain edges: the j-th is live in outcome k when bit j of k is set,
+    and k weighs the product, in edge order, of p for a live edge and 1 - p
+    for a dead one.  They come in chunks of 2^m outcomes: the largest power
+    of two within _chunk_columns, and at most all of them.  Outcome
+    `high << m | c` is column c of chunk `high`, so the low m bits vary with
+    the column and the others are constant in a chunk.  The low-bit weights
+    and live columns are built once, the weights by doubling; each chunk
+    multiplies the weights by its high-bit factors as scalars, and makes
+    each high-bit edge live or dead in every column.  That is the same
+    per-edge product in the same order, and each set's sum is a sequential
+    cumsum started from the total carried over from the last chunk, so every
+    total equals the per-outcome loop `total += weight * reached` bit for bit.
     """
     unc = graph.uncertain_edges
     if len(unc) > EXACT_EDGE_LIMIT:

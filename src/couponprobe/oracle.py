@@ -15,18 +15,34 @@ instances (4 users, 3 coupons, K = 2; median of 32) a call takes about 4 ms
 over 1,473 of the memo's 2,401 states, 2 ms restricted and under 1 ms with
 the W cap (2-core x86 host, Python 3.11).
 
-Action-set values, the multilinear and concave extensions and the concave
-relaxation's optimum are exact rationals; the last two come from exact LPs
-over action profiles, at most one action per user.  These are the reference
-points the fast paths are tested against.
+Two counts bound the work, and each is refused with OracleSizeError before
+the work starts.  The induction's steps, at most MAX_ORACLE_STEPS = 800,000,
+are its memo's states, the product over users of their local-state counts,
+plus the moves in the users' tables, each built once, plus the moves over
+the memo, each user's moves once per state of the other users.  The spread
+table's cells, one per non-empty subset of the users and live-edge outcome,
+are at most MAX_SPREAD_CELLS = 2^26.  On the same host, one call after a
+warm-up in a fresh process, in each mode, near the step limit: 1 user with
+266,666 coupons at K = 1 took at most 1.01 s and +72 MB max RSS, 1 user with
+892 coupons at K = 2 took 0.52 s and +88 MB (its table holds every move), and
+6 users on a path with 3 coupons at K = 2 took 0.49 s and +4.4 MB; the spread
+table took 0.52-0.70 s at 2^26 cells over 6 to 12 users; both limits at once
+took at most 0.92 s and +4.3 MB.
+
+The multilinear extension, which at a 0/1 point is the value of that action
+set, the concave extension and the concave relaxation's optimum are exact
+rationals; the last two come from exact LPs over action profiles, at most one
+action per user.  These are the reference points the fast paths are tested
+against.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Mapping
 
 from . import simplex
 from .influence import _exact_spreads
@@ -34,9 +50,8 @@ from .model import (
     Action, Instance, build_action_space, check_actions, exact_expected_cost, scaled_integers, user_groups,
 )
 
-MAX_ORACLE_USERS = 4
-MAX_ORACLE_COUPONS = 3
-MAX_ORACLE_PROBES = 2
+MAX_ORACLE_STEPS = 800_000
+MAX_SPREAD_CELLS = 2**26
 MAX_LP_COLUMNS = 4096
 
 
@@ -64,53 +79,75 @@ def optimal_adaptive_value(
     `restricted` additionally forces each user's offers into consecutive
     rounds, and `use_W` caps the number of distinct users probed.
     """
-    n = instance.n_users
-    if n > MAX_ORACLE_USERS or len(instance.coupons) > MAX_ORACLE_COUPONS or instance.K > MAX_ORACLE_PROBES:
-        raise OracleSizeError(
-            f"backward induction handles at most {MAX_ORACLE_USERS} users, "
-            f"{MAX_ORACLE_COUPONS} coupons and K <= {MAX_ORACLE_PROBES}; "
-            f"got {n} users, {len(instance.coupons)} coupons, K = {instance.K}"
-        )
     if use_W and instance.W is None:
         raise ValueError("use_W requires an instance with W set")
 
+    n = instance.n_users
     K = instance.K
     L = len(instance.coupons)
     cap = instance.W if use_W else n  # fresh users are offered while fewer are probed; n never binds
+    _check_spread_cells(instance, n)
+    # firsts[v][rej]: the first coupon v takes with probability q > 0 after
+    # rejecting coupon rej, L if none; rej = -1, the last entry, is a user
+    # offered nothing yet.  Rows are non-decreasing, so v takes every coupon
+    # from there on.
+    firsts = [[bisect.bisect_right(row, p) for p in (*row, 0.0)] for row in instance.attractiveness]
+    # A user's local states: 0 fresh, 1 finished, 2 + j accepted coupon j,
+    # then one per (offers made m, coupon j last rejected) with an offer left
+    # and 0 < m < K; offers rise strictly in probability, so also m < L.  The
+    # memo has one entry per combination of local states.
+    rounds = range(1, min(K, L))
+    left = [[j for j in range(L) if first[j] < L] for first in firsts]
+    radices = [2 + L + len(rounds) * len(js) for js in left]
+    # the moves in each user's table, from its local states with offers left
+    table_moves = [
+        (L - first[-1] if K else 0) + len(rounds) * sum(L - first[j] for j in js) for first, js in zip(firsts, left)
+    ]
+    # the moves over the memo: each state's users' moves from their local
+    # states, summed one user at a time
+    size, memo_moves = 1, 0
+    for radix, count in zip(radices, table_moves):
+        size, memo_moves = size * radix, memo_moves * radix + size * count
+    tabulated = sum(table_moves)
+    steps = size + tabulated + memo_moves
+    if steps > MAX_ORACLE_STEPS:
+        raise OracleSizeError(
+            f"backward induction needs {steps} steps ({size} states, {tabulated} moves to tabulate "
+            f"and {memo_moves} over the states), above the limit of {MAX_ORACLE_STEPS}"
+        )
     *costs, budget = scaled_integers((*instance.coupons, instance.B))
     spread = _spread_table(instance, range(n))
     spread = [spread[mask] for mask in range(1 << n)]
-    # A user's local states: 0 fresh, 1 finished, 2 + j accepted coupon j,
-    # then one per (offers made m, coupon j last rejected) with 0 < m < K and
-    # an offer left.  A state is the sum over users of local state times
-    # stride; users[v] holds v's stride, radix, moves per local state and bit.
+    # A state is the sum over users of local state times stride; users[v]
+    # holds v's stride, radix, moves per local state and bit.
     users = []
-    size = 1
-    for v, row in enumerate(instance.attractiveness):
-        stride = size
-        # offers[rej]: (coupon, cost, q) for every coupon v takes with
-        # probability q > 0 after rejecting coupon rej; rej = -1, the last
-        # entry, is a user offered nothing yet
-        offers = [
-            [(j, cost, q) for j, (p, cost) in enumerate(zip(row, costs)) if (q := conditional_accept(p, p_rej)) > 0.0]
-            for p_rej in (*row, 0.0)
-        ]
-        part_way = [(m, j) for m in range(1, K) for j in range(L) if offers[j]]
+    stride = 1
+    for v, radix in enumerate(radices):
+        row = (*instance.attractiveness[v], 0.0)
+        part_way = [(m, j) for m in rounds for j in left[v]]
         # the local states with offers left, by (offers made, coupon last
         # rejected); at K = 0 a fresh user has none
         local_of = ({(0, -1): 0} if K else {}) | {key: 2 + L + k for k, key in enumerate(part_way)}
-        table: list[tuple] = [()] * (2 + L + len(part_way))
-        for (made, rej), local in local_of.items():
-            # (cost, q, 1 - q, accept delta, reject delta, the delta that
-            # finishes v after a reject), coupons ascending
-            moves = []
-            for j, cost, q in offers[rej]:
-                after = local_of.get((made + 1, j), 1)
-                finish = (1 - after) * stride if restricted else 0
-                moves.append((cost, q, 1.0 - q, (2 + j - local) * stride, (after - local) * stride, finish))
-            table[local] = tuple(moves)
-        users.append((stride, len(table), table, 1 << v))
-        size *= len(table)
+        table: list[tuple] = [()] * radix
+        for rej in ([-1] if K else []) + (left[v] if rounds else []):
+            # q and 1 - q for every coupon j that v takes with probability
+            # q > 0 after rejecting coupon rej, shared by the local states
+            # that last rejected it
+            first = firsts[v][rej]
+            qs = [conditional_accept(p, row[rej]) for p in row[first:L]]
+            q_decs = [1.0 - q for q in qs]
+            for made in rounds if rej >= 0 else (0,):
+                local = local_of[made, rej]
+                # (cost, q, 1 - q, accept delta, reject delta, the delta that
+                # finishes v after a reject), coupons ascending
+                moves = []
+                for j, q, q_dec in zip(range(first, L), qs, q_decs):
+                    after = local_of.get((made + 1, j), 1)
+                    finish = (1 - after) * stride if restricted else 0
+                    moves.append((costs[j], q, q_dec, (2 + j - local) * stride, (after - local) * stride, finish))
+                table[local] = tuple(moves)
+        users.append((stride, radix, table, 1 << v))
+        stride *= radix
     memo: list[float | None] = [None] * size
 
     def best(s: int, accepted: int, remaining: int, probed: int, finish: int) -> float:
@@ -149,10 +186,27 @@ def optimal_adaptive_value(
 
 def _spread_table(instance: Instance, users: Collection[int]) -> dict[int, float]:
     """Exact spread of every subset of the users, keyed by user bitmask, from
-    one call of the reach kernel."""
+    one call of the reach kernel.
+
+    Refuses, before the call, more than MAX_SPREAD_CELLS cells.
+    """
+    _check_spread_cells(instance, len(users))
     seed_sets = [list(s) for r in range(1, len(users) + 1) for s in itertools.combinations(sorted(users), r)]
     spreads = _exact_spreads(instance.graph, seed_sets) if seed_sets else []
     return {0: 0.0} | {sum(1 << v for v in s): x for s, x in zip(seed_sets, spreads)}
+
+
+def _check_spread_cells(instance: Instance, users: int) -> None:
+    """Refuses a spread table over that many users with more than
+    MAX_SPREAD_CELLS cells: one per non-empty subset and live-edge outcome,
+    which the kernel visits each."""
+    edges = len(instance.graph.uncertain_edges)
+    cells = ((1 << users) - 1) << edges
+    if cells > MAX_SPREAD_CELLS:
+        raise OracleSizeError(
+            f"the spread table needs {cells} cells ({users} users, {edges} uncertain edges), "
+            f"above the limit of {MAX_SPREAD_CELLS}"
+        )
 
 
 def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) -> Fraction:
@@ -170,20 +224,6 @@ def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) 
 def _accept(instance: Instance, action: Action) -> Fraction:
     """Probability that the action seeds its user: that of its top coupon."""
     return Fraction(instance.attractiveness[action.user][action.coupons[-1]])
-
-
-def exact_action_set_value_frac(instance: Instance, actions: Iterable[Action]) -> Fraction:
-    """Exact expected spread of probing a fixed action set (no budget).
-
-    A user seeds iff they accept their largest offered coupon, and rows are
-    non-decreasing, so that coupon's acceptance is the user's best one.
-    """
-    actions = list(actions)
-    check_actions(instance, actions)
-    accept: dict[int, Fraction] = {}
-    for action in actions:
-        accept[action.user] = max(accept.get(action.user, Fraction(0)), _accept(instance, action))
-    return _seeding_value(_spread_table(instance, accept), accept)
 
 
 def _by_user(instance: Instance, actions: list[Action]) -> dict[int, list[int]]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -16,7 +17,6 @@ from couponprobe.influence import (
     Graph,
     _seed_list,
     influence_exact,
-    live_mask_outcomes,
 )
 from couponprobe.model import (
     COST_MODE_THRESHOLD,
@@ -91,6 +91,32 @@ class World:
 
     thresholds: tuple[float, ...]
     live_mask: int
+
+
+def forced_live_mask(graph: Graph) -> int:
+    return sum(1 << i for i, (_, _, p) in enumerate(graph.edges) if p == 1.0)
+
+
+def live_mask_outcomes(graph: Graph) -> Iterator[tuple[float, int]]:
+    """Every live-edge realization as (probability, mask), one per subset of
+    the uncertain edges.
+
+    There are 2^len(graph.uncertain_edges) outcomes; callers bound that count
+    before iterating.
+    """
+    unc = graph.uncertain_edges
+    probs = [graph.edges[i][2] for i in unc]
+    base = forced_live_mask(graph)
+    for combo in range(1 << len(unc)):
+        weight = 1.0
+        mask = base
+        for j, i in enumerate(unc):
+            if combo >> j & 1:
+                weight *= probs[j]
+                mask |= 1 << i
+            else:
+                weight *= 1.0 - probs[j]
+        yield weight, mask
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,12 +332,13 @@ def relax48_shaped(seed: int, W: int | None = None) -> Instance:
     return Instance(Graph(8, edges), (1.0, 2.0, 3.0, 6.0), rows, K=2, B=7.0, W=W)
 
 
-def oracle4_shaped(seed: int, W: int = 2) -> Instance:
-    # like the oracle4 benchmark: 4 users, low coupons 1 and 2, alg2's 4, K = W = 2
+def oracle4_shaped(seed: int, W: int = 2, users: int = 4) -> Instance:
+    # like the oracle4 benchmark: 4 users and 4 edges, low coupons 1 and 2,
+    # alg2's 4, K = W = 2; other user counts keep one edge per user
     gen = np.random.default_rng(seed)
-    edges = _random_edges(gen, 4, 4, 0.2, 0.8)
-    rows = tuple(sorted_row(gen, 3) for _ in range(4))
-    return Instance(Graph(4, edges), (1.0, 2.0, 4.0), rows, K=2, B=4.0, W=W)
+    edges = _random_edges(gen, users, users, 0.2, 0.8)
+    rows = tuple(sorted_row(gen, 3) for _ in range(users))
+    return Instance(Graph(users, edges), (1.0, 2.0, 4.0), rows, K=2, B=4.0, W=W)
 
 
 def gauss_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -393,6 +420,14 @@ def random_tiny_instance(gen: np.random.Generator, *, users: int = 3,
         B=B,
         W=W,
     )
+
+
+def guarantee(beta: float, extended: bool) -> float:
+    """The combined policy's ratio to the adaptive optimum: (1 - 1/e) *
+    (1 - beta)^k * (1 - 2*beta) * beta / 2, with k = 2 once the cap on
+    distinct users is in force."""
+    shrink = (1.0 - beta) ** (2 if extended else 1)
+    return (1.0 - 1.0 / math.e) * shrink * (1.0 - 2.0 * beta) * beta / 2.0
 
 
 def threshold_cost(inst, action) -> Fraction:
@@ -576,7 +611,7 @@ def row_world(instance: Instance, row: list[float]) -> World:
     live when below its probability."""
     graph = instance.graph
     n = instance.n_users
-    mask = graph.forced_live_mask
+    mask = forced_live_mask(graph)
     for j, i in enumerate(graph.uncertain_edges):
         if row[n + j] < graph.edges[i][2]:
             mask |= 1 << i

@@ -56,6 +56,7 @@ from couponprobe.sequencing import (
 
 from helpers import (
     dp_brute_force,
+    guarantee,
     mirror_lp,
     planned,
     random_tiny_instance,
@@ -69,16 +70,9 @@ from helpers import (
 F = Fraction
 
 
-def _guarantee(beta: float, extended: bool) -> float:
-    # (1 - 1/e) * (1 - beta)^k * (1 - 2*beta) * beta / 2 with k = 2 once the
-    # cap on distinct users is in force
-    shrink = (1.0 - beta) ** (2 if extended else 1)
-    return (1.0 - 1.0 / math.e) * shrink * (1.0 - 2.0 * beta) * beta / 2.0
-
-
 def test_criterion_01_combined_policy_meets_its_ratio() -> None:
     gen = np.random.default_rng(101)
-    ratio = _guarantee(default_beta_basic(), extended=False)
+    ratio = guarantee(default_beta_basic(), extended=False)
     worst = math.inf
     for i in range(20):
         inst = random_tiny_instance(gen, users=4, coupons_count=2, K=2)
@@ -93,7 +87,7 @@ def test_criterion_01_combined_policy_meets_its_ratio() -> None:
 
 def test_criterion_02_extended_policy_meets_its_ratio() -> None:
     gen = np.random.default_rng(202)
-    ratio = _guarantee(default_beta_extended(), extended=True)
+    ratio = guarantee(default_beta_extended(), extended=True)
     worst = math.inf
     for i in range(20):
         W = int(gen.integers(1, 3))

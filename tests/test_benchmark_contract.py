@@ -10,6 +10,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from couponprobe import cli
+from couponprobe.oracle import optimal_adaptive_value
 from couponprobe.relaxation import RelaxationConfig
 from couponprobe.sequencing import Alg2Policy, alg2_value
 
@@ -27,14 +29,14 @@ from helpers import uniform_instance
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("tracer", PERFBENCH / "tracer.py")
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-COARSE = _tracer().COARSE
+COARSE = _load("tracer").COARSE
 
 
 @pytest.mark.parametrize("module, attr", [target[:2] for target in COARSE], ids=lambda x: x)
@@ -84,3 +86,14 @@ def test_a_worker_command_runs_and_checks_its_reference(tmp_path) -> None:
     reference = result["reference"]
     assert float(rows["opt-oracle"][1]) == reference["opt-oracle"]["exact"]
     assert abs(float(rows["alg2"][1]) - reference["alg2"]["exact"]) <= 4 * float(rows["alg2"][2])
+
+
+def test_the_oracle_accepts_every_oracle4_file(tmp_path) -> None:
+    # the oracle's size limits must admit the benchmark's oracle4 batches,
+    # at the tuning seeds and the held-out one
+    workloads = _load("workloads")
+    for seed in (1, 2, workloads.HELD_OUT_SEED):
+        for argv in workloads.generate("oracle4", seed, str(tmp_path)):
+            instance = cli.load_instance(argv[1])
+            for restricted, use_W in itertools.product((False, True), repeat=2):
+                assert optimal_adaptive_value(instance, restricted=restricted, use_W=use_W) > 0.0

@@ -8,7 +8,7 @@ from couponprobe import cli, influence
 from couponprobe.cli import main
 from couponprobe.instance_io import InstanceFormatError, load_instance, save_instance
 from couponprobe.model import MAX_ACTIONS
-from couponprobe.oracle import optimal_adaptive_value
+from couponprobe.oracle import MAX_ORACLE_STEPS, MAX_SPREAD_CELLS, optimal_adaptive_value
 from couponprobe.relaxation import MAX_STEPS
 
 TOY = """\
@@ -293,10 +293,51 @@ def test_oracle_subcommand_value(tmp_path, capsys) -> None:
     assert value == optimal_adaptive_value(load_instance(path))
 
 
+def _oracle_file(tmp_path, users: int, coupons: int, K: int, edges: list[str]) -> str:
+    # users with strictly rising rows over coupons 1, 2, ...: 2 + L + (K - 1)
+    # * (L - 1) local states and L + (K - 1) * L * (L - 1) / 2 moves each,
+    # for K <= L
+    rows = [" ".join(str(round(0.1 + 0.8 * (j + 1) / coupons - 0.01 * v, 6)) for j in range(coupons))
+            for v in range(users)]
+    return _write(tmp_path, "\n".join([
+        f"nodes {users}", *edges,
+        "coupons " + " ".join(str(float(c)) for c in range(1, coupons + 1)),
+        *(f"attract {row}" for row in rows),
+        f"K {K}",
+        f"B {float(users)}",
+    ]) + "\n")
+
+
+@pytest.mark.parametrize("users", [5, 6])
+def test_oracle_prints_a_value_on_five_and_six_users(tmp_path, capsys, users) -> None:
+    # 3 coupons, K = 2: 7^5 and 7^6 memo states
+    path = _oracle_file(tmp_path, users, 3, 2, [f"edge {v} {v + 1} 0.5" for v in range(users - 1)])
+    code, out, _ = _run(capsys, ["oracle", path])
+    assert code == 0
+    assert out.splitlines()[-1] == f"value {optimal_adaptive_value(load_instance(path))!r}"
+
+
 def test_oracle_size_guard_exits_2(tmp_path, capsys) -> None:
-    code, out, err = _run(capsys, ["oracle", _write(tmp_path, TOY)])
-    assert code == 2 and out == ""
-    assert err.startswith("error:")
+    # above either limit, each refused before the work starts: 7 users at 3
+    # coupons, K = 2, 7^7 states with 6 moves per user's local states; one
+    # user with 20,000 coupons, 40,001 states and 200,010,000 moves; or
+    # (2^7 - 1) * 2^20 spread cells
+    pairs = [f"edge {u} {v} 0.5" for u in range(7) for v in range(7) if u != v][:20]
+    moves = 20_000 + 19_999 * 20_000 // 2
+    for users, coupons, K, edges, message in [
+        (7, 3, 2, [], f"backward induction needs {7**7 + 7 * 6 + 7 * 7**6 * 6} steps ({7**7} states, 42 moves "
+                      f"to tabulate and {7 * 7**6 * 6} over the states), above the limit of {MAX_ORACLE_STEPS}"),
+        (1, 20_000, 2, [], f"backward induction needs {40_001 + 2 * moves} steps (40001 states, {moves} moves "
+                           f"to tabulate and {moves} over the states), above the limit of {MAX_ORACLE_STEPS}"),
+        (7, 1, 1, pairs, f"the spread table needs {127 << 20} cells (7 users, 20 uncertain edges), "
+                         f"above the limit of {MAX_SPREAD_CELLS}"),
+    ]:
+        path = _oracle_file(tmp_path, users, coupons, K, edges)
+        start = time.perf_counter()
+        code, out, err = _run(capsys, ["oracle", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_run_refuses_a_huge_action_space_exits_2(tmp_path, capsys) -> None:

@@ -12,7 +12,6 @@ from couponprobe.influence import (
     Graph,
     influence_exact,
     influence_mc_stats,
-    live_mask_outcomes,
     sampled_spreads,
     singleton_influence_table,
 )
@@ -20,6 +19,8 @@ from couponprobe.influence import (
 from helpers import (
     edgeless,
     exact_spreads_by_mask,
+    forced_live_mask,
+    live_mask_outcomes,
     mixed_graph,
     reach_masks,
     realized_influence,
@@ -199,7 +200,7 @@ def test_live_masks_respect_forced_and_dead_edges() -> None:
     dead = sum(1 << i for i, (_, _, p) in enumerate(g.edges) if p == 0.0)
     outcomes = list(live_mask_outcomes(g))
     for _, mask in outcomes:
-        assert mask & g.forced_live_mask == g.forced_live_mask
+        assert mask & forced_live_mask(g) == forced_live_mask(g)
         assert mask & dead == 0
     assert len({m for _, m in outcomes}) == 1 << 10
     assert sum(w for w, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
@@ -295,7 +296,7 @@ def test_reach_columns_match_reach_masks(make_graph) -> None:
     combos = np.arange(1 << len(unc), dtype=np.uint64)
     reach = influence._reach_columns(g, np.negative([combos >> np.uint64(j) & np.uint64(1) for j in range(len(unc))]))
     for c in range(len(combos)):
-        mask = g.forced_live_mask | sum(1 << i for j, i in enumerate(unc) if c >> j & 1)
+        mask = forced_live_mask(g) | sum(1 << i for j, i in enumerate(unc) if c >> j & 1)
         got = [sum(int(w) << (64 * k) for k, w in enumerate(reach[u, :, c])) for u in range(g.node_count)]
         assert got == list(reach_masks(g, mask)), c
 
@@ -361,7 +362,7 @@ def test_mc_stats_match_per_sample_reference(monkeypatch, kernel_bytes) -> None:
     for b, start in enumerate(range(0, samples, BLOCK)):
         shape = (min(BLOCK, samples - start), len(g.uncertain_edges))
         for row in np.random.default_rng([5, b]).random(shape):
-            mask = g.forced_live_mask
+            mask = forced_live_mask(g)
             for j, i in enumerate(g.uncertain_edges):
                 if row[j] < g.edges[i][2]:
                     mask |= 1 << i

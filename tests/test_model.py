@@ -26,7 +26,6 @@ from couponprobe.model import (
 from couponprobe.oracle import (
     concave_extension_exact,
     concave_relaxation_optimum,
-    exact_action_set_value_frac,
     multilinear_value_exact,
     optimal_adaptive_value,
 )
@@ -176,7 +175,7 @@ def test_actions_that_do_not_fit_the_instance_are_refused() -> None:
             lambda: exact_expected_cost(inst, bad),
             lambda: multilinear_value_exact(inst, y),
             lambda: concave_extension_exact(inst, y),
-            lambda: exact_action_set_value_frac(inst, [fits, bad]),
+            lambda: multilinear_value_exact(inst, dict.fromkeys([fits, bad], 1)),
         )
         for call in calls:
             with pytest.raises(ValueError, match=re.escape(f"{bad} does not fit the instance")):

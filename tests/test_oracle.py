@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from couponprobe import oracle
 from couponprobe.influence import Graph, singleton_influence_table
 from couponprobe.model import (
     Instance,
@@ -16,6 +17,8 @@ from couponprobe.model import (
 )
 from couponprobe.oracle import (
     MAX_LP_COLUMNS,
+    MAX_ORACLE_STEPS,
+    MAX_SPREAD_CELLS,
     OracleSizeError,
     _accept,
     _profile_columns,
@@ -24,12 +27,11 @@ from couponprobe.oracle import (
     concave_extension_exact,
     concave_relaxation_optimum,
     conditional_accept,
-    exact_action_set_value_frac,
     multilinear_value_exact,
     optimal_adaptive_value,
 )
-from couponprobe.relaxation import RelaxationConfig, continuous_greedy
-from couponprobe.sequencing import Alg2Policy, alg2_plan, alg2_value, evaluate_policy
+from couponprobe.relaxation import RelaxationConfig, continuous_greedy, default_beta_basic, default_beta_extended
+from couponprobe.sequencing import Alg2Policy, StochCpPolicy, alg2_plan, alg2_value, evaluate_policy
 
 from helpers import (
     _random_edges,
@@ -38,6 +40,7 @@ from helpers import (
     concave_extension_by_subsets,
     enumerate_worlds,
     exact_policy_value,
+    guarantee,
     multilinear_by_subsets,
     optimal_adaptive_value_by_states,
     oracle4_shaped,
@@ -132,6 +135,22 @@ def test_oracle_dominates_alg2_exactly() -> None:
         assert optimal_adaptive_value(inst) >= alg2 - 1e-9
 
 
+@pytest.mark.parametrize("extended", (False, True))
+def test_stoch_cp_meets_its_ratio_on_five_users(extended: bool) -> None:
+    # acceptance criteria 01 and 02's check on 5 oracle4-shaped users, 7^5
+    # memo states each
+    ratio = guarantee(default_beta_extended() if extended else default_beta_basic(), extended)
+    worst = math.inf
+    for seed in range(4):
+        inst = oracle4_shaped(seed, users=5)
+        opt = optimal_adaptive_value(inst, use_W=extended)
+        policy = StochCpPolicy(inst, RelaxationConfig(), extended=extended)
+        result = evaluate_policy(inst, policy, worlds=10_000, rng_seed=5000 + seed)
+        assert result.mean >= ratio * opt - 4 * result.stderr
+        worst = min(worst, result.mean / opt)
+    print(f"5 users, extended {extended}: worst mean/OPT {worst:.3f}, ratio {ratio:.6f}")
+
+
 NON_DYADIC = (0.1, 0.2, 0.3, 1.2, 1.4)
 
 
@@ -140,7 +159,9 @@ def _oracle_exactness_instances() -> list[Instance]:
     coupon values with B the float sum of two or three of them (equal to,
     above or below their exact sum), oracle4-shaped instances, and the edge
     cases: K = 0 (a fresh user is then also finished), W = 0, a sure accept
-    at K = 1 and B below the cheapest coupon."""
+    at K = 1 and B below the cheapest coupon; and 5 oracle4-shaped users, 7^5
+    = 16,807 states, at B = 3, where the reference takes about 0.6 s over the
+    four modes (4.7 s at B = 4)."""
     gen = np.random.default_rng(12)
     out = []
     for n, m, K in itertools.product((1, 2, 3, 4), (1, 2, 3), (1, 2)):
@@ -165,7 +186,9 @@ def _oracle_exactness_instances() -> list[Instance]:
                  K=1, B=base.B, W=2),
         Instance(base.graph, base.coupons, base.attractiveness, K=2, B=0.5, W=2),
     ]
-    return out + [oracle4_shaped(seed) for seed in (1, 2)] + edge_cases
+    five = oracle4_shaped(1, users=5)
+    five = Instance(five.graph, five.coupons, five.attractiveness, K=2, B=3.0, W=2)
+    return out + [oracle4_shaped(seed) for seed in (1, 2)] + edge_cases + [five]
 
 
 @pytest.mark.parametrize("restricted,use_W", itertools.product((False, True), repeat=2))
@@ -194,13 +217,53 @@ def test_oracle_value_is_invariant_under_relabeling_users(restricted: bool, use_
         assert got == pytest.approx(optimal_adaptive_value(inst, restricted=restricted, use_W=use_W), rel=1e-12)
 
 
-def test_oracle_size_guard() -> None:
-    inst = uniform_instance(5, (1.0,), ((0.5,),) * 5, K=1, B=3.0)
-    with pytest.raises(OracleSizeError):
-        optimal_adaptive_value(inst)
+def test_oracle_size_guard(monkeypatch) -> None:
+    # the guard counts steps, not users, coupons or K: 5 users at K = 1 have
+    # 3^5 = 243 states, one user at K = 3 has 9, and a user is offered at
+    # most L times, so K = 10^6 has as many as K = 3
+    five_users = uniform_instance(5, (1.0,), ((0.5,),) * 5, K=1, B=3.0)
     big_k = uniform_instance(1, (0.5, 0.6, 0.7), ((0.1, 0.2, 0.3),), K=3, B=9.0)
-    with pytest.raises(OracleSizeError):
-        optimal_adaptive_value(big_k)
+    huge_k = uniform_instance(1, (0.5, 0.6, 0.7), ((0.1, 0.2, 0.3),), K=10**6, B=9.0)
+    for inst in (five_users, big_k, huge_k):
+        assert optimal_adaptive_value(inst) == optimal_adaptive_value_by_states(inst)
+    # 2 users with 73 strictly rising coupons at K = 2: 2 + 73 + 72 = 147
+    # local states and 73 + 72 * 73 / 2 = 2,701 moves each, and each move is
+    # tabulated once and visited from each of the other user's 147 states
+    rows = (tuple((j + 1) / 100 for j in range(73)),) * 2
+    over = uniform_instance(2, range(1, 74), rows, K=2, B=146.0)
+    steps = 147**2 + 2 * 2701 + 2 * 147 * 2701
+    assert MAX_ORACLE_STEPS < steps < 1.05 * MAX_ORACLE_STEPS
+    message = f"needs {steps} steps \\({147**2} states, {2 * 2701} moves to tabulate and {2 * 147 * 2701} over"
+    with pytest.raises(OracleSizeError, match=f"{message} the states\\), above the limit of {MAX_ORACLE_STEPS}$"):
+        optimal_adaptive_value(over)
+    # a tie leaves no offer after a rejection: 75 local states and 73 moves
+    # for a user whose 73 coupons tie
+    tied = uniform_instance(2, range(1, 74), ((0.5,) * 73, rows[0]), K=2, B=146.0)
+    steps = 75 * 147 + 73 + 2701 + 147 * 73 + 75 * 2701
+    monkeypatch.setattr(oracle, "MAX_ORACLE_STEPS", steps - 1)
+    with pytest.raises(OracleSizeError, match=f"needs {steps} steps"):
+        optimal_adaptive_value(tied)
+
+
+def test_every_entry_point_refuses_a_large_spread_table_before_the_kernel(monkeypatch) -> None:
+    # 12 users with one action each: 2^12 profiles, within MAX_LP_COLUMNS,
+    # but (2^12 - 1) * 2^20 spread cells over 20 uncertain edges, which the
+    # induction checks before its own steps
+    edges = [(v, v + 1, 0.5) for v in range(11)] + [(v + 3, v, 0.5) for v in range(9)]
+    inst = uniform_instance(12, (1.0,), ((0.5,),) * 12, K=1, B=12.0, edges=edges)
+    cells = ((1 << 12) - 1) << 20
+    assert cells > MAX_SPREAD_CELLS
+
+    def kernel(*args):
+        raise AssertionError("the reach kernel was called")
+
+    monkeypatch.setattr(oracle, "_exact_spreads", kernel)
+    y = dict.fromkeys(build_action_space(inst), F(1, 2))
+    assert len(y) == 12
+    for call in (lambda: multilinear_value_exact(inst, y), lambda: concave_extension_exact(inst, y),
+                 lambda: concave_relaxation_optimum(inst), lambda: optimal_adaptive_value(inst)):
+        with pytest.raises(OracleSizeError, match=f"needs {cells} cells .*above the limit of {MAX_SPREAD_CELLS}$"):
+            call()
 
 
 # ------------------------------------------------------------ exact evaluation
@@ -257,7 +320,7 @@ def test_concave_extension_at_a_vertex() -> None:
     inst = uniform_instance(1, (1.0,), ((0.5,),), K=1, B=3.0)
     a = act(0, 0)
     got = concave_extension_exact(inst, {a: F(1)})
-    assert got == exact_action_set_value_frac(inst, [a])
+    assert got == multilinear_value_exact(inst, dict.fromkeys([a], 1))
 
 
 def test_concave_extension_of_zero_is_zero() -> None:
@@ -408,7 +471,7 @@ def test_concave_extension_linear_for_modular_f() -> None:
     actions = build_action_space(inst)
     y = {a: F(1, 3) for a in actions}
     linear = sum(
-        F(1, 3) * exact_action_set_value_frac(inst, [a]) for a in actions
+        F(1, 3) * multilinear_value_exact(inst, dict.fromkeys([a], 1)) for a in actions
     )
     assert concave_extension_exact(inst, y) == linear
     assert multilinear_value_exact(inst, y) == linear
@@ -467,11 +530,11 @@ def test_relaxation_optimum_dominates_integral_solutions() -> None:
                 )
                 if cost > F(trial.B):
                     continue
-                assert optimum >= exact_action_set_value_frac(trial, subset)
+                assert optimum >= multilinear_value_exact(trial, dict.fromkeys(subset, 1))
 
 
 def test_exact_action_set_value_of_two_independent_seeds() -> None:
     inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=3.0)
     actions = build_action_space(inst)
-    exact = float(exact_action_set_value_frac(inst, actions))
+    exact = float(multilinear_value_exact(inst, dict.fromkeys(actions, 1)))
     assert exact == pytest.approx(1.0)  # two independent 0.5 seeds, no edges
