@@ -31,9 +31,11 @@ took at most 0.92 s and +4.3 MB.
 
 The multilinear extension, which at a 0/1 point is the value of that action
 set, the concave extension and the concave relaxation's optimum are exact
-rationals; the last two come from exact LPs over action profiles, at most one
-action per user.  These are the reference points the fast paths are tested
-against.
+rationals, and the last two are LPs over action profiles, at most one action
+per user.  The extension is solved by the rational simplex; the optimum, a
+multiple-choice knapsack LP over the profiles, by the direction LP's integer
+hull walk and W-row multiplier search.  These are the reference points the
+fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .influence import _exact_spreads
 from .model import (
     Action, Instance, build_action_space, check_actions, exact_expected_cost, scaled_integers, user_groups,
 )
+from .relaxation import _cost_runs, _knapsack_optimum, _lagrangian_optimum
 
 MAX_ORACLE_STEPS = 800_000
 MAX_SPREAD_CELLS = 2**26
@@ -307,8 +310,9 @@ def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> F
     """
     masses = _masses(y)
     actions = list(y)
+    check_actions(instance, actions)
     accept: dict[int, Fraction] = {}
-    for user, group in _by_user(instance, actions).items():
+    for user, group in user_groups(actions).items():
         none_above = Fraction(1)
         accept[user] = Fraction(0)
         for i in sorted(group, key=lambda i: -actions[i].coupons[-1]):
@@ -324,19 +328,24 @@ def concave_relaxation_optimum(instance: Instance, use_W: bool = False) -> Fract
     the per-user, budget, and (optionally) user-count constraints.  Upper
     bounds every feasible non-adaptive action set.  A profile column holds at
     most one action per user, so the total-mass row implies the per-user rows.
+
+    What is left is the direction LP with every profile in one group: its
+    hull walk, on the profiles' values and, scaled together, their costs and
+    B, gives the optimum without the W row; when that vertex probes more
+    than W users in expectation, the W-row multiplier search, each profile
+    sized by its user count, gives it with the row.
     """
     if use_W and instance.W is None:
         raise ValueError("use_W requires an instance with W set")
     actions = build_action_space(instance)
     profiles, values = _profile_columns(instance, actions)
-    costs = [exact_expected_cost(instance, a) for a in actions]
-    lhs = [
-        [Fraction(1)] * len(profiles),
-        [sum((costs[i] for i in p), Fraction(0)) for p in profiles],
-    ]
-    rhs = [Fraction(1), Fraction(instance.B)]
+    action_costs = [exact_expected_cost(instance, a) for a in actions]
+    *costs, budget = scaled_integers([*(sum((action_costs[i] for i in p), Fraction(0)) for p in profiles), instance.B])
+    weights = scaled_integers(values)
+    group = _cost_runs([list(range(len(profiles)))], costs)
+    x = _knapsack_optimum(group, weights, budget)
     if use_W:
-        lhs.append([Fraction(len(p)) for p in profiles])
-        rhs.append(Fraction(instance.W))
-    value, _ = simplex.maximize(values, lhs, rhs)
-    return value
+        sizes = [len(p) for p in profiles]
+        if sum(sizes[i] * v for i, v in x.items()) > instance.W:
+            x = _lagrangian_optimum(group, weights, sizes, budget, Fraction(instance.W), x)
+    return sum((values[i] * v for i, v in x.items()), Fraction(0))

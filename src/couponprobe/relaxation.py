@@ -388,22 +388,25 @@ def _knapsack_optimum(users: list[_CostRuns], weights: list[int], budget: int) -
 
 
 def _lagrangian_optimum(
-    users: list[_CostRuns], weights: list[int], budget: int, cap: Fraction, heavy: dict[int, Fraction]
+    users: list[_CostRuns], weights: list[int], sizes: list[int], budget: int, cap: Fraction, heavy: dict[int, Fraction]
 ) -> dict[int, Fraction]:
-    """An optimum of the direction LP with the W row sum(x) <= cap, given
-    heavy, the hull walk's vertex without it, whose mass exceeds cap.
+    """An optimum of the direction LP with the W row sum(sizes * x) <= cap,
+    given heavy, the hull walk's vertex without it, whose size exceeds cap.
 
-    Pricing the W row at mu leaves the LP without it on the weights w - mu;
-    each vertex x has the line value(x) - mu * mass(x) there, and the
-    Lagrangian dual is the upper envelope of these lines (plus mu * cap),
-    convex in mu.  The search keeps a heavy vertex (mass above cap) and a
-    light one (mass below; at first the empty vertex) and probes where their
-    lines meet, a Newton step on the envelope: one hull walk on the integer
-    weights q*w - p for mu = p/q.  A probe whose value lies on the two lines
-    proves that mu minimizes the dual, and the convex combination of the two
-    vertices with mass exactly cap is then optimal; a probe above the lines
-    replaces the vertex on its side of cap, or is itself optimal when its
-    mass is cap.  Each probe raises the lower of the two lines' meeting
+    sizes holds each column's integer coefficient in the W row: 1 for an
+    action, the number of users for an oracle profile.  Only a column of
+    weight 0, which no walk gives mass, may have size 0.  Pricing the W row
+    at mu leaves the LP without it on the weights w - mu*s; each vertex x
+    has the line value(x) - mu * size(x) there, and the Lagrangian dual is
+    the upper envelope of these lines (plus mu * cap), convex in mu.  The
+    search keeps a heavy vertex (size above cap) and a light one (size
+    below; at first the empty vertex) and probes where their lines meet, a
+    Newton step on the envelope: one hull walk on the integer weights
+    q*w - p*s for mu = p/q.  A probe whose value lies on the two lines
+    proves that mu minimizes the dual, and the convex combination of the
+    two vertices with size exactly cap is then optimal; a probe above the
+    lines replaces the vertex on its side of cap, or is itself optimal when
+    its size is cap.  Each probe raises the lower of the two lines' meeting
     value, so no pair comes back and the search ends.  mu stays at or above
     0, where the heavy vertex's line touches the envelope, so the W row is
     priced with the sign its dual needs.
@@ -413,13 +416,13 @@ def _lagrangian_optimum(
         return light
 
     def line(x: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
-        return sum((weights[i] * v for i, v in x.items()), ZERO), sum(x.values(), ZERO)
+        return sum((weights[i] * v for i, v in x.items()), ZERO), sum((sizes[i] * v for i, v in x.items()), ZERO)
 
     (hv, hm), (lv, lm) = line(heavy), (ZERO, ZERO)
     while True:
         mu = (hv - lv) / (hm - lm)
         p, q = mu.numerator, mu.denominator
-        x = _knapsack_optimum(users, [q * w - p for w in weights], budget)
+        x = _knapsack_optimum(users, [q * w - p * s for w, s in zip(weights, sizes)], budget)
         v, m = line(x)
         if v - mu * m == hv - mu * hm:
             break
@@ -514,7 +517,8 @@ class _DirectionLP:
     """The direction LP over a fixed list of actions, with every part but its
     weights built once: the actions of each user split into runs of equal
     integer cost and the integer budget (scaled_integers), for the hull walk,
-    and the W row's bound beta*W when it is used.  Weights come as ints."""
+    and the W row, every action of size 1, with its bound beta*W when it is
+    used.  Weights come as ints."""
 
     def __init__(
         self,
@@ -532,6 +536,7 @@ class _DirectionLP:
         *self.costs, self.budget = scaled_integers([*(costs[a] for a in actions), budget])
         self.groups = list(user_groups(actions).values())
         self.users = _cost_runs(self.groups, self.costs)
+        self.sizes = [1] * len(actions)
         self.cap = Fraction(beta) * Fraction(instance.W) if use_W else None
 
     def solve(self, weights: list[int]) -> dict[int, Fraction]:
@@ -542,7 +547,7 @@ class _DirectionLP:
         x = _knapsack_optimum(self.users, weights, self.budget)
         if self.cap is None or sum(x.values(), ZERO) <= self.cap:
             return x
-        z = _lagrangian_optimum(self.users, weights, self.budget, self.cap, x)
+        z = _lagrangian_optimum(self.users, weights, self.sizes, self.budget, self.cap, x)
         return _vertex(z, self.costs, self.groups, self.budget)
 
 

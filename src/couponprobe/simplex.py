@@ -1,11 +1,12 @@
 """Exact dense simplex over rationals for the small LPs in this package.
 
-Its callers are the oracle's profile LPs (oracle.concave_extension_exact and
-oracle.concave_relaxation_optimum) and the tests, which check the
-relaxation's direction LP against it; the relaxation itself solves that LP
-without it.  All inputs must be Fractions (or ints).  Bland's rule keeps the
-method finite; nothing here is tuned for scale beyond a few thousand
-variables and a handful of constraint rows.
+Its one caller in the package is the concave extension's profile LP
+(oracle.concave_extension_exact).  The tests call it too: they check the
+relaxation's direction LP and the oracle's relaxation optimum against it,
+and both are solved without it, by the integer hull walk.  All inputs must
+be Fractions (or ints).  Bland's rule keeps the method finite; nothing here
+is tuned for scale beyond a few thousand variables and a handful of
+constraint rows.
 """
 
 from __future__ import annotations

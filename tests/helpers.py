@@ -29,7 +29,7 @@ from couponprobe.model import (
     check_trace,
     exact_expected_cost,
 )
-from couponprobe.oracle import OracleSizeError, _spread_table, conditional_accept
+from couponprobe.oracle import OracleSizeError, _profile_columns, _spread_table, conditional_accept
 from couponprobe.relaxation import (
     RelaxationConfig,
     action_costs_exact,
@@ -697,6 +697,36 @@ def multilinear_by_subsets(instance: Instance, y) -> Fraction:
     return total
 
 
+def multilinear_by_user_subsets(instance: Instance, y) -> Fraction:
+    """Reference for oracle.multilinear_value_exact where 2^|S| subsets are
+    too many: each user seeds with the acceptance of the largest top coupon
+    among their own rounded actions, summed over that user's action subsets,
+    and every seed mask's spread, by exact_spreads_by_mask, is weighted by
+    its probability under those independent seedings."""
+    actions = list(y)
+    accept: dict[int, Fraction] = {}
+    for user in sorted({a.user for a in actions}):
+        own = [a for a in actions if a.user == user]
+        q = Fraction(0)
+        for picks in itertools.product((False, True), repeat=len(own)):
+            weight = Fraction(1)
+            for a, pick in zip(own, picks):
+                weight *= Fraction(y[a]) if pick else 1 - Fraction(y[a])
+            tops = [a.coupons[-1] for a, pick in zip(own, picks) if pick]
+            if tops:
+                q += weight * Fraction(instance.attractiveness[user][max(tops)])
+        accept[user] = q
+    users = list(accept)
+    seed_sets = [[v for k, v in enumerate(users) if m >> k & 1] for m in range(1 << len(users))]
+    total = Fraction(0)
+    for seeds, spread in zip(seed_sets, exact_spreads_by_mask(instance.graph, seed_sets)):
+        weight = Fraction(1)
+        for v in users:
+            weight *= accept[v] if v in seeds else 1 - accept[v]
+        total += weight * Fraction(spread)
+    return total
+
+
 def relaxation_optimum_by_subsets(instance: Instance, use_W: bool = False) -> Fraction:
     """Reference for oracle.concave_relaxation_optimum: the LP over all 2^|S|
     action subsets with one row per user, the budget row and the W row."""
@@ -716,6 +746,27 @@ def relaxation_optimum_by_subsets(instance: Instance, use_W: bool = False) -> Fr
         lhs.append([Fraction(mask.bit_count()) for mask in masks])
         rhs.append(Fraction(instance.W))
     value, _ = simplex.maximize(table, lhs, rhs)
+    return value
+
+
+def relaxation_optimum_by_simplex(instance: Instance, use_W: bool = False) -> Fraction:
+    """Reference for oracle.concave_relaxation_optimum: the same LP over
+    action profiles, with the total-mass, budget and W rows, as a dense
+    tableau for the rational simplex."""
+    if use_W and instance.W is None:
+        raise ValueError("use_W requires an instance with W set")
+    actions = build_action_space(instance)
+    profiles, values = _profile_columns(instance, actions)
+    costs = [exact_expected_cost(instance, a) for a in actions]
+    lhs = [
+        [Fraction(1)] * len(profiles),
+        [sum((costs[i] for i in p), Fraction(0)) for p in profiles],
+    ]
+    rhs = [Fraction(1), Fraction(instance.B)]
+    if use_W:
+        lhs.append([Fraction(len(p)) for p in profiles])
+        rhs.append(Fraction(instance.W))
+    value, _ = simplex.maximize(values, lhs, rhs)
     return value
 
 

@@ -1,13 +1,14 @@
 """Every name a module imports is used in it, every private name the
 package defines is read in the package, every name tests/helpers.py
-defines is read by the tests or by helpers.py itself, and no two test
-functions have the same arguments and body.
+defines is read by the tests or by helpers.py itself, no two test
+functions have the same arguments and body, and no package module but the
+oracle imports the dense simplex.
 
 No linter runs in the test suite, and deleting code tends to leave stale
 imports and helpers behind.  The import check parses each package module (but
 the package's __init__, which imports to re-export) and each test module; the
-private-name check parses the whole package, and the helper and duplicate
-checks the whole test directory.
+private-name and simplex checks parse the whole package, and the helper and
+duplicate checks the whole test directory.
 """
 
 from __future__ import annotations
@@ -47,6 +48,41 @@ def test_checker_flags_an_unused_name() -> None:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path) -> None:
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def simplex_importers(sources: dict[str, str]) -> list[str]:
+    """The modules, by name, with an import statement, of either form,
+    relative or absolute, that names a module or name called simplex."""
+    importers = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                continue
+            if any(name.split(".")[-1] == "simplex" for name in names):
+                importers.append(module)
+                break
+    return importers
+
+
+def test_simplex_checker_flags_every_import_form() -> None:
+    sources = {
+        "a": "from . import simplex\n",
+        "b": "from .simplex import maximize\n",
+        "c": "import couponprobe.simplex\n",
+        "d": "from couponprobe import model, simplex\n",
+        "e": "from . import model\nfrom .relaxation import solve_lp\n",
+    }
+    assert simplex_importers(sources) == ["a", "b", "c", "d"]
+
+
+def test_only_the_oracle_imports_the_simplex() -> None:
+    # the simplex serves the concave extension's LP alone; the relaxation's
+    # direction LP and the relaxation optimum run on the integer hull walk
+    assert simplex_importers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["oracle"]
 
 
 def names_read(trees) -> set[str]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from couponprobe import oracle
+from couponprobe import oracle, simplex
 from couponprobe.influence import Graph, singleton_influence_table
 from couponprobe.model import (
     Instance,
@@ -42,9 +42,12 @@ from helpers import (
     exact_policy_value,
     guarantee,
     multilinear_by_subsets,
+    multilinear_by_user_subsets,
     optimal_adaptive_value_by_states,
     oracle4_shaped,
     random_tiny_instance,
+    relax48_shaped,
+    relaxation_optimum_by_simplex,
     relaxation_optimum_by_subsets,
     single_user,
     sorted_row,
@@ -405,7 +408,8 @@ def test_multilinear_value_rejects_mass_outside_unit_interval() -> None:
 
 
 def test_lp_size_guard_counts_profiles() -> None:
-    # 5 users with 6 actions each: 7^5 profiles
+    # 5 users with 6 actions each: 7^5 profiles, which the profile LPs
+    # refuse; the multilinear extension builds no profile and is valued
     big = uniform_instance(5, (1.0, 1.2, 1.4), ((0.2, 0.4, 0.6),) * 5, K=2, B=9.0)
     actions = build_action_space(big)
     assert math.prod(1 + sum(a.user == u for a in actions) for u in range(5)) > MAX_LP_COLUMNS
@@ -414,16 +418,30 @@ def test_lp_size_guard_counts_profiles() -> None:
     y = {a: F(1, 8) for a in actions}
     with pytest.raises(OracleSizeError):
         concave_extension_exact(big, y)
-    with pytest.raises(OracleSizeError):
-        multilinear_value_exact(big, y)
+    assert multilinear_value_exact(big, y) == multilinear_by_user_subsets(big, y)
 
 
-def test_fifteen_actions_in_1024_profiles_evaluate() -> None:
-    # 5 users with 3 actions each; a guard on 2^15 action subsets refused it
-    inst = uniform_instance(
+def test_multilinear_value_at_a_relax48_shaped_greedy_point() -> None:
+    # 8 users with 6 actions each: 7^8 profiles and 2^48 action subsets, but
+    # 2^6 action subsets per user and 2^8 seed masks over 2^10 live-edge
+    # outcomes
+    inst = relax48_shaped(0)
+    y = continuous_greedy(inst, RelaxationConfig(delta=1 / 48, marginal_samples=10))
+    assert len(y) == 48
+    assert 0 < multilinear_value_exact(inst, y) == multilinear_by_user_subsets(inst, y)
+
+
+def _fifteen_actions() -> Instance:
+    """5 users with 3 actions each, 1,024 profiles."""
+    return uniform_instance(
         5, (1.0, 1.2), ((0.2, 0.4), (0.3, 0.5), (0.1, 0.6), (0.5, 0.7), (0.4, 0.8)), K=2, B=3.0, W=2,
         edges=((0, 1, 0.5), (1, 2, 0.4), (3, 4, 0.3)),
     )
+
+
+def test_fifteen_actions_in_1024_profiles_evaluate() -> None:
+    # a guard on 2^15 action subsets refused it
+    inst = _fifteen_actions()
     actions = build_action_space(inst)
     assert len(actions) == 15
     # y spends at most B and W, so F(y) <= f+(y) <= OPT+
@@ -431,24 +449,31 @@ def test_fifteen_actions_in_1024_profiles_evaluate() -> None:
     assert 0 < multilinear_value_exact(inst, y) <= concave_relaxation_optimum(inst, use_W=True)
 
 
-def test_relaxation_chain_multilinear_extension_optimum() -> None:
-    # y from the continuous greedy is feasible for the beta-scaled region,
-    # so F(y) <= f+(y) <= OPT+ holds exactly; the ratio F(y)/OPT+ is
-    # reported beside (1-1/e)^2 * beta, not asserted: that bound holds only
-    # up to the delta and marginal-sampling error, which is not derived here
+def _chain_instances() -> list[Instance]:
+    """Three instances of 4 users with 3 actions each, W = 2."""
     gen = np.random.default_rng(44)
-    ratios = []
-    floors = []
-    for k in range(3):
+    out = []
+    for _ in range(3):
         edges = []
         for s in range(4):
             for t in range(4):
                 if s != t and gen.random() < 0.35:
                     edges.append((s, t, round(float(gen.uniform(0.2, 0.8)), 3)))
-        inst = uniform_instance(
+        out.append(uniform_instance(
             4, (1.0, 2.0, 4.0), [sorted_row(gen, 3) for _ in range(4)], K=2, B=4.0, W=2,
             edges=edges,
-        )
+        ))
+    return out
+
+
+def test_relaxation_chain_multilinear_extension_optimum() -> None:
+    # y from the continuous greedy is feasible for the beta-scaled region,
+    # so F(y) <= f+(y) <= OPT+ holds exactly; the ratio F(y)/OPT+ is
+    # reported beside (1-1/e)^2 * beta, not asserted: that bound holds only
+    # up to the delta and marginal-sampling error, which is not derived here
+    ratios = []
+    floors = []
+    for k, inst in enumerate(_chain_instances()):
         assert len(build_action_space(inst)) == 12
         config = RelaxationConfig(delta=0.25, marginal_samples=50, rng_seed=k)
         for use_W in (False, True):
@@ -463,6 +488,24 @@ def test_relaxation_chain_multilinear_extension_optimum() -> None:
         f"relaxation chain: F(y)/OPT+ {min(ratios):.3f}..{max(ratios):.3f} over {len(ratios)} points, "
         f"(1-1/e)^2*beta {min(floors):.3f}..{max(floors):.3f}"
     )
+
+
+def test_relaxation_optimum_equals_the_simplex_formulation_without_the_simplex(monkeypatch) -> None:
+    # the hull walk and the W-row multiplier search against the same profile
+    # LP as a dense simplex tableau, exactly, up to 1,024 profiles; the
+    # simplex is not called
+    cases = [
+        (inst, use_W)
+        for inst in (*_chain_instances(), *_agreement_instances(), _fifteen_actions(), oracle4_shaped(0, users=5))
+        for use_W in (False, True)
+    ]
+    expected = [relaxation_optimum_by_simplex(inst, use_W) for inst, use_W in cases]
+
+    def maximize(*args):
+        raise AssertionError("the simplex was called")
+
+    monkeypatch.setattr(simplex, "maximize", maximize)
+    assert [concave_relaxation_optimum(inst, use_W) for inst, use_W in cases] == expected
 
 
 def test_concave_extension_linear_for_modular_f() -> None:
