@@ -11,12 +11,9 @@ from .instance_io import InstanceFormatError, load_instance, save_instance
 from .model import (
     Action,
     Instance,
-    PolicyTrace,
-    ProbeStep,
     Steps,
     build_action_space,
     check_steps,
-    check_trace,
     low_value_coupons,
 )
 from .oracle import (

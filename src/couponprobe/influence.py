@@ -68,6 +68,18 @@ def _count(value, field: str, index: int | None = None, label: str | None = None
     return count
 
 
+def _positive(value, name: str) -> int:
+    """A count (_count) of at least 1, as a plain int; anything else raises
+    ValueError naming it."""
+    try:
+        count = _count(value, name)
+    except InstanceError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
 def _is_real(value) -> bool:
     """The one rule for real-valued fields: a number of any real type
     (numpy's too) but bool."""
@@ -388,8 +400,7 @@ def influence_mc_stats(
 ) -> tuple[float, float]:
     """Monte Carlo spread estimate with its standard error, over the samples
     of _mc_reach."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    samples = _positive(samples, "samples")
     seed_ids = _seed_list(graph, seeds)
     if not seed_ids:
         return 0.0, 0.0
@@ -415,6 +426,7 @@ def singleton_influence_table(
     shared by every node: node v's entry equals
     influence_mc_stats(graph, [v], samples, rng_seed)[0].
     """
+    samples = _positive(samples, "samples")
     n = graph.node_count
     if len(graph.uncertain_edges) > EXACT_EDGE_LIMIT:
         totals = np.zeros(n, dtype=np.int64)

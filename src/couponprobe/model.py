@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -123,21 +123,6 @@ class Action:
                 raise ValueError("coupon indices must be strictly increasing")
 
 
-class ProbeStep(NamedTuple):
-    user: int
-    coupon_value: float
-    accepted: bool
-
-
-@dataclass
-class PolicyTrace:
-    """Record of one policy run: offers made, budget left after each, seeds won."""
-
-    steps: list[ProbeStep] = field(default_factory=list)
-    budget_after: list[float] = field(default_factory=list)
-    seeds: frozenset[int] = frozenset()
-
-
 def low_value_coupons(instance: Instance) -> list[int]:
     """Indices of coupons worth at most half the budget."""
     return [i for i, c in enumerate(instance.coupons) if c <= instance.B / 2.0]
@@ -222,56 +207,6 @@ def scaled_integers(values: Iterable[numbers.Real]) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in exact]
 
 
-def check_trace(instance: Instance, trace: PolicyTrace, extended: bool = False) -> list[str]:
-    """Constraint violations in a trace; empty when the run was feasible.
-
-    Checks: total redeemed within budget, at most K offers per user, each
-    user's offers contiguous and strictly increasing in value, budget ledger
-    consistent, seeds exactly the accepting users, and (extended mode) at most
-    W distinct users probed.
-    """
-    problems: list[str] = []
-    if len(trace.budget_after) != len(trace.steps):
-        problems.append("budget ledger length differs from step count")
-        return problems
-    budget = instance.B
-    offers: dict[int, int] = {}
-    last_value: dict[int, float] = {}
-    blocks: list[int] = []
-    accepted_users: set[int] = set()
-    for idx, step in enumerate(trace.steps):
-        if not blocks or blocks[-1] != step.user:
-            blocks.append(step.user)
-        if step.user in accepted_users:
-            problems.append(f"step {idx}: user {step.user} probed after accepting")
-        offers[step.user] = offers.get(step.user, 0) + 1
-        if step.user in last_value and step.coupon_value <= last_value[step.user]:
-            problems.append(f"step {idx}: offers to user {step.user} not strictly increasing")
-        last_value[step.user] = step.coupon_value
-        if step.accepted:
-            accepted_users.add(step.user)
-            budget -= step.coupon_value
-        if abs(trace.budget_after[idx] - budget) > 1e-9:
-            problems.append(
-                f"step {idx}: ledger budget {trace.budget_after[idx]} != recomputed {budget}"
-            )
-    if budget < -1e-9:
-        problems.append(f"total redeemed exceeds budget by {-budget}")
-    for user, n in offers.items():
-        if n > instance.K:
-            problems.append(f"user {user} received {n} offers, cap is {instance.K}")
-    if len(blocks) != len(set(blocks)):
-        problems.append("offers to some user are not consecutive")
-    if frozenset(accepted_users) != trace.seeds:
-        problems.append("seed set does not match accepting users")
-    if extended:
-        if instance.W is None:
-            problems.append("extended check requested but instance has no W")
-        elif len(offers) > instance.W:
-            problems.append(f"probed {len(offers)} distinct users, cap is {instance.W}")
-    return problems
-
-
 class Steps(NamedTuple):
     """The probes of a block of runs: row r is one run, column p its p-th
     position in probing order.
@@ -279,10 +214,9 @@ class Steps(NamedTuple):
     user[r, p] is the user probed there (-1: nobody), offers[r, p] the coupon
     indices offered, in order, padded with -1 at the end, accepted[r, p]
     whether the last of them was accepted and spend[r, p] what the run
-    debited for it (0.0 when nothing).  Row r reads as a PolicyTrace: one
-    step per offer, position by position, the last one accepted where
-    accepted says so, and each step's ledger entry B less the spend of every
-    position up to it, a position's own spend counted from its last offer.
+    debited for it (0.0 when nothing).  The run's ledger after each offer is
+    B less the spend of every position up to it, a position's own spend
+    counted from its last offer.
     """
 
     user: np.ndarray
@@ -292,14 +226,16 @@ class Steps(NamedTuple):
 
 
 def check_steps(instance: Instance, steps: Steps, seeded: np.ndarray, extended: bool = False) -> np.ndarray:
-    """Whether check_trace flags each row's trace, for every row at once.
+    """Whether each row breaks a rule of a feasible run, for every row at once.
 
     seeded is the block's bool (n, rows) seed matrix: column r holds row r's
-    seeds.  Each rule of check_trace is one test over the step arrays: the
-    ledger, the redeemed total, the offers and accepts per user, and, for a
-    user probed at several positions, whether another user came between
-    (offers not consecutive), an accept came first, or the offers stopped
-    increasing.
+    seeds.  A row is flagged when its ledger after some offer is more than
+    1e-9 from B less the accepted coupons so far, when those total more than
+    B + 1e-9, when a user is offered more than K coupons, or offers that do not
+    strictly increase, or offers after an accept, or offers with another
+    user's between, when its seeds are not exactly the accepting users, and,
+    in extended mode, when more than W distinct users are probed or the
+    instance has no W.  Each rule is one test over the step arrays.
     """
     user, offers, accepted, spend = steps
     rows, positions = user.shape

@@ -36,12 +36,15 @@ per user.  The extension is solved by the rational simplex; the optimum, a
 multiple-choice knapsack LP over the profiles, by the direction LP's integer
 hull walk and W-row multiplier search.  These are the reference points the
 fast paths are tested against.
+
+Every entry point reads one spread table, a list indexed by the mask of the
+users it needs: the induction by its accepted mask, while the extensions fold
+the users out one at a time, each seeding with its own probability (_fold).
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from fractions import Fraction
 from typing import Collection, Mapping
@@ -51,7 +54,7 @@ from .influence import _exact_spreads
 from .model import (
     Action, Instance, build_action_space, check_actions, exact_expected_cost, scaled_integers, user_groups,
 )
-from .relaxation import _cost_runs, _knapsack_optimum, _lagrangian_optimum
+from .relaxation import _cost_runs, _knapsack_optimum, _lagrangian_optimum, _mass
 
 MAX_ORACLE_STEPS = 800_000
 MAX_SPREAD_CELLS = 2**26
@@ -120,7 +123,6 @@ def optimal_adaptive_value(
         )
     *costs, budget = scaled_integers((*instance.coupons, instance.B))
     spread = _spread_table(instance, range(n))
-    spread = [spread[mask] for mask in range(1 << n)]
     # A state is the sum over users of local state times stride; users[v]
     # holds v's stride, radix, moves per local state and bit.
     users = []
@@ -187,16 +189,21 @@ def optimal_adaptive_value(
     return best(0, 0, budget, 0, 0)
 
 
-def _spread_table(instance: Instance, users: Collection[int]) -> dict[int, float]:
-    """Exact spread of every subset of the users, keyed by user bitmask, from
-    one call of the reach kernel.
+def _spread_table(instance: Instance, users: Collection[int]) -> list[float]:
+    """Exact spread of every subset of the users, indexed by mask, bit k
+    standing for the k-th user given, from one call of the reach kernel.
 
     Refuses, before the call, more than MAX_SPREAD_CELLS cells.
     """
     _check_spread_cells(instance, len(users))
-    seed_sets = [list(s) for r in range(1, len(users) + 1) for s in itertools.combinations(sorted(users), r)]
-    spreads = _exact_spreads(instance.graph, seed_sets) if seed_sets else []
-    return {0: 0.0} | {sum(1 << v for v in s): x for s, x in zip(seed_sets, spreads)}
+    seed_sets = [[v for k, v in enumerate(users) if mask >> k & 1] for mask in range(1, 1 << len(users))]
+    return [0.0, *(_exact_spreads(instance.graph, seed_sets) if seed_sets else ())]
+
+
+def _fold(table: list[Fraction], q: Fraction) -> list[Fraction]:
+    """The table over every user but its lowest bit's, with that user
+    seeding independently with probability q."""
+    return [b + q * (a - b) for b, a in zip(table[0::2], table[1::2])]
 
 
 def _check_spread_cells(instance: Instance, users: int) -> None:
@@ -210,18 +217,6 @@ def _check_spread_cells(instance: Instance, users: int) -> None:
             f"the spread table needs {cells} cells ({users} users, {edges} uncertain edges), "
             f"above the limit of {MAX_SPREAD_CELLS}"
         )
-
-
-def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) -> Fraction:
-    """Exact expected spread when each user v in accept seeds, independently,
-    with probability accept[v]: the way this module values actions, which
-    _profile_columns computes one user at a time."""
-    weights = {0: Fraction(1)}  # seed mask -> probability
-    for v, q in accept.items():
-        seeded = {mask | 1 << v: w * q for mask, w in weights.items()}
-        weights = {mask: w * (1 - q) for mask, w in weights.items()}
-        weights.update(seeded)
-    return sum((w * Fraction(spread[mask]) for mask, w in weights.items() if w), Fraction(0))
 
 
 def _accept(instance: Instance, action: Action) -> Fraction:
@@ -252,37 +247,23 @@ def _profile_columns(instance: Instance, actions: list[Action]) -> tuple[list[tu
     higher-top action: same value, and no more of any row.  An LP over the
     profiles therefore reaches the optimum of the LP over all action subsets.
 
-    A profile's value is _seeding_value's, computed user by user: the spread
-    table, over the masks of the users not yet chosen for, folds its lowest
-    user in once per choice (no action, or an action that seeds the user
-    with probability q), and profiles that share their first choices share
-    the folded tables.  Profiles come in itertools.product order, the last
-    user's choice varying fastest.
+    A profile's value is computed user by user: the spread table, over the
+    users not yet chosen for, folds its lowest user out once per choice (no
+    action, or an action that seeds the user with probability q), and
+    profiles that share their first choices share the folded tables.
+    Profiles come in itertools.product order, the last user's choice
+    varying fastest.
     """
     groups = _by_user(instance, actions)
-    spread = _spread_table(instance, groups)
     accept = [_accept(instance, a) for a in actions]
-    users = list(groups)
-    # bit k of a table index stands for users[k]
-    table = [
-        Fraction(spread[sum(1 << v for k, v in enumerate(users) if m >> k & 1)]) for m in range(1 << len(users))
-    ]
-    level = [((), table)]
+    level = [((), [Fraction(x) for x in _spread_table(instance, groups)])]
     for group in groups.values():
         level = [
-            (p, t[0::2]) if i is None else (p + (i,), [b + accept[i] * (a - b) for b, a in zip(t[0::2], t[1::2])])
+            (p, t[0::2]) if i is None else (p + (i,), _fold(t, accept[i]))
             for p, t in level
             for i in (None, *group)
         ]
     return [p for p, _ in level], [t[0] for _, t in level]
-
-
-def _masses(y: Mapping[Action, object]) -> list[Fraction]:
-    masses = [Fraction(mass) for mass in y.values()]
-    for action, mass in zip(y, masses):
-        if mass < 0 or mass > 1:
-            raise ValueError(f"mass for {action} outside [0, 1]")
-    return masses
 
 
 def concave_extension_exact(instance: Instance, y: Mapping[Action, object]) -> Fraction:
@@ -292,7 +273,7 @@ def concave_extension_exact(instance: Instance, y: Mapping[Action, object]) -> F
     profiles so that each action's total inclusion stays within y, maximizing
     expected utility.
     """
-    masses = _masses(y)
+    masses = [_mass(action, mass) for action, mass in y.items()]
     profiles, values = _profile_columns(instance, list(y))
     lhs = [[Fraction(1)] * len(profiles)]
     lhs += [[Fraction(i in p) for p in profiles] for i in range(len(masses))]
@@ -306,19 +287,21 @@ def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> F
     Users are rounded independently and only each user's top coupon counts,
     so user u seeds independently with probability q_u: walking u's actions
     by descending top coupon, q_u sums none_above * y_a * p(top(a)), where
-    none_above is the product of (1 - y) over the actions walked before a.
+    none_above is the product of (1 - y) over the actions walked before a;
+    each q_u folds u out of the spread table.
     """
-    masses = _masses(y)
+    masses = [_mass(action, mass) for action, mass in y.items()]
     actions = list(y)
     check_actions(instance, actions)
-    accept: dict[int, Fraction] = {}
-    for user, group in user_groups(actions).items():
-        none_above = Fraction(1)
-        accept[user] = Fraction(0)
+    groups = user_groups(actions)
+    table = [Fraction(x) for x in _spread_table(instance, groups)]
+    for group in groups.values():
+        none_above, q = Fraction(1), Fraction(0)
         for i in sorted(group, key=lambda i: -actions[i].coupons[-1]):
-            accept[user] += none_above * masses[i] * _accept(instance, actions[i])
+            q += none_above * masses[i] * _accept(instance, actions[i])
             none_above *= 1 - masses[i]
-    return _seeding_value(_spread_table(instance, accept), accept)
+        table = _fold(table, q)
+    return table[0]
 
 
 def concave_relaxation_optimum(instance: Instance, use_W: bool = False) -> Fraction:

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import influence
-from .influence import BLOCK, _count, _is_real, _sampled_reach, _seeded_union, live_edges
+from .influence import BLOCK, _count, _is_real, _positive, _sampled_reach, _seeded_union, live_edges
 from .model import (
     COST_MODE_THRESHOLD,
     COST_MODES,
@@ -90,13 +90,7 @@ class RelaxationConfig:
             raise ValueError(f"beta must lie in [0, 1/2], got {self.beta!r}")
         if self.delta is not None and not (_is_real(self.delta) and 0.0 < self.delta <= 1.0):
             raise ValueError(f"delta must lie in (0, 1], got {self.delta!r}")
-        try:
-            samples = _count(self.marginal_samples, "marginal_samples")
-        except ValueError:
-            samples = 0
-        if samples < 1:
-            raise ValueError(f"marginal_samples must be a positive integer, got {self.marginal_samples!r}")
-        object.__setattr__(self, "marginal_samples", samples)
+        object.__setattr__(self, "marginal_samples", _positive(self.marginal_samples, "marginal_samples"))
         object.__setattr__(self, "rng_seed", _count(self.rng_seed, "rng_seed"))
         if self.cost_mode not in COST_MODES:
             raise ValueError(f"unknown cost mode {self.cost_mode!r}")
@@ -120,12 +114,22 @@ def user_mass(y: Mapping[Action, Fraction]) -> dict[int, Fraction]:
     return mass
 
 
+def _mass(action: Action, value) -> Fraction:
+    """One mass of a point y, a real number (_is_real) in [0, 1], as an exact
+    rational; anything else, non-finite values too, raises ValueError naming
+    the action."""
+    if not _is_real(value):
+        raise ValueError(f"mass for {action} must be a real number, got {value!r}")
+    if not 0 <= value <= 1:
+        raise ValueError(f"mass for {action} outside [0, 1]: {value}")
+    return Fraction(value)
+
+
 def check_fractional(y: Mapping[Action, Fraction]) -> None:
-    """Raise ValueError unless every mass lies in [0, 1] and no user carries
-    more than one unit."""
+    """Raise ValueError unless every mass is a real number in [0, 1] and no
+    user carries more than one unit."""
     for action, value in y.items():
-        if not 0 <= Fraction(value) <= 1:
-            raise ValueError(f"mass for {action} outside [0, 1]: {value}")
+        _mass(action, value)
     for user, mass in user_mass(y).items():
         if mass > 1:
             raise ValueError(f"user {user} carries fractional mass {mass} > 1")

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import BLOCK, live_edges, sampled_spreads
+from .influence import BLOCK, _positive, live_edges, sampled_spreads
 from .model import Instance, Steps, check_steps, low_value_coupons
 from .relaxation import RelaxationConfig
 from .rounding import ROUNDING_DRAWS, Alg1Policy
@@ -202,8 +202,7 @@ def evaluate_policy(
     Every world of a block is then scored in one reach-kernel pass and
     checked for feasibility by check_steps (see _simulate).
     """
-    if worlds < 1:
-        raise ValueError("worlds must be positive")
+    worlds = _positive(worlds, "worlds")
     total = 0
     total_sq = 0
     violations = 0

@@ -4,9 +4,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -22,11 +22,8 @@ from couponprobe.model import (
     COST_MODE_THRESHOLD,
     Action,
     Instance,
-    PolicyTrace,
-    ProbeStep,
     Steps,
     build_action_space,
-    check_trace,
     exact_expected_cost,
 )
 from couponprobe.oracle import OracleSizeError, _profile_columns, _spread_table, conditional_accept
@@ -44,6 +41,71 @@ from couponprobe.sequencing import (
     StochCpPolicy,
     first_accept_value,
 )
+
+
+class ProbeStep(NamedTuple):
+    user: int
+    coupon_value: float
+    accepted: bool
+
+
+@dataclass
+class PolicyTrace:
+    """Record of one policy run: offers made, budget left after each, seeds won."""
+
+    steps: list[ProbeStep] = field(default_factory=list)
+    budget_after: list[float] = field(default_factory=list)
+    seeds: frozenset[int] = frozenset()
+
+
+def check_trace(instance: Instance, trace: PolicyTrace, extended: bool = False) -> list[str]:
+    """Constraint violations in a trace; empty when the run was feasible.
+
+    Checks: total redeemed within budget, at most K offers per user, each
+    user's offers contiguous and strictly increasing in value, budget ledger
+    consistent, seeds exactly the accepting users, and (extended mode) at most
+    W distinct users probed.
+    """
+    problems: list[str] = []
+    if len(trace.budget_after) != len(trace.steps):
+        problems.append("budget ledger length differs from step count")
+        return problems
+    budget = instance.B
+    offers: dict[int, int] = {}
+    last_value: dict[int, float] = {}
+    blocks: list[int] = []
+    accepted_users: set[int] = set()
+    for idx, step in enumerate(trace.steps):
+        if not blocks or blocks[-1] != step.user:
+            blocks.append(step.user)
+        if step.user in accepted_users:
+            problems.append(f"step {idx}: user {step.user} probed after accepting")
+        offers[step.user] = offers.get(step.user, 0) + 1
+        if step.user in last_value and step.coupon_value <= last_value[step.user]:
+            problems.append(f"step {idx}: offers to user {step.user} not strictly increasing")
+        last_value[step.user] = step.coupon_value
+        if step.accepted:
+            accepted_users.add(step.user)
+            budget -= step.coupon_value
+        if abs(trace.budget_after[idx] - budget) > 1e-9:
+            problems.append(
+                f"step {idx}: ledger budget {trace.budget_after[idx]} != recomputed {budget}"
+            )
+    if budget < -1e-9:
+        problems.append(f"total redeemed exceeds budget by {-budget}")
+    for user, n in offers.items():
+        if n > instance.K:
+            problems.append(f"user {user} received {n} offers, cap is {instance.K}")
+    if len(blocks) != len(set(blocks)):
+        problems.append("offers to some user are not consecutive")
+    if frozenset(accepted_users) != trace.seeds:
+        problems.append("seed set does not match accepting users")
+    if extended:
+        if instance.W is None:
+            problems.append("extended check requested but instance has no W")
+        elif len(offers) > instance.W:
+            problems.append(f"probed {len(offers)} distinct users, cap is {instance.W}")
+    return problems
 
 
 def edgeless(n: int) -> Graph:
@@ -725,6 +787,18 @@ def multilinear_by_user_subsets(instance: Instance, y) -> Fraction:
             weight *= accept[v] if v in seeds else 1 - accept[v]
         total += weight * Fraction(spread)
     return total
+
+
+def _seeding_value(spread: Mapping[int, float], accept: Mapping[int, Fraction]) -> Fraction:
+    """Exact expected spread when each user v in accept seeds, independently,
+    with probability accept[v]: the way the oracle values actions, which
+    _profile_columns computes one user at a time."""
+    weights = {0: Fraction(1)}  # seed mask -> probability
+    for v, q in accept.items():
+        seeded = {mask | 1 << v: w * q for mask, w in weights.items()}
+        weights = {mask: w * (1 - q) for mask, w in weights.items()}
+        weights.update(seeded)
+    return sum((w * Fraction(spread[mask]) for mask, w in weights.items() if w), Fraction(0))
 
 
 def relaxation_optimum_by_subsets(instance: Instance, use_W: bool = False) -> Fraction:

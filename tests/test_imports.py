@@ -1,14 +1,17 @@
 """Every name a module imports is used in it, every private name the
-package defines is read in the package, every name tests/helpers.py
-defines is read by the tests or by helpers.py itself, no two test
-functions have the same arguments and body, and no package module but the
-oracle imports the dense simplex.
+package defines is read in the package, every public name it defines is
+read in the package, the benchmark or the tests, every name
+tests/helpers.py defines is read by the tests or by helpers.py itself, no
+two test functions have the same arguments and body, and no package module
+but the oracle imports the dense simplex.
 
-No linter runs in the test suite, and deleting code tends to leave stale
-imports and helpers behind.  The import check parses each package module (but
-the package's __init__, which imports to re-export) and each test module; the
-private-name and simplex checks parse the whole package, and the helper and
-duplicate checks the whole test directory.
+No linter runs in the test suite, and deleting or moving code tends to leave
+stale imports, helpers and public names behind.  The import check parses each
+package module (but the package's __init__, which imports to re-export) and
+each test module; the private-name and simplex checks parse the whole
+package, the public-name check reads it from the package but its __init__,
+perfbench/ and the tests, and the helper and duplicate checks parse the whole
+test directory.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "couponprobe").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"] + TESTS)
 
 
@@ -135,6 +139,33 @@ def test_private_name_checker_flags_an_unread_name() -> None:
 
 def test_every_private_package_name_is_read() -> None:
     assert unread_private_names({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+def unread_public_names(defining: dict[str, str], reading: dict[str, str]) -> list[str]:
+    """Module-level public names (no leading underscore) that one of the
+    defining sources defines and none of the reading sources reads.  Both
+    map a module's name to its text."""
+    read = names_read(ast.parse(source) for source in reading.values())
+    return [f"{module}: {name}" for module, source in defining.items() for name in top_level_names(ast.parse(source))
+            if not name.startswith("_") and name not in read]
+
+
+def test_public_name_checker_flags_an_unread_name() -> None:
+    defining = {
+        "a": "ONE = 1\nTWO: int = 2\ndef f():\n    return ONE\nclass C: pass\ndef _g(): pass\n",
+        "b": "def h(): pass\ndef dead(): pass\n__all__ = []\n",
+    }
+    reading = {"a": defining["a"], "t": "import b\nfrom a import C\nb.h()\n"}
+    assert unread_public_names(defining, reading) == ["a: TWO", "a: f", "b: dead"]
+
+
+def test_every_public_package_name_is_read() -> None:
+    # the package's __init__ re-exports names; that alone is no reader
+    readers = [p for p in PACKAGE if p.name != "__init__.py"] + TESTS + BENCH
+    assert unread_public_names(
+        {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE},
+        {f"{p.parent.name}/{p.name}": p.read_text(encoding="utf-8") for p in readers},
+    ) == []
 
 
 def unread_helpers(sources: dict[str, str]) -> list[str]:

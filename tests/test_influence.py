@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ def test_mc_requires_positive_samples() -> None:
     g = edgeless(1)
     with pytest.raises(ValueError):
         influence_mc_stats(g, {0}, samples=0, rng_seed=0)
+    # 25 uncertain edges, so the singleton table takes the Monte Carlo path;
+    # a bool, a float or a string is not read as a count
+    g = Graph(node_count=EXACT_EDGE_LIMIT + 6, edges=tuple((0, t, 0.5) for t in range(1, EXACT_EDGE_LIMIT + 6)))
+    assert len(g.uncertain_edges) == 25
+    for samples in (0, -3, True, 2.5, 3.0, "10"):
+        for call in (singleton_influence_table, lambda g, samples: influence_mc_stats(g, [0], samples, rng_seed=0)):
+            with pytest.raises(ValueError, match=re.escape(f"samples must be a positive integer, got {samples!r}")):
+                call(g, samples=samples)
+    assert influence_mc_stats(g, [0], samples=np.int64(4), rng_seed=0) == influence_mc_stats(g, [0], 4, rng_seed=0)
 
 
 def _all_small_graphs():

@@ -14,11 +14,8 @@ from couponprobe.model import (
     MAX_ACTIONS,
     Action,
     Instance,
-    PolicyTrace,
-    ProbeStep,
     Steps,
     build_action_space,
-    check_trace,
     exact_expected_cost,
     low_value_coupons,
     scaled_integers,
@@ -34,7 +31,10 @@ from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
 from couponprobe.sequencing import Alg2Policy, alg2_dp
 
 from helpers import (
+    PolicyTrace,
+    ProbeStep,
     act,
+    check_trace,
     edgeless,
     planned,
     run_blocks,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from couponprobe import oracle, simplex
 from couponprobe.influence import Graph, singleton_influence_table
 from couponprobe.model import (
     Instance,
-    PolicyTrace,
     build_action_space,
     user_groups,
 )
@@ -22,7 +22,6 @@ from couponprobe.oracle import (
     OracleSizeError,
     _accept,
     _profile_columns,
-    _seeding_value,
     _spread_table,
     concave_extension_exact,
     concave_relaxation_optimum,
@@ -30,11 +29,19 @@ from couponprobe.oracle import (
     multilinear_value_exact,
     optimal_adaptive_value,
 )
-from couponprobe.relaxation import RelaxationConfig, continuous_greedy, default_beta_basic, default_beta_extended
+from couponprobe.relaxation import (
+    RelaxationConfig,
+    check_fractional,
+    continuous_greedy,
+    default_beta_basic,
+    default_beta_extended,
+)
 from couponprobe.sequencing import Alg2Policy, StochCpPolicy, alg2_plan, alg2_value, evaluate_policy
 
 from helpers import (
+    PolicyTrace,
     _random_edges,
+    _seeding_value,
     act,
     alg2_execute,
     concave_extension_by_subsets,
@@ -388,13 +395,31 @@ def test_profile_values_equal_per_profile_seeding_values() -> None:
     for inst in (*_agreement_instances(), oracle4_shaped(1)):
         actions = build_action_space(inst)
         groups = user_groups(actions)
-        spread = _spread_table(inst, groups)
+        spread = {sum(1 << v for k, v in enumerate(groups) if m >> k & 1): x
+                  for m, x in enumerate(_spread_table(inst, groups))}
         profiles, values = _profile_columns(inst, actions)
         assert profiles == [
             tuple(i for i in combo if i is not None)
             for combo in itertools.product(*([None, *group] for group in groups.values()))
         ]
         assert values == [_seeding_value(spread, {actions[i].user: _accept(inst, actions[i]) for i in p}) for p in profiles]
+
+
+def test_extensions_read_y_in_any_order() -> None:
+    # bit k of the spread table stands for the k-th user among y's keys, so
+    # y out of user order, reversed or shuffled, must value exactly as the
+    # references do; the concave extension's reference, an LP over 2^|S|
+    # subsets, takes at most 7 of oracle4's 12 actions
+    gen = np.random.default_rng(59)
+    for inst in (*_agreement_instances(), oracle4_shaped(0), oracle4_shaped(1), oracle4_shaped(2)):
+        actions = build_action_space(inst)
+        y = {a: F(int(gen.integers(0, 5)), 4) for a in actions}
+        shuffled = [actions[i] for i in gen.permutation(len(actions))]
+        for order in (actions[::-1], shuffled):
+            assert [a.user for a in order] != sorted(a.user for a in order)
+            assert multilinear_value_exact(inst, {a: y[a] for a in order}) == multilinear_by_user_subsets(inst, y)
+            part = {a: y[a] for a in order[:7]}
+            assert concave_extension_exact(inst, part) == concave_extension_by_subsets(inst, part)
 
 
 def test_multilinear_value_rejects_mass_outside_unit_interval() -> None:
@@ -405,6 +430,18 @@ def test_multilinear_value_rejects_mass_outside_unit_interval() -> None:
             multilinear_value_exact(inst, {a: bad, b: F(1, 2)})
         with pytest.raises(ValueError, match="outside"):
             concave_extension_exact(inst, {a: bad, b: F(1, 2)})
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, math.inf, -math.inf, math.nan, None])
+def test_fractional_points_refuse_masses_that_are_not_finite_reals(bad) -> None:
+    inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=3.0)
+    a, b = build_action_space(inst)
+    for call in (multilinear_value_exact, concave_extension_exact, lambda _, y: check_fractional(y)):
+        with pytest.raises(ValueError, match=re.escape(f"mass for {a}")):
+            call(inst, {a: bad, b: 0.5})
+    # numpy's reals are reals
+    half = multilinear_value_exact(inst, {a: F(1, 2), b: F(1, 2)})
+    assert multilinear_value_exact(inst, {a: np.float64(0.5), b: 0.5}) == half
 
 
 def test_lp_size_guard_counts_profiles() -> None:

@@ -33,7 +33,7 @@ CLASSES = {obj for module in PACKAGE.values() for obj in vars(module).values()
            if inspect.isclass(obj) and obj.__module__.startswith("couponprobe.")}
 MAP_ROWS = [line for line in README.read_text().split("## Library map", 1)[1].split("\n## ", 1)[0].splitlines()
             if line.startswith("|")]
-# a backticked name with a dot or an underscore: `model.check_trace`, `run_block`
+# a backticked name with a dot or an underscore: `model.check_steps`, `run_block`
 CODE_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+|[a-z][a-z0-9]*(?:_[a-z0-9]+)+")
 
 
@@ -71,9 +71,9 @@ def names_package_code(name: str) -> bool:
 
 
 def test_code_name_checker() -> None:
-    for name in ("instance_io", "check_steps", "run_block", "model.check_trace", "Alg1Policy.run_block"):
+    for name in ("instance_io", "check_steps", "run_block", "model.check_steps", "Alg1Policy.run_block"):
         assert names_package_code(name), name
-    for name in ("no_such_name", "model.no_such_name", "Alg1Policy.no_such_name", "no_module.check_trace"):
+    for name in ("no_such_name", "model.no_such_name", "Alg1Policy.no_such_name", "no_module.check_steps"):
         assert not names_package_code(name), name
 
 

@@ -10,7 +10,6 @@ from couponprobe.model import (
     Steps,
     build_action_space,
     check_steps,
-    check_trace,
     exact_expected_cost,
     low_value_coupons,
 )
@@ -21,6 +20,7 @@ from couponprobe.sequencing import evaluate_policy
 from helpers import (
     act,
     alg1_trace,
+    check_trace,
     make_world,
     oracle4_shaped,
     planned,

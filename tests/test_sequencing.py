@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from couponprobe import influence, sequencing
 from couponprobe.cli import make_policy
 from couponprobe.influence import BLOCK, Graph, singleton_influence_table
-from couponprobe.model import Instance, check_steps, check_trace
+from couponprobe.model import Instance, check_steps
 from couponprobe.relaxation import RelaxationConfig
 from couponprobe.rounding import Alg1Policy
 from couponprobe.sequencing import (
@@ -28,6 +29,7 @@ from couponprobe.sequencing import (
 
 from helpers import (
     alg2_execute,
+    check_trace,
     dp_brute_force,
     evaluate_world_by_world,
     make_world,
@@ -361,6 +363,11 @@ def test_evaluate_requires_worlds() -> None:
     inst = _inst([0.5])
     with pytest.raises(ValueError):
         evaluate_policy(inst, Alg2Policy(inst), worlds=0)
+    # a bool, a float or a string is not read as a count
+    for worlds in (True, 3.0, -1, "5"):
+        with pytest.raises(ValueError, match=re.escape(f"worlds must be a positive integer, got {worlds!r}")):
+            evaluate_policy(inst, Alg2Policy(inst), worlds=worlds)
+    assert evaluate_policy(inst, Alg2Policy(inst), worlds=np.int64(3)).worlds == 3
 
 
 def test_evaluate_rejects_other_policy_types() -> None:
