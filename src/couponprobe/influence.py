@@ -401,6 +401,7 @@ def influence_mc_stats(
     """Monte Carlo spread estimate with its standard error, over the samples
     of _mc_reach."""
     samples = _positive(samples, "samples")
+    rng_seed = _count(rng_seed, "rng_seed")
     seed_ids = _seed_list(graph, seeds)
     if not seed_ids:
         return 0.0, 0.0
@@ -427,6 +428,7 @@ def singleton_influence_table(
     influence_mc_stats(graph, [v], samples, rng_seed)[0].
     """
     samples = _positive(samples, "samples")
+    rng_seed = _count(rng_seed, "rng_seed")
     n = graph.node_count
     if len(graph.uncertain_edges) > EXACT_EDGE_LIMIT:
         totals = np.zeros(n, dtype=np.int64)

@@ -33,9 +33,10 @@ The multilinear extension, which at a 0/1 point is the value of that action
 set, the concave extension and the concave relaxation's optimum are exact
 rationals, and the last two are LPs over action profiles, at most one action
 per user.  The extension is solved by the rational simplex; the optimum, a
-multiple-choice knapsack LP over the profiles, by the direction LP's integer
-hull walk and W-row multiplier search.  These are the reference points the
-fast paths are tested against.
+multiple-choice knapsack LP over the profiles, by the LP solver the
+continuous greedy's direction uses (relaxation._ColumnLP), every profile in
+one group.  These are the reference points the fast paths are tested
+against.
 
 Every entry point reads one spread table, a list indexed by the mask of the
 users it needs: the induction by its accepted mask, while the extensions fold
@@ -54,7 +55,7 @@ from .influence import _exact_spreads
 from .model import (
     Action, Instance, build_action_space, check_actions, exact_expected_cost, scaled_integers, user_groups,
 )
-from .relaxation import _cost_runs, _knapsack_optimum, _lagrangian_optimum, _mass
+from .relaxation import _ColumnLP, _mass
 
 MAX_ORACLE_STEPS = 800_000
 MAX_SPREAD_CELLS = 2**26
@@ -86,7 +87,7 @@ def optimal_adaptive_value(
     rounds, and `use_W` caps the number of distinct users probed.
     """
     if use_W and instance.W is None:
-        raise ValueError("use_W requires an instance with W set")
+        raise ValueError("extended mode requires an instance with W set")
 
     n = instance.n_users
     K = instance.K
@@ -312,23 +313,16 @@ def concave_relaxation_optimum(instance: Instance, use_W: bool = False) -> Fract
     bounds every feasible non-adaptive action set.  A profile column holds at
     most one action per user, so the total-mass row implies the per-user rows.
 
-    What is left is the direction LP with every profile in one group: its
-    hull walk, on the profiles' values and, scaled together, their costs and
-    B, gives the optimum without the W row; when that vertex probes more
-    than W users in expectation, the W-row multiplier search, each profile
-    sized by its user count, gives it with the row.
+    What is left is the direction LP's _ColumnLP with every profile in one
+    group, costing the sum of its actions' costs and sized by its user count,
+    with the budget B and, with use_W, the cap W.
     """
     if use_W and instance.W is None:
-        raise ValueError("use_W requires an instance with W set")
+        raise ValueError("extended mode requires an instance with W set")
     actions = build_action_space(instance)
     profiles, values = _profile_columns(instance, actions)
     action_costs = [exact_expected_cost(instance, a) for a in actions]
-    *costs, budget = scaled_integers([*(sum((action_costs[i] for i in p), Fraction(0)) for p in profiles), instance.B])
-    weights = scaled_integers(values)
-    group = _cost_runs([list(range(len(profiles)))], costs)
-    x = _knapsack_optimum(group, weights, budget)
-    if use_W:
-        sizes = [len(p) for p in profiles]
-        if sum(sizes[i] * v for i, v in x.items()) > instance.W:
-            x = _lagrangian_optimum(group, weights, sizes, budget, Fraction(instance.W), x)
-    return sum((values[i] * v for i, v in x.items()), Fraction(0))
+    costs = [sum((action_costs[i] for i in p), Fraction(0)) for p in profiles]
+    cap = Fraction(instance.W) if use_W else None
+    lp = _ColumnLP([list(range(len(profiles)))], costs, Fraction(instance.B), [len(p) for p in profiles], cap)
+    return sum((values[i] * v for i, v in lp.solve(scaled_integers(values)).items()), Fraction(0))

@@ -2,10 +2,11 @@
 
 The fractional solution lives on the action space (user, coupon sequence).
 Marginal utilities are estimated by Monte Carlo with common random numbers,
-a block of samples at a time; the direction-finding LP is solved exactly on
-integers, by a walk over the users' convex hulls and, when the W row binds, a
-search over the W row's Lagrange multiplier made of such walks; and the
-ascent accumulates in exact arithmetic so the scaled constraints hold with no
+a block of samples at a time; the direction-finding LP, a _ColumnLP, which
+the oracle's relaxation optimum solves too, is solved exactly on integers,
+by a walk over the groups' convex hulls and, when the W row binds, a search
+over the W row's Lagrange multiplier made of such walks; and the ascent
+accumulates in exact arithmetic so the scaled constraints hold with no
 slack.
 
 The ascent runs on action indices.  Its marginal samples do not depend on
@@ -107,10 +108,11 @@ class RelaxationConfig:
 
 
 def user_mass(y: Mapping[Action, Fraction]) -> dict[int, Fraction]:
-    """Total fractional mass per user of a point y on the action space."""
+    """Total fractional mass per user of a point y on the action space, each
+    mass read by _mass."""
     mass: dict[int, Fraction] = {}
     for action, value in y.items():
-        mass[action.user] = mass.get(action.user, Fraction(0)) + Fraction(value)
+        mass[action.user] = mass.get(action.user, ZERO) + _mass(action, value)
     return mass
 
 
@@ -128,8 +130,6 @@ def _mass(action: Action, value) -> Fraction:
 def check_fractional(y: Mapping[Action, Fraction]) -> None:
     """Raise ValueError unless every mass is a real number in [0, 1] and no
     user carries more than one unit."""
-    for action, value in y.items():
-        _mass(action, value)
     for user, mass in user_mass(y).items():
         if mass > 1:
             raise ValueError(f"user {user} carries fractional mass {mass} > 1")
@@ -238,7 +238,7 @@ def estimate_marginals(
 ) -> dict[Action, float]:
     """Monte Carlo estimate of each action's marginal utility at y.
 
-    y's masses may be floats or Fractions; they are read as floats.
+    y's masses may be floats or Fractions (_mass); they are read as floats.
 
     Samples are drawn in blocks of BLOCK.  Block b draws one row per sample
     in one call on the stream keyed by (rng_seed, iteration, b): each user's
@@ -263,7 +263,7 @@ def estimate_marginals(
     if not actions:
         return {}
     sampler = _Sampler(instance, actions, config)
-    probs = np.array([float(p) for p in y.values()])
+    probs = np.array([float(_mass(a, p)) for a, p in y.items()])
     totals = sampler.totals(probs, sampler.samples(iteration, 1))
     return dict(zip(actions, (totals / sampler.samples_per_step).tolist()))
 
@@ -311,8 +311,8 @@ class _Segment:
 
 
 def _knapsack_optimum(users: list[_CostRuns], weights: list[int], budget: int) -> dict[int, Fraction]:
-    """An optimum of the direction LP without the W row, as its nonzero
-    masses by action index.
+    """An optimum of the LP (_ColumnLP) without the W row, as its nonzero
+    masses by column index.
 
     Without W the LP is a multiple-choice knapsack LP: each user picks a point
     in the convex hull of the origin and its actions' (cost, weight) points.
@@ -391,52 +391,47 @@ def _knapsack_optimum(users: list[_CostRuns], weights: list[int], budget: int) -
     return x
 
 
-def _lagrangian_optimum(
-    users: list[_CostRuns], weights: list[int], sizes: list[int], budget: int, cap: Fraction, heavy: dict[int, Fraction]
-) -> dict[int, Fraction]:
-    """An optimum of the direction LP with the W row sum(sizes * x) <= cap,
-    given heavy, the hull walk's vertex without it, whose size exceeds cap.
+def _lagrangian_optimum(lp: _ColumnLP, weights: list[int], heavy: dict[int, Fraction]) -> dict[int, Fraction]:
+    """An optimum of the LP with its W row sum(sizes * x) <= cap, given
+    heavy, the hull walk's vertex without it, whose size exceeds cap.
 
-    sizes holds each column's integer coefficient in the W row: 1 for an
-    action, the number of users for an oracle profile.  Only a column of
-    weight 0, which no walk gives mass, may have size 0.  Pricing the W row
-    at mu leaves the LP without it on the weights w - mu*s; each vertex x
-    has the line value(x) - mu * size(x) there, and the Lagrangian dual is
-    the upper envelope of these lines (plus mu * cap), convex in mu.  The
-    search keeps a heavy vertex (size above cap) and a light one (size
-    below; at first the empty vertex) and probes where their lines meet, a
-    Newton step on the envelope: one hull walk on the integer weights
-    q*w - p*s for mu = p/q.  A probe whose value lies on the two lines
-    proves that mu minimizes the dual, and the convex combination of the
-    two vertices with size exactly cap is then optimal; a probe above the
-    lines replaces the vertex on its side of cap, or is itself optimal when
-    its size is cap.  Each probe raises the lower of the two lines' meeting
-    value, so no pair comes back and the search ends.  mu stays at or above
-    0, where the heavy vertex's line touches the envelope, so the W row is
-    priced with the sign its dual needs.
+    Pricing the W row at mu leaves the LP without it on the weights
+    w - mu*s; each vertex x has the line value(x) - mu * size(x) there, and
+    the Lagrangian dual is the upper envelope of these lines (plus mu * cap),
+    convex in mu.  The search keeps a heavy vertex (size above cap) and a
+    light one (size below; at first the empty vertex) and probes where their
+    lines meet, a Newton step on the envelope: one hull walk on the integer
+    weights q*w - p*s for mu = p/q.  A probe whose value lies on the two
+    lines proves that mu minimizes the dual, and the convex combination of
+    the two vertices with size exactly cap is then optimal; a probe above
+    the lines replaces the vertex on its side of cap, or is itself optimal
+    when its size is cap.  Each probe raises the lower of the two lines'
+    meeting value, so no pair comes back and the search ends.  mu stays at
+    or above 0, where the heavy vertex's line touches the envelope, so the W
+    row is priced with the sign its dual needs.
     """
     light: dict[int, Fraction] = {}
-    if cap == 0:
+    if lp.cap == 0:
         return light
 
     def line(x: dict[int, Fraction]) -> tuple[Fraction, Fraction]:
-        return sum((weights[i] * v for i, v in x.items()), ZERO), sum((sizes[i] * v for i, v in x.items()), ZERO)
+        return sum((weights[i] * v for i, v in x.items()), ZERO), sum((lp.sizes[i] * v for i, v in x.items()), ZERO)
 
     (hv, hm), (lv, lm) = line(heavy), (ZERO, ZERO)
     while True:
         mu = (hv - lv) / (hm - lm)
         p, q = mu.numerator, mu.denominator
-        x = _knapsack_optimum(users, [q * w - p * s for w, s in zip(weights, sizes)], budget)
+        x = _knapsack_optimum(lp.runs, [q * w - p * s for w, s in zip(weights, lp.sizes)], lp.budget)
         v, m = line(x)
         if v - mu * m == hv - mu * hm:
             break
-        if m == cap:
+        if m == lp.cap:
             return x
-        if m > cap:
+        if m > lp.cap:
             heavy, hv, hm = x, v, m
         else:
             light, lv, lm = x, v, m
-    t = (cap - lm) / (hm - lm)
+    t = (lp.cap - lm) / (hm - lm)
     z = {i: t * v for i, v in heavy.items()}
     for i, v in light.items():
         z[i] = z.get(i, ZERO) + (1 - t) * v
@@ -465,36 +460,38 @@ def _dependence(effects: list[tuple[int, ...]]) -> dict[int, int] | None:
     return None
 
 
-def _vertex(z: dict[int, Fraction], costs: list[int], groups: list[list[int]], budget: int) -> dict[int, Fraction]:
-    """A vertex of the direction LP reached from z, an optimum whose W row
-    is tight, along the face of optima.
+def _vertex(lp: _ColumnLP, z: dict[int, Fraction]) -> dict[int, Fraction]:
+    """A vertex of the LP reached from z, an optimum whose W row is tight,
+    along the face of optima.
 
-    z moves only along the directions its support leaves free: a user below
-    one unit may change each of their masses, and a user at one unit may
-    move mass from their first action in the support to another.  Each such
-    move changes the W row and, when the budget row is tight, the budget row
-    by integer amounts.  While the moves' effects on those rows are linearly
-    dependent, z steps along the first vanishing combination (_dependence,
-    moves by user, in action order), in the direction that raises the first
-    move in it, until a mass reaches 0, a user reaches one unit, or the
-    budget row becomes tight.  Each step ends a move or adds the budget row,
-    so the loop ends, at a point whose free moves are independent on at most
-    two rows: at most two moves, and every fractional user has one, so at
-    most two users are fractional.  A step along a vanishing combination
-    changes no tight row, and its objective change is 0 because z is optimal
-    and may step either way.
+    z moves only along the directions its support leaves free: a group below
+    one unit may change each of its masses, and a group at one unit may move
+    mass from its first column in the support to another.  Each such move
+    changes the W row (by the columns' sizes) and, when the budget row is
+    tight, the budget row by integer amounts.  While the moves' effects on
+    those rows are linearly dependent, z steps along the first vanishing
+    combination (_dependence, moves by group, in column order), in the
+    direction that raises the first move in it, until a mass reaches 0, a
+    group reaches one unit, or the budget row becomes tight.  Each step ends
+    a move or adds the budget row, so the loop ends, at a point whose free
+    moves are independent on at most two rows: at most two moves, and every
+    fractional group has one, so at most two groups are fractional.  A step
+    along a vanishing combination changes no tight row, and its objective
+    change is 0 because z is optimal and may step either way.
     """
+    costs, sizes = lp.costs, lp.sizes
     while True:
         cost = sum((costs[i] * v for i, v in z.items()), ZERO)
         moves: list[dict[int, int]] = []
-        for idx in groups:
+        for idx in lp.groups:
             support = [i for i in idx if i in z]
             if sum((z[i] for i in support), ZERO) == 1:
                 moves += [{i: 1, support[0]: -1} for i in support[1:]]
             else:
                 moves += [{i: 1} for i in support]
-        tight = cost == budget
-        comb = _dependence([(sum(d.values()), sum(costs[i] * s for i, s in d.items()))[:1 + tight] for d in moves])
+        tight = cost == lp.budget
+        effects = [(sum(sizes[i] * s for i, s in d.items()), sum(costs[i] * s for i, s in d.items())) for d in moves]
+        comb = _dependence([effect[:1 + tight] for effect in effects])
         if comb is None:
             return z
         sign = 1 if comb[min(comb)] > 0 else -1  # the first move of the combination gains
@@ -503,13 +500,13 @@ def _vertex(z: dict[int, Fraction], costs: list[int], groups: list[list[int]], b
             for i, s in moves[j].items():
                 direction[i] = direction.get(i, 0) + sign * coefficient * s
         bounds = [-z[i] / s for i, s in direction.items() if s < 0]
-        for idx in groups:
+        for idx in lp.groups:
             rise = sum(direction.get(i, 0) for i in idx)
             if rise > 0:
                 bounds.append((1 - sum((z[i] for i in idx if i in z), ZERO)) / rise)
         spend = sum(costs[i] * s for i, s in direction.items())
         if spend > 0 and not tight:
-            bounds.append((budget - cost) / spend)
+            bounds.append((lp.budget - cost) / spend)
         step = min(bounds)
         for i, s in direction.items():
             z[i] = z.get(i, ZERO) + step * s
@@ -517,42 +514,47 @@ def _vertex(z: dict[int, Fraction], costs: list[int], groups: list[list[int]], b
                 del z[i]
 
 
-class _DirectionLP:
-    """The direction LP over a fixed list of actions, with every part but its
-    weights built once: the actions of each user split into runs of equal
-    integer cost and the integer budget (scaled_integers), for the hull walk,
-    and the W row, every action of size 1, with its bound beta*W when it is
-    used.  Weights come as ints."""
+class _ColumnLP:
+    """Maximize weights * x, x in [0, 1], with at most one unit per group of
+    columns, the budget row costs * x <= budget and, unless cap is None, the
+    W row sizes * x <= cap: the direction LP (_direction_lp) and the oracle's
+    relaxation optimum.  costs and budget are exact and scaled to ints once,
+    with each group's cost runs; sizes are ints, 0 only for a column of
+    weight 0, which no walk gives mass; weights come as ints."""
 
     def __init__(
-        self,
-        instance: Instance,
-        actions: list[Action],
-        beta: float,
-        use_W: bool,
-        costs: Mapping[Action, Fraction],
+        self, groups: list[list[int]], costs: list[Fraction], budget: Fraction, sizes: list[int], cap: Fraction | None
     ):
-        if use_W and instance.W is None:
-            raise ValueError("use_W requires an instance with W set")
-        if not 0.0 <= beta <= 0.5:
-            raise ValueError("beta must lie in [0, 1/2]")
-        budget = Fraction(beta) * Fraction(instance.B)
-        *self.costs, self.budget = scaled_integers([*(costs[a] for a in actions), budget])
-        self.groups = list(user_groups(actions).values())
-        self.users = _cost_runs(self.groups, self.costs)
-        self.sizes = [1] * len(actions)
-        self.cap = Fraction(beta) * Fraction(instance.W) if use_W else None
+        *self.costs, self.budget = scaled_integers([*costs, budget])
+        self.groups = groups
+        self.runs = _cost_runs(groups, self.costs)
+        self.sizes = sizes
+        self.cap = cap
 
     def solve(self, weights: list[int]) -> dict[int, Fraction]:
-        """An exact optimal direction for these integer weights, as its
-        nonzero masses by action index: the hull walk's vertex when the W row
-        is absent or that vertex meets it, else the vertex _vertex reaches
-        from _lagrangian_optimum's combination of two walk vertices."""
-        x = _knapsack_optimum(self.users, weights, self.budget)
-        if self.cap is None or sum(x.values(), ZERO) <= self.cap:
+        """An exact optimum for these integer weights, as its nonzero masses
+        by column index: the hull walk's vertex when the W row is absent or
+        that vertex meets it, else the vertex _vertex reaches from
+        _lagrangian_optimum's combination of two walk vertices."""
+        x = _knapsack_optimum(self.runs, weights, self.budget)
+        if self.cap is None or sum((self.sizes[i] * v for i, v in x.items()), ZERO) <= self.cap:
             return x
-        z = _lagrangian_optimum(self.users, weights, self.sizes, self.budget, self.cap, x)
-        return _vertex(z, self.costs, self.groups, self.budget)
+        return _vertex(self, _lagrangian_optimum(self, weights, x))
+
+
+def _direction_lp(
+    instance: Instance, actions: list[Action], beta: float, use_W: bool, costs: Mapping[Action, Fraction]
+) -> _ColumnLP:
+    """The direction LP over the actions: one group per user, every size 1,
+    the budget beta*B and the cap beta*W, or none without use_W."""
+    if use_W and instance.W is None:
+        raise ValueError("extended mode requires an instance with W set")
+    if not 0.0 <= beta <= 0.5:
+        raise ValueError("beta must lie in [0, 1/2]")
+    scale = Fraction(beta)
+    cap = scale * Fraction(instance.W) if use_W else None
+    groups = list(user_groups(actions).values())
+    return _ColumnLP(groups, [costs[a] for a in actions], scale * Fraction(instance.B), [1] * len(actions), cap)
 
 
 def solve_lp(
@@ -571,16 +573,13 @@ def solve_lp(
     costs, when given, holds every action's exact expected cost under
     cost_mode; otherwise it is built here.
 
-    The LP is solved on integers, without a simplex, and each tie goes by a
-    fixed rule.  The weights, ints, Fractions or floats, are read exactly
-    (scaled_integers): Fractions that tie are a tie.  Without the W row, or
-    when the vertex meets it, the hull walk of _knapsack_optimum returns its
-    own optimal vertex, with at most one user split, by its stated tie rule.
-    When the W row binds, _lagrangian_optimum searches its multiplier over
-    hull walks and returns the convex combination of two walk vertices with
-    mass exactly beta*W; _vertex then moves that optimum along the face of
-    optima to a vertex, with at most two users fractional.  continuous_greedy
-    builds the same _DirectionLP once and solves it on every step's totals.
+    The LP is solved on integers by _ColumnLP.solve, without a simplex, and
+    each tie goes by a fixed rule.  The weights, ints, Fractions or floats,
+    are read exactly (scaled_integers): Fractions that tie are a tie.  The
+    result is the hull walk's vertex, with at most one user split, or, when
+    the W row binds, a vertex with at most two users fractional.
+    continuous_greedy builds the same LP once (_direction_lp) and solves it
+    on every step's totals.
     """
     actions = list(weights)
     check_actions(instance, actions)
@@ -589,7 +588,7 @@ def solve_lp(
             raise ValueError(f"non-finite weight for {a}")
     if costs is None:
         costs = action_costs_exact(instance, actions, cost_mode)
-    lp = _DirectionLP(instance, actions, beta, use_W, costs)
+    lp = _direction_lp(instance, actions, beta, use_W, costs)
     x = dict.fromkeys(actions, ZERO)
     for j, v in lp.solve(scaled_integers(weights.values())).items():
         x[actions[j]] = v
@@ -618,7 +617,7 @@ def continuous_greedy(
     own denominator does not divide it, with a float copy for the marginals,
     updated only where y moves; Fractions are built only for on_step and the
     result.  Every part of the marginals and the LP that does not depend on
-    y is built once (_Sampler, _DirectionLP).  The samples do not depend on
+    y is built once (_Sampler, _direction_lp).  The samples do not depend on
     y either, so their reach comes a window of rounds at a time.  The result
     is a convex combination of exactly feasible LP vertices, so it satisfies
     the scaled constraints exactly (the output stays rational end to end).
@@ -634,7 +633,7 @@ def continuous_greedy(
             f"the continuous greedy would take {steps} steps (delta = {float(delta)!r}, "
             f"|S| = {len(actions)} actions), above the limit of {MAX_STEPS}"
         )
-    lp = _DirectionLP(instance, actions, beta, use_W, action_costs_exact(instance, actions, config.cost_mode))
+    lp = _direction_lp(instance, actions, beta, use_W, action_costs_exact(instance, actions, config.cost_mode))
     sampler = _Sampler(instance, actions, config)
     nums = [0] * len(actions)  # y times den
     den = 1

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import BLOCK, _positive, live_edges, sampled_spreads
+from .influence import BLOCK, _count, _positive, live_edges, sampled_spreads
 from .model import Instance, Steps, check_steps, low_value_coupons
 from .relaxation import RelaxationConfig
 from .rounding import ROUNDING_DRAWS, Alg1Policy
@@ -203,6 +203,7 @@ def evaluate_policy(
     checked for feasibility by check_steps (see _simulate).
     """
     worlds = _positive(worlds, "worlds")
+    rng_seed = _count(rng_seed, "rng_seed")
     total = 0
     total_sq = 0
     violations = 0

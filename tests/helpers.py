@@ -828,7 +828,7 @@ def relaxation_optimum_by_simplex(instance: Instance, use_W: bool = False) -> Fr
     action profiles, with the total-mass, budget and W rows, as a dense
     tableau for the rational simplex."""
     if use_W and instance.W is None:
-        raise ValueError("use_W requires an instance with W set")
+        raise ValueError("extended mode requires an instance with W set")
     actions = build_action_space(instance)
     profiles, values = _profile_columns(instance, actions)
     costs = [exact_expected_cost(instance, a) for a in actions]

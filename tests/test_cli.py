@@ -411,6 +411,16 @@ def test_compare_extended_policy_needs_w(tmp_path, capsys, policy) -> None:
     assert out.splitlines()[-1] == f"{policy},,,,extended mode requires an instance with W set"
 
 
+def test_extended_oracle_without_w_refuses_like_the_policies(tmp_path, capsys) -> None:
+    path = _write(tmp_path, TOY)  # no W directive
+    message = "extended mode requires an instance with W set"
+    code, out, err = _run(capsys, ["oracle", path, "--extended"])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = _run(capsys, ["compare", path, "--policy", "opt-oracle,alg2", "--extended", "--worlds", "50"])
+    assert code == 0
+    assert out.splitlines()[-2:] == [f"{name},,,,{message}" for name in ("opt-oracle", "alg2")]
+
+
 def test_compare_lets_programming_errors_through(tmp_path, capsys, monkeypatch) -> None:
     # only refusals (ValueError) become error cells; a bug stops the command
     def broken(*args, **kwargs):

@@ -2,13 +2,14 @@
 package defines is read in the package, every public name it defines is
 read in the package, the benchmark or the tests, every name
 tests/helpers.py defines is read by the tests or by helpers.py itself, no
-two test functions have the same arguments and body, and no package module
-but the oracle imports the dense simplex.
+two test functions have the same arguments and body, no package module but
+the oracle imports the dense simplex, and no package module but the
+relaxation names the parts of its LP solver.
 
 No linter runs in the test suite, and deleting or moving code tends to leave
 stale imports, helpers and public names behind.  The import check parses each
 package module (but the package's __init__, which imports to re-export) and
-each test module; the private-name and simplex checks parse the whole
+each test module; the private-name, simplex and LP checks parse the whole
 package, the public-name check reads it from the package but its __init__,
 perfbench/ and the tests, and the helper and duplicate checks parse the whole
 test directory.
@@ -87,6 +88,51 @@ def test_only_the_oracle_imports_the_simplex() -> None:
     # the simplex serves the concave extension's LP alone; the relaxation's
     # direction LP and the relaxation optimum run on the integer hull walk
     assert simplex_importers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["oracle"]
+
+
+# the parts of relaxation._ColumnLP.solve, which its callers reach only
+# through _ColumnLP
+LP_INTERNALS = frozenset({"_cost_runs", "_knapsack_optimum", "_lagrangian_optimum", "_vertex", "_dependence"})
+
+
+def lp_internal_namers(sources: dict[str, str]) -> list[str]:
+    """The modules, by name, that name one of LP_INTERNALS: import it, read
+    it as a name or an attribute, or define it."""
+    namers = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                continue
+            if LP_INTERNALS.intersection(names):
+                namers.append(module)
+                break
+    return namers
+
+
+def test_lp_internal_checker_flags_every_form() -> None:
+    sources = {
+        "a": "from .relaxation import _cost_runs\n",
+        "b": "from . import relaxation\nrelaxation._vertex(lp, z)\n",
+        "c": "from .relaxation import *\nx = _knapsack_optimum\n",
+        "d": "def _dependence(effects):\n    return None\n",
+        "e": "from .relaxation import _ColumnLP, _mass\nlp = _ColumnLP([], [], 0, [], None)\n",
+    }
+    assert lp_internal_namers(sources) == ["a", "b", "c", "d"]
+
+
+def test_only_the_relaxation_names_its_lp_internals() -> None:
+    # the direction LP, solve_lp and the oracle's relaxation optimum all
+    # solve through _ColumnLP.solve, so no other module strings its parts
+    # together
+    assert lp_internal_namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["relaxation"]
 
 
 def names_read(trees) -> set[str]:

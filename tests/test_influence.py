@@ -136,6 +136,18 @@ def test_mc_requires_positive_samples() -> None:
     assert influence_mc_stats(g, [0], samples=np.int64(4), rng_seed=0) == influence_mc_stats(g, [0], 4, rng_seed=0)
 
 
+def test_mc_reads_the_seed_as_a_count() -> None:
+    # RelaxationConfig.rng_seed's rule: a string, a bool, a negative number or
+    # a float is refused by name; numpy's ints are counts.  25 uncertain
+    # edges, so the singleton table takes the Monte Carlo path
+    g = Graph(node_count=EXACT_EDGE_LIMIT + 6, edges=tuple((0, t, 0.5) for t in range(1, EXACT_EDGE_LIMIT + 6)))
+    for seed in ("3", True, -1, 2.5):
+        for call in (singleton_influence_table, lambda g, samples, seed: influence_mc_stats(g, [0], samples, seed)):
+            with pytest.raises(ValueError, match=re.escape(f"rng_seed must be a non-negative integer, got {seed!r}")):
+                call(g, 10, seed)
+    assert singleton_influence_table(g, 10, np.int64(3)) == singleton_influence_table(g, 10, 3)
+
+
 def _all_small_graphs():
     yield Graph(node_count=2, edges=((0, 1, 0.5),))
     yield Graph(node_count=3, edges=((0, 1, 0.5), (1, 2, 0.5)))

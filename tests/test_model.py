@@ -456,9 +456,11 @@ _EDGE_CASES = {
     "alg2-K-zero": (lambda: Alg2Policy(single_user(0.5, K=0)), "probing requires K >= 1"),
     "alg2-dp-W-negative": (lambda: alg2_dp(single_user(0.5), {0: 1.0}, W=-1), "W must be non-negative"),
     "oracle-use-W-without-W": (
-        lambda: optimal_adaptive_value(single_user(0.5), use_W=True), "use_W requires an instance with W set"),
+        lambda: optimal_adaptive_value(single_user(0.5), use_W=True),
+        "extended mode requires an instance with W set"),
     "relaxation-optimum-use-W-without-W": (
-        lambda: concave_relaxation_optimum(single_user(0.5), use_W=True), "use_W requires an instance with W set"),
+        lambda: concave_relaxation_optimum(single_user(0.5), use_W=True),
+        "extended mode requires an instance with W set"),
     "ledger-wrong-length": (
         lambda: check_trace(single_user(0.5), PolicyTrace(steps=[ProbeStep(0, 1.0, False)])),
         ["budget ledger length differs from step count"]),

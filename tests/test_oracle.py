@@ -35,6 +35,8 @@ from couponprobe.relaxation import (
     continuous_greedy,
     default_beta_basic,
     default_beta_extended,
+    estimate_marginals,
+    user_mass,
 )
 from couponprobe.sequencing import Alg2Policy, StochCpPolicy, alg2_plan, alg2_value, evaluate_policy
 
@@ -422,26 +424,36 @@ def test_extensions_read_y_in_any_order() -> None:
             assert concave_extension_exact(inst, part) == concave_extension_by_subsets(inst, part)
 
 
+# every package entry point that reads a point's masses, as (instance, y)
+_MASS_READERS = (
+    multilinear_value_exact,
+    concave_extension_exact,
+    lambda _, y: check_fractional(y),
+    lambda inst, y: estimate_marginals(inst, y, RelaxationConfig(marginal_samples=5)),
+    lambda _, y: user_mass(y),
+)
+
+
 def test_multilinear_value_rejects_mass_outside_unit_interval() -> None:
     inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=3.0)
     a, b = build_action_space(inst)
-    for bad in (F(3, 2), F(-1, 4)):
-        with pytest.raises(ValueError, match="outside"):
-            multilinear_value_exact(inst, {a: bad, b: F(1, 2)})
-        with pytest.raises(ValueError, match="outside"):
-            concave_extension_exact(inst, {a: bad, b: F(1, 2)})
+    for bad in (F(3, 2), F(-1, 4), 2.0, -1.0):
+        for call in _MASS_READERS:
+            with pytest.raises(ValueError, match=re.escape(f"mass for {a} outside")):
+                call(inst, {a: bad, b: F(1, 2)})
 
 
 @pytest.mark.parametrize("bad", ["0.5", True, math.inf, -math.inf, math.nan, None])
 def test_fractional_points_refuse_masses_that_are_not_finite_reals(bad) -> None:
     inst = uniform_instance(2, (1.0,), ((0.5,), (0.5,)), K=1, B=3.0)
     a, b = build_action_space(inst)
-    for call in (multilinear_value_exact, concave_extension_exact, lambda _, y: check_fractional(y)):
+    for call in _MASS_READERS:
         with pytest.raises(ValueError, match=re.escape(f"mass for {a}")):
             call(inst, {a: bad, b: 0.5})
     # numpy's reals are reals
     half = multilinear_value_exact(inst, {a: F(1, 2), b: F(1, 2)})
     assert multilinear_value_exact(inst, {a: np.float64(0.5), b: 0.5}) == half
+    assert user_mass({a: np.float64(0.5), b: F(1, 4)}) == {a.user: F(1, 2), b.user: F(1, 4)}
 
 
 def test_lp_size_guard_counts_profiles() -> None:

@@ -363,6 +363,21 @@ def _count_simplex_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def _record_vertex_moves(monkeypatch) -> list[bool]:
+    # whether each _vertex call moved its point
+    moved: list[bool] = []
+    vertex = relaxation._vertex
+
+    def spy(lp, z):
+        before = dict(z)
+        after = vertex(lp, z)
+        moved.append(after != before)
+        return after
+
+    monkeypatch.setattr(relaxation, "_vertex", spy)
+    return moved
+
+
 def _gridded_instance(gen: np.random.Generator):
     # attractiveness on a 0.05 grid, with p0 = 0 in about half the rows: zero
     # costs, and equal costs for (1,) and (0, 1) in threshold mode
@@ -433,16 +448,7 @@ def test_lp_with_w_is_optimal_on_ties_without_the_simplex(monkeypatch) -> None:
     # number of users, so the W row is slack in some LPs and binds in others
     maximize = simplex.maximize
     calls = _count_simplex_calls(monkeypatch)
-    moved: list[bool] = []
-    vertex = relaxation._vertex
-
-    def spy(z, *rest):
-        before = dict(z)
-        after = vertex(z, *rest)
-        moved.append(after != before)
-        return after
-
-    monkeypatch.setattr(relaxation, "_vertex", spy)
+    moved = _record_vertex_moves(monkeypatch)
     gen = np.random.default_rng(11)
     elsewhere = binding = 0
     for trial in range(150):
@@ -501,6 +507,37 @@ def test_w_row_tie_among_three_users_ends_on_a_vertex() -> None:
     costs = dict.fromkeys(actions, F(1))
     y = solve_lp(dict.fromkeys(actions, 1.0), inst, 0.5, use_W=True, costs=costs)
     assert list(y.values()) == [1, 0, F(1, 2)]
+
+
+def test_column_lp_with_sizes_meets_the_simplex(monkeypatch) -> None:
+    # one group of columns sized 0 to 3, like the oracle's profiles, where a
+    # size-0 column weighs 0 like the empty profile, and a cap below the size
+    # of the walk's vertex, so the W row binds in every case; small ints
+    # make ties, and so faces of optima for _vertex to leave, common
+    moved = _record_vertex_moves(monkeypatch)
+    gen = np.random.default_rng(30)
+    cases = 0
+    while cases < 300:
+        n = int(gen.integers(2, 12))
+        sizes = gen.integers(0, 4, n).tolist()
+        weights = [int(gen.integers(0, 4)) if s else 0 for s in sizes]
+        costs = [F(int(gen.integers(0, 4))) for _ in range(n)]
+        budget = F(int(gen.integers(1, 6)), 2)
+        walk = relaxation._ColumnLP([list(range(n))], costs, budget, sizes, None).solve(weights)
+        size = sum(sizes[i] * v for i, v in walk.items())
+        if not size:
+            continue
+        cap = size * F(int(gen.integers(0, 4)), 4)
+        solved = relaxation._ColumnLP([list(range(n))], costs, budget, sizes, cap).solve(weights)
+        x = [solved.get(i, F(0)) for i in range(n)]
+        lhs, rhs = [[F(1)] * n, costs, [F(s) for s in sizes]], [F(1), budget, cap]
+        assert sum(w * v for w, v in zip(weights, x)) == simplex.maximize(list(map(F, weights)), lhs, rhs)[0]
+        assert all(v >= 0 for v in x)
+        used = [sum(c * v for c, v in zip(row, x)) for row in lhs]
+        assert all(u <= r for u, r in zip(used, rhs)) and used[2] == cap
+        assert sum(v != 0 for v in x) <= 3
+        cases += 1
+    assert any(moved)
 
 
 def test_greedy_with_w_makes_no_simplex_call(monkeypatch) -> None:
@@ -724,14 +761,14 @@ def test_greedy_marginals_read_floats_of_the_current_point(monkeypatch) -> None:
         3, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9), (0.6, 0.7)), K=2, B=3.0,
         edges=((0, 1, 0.6), (2, 1, 0.3)),
     )
-    solve = relaxation._DirectionLP.solve
+    solve = relaxation._ColumnLP.solve
     seen: list[list[int]] = []
 
     def spy(lp, weights):
         seen.append(weights)
         return solve(lp, weights)
 
-    monkeypatch.setattr(relaxation._DirectionLP, "solve", spy)
+    monkeypatch.setattr(relaxation._ColumnLP, "solve", spy)
     points = [dict.fromkeys(build_action_space(inst), F(0))]
     config = RelaxationConfig(delta=0.2, marginal_samples=50, rng_seed=3)
     continuous_greedy(inst, config, on_step=lambda t, y: points.append(y))

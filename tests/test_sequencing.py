@@ -370,6 +370,14 @@ def test_evaluate_requires_worlds() -> None:
     assert evaluate_policy(inst, Alg2Policy(inst), worlds=np.int64(3)).worlds == 3
 
 
+def test_evaluate_reads_the_seed_as_a_count() -> None:
+    inst = _inst([0.5])
+    for seed in ("3", True, -1, 2.5):
+        with pytest.raises(ValueError, match=re.escape(f"rng_seed must be a non-negative integer, got {seed!r}")):
+            evaluate_policy(inst, Alg2Policy(inst), worlds=10, rng_seed=seed)
+    assert evaluate_policy(inst, Alg2Policy(inst), 10, np.int64(3)) == evaluate_policy(inst, Alg2Policy(inst), 10, 3)
+
+
 def test_evaluate_rejects_other_policy_types() -> None:
     inst = _inst([0.5])
     for policy in (lambda world, rng: None, Alg2Policy(inst).order, None):
