@@ -152,15 +152,24 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type for --worlds and --marginal-samples, counts of at least 1,
+    so a refusal names the flag."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("instance", help="instance file")
     parser.add_argument("--beta", type=float, default=None, help="constraint scaling in [0, 1/2]")
     parser.add_argument("--delta", type=float, default=None, help="ascent step size in (0, 1]")
-    parser.add_argument("--worlds", type=int, default=10000, help="simulated worlds per policy")
+    parser.add_argument("--worlds", type=positive_int, default=10000, help="simulated worlds per policy")
     parser.add_argument("--seed", type=non_negative_int, default=0, help="root RNG seed")
     parser.add_argument("--extended", action="store_true", help="enforce the cap on distinct users probed")
     parser.add_argument("--cost-mode", choices=COST_MODES, default=COST_MODE_THRESHOLD)
-    parser.add_argument("--marginal-samples", type=int, default=200)
+    parser.add_argument("--marginal-samples", type=positive_int, default=200)
     parser.add_argument("--timing", action="store_true", help="append the elapsed-time line to reports")
 
 

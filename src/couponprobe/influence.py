@@ -24,6 +24,14 @@ import numpy as np
 
 # 2^20 live-edge realizations is the largest enumeration we are willing to run.
 EXACT_EDGE_LIMIT = 20
+# The most word operations (_kernel_rows) one reach-kernel call, or one
+# continuous greedy, may take: about 10 s and 100 MB of max RSS up to 1,000
+# nodes.  At the limit, on a 2-core x86 host (Python 3.11, numpy 2.4), exact
+# singleton tables took 0.6-1.0 s, Monte Carlo ones, on graphs of 3 links a
+# node with p in [0.02, 0.2], 4.4 s on 200 nodes, 6.0 s on 500 and 11.1 s on
+# 1,000 (+17 to +53 MB), and greedies 2.0-4.3 s (+4 to +18 MB).  A word costs
+# more as the node count grows and chunks narrow: 23 s on 2,000 nodes.
+MAX_KERNEL_WORK = 1 << 28
 # A kernel pass takes as many outcome columns as keep its arrays within this
 # many bytes (_chunk_columns); the exact path rounds that down to a power of
 # two and reuses one reach buffer from chunk to chunk.  Larger chunks run no
@@ -78,6 +86,20 @@ def _positive(value, name: str) -> int:
     if count < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return count
+
+
+def _admit(
+    count: int, limit: int, what: str, unit: str, parts: str, error: type[ValueError] | None = ValueError
+) -> bool:
+    """The package's one size rule: whether count, the work or memory an
+    input needs in unit, is within limit.  Above it, raises error with
+    "<what> needs <count> <unit> (<parts>), above the limit of <limit>",
+    or, when error is None, returns False."""
+    if count <= limit:
+        return True
+    if error is None:
+        return False
+    raise error(f"{what} needs {count} {unit} ({parts}), above the limit of {limit}")
 
 
 def _is_real(value) -> bool:
@@ -225,6 +247,37 @@ def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     return max(1, KERNEL_BYTES // column)
 
 
+def _kernel_rows(graph: Graph, sets: int) -> tuple[int, str]:
+    """The reach kernel's word operations per outcome column when it scores
+    `sets` seed sets, and what they are made of: ceil(n / 64) words a row,
+    and a row per node (its own bit), per link of positive probability and
+    per seed set.  Links are counted once, though a component's inner links
+    repeat until its reach stops growing."""
+    words = -(-graph.node_count // 64)
+    links = sum(len(leaving) + len(inner) for _, leaving, inner in graph.reach_order)
+    rows = graph.node_count + links + sets
+    return words * rows, f"{words} words x {rows} rows: {graph.node_count} nodes, {links} links and {sets} seed sets"
+
+
+def _admit_kernel(graph: Graph, columns: int, sets: int, error: type[ValueError] | None = ValueError) -> bool:
+    """Whether a reach-kernel call over that many outcome columns that
+    scores `sets` seed sets is within MAX_KERNEL_WORK word operations
+    (_admit)."""
+    per_column, parts = _kernel_rows(graph, sets)
+    return _admit(columns * per_column, MAX_KERNEL_WORK, "the reach kernel", "word operations",
+                  f"{columns} outcomes x {parts}", error)
+
+
+def _admit_exact(graph: Graph, sets: int, error: type[ValueError] | None = ValueError) -> bool:
+    """Whether _exact_spreads may score `sets` seed sets (_admit): at most
+    EXACT_EDGE_LIMIT uncertain edges, whose outcomes are the kernel's
+    columns, within MAX_KERNEL_WORK."""
+    edges = len(graph.uncertain_edges)
+    return (_admit(edges, EXACT_EDGE_LIMIT, "exact influence", "uncertain edges",
+                   f"2^{edges} live-edge outcomes", error)
+            and _admit_kernel(graph, 1 << edges, sets, error))
+
+
 def _or_links(rows: list[np.ndarray], live: np.ndarray, step: np.ndarray, links: Links) -> None:
     """One pass of rows[u] |= rows[v] over links, masked by live[j] for an
     uncertain edge; step is a scratch row."""
@@ -286,12 +339,10 @@ def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
     per-edge product in the same order, and each set's sum is a sequential
     cumsum started from the total carried over from the last chunk, so every
     total equals the per-outcome loop `total += weight * reached` bit for bit.
+    What _admit_exact does not admit is refused before any pass.
     """
+    _admit_exact(graph, len(seed_sets))
     unc = graph.uncertain_edges
-    if len(unc) > EXACT_EDGE_LIMIT:
-        raise ValueError(
-            f"exact influence needs at most {EXACT_EDGE_LIMIT} uncertain edges, got {len(unc)}"
-        )
     probs = [graph.edges[i][2] for i in unc]
     m = min(_chunk_columns(graph).bit_length() - 1, len(unc))
     low = np.ones(1)
@@ -381,13 +432,16 @@ def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
     return _exact_spreads(graph, [seed_ids])[0]
 
 
-def _mc_reach(graph: Graph, samples: int, rng_seed: int) -> Iterator[np.ndarray]:
-    """Every node's reach in each Monte Carlo sample, a kernel chunk at a time.
+def _mc_reach(graph: Graph, samples: int, rng_seed: int, sets: int) -> Iterator[np.ndarray]:
+    """Every node's reach in each Monte Carlo sample, a kernel chunk at a
+    time, for scoring `sets` seed sets; refused before the first draw
+    unless _admit_kernel admits it.
 
     Block b of BLOCK samples draws one uniform per uncertain edge and sample
     in one call on a stream keyed by (rng_seed, b), so sample i depends only
     on (rng_seed, i).
     """
+    _admit_kernel(graph, samples, sets)
     for b, start in enumerate(range(0, samples, BLOCK)):
         shape = (min(BLOCK, samples - start), len(graph.uncertain_edges))
         uniforms = np.random.default_rng([rng_seed, b]).random(shape)
@@ -407,7 +461,7 @@ def influence_mc_stats(
         return 0.0, 0.0
     total = 0
     total_sq = 0
-    for reach in _mc_reach(graph, samples, rng_seed):
+    for reach in _mc_reach(graph, samples, rng_seed, 1):
         values = np.bitwise_count(np.bitwise_or.reduce(reach[seed_ids])).sum(axis=0, dtype=np.int64)
         total += int(values.sum())
         total_sq += int((values * values).sum())
@@ -420,7 +474,7 @@ def influence_mc_stats(
 def singleton_influence_table(
     graph: Graph, samples: int = 20000, rng_seed: int = 0
 ) -> dict[int, float]:
-    """Expected spread of each single node, exact when the graph allows it.
+    """Expected spread of each single node, exact when _admit_exact admits it.
 
     The exact table takes one kernel pass over the live-edge outcomes for all
     nodes.  The Monte Carlo fallback takes one over the samples of _mc_reach,
@@ -430,9 +484,9 @@ def singleton_influence_table(
     samples = _positive(samples, "samples")
     rng_seed = _count(rng_seed, "rng_seed")
     n = graph.node_count
-    if len(graph.uncertain_edges) > EXACT_EDGE_LIMIT:
-        totals = np.zeros(n, dtype=np.int64)
-        for reach in _mc_reach(graph, samples, rng_seed):
-            totals += np.bitwise_count(reach).sum(axis=(1, 2), dtype=np.int64)
-        return {v: int(total) / samples for v, total in enumerate(totals)}
-    return dict(enumerate(_exact_spreads(graph, [[v] for v in range(n)])))
+    if _admit_exact(graph, n, None):
+        return dict(enumerate(_exact_spreads(graph, [[v] for v in range(n)])))
+    totals = np.zeros(n, dtype=np.int64)
+    for reach in _mc_reach(graph, samples, rng_seed, n):
+        totals += np.bitwise_count(reach).sum(axis=(1, 2), dtype=np.int64)
+    return {v: int(total) / samples for v, total in enumerate(totals)}

@@ -15,13 +15,18 @@ instances (4 users, 3 coupons, K = 2; median of 32) a call takes about 4 ms
 over 1,473 of the memo's 2,401 states, 2 ms restricted and under 1 ms with
 the W cap (2-core x86 host, Python 3.11).
 
-Two counts bound the work, and each is refused with OracleSizeError before
-the work starts.  The induction's steps, at most MAX_ORACLE_STEPS = 800,000,
-are its memo's states, the product over users of their local-state counts,
-plus the moves in the users' tables, each built once, plus the moves over
-the memo, each user's moves once per state of the other users.  The spread
-table's cells, one per non-empty subset of the users and live-edge outcome,
-are at most MAX_SPREAD_CELLS = 2^26.  On the same host, one call after a
+Counts computed before the work bound it, each admitted by
+influence._admit and refused with OracleSizeError.  The induction's steps,
+at most MAX_ORACLE_STEPS = 800,000, are its memo's states, the product over
+users of their local-state counts, plus the moves in the users' tables, each
+built once, plus the moves over the memo, each user's moves once per state
+of the other users.  The spread table's cells, one per non-empty subset of
+the users and live-edge outcome, are at most MAX_SPREAD_CELLS = 2^26, and
+its kernel call is admitted as influence._admit_exact admits it.  The
+profile LPs take at most MAX_LP_COLUMNS = 4,096 profiles; at that size the
+relaxation optimum took 0.11-0.16 s and +3.6 MB (6 users with 3 actions
+each), and the extension's simplex stops at its own budget of cell updates,
+simplex.MAX_PIVOT_CELLS, with a ValueError.  On the same host, one call after a
 warm-up in a fresh process, in each mode, near the step limit: 1 user with
 266,666 coupons at K = 1 took at most 1.01 s and +72 MB max RSS, 1 user with
 892 coupons at K = 2 took 0.52 s and +88 MB (its table holds every move), and
@@ -48,10 +53,10 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
-from typing import Collection, Mapping
+from typing import Callable, Collection, Mapping
 
 from . import simplex
-from .influence import _exact_spreads
+from .influence import _admit, _admit_exact, _exact_spreads
 from .model import (
     Action, Instance, build_action_space, check_actions, exact_expected_cost, scaled_integers, user_groups,
 )
@@ -93,7 +98,7 @@ def optimal_adaptive_value(
     K = instance.K
     L = len(instance.coupons)
     cap = instance.W if use_W else n  # fresh users are offered while fewer are probed; n never binds
-    _check_spread_cells(instance, n)
+    spread_table = _spread_table(instance, range(n))
     # firsts[v][rej]: the first coupon v takes with probability q > 0 after
     # rejecting coupon rej, L if none; rej = -1, the last entry, is a user
     # offered nothing yet.  Rows are non-decreasing, so v takes every coupon
@@ -116,14 +121,10 @@ def optimal_adaptive_value(
     for radix, count in zip(radices, table_moves):
         size, memo_moves = size * radix, memo_moves * radix + size * count
     tabulated = sum(table_moves)
-    steps = size + tabulated + memo_moves
-    if steps > MAX_ORACLE_STEPS:
-        raise OracleSizeError(
-            f"backward induction needs {steps} steps ({size} states, {tabulated} moves to tabulate "
-            f"and {memo_moves} over the states), above the limit of {MAX_ORACLE_STEPS}"
-        )
+    _admit(size + tabulated + memo_moves, MAX_ORACLE_STEPS, "backward induction", "steps",
+           f"{size} states, {tabulated} moves to tabulate and {memo_moves} over the states", OracleSizeError)
     *costs, budget = scaled_integers((*instance.coupons, instance.B))
-    spread = _spread_table(instance, range(n))
+    spread = spread_table()
     # A state is the sum over users of local state times stride; users[v]
     # holds v's stride, radix, moves per local state and bit.
     users = []
@@ -190,34 +191,32 @@ def optimal_adaptive_value(
     return best(0, 0, budget, 0, 0)
 
 
-def _spread_table(instance: Instance, users: Collection[int]) -> list[float]:
-    """Exact spread of every subset of the users, indexed by mask, bit k
-    standing for the k-th user given, from one call of the reach kernel.
+def _spread_table(instance: Instance, users: Collection[int]) -> Callable[[], list[float]]:
+    """A function that builds the exact spread of every subset of the users,
+    indexed by mask, bit k standing for the k-th user given, from one call
+    of the reach kernel.
 
-    Refuses, before the call, more than MAX_SPREAD_CELLS cells.
+    Refuses first, with OracleSizeError, more than MAX_SPREAD_CELLS cells,
+    one per non-empty subset and live-edge outcome, and then a kernel call
+    that influence._admit_exact does not admit.
     """
-    _check_spread_cells(instance, len(users))
-    seed_sets = [[v for k, v in enumerate(users) if mask >> k & 1] for mask in range(1, 1 << len(users))]
-    return [0.0, *(_exact_spreads(instance.graph, seed_sets) if seed_sets else ())]
+    sets, edges = (1 << len(users)) - 1, len(instance.graph.uncertain_edges)
+    _admit(sets << edges, MAX_SPREAD_CELLS, "the spread table", "cells",
+           f"{len(users)} users, {edges} uncertain edges", OracleSizeError)
+    if sets:
+        _admit_exact(instance.graph, sets, OracleSizeError)
+
+    def build() -> list[float]:
+        seed_sets = [[v for k, v in enumerate(users) if mask >> k & 1] for mask in range(1, sets + 1)]
+        return [0.0, *(_exact_spreads(instance.graph, seed_sets) if seed_sets else ())]
+
+    return build
 
 
 def _fold(table: list[Fraction], q: Fraction) -> list[Fraction]:
     """The table over every user but its lowest bit's, with that user
     seeding independently with probability q."""
     return [b + q * (a - b) for b, a in zip(table[0::2], table[1::2])]
-
-
-def _check_spread_cells(instance: Instance, users: int) -> None:
-    """Refuses a spread table over that many users with more than
-    MAX_SPREAD_CELLS cells: one per non-empty subset and live-edge outcome,
-    which the kernel visits each."""
-    edges = len(instance.graph.uncertain_edges)
-    cells = ((1 << users) - 1) << edges
-    if cells > MAX_SPREAD_CELLS:
-        raise OracleSizeError(
-            f"the spread table needs {cells} cells ({users} users, {edges} uncertain edges), "
-            f"above the limit of {MAX_SPREAD_CELLS}"
-        )
 
 
 def _accept(instance: Instance, action: Action) -> Fraction:
@@ -234,9 +233,8 @@ def _by_user(instance: Instance, actions: list[Action]) -> dict[int, list[int]]:
     """
     check_actions(instance, actions)
     groups = user_groups(actions)
-    count = math.prod(1 + len(group) for group in groups.values())
-    if count > MAX_LP_COLUMNS:
-        raise OracleSizeError(f"the exact LP handles at most {MAX_LP_COLUMNS} action profiles, got {count}")
+    _admit(math.prod(1 + len(group) for group in groups.values()), MAX_LP_COLUMNS, "the exact LP", "action profiles",
+           f"the product over {len(groups)} users of 1 + their actions, {len(actions)} in all", OracleSizeError)
     return groups
 
 
@@ -257,7 +255,7 @@ def _profile_columns(instance: Instance, actions: list[Action]) -> tuple[list[tu
     """
     groups = _by_user(instance, actions)
     accept = [_accept(instance, a) for a in actions]
-    level = [((), [Fraction(x) for x in _spread_table(instance, groups)])]
+    level = [((), [Fraction(x) for x in _spread_table(instance, groups)()])]
     for group in groups.values():
         level = [
             (p, t[0::2]) if i is None else (p + (i,), _fold(t, accept[i]))
@@ -295,7 +293,7 @@ def multilinear_value_exact(instance: Instance, y: Mapping[Action, object]) -> F
     actions = list(y)
     check_actions(instance, actions)
     groups = user_groups(actions)
-    table = [Fraction(x) for x in _spread_table(instance, groups)]
+    table = [Fraction(x) for x in _spread_table(instance, groups)()]
     for group in groups.values():
         none_above, q = Fraction(1), Fraction(0)
         for i in sorted(group, key=lambda i: -actions[i].coupons[-1]):

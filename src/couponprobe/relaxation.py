@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import influence
-from .influence import BLOCK, _count, _is_real, _positive, _sampled_reach, _seeded_union, live_edges
+from .influence import BLOCK, _admit, _count, _is_real, _positive, _sampled_reach, _seeded_union, live_edges
 from .model import (
     COST_MODE_THRESHOLD,
     COST_MODES,
@@ -47,11 +47,6 @@ from .model import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# The greedy refuses to take more steps than this.  Its step count,
-# ceil(1/delta), is known before the first draw; the default delta = 1/|S|^2
-# passes up to |S| = 1024 actions.
-MAX_STEPS = 1 << 20
 
 
 def default_beta_basic() -> float:
@@ -75,9 +70,10 @@ class RelaxationConfig:
     beta and delta default to None and are resolved against the instance:
     beta to the mode's optimized constant, delta to exactly 1/|S|^2 where S
     is the action space.  That default step size is safe but slow (|S|^2
-    steps of marginal_samples samples each, refused above |S| = 1024, where
-    they pass MAX_STEPS); larger values trade the guarantee for speed.  beta
-    and delta are reals but bool, marginal_samples and rng_seed counts.
+    steps of marginal_samples samples each, which continuous_greedy refuses
+    when their work passes influence.MAX_KERNEL_WORK); larger values trade
+    the guarantee for speed.  beta and delta are reals but bool,
+    marginal_samples and rng_seed counts.
     """
 
     beta: float | None = None
@@ -604,7 +600,11 @@ def continuous_greedy(
     """Measured continuous greedy over the scaled feasible region.
 
     Runs ceil(1/delta) rounds, and refuses with ValueError, before drawing
-    anything, when that is more than MAX_STEPS.  Round i takes the marginals
+    anything, when their work passes influence.MAX_KERNEL_WORK word
+    operations (influence._admit): per round, each marginal sample's kernel
+    columns (influence._kernel_rows, one seed set per user) and gains, a word
+    per action, and the LP and the round's own work, measured at about 64
+    words per action and 4,096 per round.  Round i takes the marginals
     at the current point, as the int sample totals of estimate_marginals at
     iteration i, solves the LP exactly on them, by solve_lp's tie rule (the
     hull walk's vertex when W is unused or slack, else the vertex reached
@@ -628,11 +628,12 @@ def continuous_greedy(
     beta = config.resolved_beta(use_W)
     delta = Fraction(config.resolved_delta(len(actions)))
     steps = math.ceil(1 / delta)
-    if steps > MAX_STEPS:
-        raise ValueError(
-            f"the continuous greedy would take {steps} steps (delta = {float(delta)!r}, "
-            f"|S| = {len(actions)} actions), above the limit of {MAX_STEPS}"
-        )
+    per_sample = influence._kernel_rows(instance.graph, instance.n_users)[0] + len(actions)
+    lp_work = 64 * (len(actions) + 64)
+    _admit(steps * (config.marginal_samples * per_sample + lp_work), influence.MAX_KERNEL_WORK, "the continuous greedy",
+           "word operations", f"{steps} steps at delta = {float(delta)!r}, each {config.marginal_samples} samples x "
+           f"{per_sample} + {lp_work} for the LP over |S| = {len(actions)} actions; a larger delta (--delta) takes "
+           "fewer steps")
     lp = _direction_lp(instance, actions, beta, use_W, action_costs_exact(instance, actions, config.cost_mode))
     sampler = _Sampler(instance, actions, config)
     nums = [0] * len(actions)  # y times den

@@ -875,7 +875,7 @@ def optimal_adaptive_value_by_states(
     n = instance.n_users
     coupon_cost = [Fraction(c) for c in instance.coupons]
     budget = Fraction(instance.B)
-    spread = _spread_table(instance, range(n))
+    spread = _spread_table(instance, range(n))()
     memo: dict[PolicyState, float] = {}
 
     def best(state: PolicyState) -> float:

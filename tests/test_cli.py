@@ -9,7 +9,7 @@ from couponprobe.cli import main
 from couponprobe.instance_io import InstanceFormatError, load_instance, save_instance
 from couponprobe.model import MAX_ACTIONS
 from couponprobe.oracle import MAX_ORACLE_STEPS, MAX_SPREAD_CELLS, optimal_adaptive_value
-from couponprobe.relaxation import MAX_STEPS
+from couponprobe.influence import MAX_KERNEL_WORK
 
 TOY = """\
 # five users, two coupon values, per-user cap 1
@@ -282,6 +282,18 @@ def test_negative_seed_is_rejected_naming_the_flag(tmp_path, capsys, command, po
     assert "argument --seed: must be a non-negative integer, got -1" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--worlds", "--marginal-samples"])
+@pytest.mark.parametrize("command,policy", [("run", "alg2"), ("compare", "alg1,alg2")])
+def test_zero_counts_are_rejected_naming_the_flag(tmp_path, capsys, command, policy, flag) -> None:
+    # alg2 reads no marginal samples, yet a zero is refused for the whole
+    # command, by its flag, not in a report row by a config field
+    with pytest.raises(SystemExit) as exc:
+        main([command, _write(tmp_path, TINY), "--policy", policy, flag, "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: must be a positive integer, got 0" in captured.err
+
+
 # --------------------------------------------------------------------- oracle
 
 
@@ -354,20 +366,23 @@ def test_run_refuses_a_huge_action_space_exits_2(tmp_path, capsys) -> None:
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == (
-        "error: the action space would hold 1048575 actions (n = 1, "
+        "error: the action space needs 1048575 actions (n = 1, "
         f"L = 20 low-value coupons, K = 20), above the limit of {MAX_ACTIONS}\n"
     )
 
 
 def test_run_refuses_a_tiny_delta_exits_2(tmp_path, capsys) -> None:
-    # delta 1e-7: ten million greedy steps, refused before any sample is drawn
+    # delta 1e-7: ten million greedy steps, refused before any sample is
+    # drawn; a step is 200 samples of 5 nodes, 5 seed sets and 5 actions,
+    # and 64 * (5 + 64) for the LP
     start = time.perf_counter()
     code, out, err = _run(capsys, ["run", _write(tmp_path, TOY), "--policy", "alg1", "--delta", "1e-7"])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == (
-        "error: the continuous greedy would take 10000001 steps (delta = 1e-07, "
-        f"|S| = 5 actions), above the limit of {MAX_STEPS}\n"
+        f"error: the continuous greedy needs {10000001 * (200 * 15 + 4416)} word operations (10000001 steps "
+        "at delta = 1e-07, each 200 samples x 15 + 4416 for the LP over |S| = 5 actions; a larger delta (--delta) "
+        f"takes fewer steps), above the limit of {MAX_KERNEL_WORK}\n"
     )
 
 

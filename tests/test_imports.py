@@ -3,14 +3,16 @@ package defines is read in the package, every public name it defines is
 read in the package, the benchmark or the tests, every name
 tests/helpers.py defines is read by the tests or by helpers.py itself, no
 two test functions have the same arguments and body, no package module but
-the oracle imports the dense simplex, and no package module but the
-relaxation names the parts of its LP solver.
+the oracle imports the dense simplex, no package module but the
+relaxation names the parts of its LP solver, and no package module but
+influence, which holds the one size rule, writes a size refusal.
 
 No linter runs in the test suite, and deleting or moving code tends to leave
 stale imports, helpers and public names behind.  The import check parses each
 package module (but the package's __init__, which imports to re-export) and
 each test module; the private-name, simplex and LP checks parse the whole
-package, the public-name check reads it from the package but its __init__,
+package, the size-refusal check parses the package too, the public-name
+check reads it from the package but its __init__,
 perfbench/ and the tests, and the helper and duplicate checks parse the whole
 test directory.
 """
@@ -133,6 +135,42 @@ def test_only_the_relaxation_names_its_lp_internals() -> None:
     # solve through _ColumnLP.solve, so no other module strings its parts
     # together
     assert lp_internal_namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["relaxation"]
+
+
+# the phrase every size refusal ends with, which influence._admit writes
+LIMIT_PHRASE = "above the limit of"
+
+
+def limit_phrasers(sources: dict[str, str]) -> list[str]:
+    """The modules, by name, with a string, an f-string's included, that
+    holds LIMIT_PHRASE outside a docstring."""
+    phrasers = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        if any(isinstance(node, ast.Constant) and isinstance(node.value, str) and LIMIT_PHRASE in node.value
+               and id(node) not in docstrings for node in ast.walk(tree)):
+            phrasers.append(module)
+    return phrasers
+
+
+def test_limit_phrase_checker_flags_every_string_form() -> None:
+    sources = {
+        "a": 'def f(n, m):\n    raise ValueError(f"x needs {n} y (z), above the limit of {m}")\n',
+        "b": 'MESSAGE = "above the " "limit of 3"\n',
+        "c": 'def f():\n    """Refuses counts above the limit of N."""\n',
+        "d": 'def f(n, m):\n    raise ValueError(f"at most {m} y, got {n}")\n',
+    }
+    assert limit_phrasers(sources) == ["a", "b"]
+
+
+def test_only_the_size_rule_writes_a_size_refusal() -> None:
+    # every other module hands its count, parts and limit to influence._admit
+    assert limit_phrasers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["influence"]
 
 
 def names_read(trees) -> set[str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -350,6 +351,39 @@ def test_realized_influence_matches_reach_masks_union() -> None:
                 union |= reach[s]
             assert realized_influence(g, seeds, mask) == union.bit_count()
         assert realized_influence(g, [], (1 << e) - 1) == 0
+
+
+def test_singleton_table_is_exact_only_when_the_kernel_admits_it(monkeypatch) -> None:
+    # a sample of the Monte Carlo table is 16 words x (1,000 nodes + 3,000
+    # links + 1,000 seed sets) on a 1,000-node graph of 3 links a node, so
+    # its 20,000 default samples are refused before any draw or pass; the
+    # refusal comes the same way just above the limit
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew samples or ran the kernel")
+
+    monkeypatch.setattr(influence, "_reach_columns", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    mid = Graph(1000, tuple((u, (u + k) % 1000, 0.1) for u in range(1000) for k in (1, 7, 31)))
+    per_sample = 16 * 5000
+    start = time.perf_counter()
+    for samples in (20000, influence.MAX_KERNEL_WORK // per_sample + 1):
+        with pytest.raises(ValueError, match=re.escape(
+            f"the reach kernel needs {samples * per_sample} word operations ({samples} outcomes x 16 words x "
+            f"5000 rows: 1000 nodes, 3000 links and 1000 seed sets), above the limit of {influence.MAX_KERNEL_WORK}"
+        )):
+            singleton_influence_table(mid, samples)
+    assert time.perf_counter() - start < 1.0
+    # 500 nodes and 20 uncertain edges: within EXACT_EDGE_LIMIT, but the
+    # exact table's 2^20 outcomes x 8 words x 1,020 rows are not admitted,
+    # so it falls back to Monte Carlo, whose samples the same limit admits
+    monkeypatch.undo()
+    exact = []
+    monkeypatch.setattr(influence, "_exact_spreads", lambda *args: exact.append(args))
+    sparse = Graph(500, tuple((2 * t, 2 * t + 1, 0.5) for t in range(20)))
+    table = singleton_influence_table(sparse, samples=64)
+    assert exact == [] and len(table) == 500 and table[1] == table[499] == 1.0 and 1.0 <= table[0] <= 2.0
+    with pytest.raises(ValueError, match="the reach kernel needs"):
+        singleton_influence_table(sparse, samples=influence.MAX_KERNEL_WORK // (8 * 1020) + 1)
 
 
 def test_mc_fallback_runs_one_kernel_pass_per_block(monkeypatch) -> None:

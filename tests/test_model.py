@@ -302,7 +302,7 @@ def test_action_space_refuses_a_huge_space_before_enumerating() -> None:
         with pytest.raises(ValueError) as err:
             build(inst)
         assert str(err.value) == (
-            "the action space would hold 2097150 actions (n = 2, "
+            "the action space needs 2097150 actions (n = 2, "
             f"L = 20 low-value coupons, K = 20), above the limit of {MAX_ACTIONS}"
         )
     assert time.perf_counter() - start < 0.5

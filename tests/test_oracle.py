@@ -3,14 +3,22 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from couponprobe import oracle, simplex
-from couponprobe.influence import Graph, singleton_influence_table
+from couponprobe import influence, oracle, simplex
+from couponprobe.influence import (
+    EXACT_EDGE_LIMIT,
+    MAX_KERNEL_WORK,
+    Graph,
+    influence_exact,
+    singleton_influence_table,
+)
 from couponprobe.model import (
+    MAX_ACTIONS,
     Instance,
     build_action_space,
     user_groups,
@@ -278,6 +286,89 @@ def test_every_entry_point_refuses_a_large_spread_table_before_the_kernel(monkey
             call()
 
 
+def test_extensions_refuse_an_exact_kernel_call_with_the_oracle_error(monkeypatch) -> None:
+    # y on one user's action: a spread table of 2^e cells, within
+    # MAX_SPREAD_CELLS, but on 26 nodes with 25 uncertain edges more than
+    # the kernel enumerates, and on 130 nodes with 20 more word operations
+    # than it may take (3 words x 151 rows per outcome)
+    def kernel(*args):
+        raise AssertionError("the reach kernel was called")
+
+    monkeypatch.setattr(influence, "_reach_columns", kernel)
+    star = uniform_instance(26, (1.0,), ((0.5,),) * 26, K=1, B=2.0, edges=[(0, t, 0.5) for t in range(1, 26)])
+    wide = uniform_instance(130, (1.0,), ((0.5,),) * 130, K=1, B=2.0, edges=[(0, t, 0.5) for t in range(1, 21)])
+    for inst, message in [
+        (star, f"exact influence needs 25 uncertain edges (2^25 live-edge outcomes), "
+               f"above the limit of {EXACT_EDGE_LIMIT}"),
+        (wide, f"the reach kernel needs {(1 << 20) * 3 * 151} word operations (1048576 outcomes x 3 words x "
+               f"151 rows: 130 nodes, 20 links and 1 seed sets), above the limit of {MAX_KERNEL_WORK}"),
+    ]:
+        y = {build_action_space(inst)[0]: F(1, 2)}
+        for call in (multilinear_value_exact, concave_extension_exact):
+            with pytest.raises(OracleSizeError) as err:
+                call(inst, y)
+            assert str(err.value) == message
+
+
+# the one form of a size refusal: what, its count, its unit, its parts and
+# the limit it passes
+ONE_FORM = re.compile(r"(.+) needs (\d+) ([a-z -]+) \((.+)\), above the limit of (\d+)")
+
+
+def test_every_limit_refuses_in_one_form(monkeypatch) -> None:
+    # one refusal per limit, each just built past it
+    rising = (0.2, 0.4, 0.6)
+    twenty = uniform_instance(1, range(1, 21), (tuple(round(0.04 * (i + 1), 2) for i in range(20)),), K=20, B=40.0)
+    tiny = uniform_instance(2, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9)), K=1, B=3.0)
+    star = Graph(22, tuple((0, t, 0.5) for t in range(1, 22)))  # a sample: 22 nodes, 21 links, 22 sets
+    wide = Graph(130, tuple((0, t, 0.5) for t in range(1, 21)))
+    seven = uniform_instance(7, (1.0, 2.0, 3.0), (rising,) * 7, K=2, B=7.0)  # 7^7 states, 6 moves a user
+    twelve_edges = [(v, v + 1, 0.5) for v in range(11)] + [(v + 3, v, 0.5) for v in range(9)]
+    twelve = uniform_instance(12, (1.0,), ((0.5,),) * 12, K=1, B=12.0, edges=twelve_edges)
+    five = uniform_instance(5, (1.0, 1.2, 1.4), (rising,) * 5, K=2, B=9.0)
+    box = ([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
+    samples = MAX_KERNEL_WORK // 65 + 1
+    monkeypatch.setattr(simplex, "MAX_PIVOT_CELLS", 29)
+    cases = [
+        (lambda: build_action_space(twenty), "the action space", 1048575, "actions",
+         "n = 1, L = 20 low-value coupons, K = 20", MAX_ACTIONS),
+        (lambda: continuous_greedy(tiny, RelaxationConfig(delta=1e-7)), "the continuous greedy",
+         10000001 * 5952, "word operations", "10000001 steps at delta = 1e-07, each 200 samples x 8 + 4352 "
+         "for the LP over |S| = 4 actions; a larger delta (--delta) takes fewer steps", MAX_KERNEL_WORK),
+        (lambda: influence_exact(wide, [0]), "the reach kernel", (1 << 20) * 3 * 151, "word operations",
+         "1048576 outcomes x 3 words x 151 rows: 130 nodes, 20 links and 1 seed sets", MAX_KERNEL_WORK),
+        (lambda: singleton_influence_table(star, samples), "the reach kernel", samples * 65, "word operations",
+         f"{samples} outcomes x 1 words x 65 rows: 22 nodes, 21 links and 22 seed sets", MAX_KERNEL_WORK),
+        (lambda: influence_exact(star, [0]), "exact influence", 21, "uncertain edges",
+         "2^21 live-edge outcomes", EXACT_EDGE_LIMIT),
+        (lambda: optimal_adaptive_value(seven), "backward induction", 7**7 + 42 + 7 * 7**6 * 6, "steps",
+         f"{7**7} states, 42 moves to tabulate and {7 * 7**6 * 6} over the states", MAX_ORACLE_STEPS),
+        (lambda: multilinear_value_exact(twelve, dict.fromkeys(build_action_space(twelve), F(1, 2))),
+         "the spread table", ((1 << 12) - 1) << 20, "cells", "12 users, 20 uncertain edges", MAX_SPREAD_CELLS),
+        (lambda: concave_relaxation_optimum(five), "the exact LP", 7**5, "action profiles",
+         "the product over 5 users of 1 + their actions, 30 in all", MAX_LP_COLUMNS),
+        (lambda: simplex.maximize(*box), "the simplex", 30, "cell updates", "2 pivots so far x 3 x 5 tableau cells", 29),
+    ]
+    for call, what, count, unit, parts, limit in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert ONE_FORM.fullmatch(str(err.value)).groups() == (what, str(count), unit, parts, str(limit))
+        assert count > limit
+
+
+def test_extension_stops_at_its_budget_of_cell_updates(monkeypatch) -> None:
+    # 5 users with 3 actions each at mass 1/4: 1,024 profiles and 16 rows,
+    # a 17 x 1,041 tableau on which Bland's rule pivots for minutes; with
+    # the budget at 20 pivots of it, the 21st is refused
+    inst = oracle4_shaped(0, users=5)
+    y = dict.fromkeys(build_action_space(inst), F(1, 4))
+    monkeypatch.setattr(simplex, "MAX_PIVOT_CELLS", 20 * 17 * 1041)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"needs {21 * 17 * 1041} cell updates (21 pivots so far x 17 x ")):
+        concave_extension_exact(inst, y)
+    assert time.perf_counter() - start < 5.0
+
+
 # ------------------------------------------------------------ exact evaluation
 
 
@@ -398,7 +489,7 @@ def test_profile_values_equal_per_profile_seeding_values() -> None:
         actions = build_action_space(inst)
         groups = user_groups(actions)
         spread = {sum(1 << v for k, v in enumerate(groups) if m >> k & 1): x
-                  for m, x in enumerate(_spread_table(inst, groups))}
+                  for m, x in enumerate(_spread_table(inst, groups)())}
         profiles, values = _profile_columns(inst, actions)
         assert profiles == [
             tuple(i for i in combo if i is not None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -68,12 +69,16 @@ def test_simplex_knapsack_fraction() -> None:
 
 
 def test_simplex_stops_at_the_pivot_limit(monkeypatch) -> None:
-    # the box LP above takes two pivots, one per variable
+    # the box LP above takes two pivots, one per variable, over a tableau of
+    # 3 rows and 5 columns: 30 cell updates
     box = ([F(1), F(1)], [[F(1), F(0)], [F(0), F(1)]], [F(1), F(2)])
-    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
-    with pytest.raises(RuntimeError, match="pivot limit"):
+    monkeypatch.setattr(simplex, "MAX_PIVOT_CELLS", 29)
+    with pytest.raises(ValueError) as err:
         simplex.maximize(*box)
-    monkeypatch.setattr(simplex, "MAX_PIVOTS", 2)
+    assert str(err.value) == (
+        "the simplex needs 30 cell updates (2 pivots so far x 3 x 5 tableau cells), above the limit of 29"
+    )
+    monkeypatch.setattr(simplex, "MAX_PIVOT_CELLS", 30)
     assert simplex.maximize(*box)[0] == 3
 
 
@@ -872,24 +877,33 @@ def test_greedy_refuses_too_many_steps_before_drawing(monkeypatch) -> None:
     def no_draws(*args, **kwargs):
         raise AssertionError("drew samples")
 
+    # 2 edgeless users with 2 actions each: a sample is 1 word x (2 nodes +
+    # 2 seed sets) and 4 actions, and a step adds 64 * (4 + 64) for the LP
     inst = uniform_instance(2, (1.0, 1.2), ((0.3, 0.5), (0.2, 0.9)), K=1, B=3.0)
     monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(influence, "_reach_columns", no_draws)
     with pytest.raises(ValueError) as err:
         continuous_greedy(inst, RelaxationConfig(delta=1e-7))
     assert str(err.value) == (
-        "the continuous greedy would take 10000001 steps (delta = 1e-07, |S| = 4 actions), "
-        f"above the limit of {relaxation.MAX_STEPS}"
+        f"the continuous greedy needs {10000001 * 5952} word operations (10000001 steps at delta = 1e-07, "
+        "each 200 samples x 8 + 4352 for the LP over |S| = 4 actions; a larger delta (--delta) takes fewer steps), "
+        f"above the limit of {influence.MAX_KERNEL_WORK}"
     )
-    # the default delta, exactly 1/|S|^2, passes the limit above 1024
-    # actions: 1230 here, 1230^2 steps
-    wide = uniform_instance(205, (1.0, 2.0, 3.0, 6.0), ((0.1, 0.2, 0.3, 0.4),) * 205, K=2, B=7.0)
-    with pytest.raises(ValueError, match="take 1512900 steps"):
+    # just above the limit, and the default delta, exactly 1/|S|^2, at
+    # |S| = 1024 (256 users with 4 low-value coupons at K = 1): 2^20 steps
+    steps = influence.MAX_KERNEL_WORK // 5952 + 1
+    wide = uniform_instance(256, (1.0, 2.0, 3.0, 4.0, 10.0), ((0.1, 0.2, 0.3, 0.4, 0.5),) * 256, K=1, B=8.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"needs {steps * 5952} word operations \\({steps} steps"):
+        continuous_greedy(inst, RelaxationConfig(delta=1 / (steps - 0.5)))
+    with pytest.raises(ValueError, match="1048576 steps at delta = 9.5367431640625e-07, each 200 samples x 3072 "):
         continuous_greedy(wide, RelaxationConfig())
+    assert time.perf_counter() - start < 1.0
     # the limit itself is allowed
     monkeypatch.undo()
-    monkeypatch.setattr(relaxation, "MAX_STEPS", 4)
+    monkeypatch.setattr(influence, "MAX_KERNEL_WORK", 4 * (5 * 8 + 4352))
     assert len(continuous_greedy(inst, RelaxationConfig(delta=0.25, marginal_samples=5))) == 4
-    with pytest.raises(ValueError, match="take 5 steps"):
+    with pytest.raises(ValueError, match="needs 21960 word operations \\(5 steps"):
         continuous_greedy(inst, RelaxationConfig(delta=0.24, marginal_samples=5))
 
 
