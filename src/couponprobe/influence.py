@@ -1,14 +1,14 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
-The sampler reads a block of live-edge outcomes off one array of uniforms as
-bool rows, and the kernel takes outcomes as uint64 columns, all ones where an
+The sampler reads live-edge outcomes off an array of uniforms as bool
+rows, and the kernel takes outcomes as uint64 columns, all ones where an
 uncertain edge is live.  One vectorized reach kernel computes every node's
 reach over a set of live-edge outcomes at once, in one pass over the graph's
 links when it is acyclic: it visits the strongly connected components sinks
 first and repeats only the links inside a component.  It computes spread
 exactly, over every outcome in order, when the graph is small enough, and
-scores blocks of sampled outcomes: Monte Carlo estimates, marginal samples
-and simulated worlds.
+scores sampled outcomes a chunk at a time: Monte Carlo estimates, marginal
+samples and simulated worlds.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ EXACT_EDGE_LIMIT = 20
 # 1,000 (+17 to +53 MB), and greedies 2.0-4.3 s (+4 to +18 MB).  A word costs
 # more as the node count grows and chunks narrow: 23 s on 2,000 nodes.
 MAX_KERNEL_WORK = 1 << 28
-# A kernel pass takes as many outcome columns as keep its arrays within this
-# many bytes (_chunk_columns); the exact path rounds that down to a power of
-# two and reuses one reach buffer from chunk to chunk.  Larger chunks run no
-# faster on 16-node graphs and raise peak memory.
+# The bytes a chunk of outcomes may hold: its kernel arrays and each row's
+# arrays beside them (_chunk_columns); the exact path rounds that down to a
+# power of two and reuses one reach buffer from chunk to chunk.  Larger
+# chunks run no faster on 16-node graphs and raise peak memory.
 KERNEL_BYTES = 4 << 20
-# Sampled outcomes are drawn in blocks of this many rows: outcome i is row
+# Sampled outcomes are keyed in blocks of this many rows: outcome i is row
 # i % BLOCK of block i // BLOCK, whose stream is keyed by the block, so it
-# depends neither on how many outcomes are drawn nor on how they are scored.
+# depends neither on how many outcomes are drawn nor on how they are chunked.
 # On 16 nodes a block's arrays take about 0.5 MB; 2048 rows ran 25% faster
 # per world there but raised peak RSS by 0.6 MB.
 BLOCK = 1024
@@ -235,13 +235,13 @@ def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
 
 
 def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
-    """Outcome columns per kernel pass: the largest count, at least 1, whose
-    arrays fit in KERNEL_BYTES = 4 MB, at 8 bytes per column for each node's
-    reach words (twice, for temporaries), each uncertain edge's live column
-    and six outcome vectors (weights, gains, a union and its counts), plus
-    extra_bytes per column that the caller holds alongside them.
-    _exact_spreads rounds it down to a power of two; sampled outcomes take it
-    as it is."""
+    """Outcome columns per chunk, the one memory rule for outcomes: the
+    largest count, at least 1, whose arrays fit in KERNEL_BYTES = 4 MB, at 8
+    bytes per column for each node's reach words (twice, for temporaries),
+    each uncertain edge's live column and six outcome vectors (weights,
+    gains, a union and its counts), plus extra_bytes for what the caller
+    holds per column (draws, accepts, live edges, seeds).  _exact_spreads
+    rounds it down to a power of two; sampled paths take it as it is."""
     words = -(-graph.node_count // 64)
     column = 8 * (2 * graph.node_count * words + len(graph.uncertain_edges) + 6) + extra_bytes
     return max(1, KERNEL_BYTES // column)
@@ -385,18 +385,13 @@ def live_edges(graph: Graph, uniforms: np.ndarray) -> np.ndarray:
     return uniforms < np.array([graph.edges[i][2] for i in graph.uncertain_edges])
 
 
-def _sampled_reach(graph: Graph, live: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """_reach_columns over sampled outcomes, _chunk_columns at a time.
-
-    Row r of live is outcome r, as live_edges gives it.  Yields (first row,
-    reach) per chunk; the chunks split rows already drawn, so they change no
-    draw.
-    """
-    step = _chunk_columns(graph)
-    for start in range(0, len(live), step):
-        columns = live[start:start + step].T.astype(np.uint64, order="C")
-        np.negative(columns, out=columns)  # all ones where the edge is live
-        yield start, _reach_columns(graph, columns)
+def _sampled_reach(graph: Graph, live: np.ndarray) -> np.ndarray:
+    """_reach_columns over sampled outcomes in one kernel pass: row r of
+    live is outcome r, as live_edges gives it, and column r of the reach.
+    Callers size live by _chunk_columns."""
+    columns = live.T.astype(np.uint64, order="C")
+    np.negative(columns, out=columns)  # all ones where the edge is live
+    return _reach_columns(graph, columns)
 
 
 def _seeded_union(reach: np.ndarray, seeded: np.ndarray) -> np.ndarray:
@@ -406,17 +401,17 @@ def _seeded_union(reach: np.ndarray, seeded: np.ndarray) -> np.ndarray:
 
 
 def sampled_spreads(graph: Graph, live: np.ndarray, seeded: np.ndarray) -> np.ndarray:
-    """Spread of a seed set in each sampled outcome, as an int64 array.
+    """Spread of a seed set in each sampled outcome, as an int64 array, in
+    one kernel pass over outcomes that the caller sizes by _chunk_columns.
 
     Row r of live is an outcome, as live_edges gives it, and column r of the
     bool (n, outcomes) matrix seeded is true at its seeds; an outcome with no
-    seed spreads to 0 and takes no kernel pass.
+    seed spreads to 0 and takes no kernel column.
     """
     out = np.zeros(seeded.shape[1], dtype=np.int64)
     hit = np.flatnonzero(seeded.any(axis=0))
-    for start, reach in _sampled_reach(graph, live[hit]):
-        rows = hit[start:start + reach.shape[2]]
-        out[rows] = np.bitwise_count(_seeded_union(reach, seeded.take(rows, axis=1))).sum(axis=0)
+    if len(hit):
+        out[hit] = np.bitwise_count(_seeded_union(_sampled_reach(graph, live[hit]), seeded[:, hit])).sum(axis=0)
     return out
 
 
@@ -433,20 +428,23 @@ def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
 
 
 def _mc_reach(graph: Graph, samples: int, rng_seed: int, sets: int) -> Iterator[np.ndarray]:
-    """Every node's reach in each Monte Carlo sample, a kernel chunk at a
-    time, for scoring `sets` seed sets; refused before the first draw
-    unless _admit_kernel admits it.
+    """Every node's reach in each Monte Carlo sample, a chunk at a time, for
+    scoring `sets` seed sets; refused before the first draw unless
+    _admit_kernel admits it.
 
     Block b of BLOCK samples draws one uniform per uncertain edge and sample
-    in one call on a stream keyed by (rng_seed, b), so sample i depends only
-    on (rng_seed, i).
+    on a stream keyed by (rng_seed, b), as many rows of one block at a time
+    as _chunk_columns gives for the uniforms and live edges they hold, so
+    sample i depends only on (rng_seed, i).
     """
     _admit_kernel(graph, samples, sets)
+    unc = len(graph.uncertain_edges)
+    step = _chunk_columns(graph, 9 * unc)  # uniforms at 8 bytes, live edges at 1
     for b, start in enumerate(range(0, samples, BLOCK)):
-        shape = (min(BLOCK, samples - start), len(graph.uncertain_edges))
-        uniforms = np.random.default_rng([rng_seed, b]).random(shape)
-        for _, reach in _sampled_reach(graph, live_edges(graph, uniforms)):
-            yield reach
+        gen = np.random.default_rng([rng_seed, b])
+        rows = min(BLOCK, samples - start)
+        for first in range(0, rows, step):
+            yield _sampled_reach(graph, live_edges(graph, gen.random((min(step, rows - first), unc))))
 
 
 def influence_mc_stats(

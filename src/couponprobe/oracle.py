@@ -15,24 +15,26 @@ instances (4 users, 3 coupons, K = 2; median of 32) a call takes about 4 ms
 over 1,473 of the memo's 2,401 states, 2 ms restricted and under 1 ms with
 the W cap (2-core x86 host, Python 3.11).
 
-Counts computed before the work bound it, each admitted by
-influence._admit and refused with OracleSizeError.  The induction's steps,
-at most MAX_ORACLE_STEPS = 800,000, are its memo's states, the product over
-users of their local-state counts, plus the moves in the users' tables, each
-built once, plus the moves over the memo, each user's moves once per state
-of the other users.  The spread table's cells, one per non-empty subset of
-the users and live-edge outcome, are at most MAX_SPREAD_CELLS = 2^26, and
-its kernel call is admitted as influence._admit_exact admits it.  The
-profile LPs take at most MAX_LP_COLUMNS = 4,096 profiles; at that size the
-relaxation optimum took 0.11-0.16 s and +3.6 MB (6 users with 3 actions
-each), and the extension's simplex stops at its own budget of cell updates,
-simplex.MAX_PIVOT_CELLS, with a ValueError.  On the same host, one call after a
-warm-up in a fresh process, in each mode, near the step limit: 1 user with
-266,666 coupons at K = 1 took at most 1.01 s and +72 MB max RSS, 1 user with
-892 coupons at K = 2 took 0.52 s and +88 MB (its table holds every move), and
-6 users on a path with 3 coupons at K = 2 took 0.49 s and +4.4 MB; the spread
-table took 0.52-0.70 s at 2^26 cells over 6 to 12 users; both limits at once
-took at most 0.92 s and +4.3 MB.
+Counts computed before the work bound it, each admitted by influence._admit
+and refused with OracleSizeError.  The induction's steps, at most
+MAX_ORACLE_STEPS = 800,000, are its memo's states, the product over users of
+their local-state counts, plus the moves in the users' tables, each built
+once, plus the moves over the memo, each user's moves once per state of the
+other users.  The spread table's cells, one per non-empty subset of the
+users and live-edge outcome, each subset counted as at least 2^8 outcomes,
+are at most MAX_SPREAD_CELLS = 2^26, and its kernel call is admitted as
+influence._admit_exact admits it.  The profile LPs take at most
+MAX_LP_COLUMNS = 4,096 profiles; at that size the relaxation optimum took
+0.11-0.16 s and +3.6 MB (6 users with 3 actions each), and the extension's
+simplex stops at its own budget of cell updates, simplex.MAX_PIVOT_CELLS,
+with a ValueError.  On the same host, one call after a warm-up in a fresh
+process, in each mode, near the step limit: 1 user with 266,666 coupons at
+K = 1 took at most 1.01 s and +72 MB max RSS, 1 user with 892 coupons at
+K = 2 took 0.52 s and +88 MB (its table holds every move), and 6 users on a
+path with 3 coupons at K = 2 took 0.49 s and +4.4 MB; the spread table took
+0.52-0.70 s at 2^26 cells over 6 to 12 users, and 5.5-8.0 s and +56 MB over
+18 users and at most 8 uncertain edges; both limits at once took at most
+0.92 s and +4.3 MB.
 
 The multilinear extension, which at a 0/1 point is the value of that action
 set, the concave extension and the concave relaxation's optimum are exact
@@ -197,12 +199,15 @@ def _spread_table(instance: Instance, users: Collection[int]) -> Callable[[], li
     of the reach kernel.
 
     Refuses first, with OracleSizeError, more than MAX_SPREAD_CELLS cells,
-    one per non-empty subset and live-edge outcome, and then a kernel call
-    that influence._admit_exact does not admit.
+    one per non-empty subset and live-edge outcome, each subset counted as
+    at least 2^8 outcomes, and then a kernel call that
+    influence._admit_exact does not admit.
     """
     sets, edges = (1 << len(users)) - 1, len(instance.graph.uncertain_edges)
-    _admit(sets << edges, MAX_SPREAD_CELLS, "the spread table", "cells",
-           f"{len(users)} users, {edges} uncertain edges", OracleSizeError)
+    # a seed set, a list and a few numpy calls a chunk, costs as much as 2^8 outcomes
+    _admit(sets << max(edges, 8), MAX_SPREAD_CELLS, "the spread table", "cells",
+           f"{len(users)} users, {edges} uncertain edges{'' if edges >= 8 else ', a set at least 2^8 outcomes'}",
+           OracleSizeError)
     if sets:
         _admit_exact(instance.graph, sets, OracleSizeError)
 

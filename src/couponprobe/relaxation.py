@@ -2,7 +2,7 @@
 
 The fractional solution lives on the action space (user, coupon sequence).
 Marginal utilities are estimated by Monte Carlo with common random numbers,
-a block of samples at a time; the direction-finding LP, a _ColumnLP, which
+a window of samples at a time; the direction-finding LP, a _ColumnLP, which
 the oracle's relaxation optimum solves too, is solved exactly on integers,
 by a walk over the groups' convex hulls and, when the W row binds, a search
 over the W row's Lagrange multiplier made of such walks; and the ascent
@@ -10,9 +10,9 @@ accumulates in exact arithmetic so the scaled constraints hold with no
 slack.
 
 The ascent runs on action indices.  Its marginal samples do not depend on
-the point, so one reach-kernel pass scores the samples of a window of steps,
-and the LP reads each step's integer sample totals as they are.  On the
-48-action relax48 instances (8 users, K=2; 2-core x86 host, Python 3.11,
+the point, so one reach-kernel pass scores a window of rows that may span
+steps, and the LP reads each step's integer sample totals as they are.  On
+the 48-action relax48 instances (8 users, K=2; 2-core x86 host, Python 3.11,
 numpy 2.4, nine runs, which differ by up to 1.6x) one step costs 0.20-0.29
 ms with 10 marginal samples, 0.026-0.038 ms of it in the direction LP, and
 0.30-0.49 ms with the default 200, 0.029-0.050 ms of it in the LP.  The
@@ -152,68 +152,63 @@ class _Sampler:
         self.order = np.array([i for group in groups.values() for i in group], dtype=np.intp)
         self.group_starts = np.cumsum([0, *(len(group) for group in groups.values())])[:-1]
 
-    def samples(self, first: int, steps: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    def samples(self, first: int, steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The samples of iterations first..first+steps-1, in order, as pieces
-        (iteration, accepts, presence uniforms, reach) of consecutive rows.
+        (accepts, presence uniforms, reach) of consecutive rows of one
+        iteration each.
 
         Iteration i's samples are estimate_marginals' at iteration i: block b
         is drawn on the stream keyed by (rng_seed, i, b), and the generators
-        are called in (iteration, block) order.  Consecutive blocks form a
-        window whose arrays and reach fit in half of influence.KERNEL_BYTES,
-        and one kernel pass gives the reach of the whole window; a block too
-        large for that is a window of its own, and the kernel chunks it.
-        Nothing here depends on y.
+        are built and drawn in (iteration, block) order.  A window takes the
+        rows influence._chunk_columns gives for what a row holds, may span
+        steps and split a block, and has its reach from one kernel pass.
+        totals lets go of each piece before asking for the next, so a window
+        is freed before the next is drawn.  Nothing here depends on y.
         """
-        total = self.samples_per_step
-        blocks = [min(BLOCK, total - start) for start in range(0, total, BLOCK)]
-        # a window row holds its presence uniforms at 8 bytes, its accepts
-        # and its live edges at 1; a window's last step still holds it while
-        # the next window is drawn, so each gets half of KERNEL_BYTES
-        limit = influence._chunk_columns(self.graph, 9 * len(self.users) + self.unc) // 2
-        window: list[tuple[int, int, int]] = []  # (iteration, block, rows)
+        n, m = self.n, len(self.users)
+        # a row holds its draws and a copy of its accepts' thresholds at 8
+        # bytes, and its accepts, live edges and seeds at 1
+        limit = influence._chunk_columns(self.graph, 8 * (n + self.unc + 2 * m) + m + self.unc + n)
+        window: list[tuple[np.random.Generator, int]] = []  # (a block's generator, rows)
         rows = 0
         for i in range(first, first + steps):
-            for b, block_rows in enumerate(blocks):
-                if window and rows + block_rows > limit:
-                    yield from self._window(window, rows)
-                    window, rows = [], 0
-                window.append((i, b, block_rows))
-                rows += block_rows
-        yield from self._window(window, rows)
+            for b, start in enumerate(range(0, self.samples_per_step, BLOCK)):
+                gen = np.random.default_rng([self.rng_seed, i, b])
+                left = min(BLOCK, self.samples_per_step - start)
+                while left:
+                    take = min(left, limit - rows)
+                    window.append((gen, take))
+                    rows, left = rows + take, left - take
+                    if rows == limit:
+                        yield from self._window(window, rows)
+                        window, rows = [], 0
+        if window:
+            yield from self._window(window, rows)
 
-    def _window(
-        self, blocks: list[tuple[int, int, int]], rows: int
-    ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        n, unc, m = self.n, self.unc, len(self.users)
-        accepts = np.empty((rows, m), dtype=bool)
-        presence = np.empty((rows, m))
+    def _window(self, segments: list[tuple[np.random.Generator, int]], rows: int) -> Iterator[tuple]:
+        n, unc = self.n, self.unc
         live = np.empty((rows, unc), dtype=bool)
-        spans: list[list[int]] = []  # [iteration, first row, end row]
+        pieces = []  # (accepts, presence uniforms, first row)
         at = 0
-        for i, b, block_rows in blocks:
-            draws = np.random.default_rng([self.rng_seed, i, b]).random((block_rows, n + unc + m))
-            end = at + block_rows
-            accepts[at:end] = self.top_accept >= draws[:, self.users]  # thresholds are columns 0..n-1
-            live[at:end] = live_edges(self.graph, draws[:, n:n + unc])
-            presence[at:end] = draws[:, n + unc:]
-            if spans and spans[-1][0] == i:
-                spans[-1][2] = end
-            else:
-                spans.append([i, at, end])
-            at = end
-        for first, reach in _sampled_reach(self.graph, live):
-            end = first + reach.shape[2]
-            for i, lo, hi in spans:
-                lo, hi = max(lo, first), min(hi, end)
-                if lo < hi:
-                    yield i, accepts[lo:hi], presence[lo:hi], reach[:, :, lo - first:hi - first]
+        for gen, segment_rows in segments:
+            draws = gen.random((segment_rows, n + unc + len(self.users)))
+            live[at:at + segment_rows] = live_edges(self.graph, draws[:, n:n + unc])
+            accepts = self.top_accept >= draws[:, self.users]  # thresholds are columns 0..n-1
+            pieces.append((accepts, draws[:, n + unc:], at))
+            at += segment_rows
+        reach = _sampled_reach(self.graph, live)
+        for accepts, presence, at in pieces:
+            yield accepts, presence, reach[:, :, at:at + len(accepts)]
 
-    def totals(self, probs: np.ndarray, pieces: Iterable[tuple]) -> np.ndarray:
-        """Every action's gain summed over one iteration's samples, as int64,
-        at the point whose masses, as floats in action order, are probs: the
-        part of estimate_marginals that depends on y, undivided."""
+    def totals(self, probs: np.ndarray, pieces: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
+        """Every action's gain summed over one iteration's samples, the next
+        pieces that hold samples_per_step rows, as int64, at the point whose
+        masses, as floats in action order, are probs: the part of
+        estimate_marginals that depends on y, undivided."""
         totals = np.zeros(len(self.users), dtype=np.int64)
-        for _, accepts, presence, reach in pieces:
+        rows = 0
+        while rows < self.samples_per_step:
+            accepts, presence, reach = next(pieces)
             present = presence < probs
             seeded = np.zeros((self.n, len(present)), dtype=bool)
             seeded[self.group_users] = np.logical_or.reduceat(
@@ -223,6 +218,8 @@ class _Sampler:
             gains = np.bitwise_count(union | reach).sum(axis=1, dtype=np.int64)
             gains -= np.bitwise_count(union).sum(axis=0, dtype=np.int64)
             totals += np.where(accepts & ~present, gains[self.users].T, 0).sum(axis=0)
+            rows += len(present)
+            del accepts, presence, reach  # so the sampler frees its window before drawing the next
         return totals
 
 
@@ -236,20 +233,21 @@ def estimate_marginals(
 
     y's masses may be floats or Fractions (_mass); they are read as floats.
 
-    Samples are drawn in blocks of BLOCK.  Block b draws one row per sample
-    in one call on the stream keyed by (rng_seed, iteration, b): each user's
-    threshold, one uniform per uncertain edge (live when below its
-    probability), then one presence uniform per action in y's order, so
-    sample s depends only on (rng_seed, iteration, s).  Within a sample the
-    same world and the same random base set serve every action, so the
-    estimates share their noise.  Each sample adds, for every action outside
-    the base set, the realized spread of the base set with the action less
-    that of the base set alone.  A user is seeded when the best top coupon
-    among their present actions meets their threshold; the budget is not
-    consulted.  Attractiveness rows are non-decreasing, so an action's gain
-    is zero unless it would newly seed its user, and then it is what that
-    user's reach adds to the union of the seeded users' reach: one
-    reach-kernel pass gives every sample's union and every user's gain.
+    Samples are keyed in blocks of BLOCK.  Block b draws one row per sample
+    on the stream keyed by (rng_seed, iteration, b), a chunk of rows at a
+    time (_Sampler.samples): each user's threshold, one uniform per
+    uncertain edge (live when below its probability), then one presence
+    uniform per action in y's order, so sample s depends only on (rng_seed,
+    iteration, s).  Within a sample the same world and the same random base
+    set serve every action, so the estimates share their noise.  Each sample
+    adds, for every action outside the base set, the realized spread of the
+    base set with the action less that of the base set alone.  A user is
+    seeded when the best top coupon among their present actions meets their
+    threshold; the budget is not consulted.  Attractiveness rows are
+    non-decreasing, so an action's gain is zero unless it would newly seed
+    its user, and then it is what that user's reach adds to the union of the
+    seeded users' reach: one reach-kernel pass per chunk gives every
+    sample's union and every user's gain.
     Marginals are therefore non-negative sample by sample; each is an int
     total over the samples divided by their count.  continuous_greedy runs
     the same _Sampler on action indices and hands its LP the totals.
@@ -618,9 +616,10 @@ def continuous_greedy(
     updated only where y moves; Fractions are built only for on_step and the
     result.  Every part of the marginals and the LP that does not depend on
     y is built once (_Sampler, _direction_lp).  The samples do not depend on
-    y either, so their reach comes a window of rounds at a time.  The result
-    is a convex combination of exactly feasible LP vertices, so it satisfies
-    the scaled constraints exactly (the output stays rational end to end).
+    y either, so they come a window of rows, which may span rounds, at a
+    time.  The result is a convex combination of exactly feasible LP
+    vertices, so it satisfies the scaled constraints exactly (the output
+    stays rational end to end).
     """
     actions = build_action_space(instance)
     if not actions:
@@ -640,7 +639,8 @@ def continuous_greedy(
     den = 1
     probs = np.zeros(len(actions))  # y as floats, for the marginals
     last = 1 - (steps - 1) * delta  # every step but the last is delta
-    for i, pieces in itertools.groupby(sampler.samples(0, steps), key=lambda piece: piece[0]):
+    pieces = sampler.samples(0, steps)
+    for i in range(steps):
         direction = lp.solve(sampler.totals(probs, pieces).tolist())
         step = delta if i < steps - 1 else last
         for j, d in direction.items():

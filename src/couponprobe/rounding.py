@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import influence
 from .model import Action, Instance, Steps, low_value_coupons
 from .relaxation import RelaxationConfig, continuous_greedy
 
@@ -57,12 +56,6 @@ class Alg1Policy:
                 self._attract[i, :len(coupons)] = [instance.attractiveness[action.user][c] for c in coupons]
             self._lengths = (self._offers >= 0).sum(axis=1)
             self._values = np.where(self._offers >= 0, np.array(instance.coupons)[self._offers], 0.0)
-
-    @property
-    def chunk_rows(self) -> int:
-        """Worlds per run_block call: the most, at least 1, whose uniforms fit
-        in influence.KERNEL_BYTES, the byte bound of every other block array."""
-        return max(1, influence.KERNEL_BYTES // (8 * ROUNDING_DRAWS * len(self._mass)))
 
     def run_block(self, thresholds: np.ndarray, uniforms: np.ndarray):
         """Round, resolve and execute the plan in a block of worlds.

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import BLOCK, _count, _positive, live_edges, sampled_spreads
+from .influence import BLOCK, _chunk_columns, _count, _positive, live_edges, sampled_spreads
 from .model import Instance, Steps, check_steps, low_value_coupons
 from .relaxation import RelaxationConfig
 from .rounding import ROUNDING_DRAWS, Alg1Policy
@@ -187,9 +187,9 @@ def evaluate_policy(
     """Mean realized spread of an Alg1Policy, Alg2Policy or StochCpPolicy
     over independent worlds; any other policy raises TypeError.
 
-    Worlds are drawn in blocks of BLOCK: block b draws every user threshold
-    and every uncertain-edge uniform of its worlds in one call on a stream
-    keyed by (rng_seed, b, 0), one row per world, so world i depends only on
+    Worlds are keyed in blocks of BLOCK: block b draws every user threshold
+    and every uncertain-edge uniform of its worlds, a chunk of rows at a
+    time, on a stream keyed by (rng_seed, b, 0), so world i depends only on
     (rng_seed, i), neither on `worlds` nor on the policy, and policies
     evaluated with one seed see the same worlds.  stoch-cp's coin is one
     uniform per world from the block's stream keyed by (rng_seed, b, 2).
@@ -199,8 +199,8 @@ def evaluate_policy(
     i % BLOCK of its block's rounding draws: ROUNDING_DRAWS uniforms per
     action, drawn on a stream keyed by (rng_seed, b, 1) for every row of the
     block, whatever the coin says, so this too depends only on (rng_seed, i).
-    Every world of a block is then scored in one reach-kernel pass and
-    checked for feasibility by check_steps (see _simulate).
+    Worlds are then scored a chunk at a time, one reach-kernel pass each,
+    and checked for feasibility by check_steps (see _simulate).
     """
     worlds = _positive(worlds, "worlds")
     rng_seed = _count(rng_seed, "rng_seed")
@@ -228,19 +228,20 @@ def evaluate_policy(
 
 
 def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
-    """Per block of worlds, in order: each world's realized spread (int64),
+    """Per chunk of worlds, in order: each world's realized spread (int64),
     the number of infeasible runs and the count of each branch taken.
 
-    Each world's seeds fill its column of a bool (n, rows) seed matrix that
-    one sampled_spreads call scores.  An alg2 world's run, and so its
-    verdict, depends only on its first accept's position in the order, so
-    check_steps judges each position once per evaluation.  alg1 worlds are
-    run a chunk of rows at a time (Alg1Policy.chunk_rows); the chunks split
-    the draws of the block's one generator in order, so they change no draw,
-    and check_steps gives every run its verdict.
+    A chunk is as many worlds of one block as influence._chunk_columns gives
+    for what a world holds; the block's generators are drawn a chunk of rows
+    at a time, in order, so chunks change no draw.  Each world's seeds fill
+    its column of a bool (n, rows) seed matrix that one sampled_spreads call
+    scores.  An alg2 world's run, and so its verdict, depends only on its
+    first accept's position in the order, so check_steps judges each position
+    once per evaluation; it judges every alg1 run (_alg1_chunk).
     """
     graph = instance.graph
     n = instance.n_users
+    unc = len(graph.uncertain_edges)
     stoch = isinstance(policy, StochCpPolicy)
     if stoch:
         alg1, alg2 = policy.branch_alg1, policy.branch_alg2
@@ -256,56 +257,57 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
         users = np.array(alg2.order, dtype=np.intp)
         accept_at = np.array([instance.attractiveness[v][instance.c_max_index] for v in alg2.order])
         bad_at = _position_verdicts(instance, alg2.order, policy.extended)
+    m = len(alg1.fractional) if alg1 is not None and not alg1.vacuous else 0
+    # a world holds its draws, its coin and, for alg1, its rounding draws at
+    # 8 bytes, and its live edges, seeds and branch at 1
+    step = _chunk_columns(graph, 8 * (n + unc + 1 + ROUNDING_DRAWS * m) + unc + n + 1)
     for b, start in enumerate(range(0, worlds, BLOCK)):
         rows = min(BLOCK, worlds - start)
-        draws = np.random.default_rng([rng_seed, b, 0]).random((rows, n + len(graph.uncertain_edges)))
-        thresholds, live = draws[:, :n], live_edges(graph, draws[:, n:])
-        if stoch:
-            singly = np.random.default_rng([rng_seed, b, 2]).random(rows) < policy.alg1_weight
-        else:
-            singly = np.full(rows, alg2 is None)
-        seeded = np.zeros((n, rows), dtype=bool)
-        bad = 0
-        notes: dict[str, int] = {}
-        in_block = np.flatnonzero(~singly)
-        if len(in_block):
-            accepts = np.ones((len(in_block), len(users) + 1), dtype=bool)  # last: nobody accepts
-            accepts[:, :-1] = thresholds[np.ix_(in_block, users)] <= accept_at
-            positions = accepts.argmax(axis=1)
-            took = positions < len(users)
-            seeded[users[positions[took]], in_block[took]] = True
-            bad = int(bad_at[positions].sum())
-            if stoch:
-                notes["alg2"] = len(in_block)
-        picked = np.flatnonzero(singly)
-        if len(picked):
-            if alg1.vacuous:
-                notes["alg1-vacuous"] = len(picked)
-            else:
-                bad += _alg1_block(instance, alg1, thresholds, singly, seeded, [rng_seed, b, 1])
-            if stoch:
-                notes["alg1"] = len(picked)
-        yield sampled_spreads(graph, live, seeded), bad, notes
+        stream = np.random.default_rng([rng_seed, b, 0])
+        coins = (np.random.default_rng([rng_seed, b, 2]).random(rows) < policy.alg1_weight if stoch
+                 else np.full(rows, alg2 is None))
+        # rounding draws for every row of a block with an alg1 world
+        rounding = np.random.default_rng([rng_seed, b, 1]) if m and coins.any() else None
+        for first in range(0, rows, step):
+            size = min(step, rows - first)
+            draws = stream.random((size, n + unc))
+            thresholds, live = draws[:, :n], live_edges(graph, draws[:, n:])
+            singly = coins[first:first + size]
+            seeded = np.zeros((n, size), dtype=bool)
+            bad = 0
+            notes: dict[str, int] = {}
+            in_block = np.flatnonzero(~singly)
+            if len(in_block):
+                accepts = np.ones((len(in_block), len(users) + 1), dtype=bool)  # last: nobody accepts
+                accepts[:, :-1] = thresholds[np.ix_(in_block, users)] <= accept_at
+                positions = accepts.argmax(axis=1)
+                took = positions < len(users)
+                seeded[users[positions[took]], in_block[took]] = True
+                bad = int(bad_at[positions].sum())
+                if stoch:
+                    notes["alg2"] = len(in_block)
+            picked = np.flatnonzero(singly)
+            if rounding is not None:
+                bad += _alg1_chunk(instance, alg1, rounding, thresholds, picked, seeded)
+            if len(picked):
+                if alg1.vacuous:
+                    notes["alg1-vacuous"] = len(picked)
+                if stoch:
+                    notes["alg1"] = len(picked)
+            yield sampled_spreads(graph, live, seeded), bad, notes
 
 
-def _alg1_block(instance: Instance, policy: Alg1Policy, thresholds, singly, seeded, key) -> int:
-    """Run alg1 in the rows of a block that singly marks, write their seeds
-    into seeded and return how many runs check_steps flags.  Every row's
-    rounding draws come from one generator keyed by `key`, chunk by chunk."""
-    gen = np.random.default_rng(key)
-    step = policy.chunk_rows
-    bad = 0
-    for first in range(0, len(singly), step):
-        chunk = singly[first:first + step]
-        uniforms = gen.random((len(chunk), ROUNDING_DRAWS, len(policy.fractional)))
-        if not chunk.all():  # stoch-cp's alg2 worlds leave their draws unused
-            uniforms = uniforms[chunk]
-        picked = first + np.flatnonzero(chunk)
-        _, _, steps = policy.run_block(thresholds[picked], uniforms)
-        won = steps.accepted
-        seeded[steps.user[won], picked[np.nonzero(won)[0]]] = True
-        bad += int(check_steps(instance, steps, seeded[:, picked], policy.extended).sum())
-    return bad
+def _alg1_chunk(instance: Instance, policy: Alg1Policy, rounding, thresholds, picked, seeded) -> int:
+    """Draw a chunk's rounding uniforms, every world's whatever the coin says,
+    run alg1 in the rows that picked lists, write their seeds into seeded and
+    return how many runs check_steps flags; its arrays go when it returns."""
+    uniforms = rounding.random((len(thresholds), ROUNDING_DRAWS, len(policy.fractional)))
+    if len(picked) < len(thresholds):  # stoch-cp's alg2 worlds leave their draws unused
+        uniforms = uniforms[picked]
+    _, _, steps = policy.run_block(thresholds[picked], uniforms)
+    won = steps.accepted
+    seeded[steps.user[won], picked[np.nonzero(won)[0]]] = True
+    return int(check_steps(instance, steps, seeded[:, picked], policy.extended).sum())
 
 
 def _position_verdicts(instance: Instance, order: Sequence[int], extended: bool) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 
-from couponprobe import rounding, simplex
+from couponprobe import influence, rounding, simplex
 from couponprobe.influence import (
     BLOCK,
     Graph,
@@ -392,6 +393,25 @@ def relax48_shaped(seed: int, W: int | None = None) -> Instance:
     edges = _random_edges(gen, 8, 10, 0.1, 0.6)
     rows = tuple(sorted_row(gen, 4) for _ in range(8))
     return Instance(Graph(8, edges), (1.0, 2.0, 3.0, 6.0), rows, K=2, B=7.0, W=W)
+
+
+def forty_users() -> Instance:
+    # 40 users over 80 edges with 8 coupons, of which the 4 up to B/2 are
+    # low-value, K = 1: 160 actions, each sample or world a few KB of draws
+    gen = np.random.default_rng(40)
+    edges = _random_edges(gen, 40, 80, 0.05, 0.3)
+    rows = tuple(sorted_row(gen, 8) for _ in range(40))
+    return Instance(Graph(40, edges), tuple(float(c) for c in range(1, 9)), rows, K=1, B=8.0)
+
+
+def traced_peak(call: Callable[[], object]) -> tuple[object, int]:
+    """call()'s result and the peak bytes tracemalloc saw while it ran;
+    tracemalloc sees numpy's buffers."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def oracle4_shaped(seed: int, W: int = 2, users: int = 4) -> Instance:
@@ -959,13 +979,15 @@ def planned(inst, y, extended=False) -> Alg1Policy:
 
 
 def run_blocks(policy: Alg1Policy, worlds: int, seed: int):
-    """run_block over `worlds` fresh worlds, chunk_rows at a time, every draw
-    from one generator keyed by seed: per chunk its present actions,
-    survivors and Steps."""
+    """run_block over `worlds` fresh worlds, as many at a time as keep their
+    rounding draws within influence.KERNEL_BYTES, every draw from one
+    generator keyed by seed: per call its present actions, survivors and
+    Steps."""
     n, m = policy.instance.n_users, len(policy.fractional)
+    step = max(1, influence.KERNEL_BYTES // (8 * ROUNDING_DRAWS * m))
     gen = np.random.default_rng(seed)
-    for start in range(0, worlds, policy.chunk_rows):
-        rows = min(policy.chunk_rows, worlds - start)
+    for start in range(0, worlds, step):
+        rows = min(step, worlds - start)
         thresholds = gen.random((rows, n))
         uniforms = gen.random((rows, ROUNDING_DRAWS, m))
         yield policy.run_block(thresholds, uniforms)

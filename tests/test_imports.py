@@ -5,16 +5,16 @@ tests/helpers.py defines is read by the tests or by helpers.py itself, no
 two test functions have the same arguments and body, no package module but
 the oracle imports the dense simplex, no package module but the
 relaxation names the parts of its LP solver, and no package module but
-influence, which holds the one size rule, writes a size refusal.
+influence, which holds the one size rule and the one memory rule, writes a
+size refusal or names the memory rule's byte bound.
 
 No linter runs in the test suite, and deleting or moving code tends to leave
 stale imports, helpers and public names behind.  The import check parses each
 package module (but the package's __init__, which imports to re-export) and
-each test module; the private-name, simplex and LP checks parse the whole
-package, the size-refusal check parses the package too, the public-name
-check reads it from the package but its __init__,
-perfbench/ and the tests, and the helper and duplicate checks parse the whole
-test directory.
+each test module; the private-name, simplex, LP, size-refusal and
+byte-bound checks parse the whole package, the public-name check reads it
+from the package but its __init__, perfbench/ and the tests, and the helper
+and duplicate checks parse the whole test directory.
 """
 
 from __future__ import annotations
@@ -97,26 +97,26 @@ def test_only_the_oracle_imports_the_simplex() -> None:
 LP_INTERNALS = frozenset({"_cost_runs", "_knapsack_optimum", "_lagrangian_optimum", "_vertex", "_dependence"})
 
 
-def lp_internal_namers(sources: dict[str, str]) -> list[str]:
-    """The modules, by name, that name one of LP_INTERNALS: import it, read
-    it as a name or an attribute, or define it."""
-    namers = []
+def namers(sources: dict[str, str], names: frozenset[str]) -> list[str]:
+    """The modules, by name, that name one of names: import it, read or
+    assign it as a name or an attribute, or define it."""
+    modules = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ImportFrom):
-                names = [alias.name for alias in node.names]
+                found = [alias.name for alias in node.names]
             elif isinstance(node, ast.Name):
-                names = [node.id]
+                found = [node.id]
             elif isinstance(node, ast.Attribute):
-                names = [node.attr]
+                found = [node.attr]
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                found = [node.name]
             else:
                 continue
-            if LP_INTERNALS.intersection(names):
-                namers.append(module)
+            if names.intersection(found):
+                modules.append(module)
                 break
-    return namers
+    return modules
 
 
 def test_lp_internal_checker_flags_every_form() -> None:
@@ -127,14 +127,34 @@ def test_lp_internal_checker_flags_every_form() -> None:
         "d": "def _dependence(effects):\n    return None\n",
         "e": "from .relaxation import _ColumnLP, _mass\nlp = _ColumnLP([], [], 0, [], None)\n",
     }
-    assert lp_internal_namers(sources) == ["a", "b", "c", "d"]
+    assert namers(sources, LP_INTERNALS) == ["a", "b", "c", "d"]
 
 
 def test_only_the_relaxation_names_its_lp_internals() -> None:
     # the direction LP, solve_lp and the oracle's relaxation optimum all
     # solve through _ColumnLP.solve, so no other module strings its parts
     # together
-    assert lp_internal_namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["relaxation"]
+    assert namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}, LP_INTERNALS) == ["relaxation"]
+
+
+# the byte bound of a chunk of outcomes, which influence._chunk_columns reads
+MEMORY_BOUND = frozenset({"KERNEL_BYTES"})
+
+
+def test_memory_bound_checker_flags_every_form() -> None:
+    sources = {
+        "a": "from .influence import KERNEL_BYTES\n",
+        "b": "from . import influence\nrows = influence.KERNEL_BYTES // 32\n",
+        "c": "KERNEL_BYTES = 1 << 22\n",
+        "d": "from . import influence\nrows = influence._chunk_columns(graph, 32)\n",
+    }
+    assert namers(sources, MEMORY_BOUND) == ["a", "b", "c"]
+
+
+def test_only_the_influence_reads_the_memory_bound() -> None:
+    # every sampled path sizes its chunks by influence._chunk_columns, the
+    # one memory rule, so no other module divides the bound its own way
+    assert namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}, MEMORY_BOUND) == ["influence"]
 
 
 # the phrase every size refusal ends with, which influence._admit writes

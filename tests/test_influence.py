@@ -19,6 +19,7 @@ from couponprobe.influence import (
 )
 
 from helpers import (
+    _random_edges,
     edgeless,
     exact_spreads_by_mask,
     forced_live_mask,
@@ -27,6 +28,7 @@ from helpers import (
     reach_masks,
     realized_influence,
     sim16_shaped_graph,
+    traced_peak,
     wide_graph,
 )
 
@@ -404,6 +406,23 @@ def test_mc_fallback_runs_one_kernel_pass_per_block(monkeypatch) -> None:
     assert [table[v] for v in range(g.node_count)] == [
         influence_mc_stats(g, [v], samples, rng_seed=3)[0] for v in range(g.node_count)
     ]
+
+
+def test_mc_paths_keep_their_samples_within_the_memory_bound(monkeypatch) -> None:
+    # 60 nodes and 180 uncertain edges, a block of uniforms 1.5 MB: at a
+    # 64 KB bound the chunks keep the peak within 4x the bound, with the
+    # same values as at the default bound
+    gen = np.random.default_rng(60)
+    g = Graph(node_count=60, edges=_random_edges(gen, 60, 180, 0.02, 0.2))
+    samples = BLOCK + 76
+    want = singleton_influence_table(g, samples, rng_seed=2), influence_mc_stats(g, [0, 5, 9], samples, rng_seed=2)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 64 << 10)
+    for call, value in ((lambda: singleton_influence_table(g, samples, rng_seed=2), want[0]),
+                        (lambda: influence_mc_stats(g, [0, 5, 9], samples, rng_seed=2), want[1])):
+        got, peak = traced_peak(call)
+        assert got == value
+        assert peak <= 4 * influence.KERNEL_BYTES, f"peak {peak} bytes"
+    assert want[1][0] > 1.0
 
 
 @pytest.mark.parametrize("kernel_bytes", [influence.KERNEL_BYTES, 1500])

@@ -286,6 +286,22 @@ def test_every_entry_point_refuses_a_large_spread_table_before_the_kernel(monkey
             call()
 
 
+def test_spread_table_counts_each_seed_set_at_least_2_to_the_8_outcomes() -> None:
+    # 26 users over no uncertain edge: 2^26 - 1 cells, within
+    # MAX_SPREAD_CELLS, but as many seed-set lists (about 67 million); each
+    # set counts as 2^8 outcomes, so the table is refused at the call,
+    # before any list is built
+    edgeless = uniform_instance(26, (1.0,), ((0.5,),) * 26, K=1, B=2.0)
+    cells = ((1 << 26) - 1) << 8
+    with pytest.raises(OracleSizeError, match=re.escape(
+            f"the spread table needs {cells} cells (26 users, 0 uncertain edges, a set at least 2^8 outcomes), "
+            f"above the limit of {MAX_SPREAD_CELLS}")):
+        _spread_table(edgeless, range(26))
+    # 18 users over 8 uncertain edges sit at the limit either way
+    assert callable(_spread_table(uniform_instance(18, (1.0,), ((0.5,),) * 18, K=1, B=2.0,
+                                                   edges=[(v, v + 1, 0.5) for v in range(8)]), range(18)))
+
+
 def test_extensions_refuse_an_exact_kernel_call_with_the_oracle_error(monkeypatch) -> None:
     # y on one user's action: a spread table of 2^e cells, within
     # MAX_SPREAD_CELLS, but on 26 nodes with 25 uncertain edges more than

@@ -26,6 +26,7 @@ from couponprobe.relaxation import (
 
 from helpers import (
     act,
+    forty_users,
     action_set_utility,
     continuous_greedy_by_dicts,
     knapsack_optimum_by_fractions,
@@ -37,6 +38,7 @@ from helpers import (
     single_user,
     sorted_row,
     threshold_cost,
+    traced_peak,
     uniform_instance,
     vertex_enumerate_max,
 )
@@ -299,14 +301,22 @@ def test_marginal_samples_run_in_blocks_and_kernel_chunks(monkeypatch) -> None:
     estimate_marginals(inst, y, RelaxationConfig(marginal_samples=200, rng_seed=3), 4)
     assert generators == [([3, 4, 0],)]
     assert columns == [200]
-    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
-    chunk = influence._chunk_columns(inst.graph)
-    generators.clear()
-    columns.clear()
-    estimate_marginals(inst, y, RelaxationConfig(marginal_samples=BLOCK + 200, rng_seed=3), 4)
-    assert generators == [([3, 4, 0],), ([3, 4, 1],)]
-    assert len(columns) == -(-BLOCK // chunk) + -(-200 // chunk)
-    assert sum(columns) == BLOCK + 200
+    # windows of one size, the last shorter, which at 1500 bytes hold a
+    # sample each and at 128 KB split block 0 and span both blocks
+    for kernel_bytes, spans in ((1500, False), (1 << 17, True)):
+        monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
+        generators.clear()
+        columns.clear()
+        estimate_marginals(inst, y, RelaxationConfig(marginal_samples=BLOCK + 200, rng_seed=3), 4)
+        assert generators == [([3, 4, 0],), ([3, 4, 1],)]
+        assert columns == _windows(BLOCK + 200, columns[0])
+        assert (BLOCK % columns[0] > 0) == spans
+        assert sum(columns) == BLOCK + 200
+
+
+def _windows(rows: int, window: int) -> list[int]:
+    # rows split into windows of one size, the last shorter
+    return [window] * (rows // window) + [rows % window] * (rows % window > 0)
 
 
 # ------------------------------------------------------------------ solve_lp
@@ -854,23 +864,38 @@ def test_greedy_draws_in_step_order_and_scores_a_window_per_kernel_call(monkeypa
     continuous_greedy(inst, RelaxationConfig(delta=0.0208333, marginal_samples=10, rng_seed=3))
     assert generators == [([3, i, 0],) for i in range(49)]
     assert columns == [490]  # the whole ascent in one window
-    # 200 samples: windows of as many whole steps as fit in half of
-    # KERNEL_BYTES, which bounds what a window keeps of the draws
+    # 200 samples: windows of as many rows as keep what a window holds
+    # within KERNEL_BYTES; a window may end inside a step
     generators.clear()
     columns.clear()
     continuous_greedy(inst, RelaxationConfig(delta=0.0208333, marginal_samples=200, rng_seed=3))
     assert generators == [([3, i, 0],) for i in range(49)]
-    per_window = columns[0] // 200
-    assert 1 < len(columns) < 49 and columns[0] == 200 * per_window
-    assert columns == [200 * per_window] * (49 // per_window) + [200 * (49 % per_window)] * (49 % per_window > 0)
-    # presence uniforms at 8 bytes, accepts at 1 (48 actions), live edges at 1 (10 edges)
-    assert 2 * columns[0] * (9 * 48 + 10) < influence.KERNEL_BYTES
-    # 1224 samples: two blocks a step, drawn in order, in windows of whole steps
+    assert 1 < len(columns) < 49 and columns == _windows(49 * 200, columns[0])
+    assert columns[0] % 200 > 0
+    # a row's draws (8 users, 10 edges, 48 actions) and its accepts' thresholds
+    # at 8 bytes, its accepts, live edges and seeds at 1, beside its reach
+    assert columns[0] * (8 * (8 + 10 + 2 * 48) + 48 + 10 + 8 + 8 * (2 * 8 + 10 + 6)) <= influence.KERNEL_BYTES
+    # 1224 samples: two blocks a step, drawn in order, in windows that split
+    # blocks and span steps
     generators.clear()
     columns.clear()
     continuous_greedy(inst, RelaxationConfig(delta=0.25, marginal_samples=BLOCK + 200, rng_seed=3))
     assert generators == [([3, i, b],) for i in range(4) for b in (0, 1)]
-    assert sum(columns) == 4 * (BLOCK + 200) and all(c % (BLOCK + 200) == 0 for c in columns)
+    assert sum(columns) == 4 * (BLOCK + 200) and columns == _windows(4 * (BLOCK + 200), columns[0])
+    assert columns[0] % (BLOCK + 200) > 0 and BLOCK % columns[0] > 0
+
+
+def test_greedy_keeps_its_samples_within_the_memory_bound(monkeypatch) -> None:
+    # 160 actions and a block of 1,024 samples a step, 1.6 MB of draws: at a
+    # 64 KB bound the windows keep the peak within 4x the bound, with the
+    # same point as at the default bound
+    inst = forty_users()
+    config = RelaxationConfig(delta=0.5, marginal_samples=BLOCK, rng_seed=1)
+    want = continuous_greedy(inst, config)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 64 << 10)
+    got, peak = traced_peak(lambda: continuous_greedy(inst, config))
+    assert len(got) == 160 and got == want and any(want.values())
+    assert peak <= 4 * influence.KERNEL_BYTES, f"peak {peak} bytes"
 
 
 def test_greedy_refuses_too_many_steps_before_drawing(monkeypatch) -> None:

@@ -32,9 +32,11 @@ from helpers import (
     check_trace,
     dp_brute_force,
     evaluate_world_by_world,
+    forty_users,
     make_world,
     mixed_graph,
     sim16_shaped_graph,
+    traced_peak,
     uniform_instance,
     wide_graph,
 )
@@ -433,9 +435,13 @@ def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
         monkeypatch.setattr(sequencing, "check_steps", _flag_two_offers)
     worlds = 2 * BLOCK + 37  # two full blocks and a partial one
     values, want = evaluate_world_by_world(inst, policy, worlds, 41, check)
-    blocks = list(sequencing._simulate(inst, policy, worlds, 41))
-    assert [len(v) for v, _, _ in blocks] == [BLOCK, BLOCK, 37]
-    assert np.concatenate([v for v, _, _ in blocks]).tolist() == values
+    chunks = list(sequencing._simulate(inst, policy, worlds, 41))
+    # chunks of one size split each block, the last of a block shorter: a
+    # block's whole on the small graphs, on 130 nodes fewer worlds
+    size = len(chunks[0][0])
+    assert [len(v) for v, _, _ in chunks] == _chunk_lengths((BLOCK, BLOCK, 37), size)
+    assert (size == BLOCK) == (case != "130-nodes")
+    assert np.concatenate([v for v, _, _ in chunks]).tolist() == values
     got = evaluate_policy(inst, policy, worlds, 41)
     assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
     assert got.violations == want.violations
@@ -444,6 +450,11 @@ def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
         assert 0 < got.violations < worlds
     else:
         assert got.violations == 0
+
+
+def _chunk_lengths(blocks: tuple[int, ...], size: int) -> list[int]:
+    # each block's rows split into chunks of size, the last shorter
+    return [min(size, rows - first) for rows in blocks for first in range(0, rows, size)]
 
 
 def test_block_scoring_does_not_depend_on_kernel_chunks(monkeypatch) -> None:
@@ -460,15 +471,41 @@ def test_block_scoring_does_not_depend_on_kernel_chunks(monkeypatch) -> None:
 
 @pytest.mark.parametrize("name", ["e-alg1", "stoch-cp"])
 def test_alg1_blocks_do_not_depend_on_draw_chunks(name, monkeypatch) -> None:
-    # 1500 bytes split each block's rounding draws into chunks of 6 worlds
+    # 1500 bytes split each block's draws, rounding draws included, into
+    # chunks of a few worlds
     inst = _on_graph(mixed_graph())
     policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
-    alg1 = policy.branch_alg1 if name == "stoch-cp" else policy
     want = list(sequencing._simulate(inst, policy, BLOCK + 300, 6))
+    assert [len(v) for v, _, _ in want] == [BLOCK, 300]
     monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
-    assert alg1.chunk_rows == 6
     got = list(sequencing._simulate(inst, policy, BLOCK + 300, 6))
-    assert [(v.tolist(), bad, notes) for v, bad, notes in got] == [(v.tolist(), bad, notes) for v, bad, notes in want]
+    size = len(got[0][0])
+    assert size < 10 and [len(v) for v, _, _ in got] == _chunk_lengths((BLOCK, 300), size)
+    assert np.concatenate([v for v, _, _ in got]).tolist() == np.concatenate([v for v, _, _ in want]).tolist()
+    assert sum(bad for _, bad, _ in got) == sum(bad for _, bad, _ in want)
+    assert _summed_notes(got) == _summed_notes(want)
+
+
+@pytest.mark.parametrize("name", ["alg1", "stoch-cp"])
+def test_evaluation_keeps_its_worlds_within_the_memory_bound(name, monkeypatch) -> None:
+    # 160 actions: a world's rounding draws take 5 KB, so at a 64 KB bound
+    # the chunks keep the peak within 4x the bound, with the same values as
+    # at the default bound
+    inst = forty_users()
+    policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+    want = evaluate_policy(inst, policy, 300, 3)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 64 << 10)
+    got, peak = traced_peak(lambda: evaluate_policy(inst, policy, 300, 3))
+    assert got == want and want.mean > 0
+    assert peak <= 4 * influence.KERNEL_BYTES, f"peak {peak} bytes"
+
+
+def _summed_notes(chunks) -> dict[str, int]:
+    total: dict[str, int] = {}
+    for _, _, notes in chunks:
+        for note, count in notes.items():
+            total[note] = total.get(note, 0) + count
+    return total
 
 
 def _values(inst, policy, worlds: int, seed: int) -> np.ndarray:
