@@ -1,14 +1,15 @@
 """Influence spread under the independent cascade model on small directed graphs.
 
 The sampler reads live-edge outcomes off an array of uniforms as bool
-rows, and the kernel takes outcomes as uint64 columns, all ones where an
-uncertain edge is live.  One vectorized reach kernel computes every node's
-reach over a set of live-edge outcomes at once, in one pass over the graph's
-links when it is acyclic: it visits the strongly connected components sinks
-first and repeats only the links inside a component.  It computes spread
-exactly, over every outcome in order, when the graph is small enough, and
-scores sampled outcomes a chunk at a time: Monte Carlo estimates, marginal
-samples and simulated worlds.
+rows, and the kernel takes outcomes as columns of its word, all ones where
+an uncertain edge is live: the narrowest of uint8, uint16 and uint32 that
+holds a bit per node, or uint64 words above 32 nodes.  One vectorized reach
+kernel computes every node's reach over a set of live-edge outcomes at once,
+in one pass over the graph's links when it is acyclic: it visits the
+strongly connected components sinks first and repeats only the links inside
+a component.  It computes spread exactly, over every outcome in order, when
+the graph is small enough, and scores sampled outcomes a chunk at a time:
+Monte Carlo estimates, marginal samples and simulated worlds.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ MAX_KERNEL_WORK = 1 << 28
 # The bytes a chunk of outcomes may hold: its kernel arrays and each row's
 # arrays beside them (_chunk_columns); the exact path rounds that down to a
 # power of two and reuses one reach buffer from chunk to chunk.  Larger
-# chunks run no faster on 16-node graphs and raise peak memory.
+# chunks run no faster on 16-node graphs and raise peak memory: there, in
+# uint16 words, an exact singleton table took a median 3.6 ms warm in
+# 2^14-outcome chunks and 4.4 ms in chunks of 2^15 and 2^16 (8 and 16 MB),
+# on the host above.
 KERNEL_BYTES = 4 << 20
 # Sampled outcomes are keyed in blocks of this many rows: outcome i is row
 # i % BLOCK of block i // BLOCK, whose stream is keyed by the block, so it
@@ -234,26 +238,37 @@ def _seed_list(graph: Graph, seeds: Iterable[int]) -> list[int]:
     return out
 
 
+def _word(graph: Graph) -> tuple[type[np.unsignedinteger], int]:
+    """The reach kernel's word and the words a node's reach takes per
+    outcome: one uint8, uint16 or uint32, the narrowest that holds a bit per
+    node, up to 32 nodes, and ceil(n / 64) uint64 words above."""
+    for word in (np.uint8, np.uint16, np.uint32):
+        if graph.node_count <= np.iinfo(word).bits:
+            return word, 1
+    return np.uint64, -(-graph.node_count // 64)
+
+
 def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     """Outcome columns per chunk, the one memory rule for outcomes: the
-    largest count, at least 1, whose arrays fit in KERNEL_BYTES = 4 MB, at 8
-    bytes per column for each node's reach words (twice, for temporaries),
-    each uncertain edge's live column and six outcome vectors (weights,
-    gains, a union and its counts), plus extra_bytes for what the caller
-    holds per column (draws, accepts, live edges, seeds).  _exact_spreads
-    rounds it down to a power of two; sampled paths take it as it is."""
-    words = -(-graph.node_count // 64)
-    column = 8 * (2 * graph.node_count * words + len(graph.uncertain_edges) + 6) + extra_bytes
-    return max(1, KERNEL_BYTES // column)
+    largest count, at least 1, whose arrays fit in KERNEL_BYTES = 4 MB, at
+    the kernel's word (_word) per column for each node's reach words (twice,
+    for temporaries) and each uncertain edge's live column, 8 bytes for each
+    of six outcome vectors (weights, gains, a union and its counts), plus
+    extra_bytes for what the caller holds per column (draws, accepts, live
+    edges, seeds).  _exact_spreads rounds it down to a power of two; sampled
+    paths take it as it is."""
+    word, words = _word(graph)
+    column = np.dtype(word).itemsize * (2 * graph.node_count * words + len(graph.uncertain_edges)) + 8 * 6
+    return max(1, KERNEL_BYTES // (column + extra_bytes))
 
 
 def _kernel_rows(graph: Graph, sets: int) -> tuple[int, str]:
     """The reach kernel's word operations per outcome column when it scores
-    `sets` seed sets, and what they are made of: ceil(n / 64) words a row,
-    and a row per node (its own bit), per link of positive probability and
-    per seed set.  Links are counted once, though a component's inner links
-    repeat until its reach stops growing."""
-    words = -(-graph.node_count // 64)
+    `sets` seed sets, and what they are made of: a node's words (_word) a
+    row, and a row per node (its own bit), per link of positive probability
+    and per seed set.  Links are counted once, though a component's inner
+    links repeat until its reach stops growing."""
+    words = _word(graph)[1]
     links = sum(len(leaving) + len(inner) for _, leaving, inner in graph.reach_order)
     rows = graph.node_count + links + sets
     return words * rows, f"{words} words x {rows} rows: {graph.node_count} nodes, {links} links and {sets} seed sets"
@@ -292,31 +307,39 @@ def _or_links(rows: list[np.ndarray], live: np.ndarray, step: np.ndarray, links:
 def _reach_columns(graph: Graph, live: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each node's reach in each column of live-edge outcomes.
 
-    live[j] is all ones in the columns where edge uncertain_edges[j] is live
-    and zero elsewhere; forced edges are live in every column and dead edges
-    in none.  Returns uint64 words of shape (n, ceil(n / 64), columns), in out
-    when given, where bit t of node u's words is set when u reaches t.  Reach
-    is ORed along the live edges one component of graph.reach_order at a
-    time, sinks first: the links leaving a component once, as their targets'
-    reach is already whole, then its inner links until the bit count of its
-    rows stops moving.  On a DAG that is one pass over the links.
+    live[j], in the kernel's word (_word), is all ones in the columns where
+    edge uncertain_edges[j] is live and zero elsewhere; forced edges are live
+    in every column and dead edges in none.  Returns words of shape (n, words,
+    columns), in out when given, where bit t of node u's words, counted from
+    the low bit of its first, is set when u reaches t.  Reach is ORed along
+    the live edges one component of graph.reach_order at a time, sinks
+    first: the links leaving a component once, as their targets' reach is
+    already whole, then its inner links until the bit count of its rows
+    stops moving.  On a DAG that is one pass over the links.
     """
     n = graph.node_count
-    shape = (n, -(-n // 64), live.shape[1])
+    word, words = _word(graph)
+    bits = np.iinfo(word).bits
+    shape = (n, words, live.shape[1])
     nodes = np.arange(n)
-    itself = np.zeros(shape[:2] + (1,), dtype=np.uint64)
-    itself[nodes, nodes // 64] = np.left_shift(np.uint64(1), (nodes % 64).astype(np.uint64))[:, None]
-    reach = np.empty(shape, dtype=np.uint64) if out is None else out
+    itself = np.zeros(shape[:2] + (1,), dtype=word)
+    itself[nodes, nodes // bits] = np.left_shift(word(1), (nodes % bits).astype(word))[:, None]
+    reach = np.empty(shape, dtype=word) if out is None else out
     np.copyto(reach, itself)
     rows = list(reach)  # per-node views, updated in place
-    step = np.empty(shape[1:], dtype=np.uint64)
+    step = np.empty(shape[1:], dtype=word)
+    # the fixpoint test counts bits on uint64 views where a row's bytes
+    # allow: the counts are the same, and wide words count several times faster
+    counted = reach.reshape(n, -1)
+    if counted.shape[1] * counted.itemsize % 8 == 0:
+        counted = counted.view(np.uint64)
     for members, leaving, inner in graph.reach_order:
         _or_links(rows, live, step, leaving)
         count = -1
         while inner:
             _or_links(rows, live, step, inner)
             # reach only grows, so an unchanged bit count means a fixpoint
-            new_count = sum(int(np.bitwise_count(rows[u]).sum()) for u in members)
+            new_count = sum(int(np.bitwise_count(counted[u]).sum()) for u in members)
             if new_count == count:
                 break
             count = new_count
@@ -348,11 +371,13 @@ def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
     low = np.ones(1)
     for p in probs[:m]:
         low = np.concatenate((low * (1.0 - p), low * p))
-    live = np.empty((len(unc), 1 << m), dtype=np.uint64)
+    word = _word(graph)[0]
+    ones = np.iinfo(word).max
+    live = np.empty((len(unc), 1 << m), dtype=word)
     for j in range(m):
         halves = live[j].reshape(-1, 2, 1 << j)  # [:, 1] are the columns with bit j set
         halves[:, 0] = 0
-        halves[:, 1] = np.iinfo(np.uint64).max
+        halves[:, 1] = ones
     reach = None
     gains = np.empty(1 << m)
     totals = [0.0] * len(seed_sets)
@@ -361,7 +386,7 @@ def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
         for j in range(m, len(unc)):
             live_high = high >> (j - m) & 1
             weights = weights * (probs[j] if live_high else 1.0 - probs[j])
-            live[j] = np.iinfo(np.uint64).max if live_high else 0
+            live[j] = ones if live_high else 0
         reach = _reach_columns(graph, live, out=reach)
         for k, ids in enumerate(seed_sets):
             union = reach[ids[0]]
@@ -389,7 +414,7 @@ def _sampled_reach(graph: Graph, live: np.ndarray) -> np.ndarray:
     """_reach_columns over sampled outcomes in one kernel pass: row r of
     live is outcome r, as live_edges gives it, and column r of the reach.
     Callers size live by _chunk_columns."""
-    columns = live.T.astype(np.uint64, order="C")
+    columns = live.T.astype(_word(graph)[0], order="C")
     np.negative(columns, out=columns)  # all ones where the edge is live
     return _reach_columns(graph, columns)
 

@@ -5,14 +5,15 @@ tests/helpers.py defines is read by the tests or by helpers.py itself, no
 two test functions have the same arguments and body, no package module but
 the oracle imports the dense simplex, no package module but the
 relaxation names the parts of its LP solver, and no package module but
-influence, which holds the one size rule and the one memory rule, writes a
-size refusal or names the memory rule's byte bound.
+influence, which holds the one size rule, the one memory rule and the reach
+kernel's one word rule, writes a size refusal or names the memory rule's
+byte bound or an unsigned word.
 
 No linter runs in the test suite, and deleting or moving code tends to leave
 stale imports, helpers and public names behind.  The import check parses each
 package module (but the package's __init__, which imports to re-export) and
-each test module; the private-name, simplex, LP, size-refusal and
-byte-bound checks parse the whole package, the public-name check reads it
+each test module; the private-name, simplex, LP, size-refusal, byte-bound
+and word checks parse the whole package, the public-name check reads it
 from the package but its __init__, perfbench/ and the tests, and the helper
 and duplicate checks parse the whole test directory.
 """
@@ -99,12 +100,15 @@ LP_INTERNALS = frozenset({"_cost_runs", "_knapsack_optimum", "_lagrangian_optimu
 
 def namers(sources: dict[str, str], names: frozenset[str]) -> list[str]:
     """The modules, by name, that name one of names: import it, read or
-    assign it as a name or an attribute, or define it."""
+    assign it as a name or an attribute, define it, or spell it as a string
+    (a dtype's name, getattr's)."""
     modules = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ImportFrom):
                 found = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Constant):
+                found = [node.value]
             elif isinstance(node, ast.Name):
                 found = [node.id]
             elif isinstance(node, ast.Attribute):
@@ -155,6 +159,28 @@ def test_only_the_influence_reads_the_memory_bound() -> None:
     # every sampled path sizes its chunks by influence._chunk_columns, the
     # one memory rule, so no other module divides the bound its own way
     assert namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}, MEMORY_BOUND) == ["influence"]
+
+
+# the reach kernel's words, which influence._word chooses by the node count
+WORDS = frozenset({"uint8", "uint16", "uint32", "uint64"})
+
+
+def test_word_checker_flags_every_form() -> None:
+    sources = {
+        "a": "import numpy as np\nones = np.iinfo(np.uint64).max\n",
+        "b": "from numpy import uint8\n",
+        "c": "import numpy as np\nrows = np.zeros(3, dtype=\"uint16\")\n",
+        "d": "import numpy\nrows = numpy.empty(3, numpy.uint32)\n",
+        "e": "import numpy as np\nrows = np.zeros(3, dtype=np.int64)\n",
+        "f": "from .influence import _word\nword, words = _word(graph)\n",
+    }
+    assert namers(sources, WORDS) == ["a", "b", "c", "d"]
+
+
+def test_only_the_influence_names_a_word() -> None:
+    # the reach kernel, its live columns and _chunk_columns' byte count all
+    # take the word influence._word picks, so no other module picks a second
+    assert namers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}, WORDS) == ["influence"]
 
 
 # the phrase every size refusal ends with, which influence._admit writes

@@ -231,11 +231,30 @@ def test_live_masks_respect_forced_and_dead_edges() -> None:
     assert sum(w for w, _ in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
+def _word_ring(n: int) -> Graph:
+    # a ring of n nodes, forced but for a dead link, the closing link n-1 ->
+    # 0, a link in the middle and one across each of bits 8, 16, 32 and 64
+    # below n, with chords to and from the top node; at most 10 uncertain
+    # edges, so the cycle comes and goes with the outcome
+    probs = iter((0.5, 0.3, 0.6, 0.25, 0.8, 0.45, 0.7, 0.35, 0.2, 0.55))
+    unsure = {(b - 1, b) for b in (8, 16, 32, 64) if b < n} | {(n - 1, 0), (n // 2, n // 2 + 1)}
+    edges = [(u, (u + 1) % n, next(probs) if (u, (u + 1) % n) in unsure else 0.0 if u == n // 4 else 1.0)
+             for u in range(n)]
+    edges += [(n - 1, n // 3, next(probs)), (2, n - 1, next(probs)), (n - 2, 1, next(probs)), (0, n // 2, next(probs))]
+    return Graph(node_count=n, edges=tuple(edges))
+
+
+# the narrowest reach word for each node count at a word boundary, and the
+# words a node's reach takes
+_WORDS = {8: (np.uint8, 1), 9: (np.uint16, 1), 16: (np.uint16, 1), 17: (np.uint32, 1),
+          32: (np.uint32, 1), 33: (np.uint64, 1), 64: (np.uint64, 1), 65: (np.uint64, 2)}
+
 _REFERENCE_CASES = {
     "mixed": mixed_graph,
     "edgeless": lambda: edgeless(3),
     "sim16-shaped": sim16_shaped_graph,
     "wide": wide_graph,
+    **{f"ring{n}": (lambda n=n: _word_ring(n)) for n in _WORDS},
 }
 
 
@@ -258,6 +277,33 @@ def test_exact_spreads_match_per_mask_reference(name) -> None:
     _check_against_reference(_REFERENCE_CASES[name]())
 
 
+@pytest.mark.parametrize("n", list(_WORDS))
+def test_kernel_takes_the_narrowest_word_that_holds_the_graph(monkeypatch, n) -> None:
+    # the exact and the sampled paths run the kernel in the same word, and
+    # every sampled world's spread is the per-world search's
+    g = _word_ring(n)
+    assert len(g.uncertain_edges) <= 10 and any(inner for _, _, inner in g.reach_order)
+    kernels: list[tuple] = []
+    reach_columns = influence._reach_columns
+
+    def kernel(graph, live, out=None):
+        reach = reach_columns(graph, live, out)
+        kernels.append((live.dtype, reach.dtype, reach.shape[1]))
+        return reach
+
+    monkeypatch.setattr(influence, "_reach_columns", kernel)
+    influence_exact(g, [0])
+    gen = np.random.default_rng(n)
+    live = influence.live_edges(g, gen.random((300, len(g.uncertain_edges))))
+    seeded = gen.random((n, 300)) < 2 / n
+    got = sampled_spreads(g, live, seeded)
+    word, words = _WORDS[n]
+    assert kernels == [(np.dtype(word), np.dtype(word), words)] * 2
+    for r in range(300):
+        mask = forced_live_mask(g) | sum(1 << i for j, i in enumerate(g.uncertain_edges) if live[r, j])
+        assert got[r] == realized_influence(g, np.flatnonzero(seeded[:, r]).tolist(), mask), r
+
+
 def _five_edge_graph() -> Graph:
     # a cycle through a forced edge, a dead edge and five uncertain edges
     return Graph(node_count=4, edges=(
@@ -267,12 +313,13 @@ def _five_edge_graph() -> Graph:
 
 @pytest.mark.parametrize("kernel_bytes, make_graph, chunk", [
     pytest.param(1, _five_edge_graph, 1, id="1"),
-    pytest.param(2000, mixed_graph, 8, id="2000"),
+    pytest.param(1000, mixed_graph, 8, id="1000"),
 ])
 def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes, make_graph, chunk) -> None:
     # 1 byte floors the chunk at one outcome, so every weight factor is a
-    # high-bit scalar; 2000 bytes give mixed_graph chunks of 2^3 outcomes,
-    # three low bits built by doubling and seven high-bit scalars
+    # high-bit scalar; 1000 bytes, at 72 a column (uint8 words), give
+    # mixed_graph chunks of 2^3 outcomes, three low bits built by doubling
+    # and seven high-bit scalars
     monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
     columns: list[int] = []
     reach_columns = influence._reach_columns

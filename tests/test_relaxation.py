@@ -842,10 +842,10 @@ def test_greedy_equals_the_dict_greedy_at_the_default_step(cost_mode, use_W) -> 
 
 
 def test_greedy_equals_the_dict_greedy_on_small_kernel_windows(monkeypatch) -> None:
-    # 1500 bytes: every window holds one step, whose ten samples the kernel
-    # scores in chunks of a few
+    # 400 bytes: every window holds one sample, so the kernel scores each
+    # step's ten samples in many calls
     generators, columns = _count_draws_and_kernel_calls(monkeypatch)
-    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 400)
     assert influence._chunk_columns(relax48_shaped(5).graph) < 10
     for use_W in (False, True):
         inst = relax48_shaped(5, W=3 if use_W else None)
@@ -874,7 +874,8 @@ def test_greedy_draws_in_step_order_and_scores_a_window_per_kernel_call(monkeypa
     assert columns[0] % 200 > 0
     # a row's draws (8 users, 10 edges, 48 actions) and its accepts' thresholds
     # at 8 bytes, its accepts, live edges and seeds at 1, beside its reach
-    assert columns[0] * (8 * (8 + 10 + 2 * 48) + 48 + 10 + 8 + 8 * (2 * 8 + 10 + 6)) <= influence.KERNEL_BYTES
+    # and live edges in uint8 words and six outcome vectors at 8: 1052 bytes
+    assert columns[0] * (8 * (8 + 10 + 2 * 48) + 48 + 10 + 8 + (2 * 8 + 10) + 8 * 6) <= influence.KERNEL_BYTES
     # 1224 samples: two blocks a step, drawn in order, in windows that split
     # blocks and span steps
     generators.clear()

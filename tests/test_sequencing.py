@@ -458,11 +458,11 @@ def _chunk_lengths(blocks: tuple[int, ...], size: int) -> list[int]:
 
 
 def test_block_scoring_does_not_depend_on_kernel_chunks(monkeypatch) -> None:
-    # 1500 bytes split each block into kernel chunks of a few worlds
+    # 710 bytes split each block into kernel chunks of three worlds
     inst = _on_graph(mixed_graph())
     policy = Alg2Policy(inst)
     want = evaluate_policy(inst, policy, BLOCK + 300, 6)
-    monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 710)
     assert influence._chunk_columns(inst.graph) < 10
     assert evaluate_policy(inst, policy, BLOCK + 300, 6) == want
     values, _ = evaluate_world_by_world(inst, policy, BLOCK + 300, 6)
