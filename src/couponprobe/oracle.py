@@ -11,9 +11,10 @@ can be offered nothing more is finished, or accepted, whatever the history;
 so, in restricted mode, is a user the policy leaves for a fresh one, so no
 state records who was probed last.  Merged states have the same futures, so
 every value is float for float the per-history one.  On oracle4-shaped
-instances (4 users, 3 coupons, K = 2; median of 32) a call takes about 4 ms
-over 1,473 of the memo's 2,401 states, 2 ms restricted and under 1 ms with
-the W cap (2-core x86 host, Python 3.11).
+instances (4 users, 3 coupons, K = 2; median of 32) a warm call takes about
+1.3 ms over 1,473 of the memo's 2,401 states, 0.7 ms restricted and 0.3 ms
+with the W cap (2-core x86 host shared with other tenants, Python 3.11,
+numpy 2.4; its speed moves such times by up to 1.6x).
 
 Counts computed before the work bound it, each admitted by influence._admit
 and refused with OracleSizeError.  The induction's steps, at most

@@ -13,11 +13,13 @@ The ascent runs on action indices.  Its marginal samples do not depend on
 the point, so one reach-kernel pass scores a window of rows that may span
 steps, and the LP reads each step's integer sample totals as they are.  On
 the 48-action relax48 instances (8 users, K=2; 2-core x86 host, Python 3.11,
-numpy 2.4, nine runs, which differ by up to 1.6x) one step costs 0.20-0.29
-ms with 10 marginal samples, 0.026-0.038 ms of it in the direction LP, and
-0.30-0.49 ms with the default 200, 0.029-0.050 ms of it in the LP.  The
-default step, exactly 1/|S|^2, takes 2304 steps there: 0.46-0.67 s with 10
-samples and 0.69-1.12 s with 200.
+numpy 2.4, nine instances, on a host whose speed moves by up to 1.6x) one
+step costs 0.14-0.18 ms with 10 marginal samples, 0.018-0.021 ms of it in
+the direction LP, and 0.23-0.27 ms with the default 200, 0.022-0.027 ms of
+it in the LP.  The default step, exactly 1/|S|^2, takes 2304 steps there:
+0.33-0.41 s with 10 samples and 0.52-0.63 s with 200.  At a step of about
+1/48 with 10 samples, 49 steps, a warm greedy takes about 4 ms, 0.08 ms a
+step.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import time
@@ -258,23 +259,105 @@ _REFERENCE_CASES = {
 }
 
 
-def _check_against_reference(g: Graph) -> None:
+@functools.cache
+def _reference(g: Graph) -> tuple[list[list[int]], list[float]]:
+    """Every singleton and four larger seed sets, the singletons mixed with
+    the others, and their spreads by the per-mask reference, once per graph."""
     n = g.node_count
     gen = np.random.default_rng(n)
     seed_sets = [sorted(set(gen.integers(0, n, size=r).tolist())) for r in (2, 3, 5)]
     seed_sets.append(list(range(n)))
     singletons = [[v] for v in range(n)]
-    expected = exact_spreads_by_mask(Graph(n, g.edges), singletons + seed_sets)
+    mixed = singletons[:1] + seed_sets[:2] + singletons[1:] + seed_sets[2:]
+    return mixed, exact_spreads_by_mask(Graph(n, g.edges), mixed)
+
+
+def _check_against_reference(g: Graph) -> None:
+    # the table, each set on its own (one set, an idle second lane) and every
+    # set in one call, at an odd and an even set count
+    n = g.node_count
+    mixed, expected = _reference(g)
     table = singleton_influence_table(g)
     assert list(table) == list(range(n))
-    assert [x.hex() for x in table.values()] == [x.hex() for x in expected[:n]]
-    exact = [influence_exact(g, seeds) for seeds in singletons + seed_sets]
+    singles = [(s[0], x) for s, x in zip(mixed, expected) if len(s) == 1]  # a random set may be one too
+    assert [table[v].hex() for v, _ in singles] == [x.hex() for _, x in singles]
+    exact = [influence_exact(g, seeds) for seeds in mixed]
     assert [x.hex() for x in exact] == [x.hex() for x in expected]
+    for sets in (len(mixed), len(mixed) - 1):
+        got = influence._exact_spreads(g, mixed[:sets])
+        assert [x.hex() for x in got] == [x.hex() for x in expected[:sets]]
+
+
+def _log_kernel(monkeypatch) -> list[tuple[Graph, list]]:
+    """Each reach-kernel call from here on, as its graph and what it did, in
+    order: the links of each _or_links pass, and None for each bit count."""
+    calls: list[tuple[Graph, list]] = []
+    inside: list[bool] = []
+    reach_columns, or_links, bitwise_count = influence._reach_columns, influence._or_links, np.bitwise_count
+
+    def kernel(graph, live, out=None):
+        calls.append((graph, []))
+        inside.append(True)
+        try:
+            return reach_columns(graph, live, out)
+        finally:
+            inside.pop()
+
+    def one_pass(rows, live, step, links):
+        calls[-1][1].append(links)
+        or_links(rows, live, step, links)
+
+    def count(*args, **kwargs):
+        if inside:
+            calls[-1][1].append(None)
+        return bitwise_count(*args, **kwargs)
+
+    monkeypatch.setattr(influence, "_reach_columns", kernel)
+    monkeypatch.setattr(influence, "_or_links", one_pass)
+    monkeypatch.setattr(np, "bitwise_count", count)
+    return calls
+
+
+def _component_passes(graph: Graph, events: list) -> list[tuple[int, int, int]]:
+    """(nodes, inner passes, fixpoint tests) per component of
+    graph.reach_order, read off one kernel call's events (_log_kernel)."""
+    out, at = [], 0
+    for members, leaving, inner in graph.reach_order:
+        assert events[at] == leaving
+        at += 1
+        passes = counts = 0
+        while at < len(events) and (events[at] is None or (inner and events[at] is inner)):
+            passes += events[at] is not None
+            counts += events[at] is None
+            at += 1
+        assert counts % len(members) == 0  # a test counts every member's row
+        out.append((len(members), passes, counts // len(members)))
+    assert at == len(events)
+    return out
+
+
+def _check_pass_bound(calls: list[tuple[Graph, list]]) -> set[tuple[int, int, int]]:
+    """Asserts that every component of every logged kernel call took at
+    most one pass fewer than its nodes, all of them up to 3 nodes, and a
+    fixpoint test after each pass but the last allowed one from 4 nodes up,
+    none below; returns the (nodes, passes, tests) seen."""
+    seen = set()
+    for graph, events in calls:
+        for nodes, passes, tests in _component_passes(graph, events):
+            assert passes <= nodes - 1 and (passes > 0 or nodes == 1)
+            if nodes <= 3:
+                assert (passes, tests) == (nodes - 1, 0)  # no pass could stop early
+            else:
+                assert tests == min(passes, nodes - 2)
+            seen.add((nodes, passes, tests))
+    return seen
 
 
 @pytest.mark.parametrize("name", list(_REFERENCE_CASES))
-def test_exact_spreads_match_per_mask_reference(name) -> None:
+def test_exact_spreads_match_per_mask_reference(monkeypatch, name) -> None:
+    calls = _log_kernel(monkeypatch)
     _check_against_reference(_REFERENCE_CASES[name]())
+    assert calls and _check_pass_bound(calls)
 
 
 @pytest.mark.parametrize("n", list(_WORDS))
@@ -314,19 +397,35 @@ def _five_edge_graph() -> Graph:
 @pytest.mark.parametrize("kernel_bytes, make_graph, chunk", [
     pytest.param(1, _five_edge_graph, 1, id="1"),
     pytest.param(1000, mixed_graph, 8, id="1000"),
+    pytest.param(600, _REFERENCE_CASES["ring8"], 4, id="ring8"),
+    pytest.param(1_250_000, sim16_shaped_graph, 1 << 12, id="sim16-shaped"),
+    pytest.param(580_000, _REFERENCE_CASES["ring65"], 1 << 7, id="ring65"),
 ])
 def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes, make_graph, chunk) -> None:
     # 1 byte floors the chunk at one outcome, so every weight factor is a
-    # high-bit scalar; 1000 bytes, at 72 a column (uint8 words), give
+    # high-bit scalar; 1000 bytes, at 87 a column (72 in uint8 words, 8 for
+    # the second lane of sums and 7 for the nodes' bit counts), give
     # mixed_graph chunks of 2^3 outcomes, three low bits built by doubling
-    # and seven high-bit scalars
+    # and seven high-bit scalars.  The others would take chunks twice as
+    # wide without the lane and the counts: ring8 (86 bytes a column) takes
+    # 16 chunks of 2^2, the sim16-shaped graph (166) 8 of 2^12 and ring65
+    # (2,346, two uint64 words a node) 8 of 2^7
+    g = make_graph()
     monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
     columns: list[int] = []
     reach_columns = influence._reach_columns
     monkeypatch.setattr(influence, "_reach_columns",
                         lambda g, live, out=None: columns.append(live.shape[1]) or reach_columns(g, live, out))
-    _check_against_reference(make_graph())
+    _check_against_reference(g)
     assert set(columns) == {chunk}
+    # three sets sum in two pairs a chunk, the second with an idle lane,
+    # which starts at zero in every chunk
+    idle: list[bool] = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(np, "cumsum", lambda a, out=None: idle.append(not a.imag.any()) or cumsum(a, out=out))
+    n = g.node_count
+    influence._exact_spreads(g, [[0], [1, n - 1], [n - 1]])
+    assert len(idle) == 2 * (1 << len(g.uncertain_edges)) // chunk and all(idle[1::2])
 
 
 def _cycle_worst_order(n: int) -> Graph:
@@ -371,6 +470,40 @@ def test_reach_columns_match_reach_masks(make_graph) -> None:
         mask = forced_live_mask(g) | sum(1 << i for j, i in enumerate(unc) if c >> j & 1)
         got = [sum(int(w) << (64 * k) for k, w in enumerate(reach[u, :, c])) for u in range(g.node_count)]
         assert got == list(reach_masks(g, mask)), c
+
+
+def _random_cyclic_graph(seed: int) -> Graph:
+    # 5 to 13 nodes and n to 2n links: 8 uncertain, the rest forced but for
+    # every fifth, which is dead
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(5, 14))
+    links = _random_edges(gen, n, int(gen.integers(n, 2 * n)), 0.1, 0.9)
+    return Graph(n, tuple((u, v, p if k < 8 else 0.0 if k % 5 == 0 else 1.0) for k, (u, v, p) in enumerate(links)))
+
+
+def test_components_take_at_most_one_pass_fewer_than_their_nodes(monkeypatch) -> None:
+    # a path inside a component of c nodes takes at most c - 1 links, so the
+    # kernel stops there; components of 2 and 3 nodes take every pass and
+    # count no bits, larger ones may stop early on an unchanged count
+    calls = _log_kernel(monkeypatch)
+    for seed in range(12):
+        g = _random_cyclic_graph(seed)
+        unc = g.uncertain_edges
+        combos = np.arange(1 << len(unc), dtype=np.uint64)
+        live = np.negative([combos >> np.uint64(j) & np.uint64(1) for j in range(len(unc))])
+        reach = influence._reach_columns(g, live)
+        for c in range(len(combos)):
+            mask = forced_live_mask(g) | sum(1 << i for j, i in enumerate(unc) if c >> j & 1)
+            got = [int(reach[u, 0, c]) for u in range(g.node_count)]
+            assert got == list(reach_masks(g, mask)), (seed, c)
+            assert [x.bit_count() for x in got] == [realized_influence(g, [u], mask) for u in range(g.node_count)]
+        seed_sets = [[v] for v in range(g.node_count)] + [[0, 2, 3], list(range(g.node_count))]
+        expected = exact_spreads_by_mask(g, seed_sets)
+        assert [x.hex() for x in influence._exact_spreads(g, seed_sets)] == [x.hex() for x in expected]
+    seen = _check_pass_bound(calls)
+    assert {2, 3} <= {nodes for nodes, _, _ in seen}
+    assert any(nodes > 3 and passes < nodes - 1 for nodes, passes, _ in seen)  # an early stop
+    assert any(nodes > 3 and passes == nodes - 1 for nodes, passes, _ in seen)  # the bound, reached
 
 
 def test_reach_order_components() -> None:
@@ -470,6 +603,22 @@ def test_mc_paths_keep_their_samples_within_the_memory_bound(monkeypatch) -> Non
         assert got == value
         assert peak <= 4 * influence.KERNEL_BYTES, f"peak {peak} bytes"
     assert want[1][0] > 1.0
+
+
+@pytest.mark.parametrize("make_graph", [sim16_shaped_graph, _REFERENCE_CASES["ring65"]], ids=["sim16-shaped", "ring65"])
+def test_exact_paths_keep_their_outcomes_within_the_memory_bound(monkeypatch, make_graph) -> None:
+    # at a 64 KB bound the exact chunks, their second lane of sums and the
+    # nodes' bit counts keep the peak within 4x the bound, with the same
+    # values as at the default bound
+    g = make_graph()
+    n = g.node_count
+    sets = [[v] for v in range(n)], [[v, (v + 1) % n, (v + 5) % n] for v in range(n)]
+    want = [influence._exact_spreads(g, seed_sets) for seed_sets in sets]
+    monkeypatch.setattr(influence, "KERNEL_BYTES", 64 << 10)
+    for seed_sets, value in zip(sets, want):
+        got, peak = traced_peak(lambda: influence._exact_spreads(g, seed_sets))
+        assert got == value
+        assert peak <= 4 * influence.KERNEL_BYTES, f"peak {peak} bytes"
 
 
 @pytest.mark.parametrize("kernel_bytes", [influence.KERNEL_BYTES, 1500])
