@@ -37,9 +37,9 @@ MAX_KERNEL_WORK = 1 << 28
 # arrays beside them (_chunk_columns); the exact path rounds that down to a
 # power of two and reuses one reach buffer from chunk to chunk.  Larger
 # chunks run no faster on 16-node graphs and raise peak memory: there, in
-# uint16 words, an exact singleton table took a median 2.1-2.3 ms warm in
-# 2^14-outcome chunks, 2.2-2.3 ms in 2^13 and 2.9-3.1 ms in 2^15 and 2^16
-# (a bound of 8 and 16 MB), on the host above.
+# uint16 words, an exact singleton table took a median 2.6-2.7 ms warm in
+# 2^14-outcome chunks, 2.7-2.8 ms in 2^13 and 3.4 ms in 2^15 and 2^16 (a
+# bound of 8 and 16 MB), on the host above.
 KERNEL_BYTES = 4 << 20
 # Sampled outcomes are keyed in blocks of this many rows: outcome i is row
 # i % BLOCK of block i // BLOCK, whose stream is keyed by the block, so it
@@ -255,9 +255,8 @@ def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     for temporaries) and each uncertain edge's live column, 8 bytes for each
     of six outcome vectors (weights, gains, a union and its counts), plus
     extra_bytes for what the caller holds per column (draws, accepts, live
-    edges, seeds; the exact path's second lane of gains and its per-node bit
-    counts).  _exact_spreads rounds it down to a power of two; sampled paths
-    take it as it is."""
+    edges, seeds; the exact path's second lane of gains).  _exact_spreads
+    rounds it down to a power of two; sampled paths take it as it is."""
     word, words = _word(graph)
     column = np.dtype(word).itemsize * (2 * graph.node_count * words + len(graph.uncertain_edges)) + 8 * 6
     return max(1, KERNEL_BYTES // (column + extra_bytes))
@@ -371,29 +370,27 @@ def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
     The sums run two sets at a time, in the real and the imaginary lane of
     one complex cumsum: a complex add is two independent float adds, so each
     lane is the float cumsum bit for bit, in half the dependent steps.
-    Singleton sets read their counts off one bit count of every node's reach.
     What _admit_exact does not admit is refused before any pass.
     """
     _admit_exact(graph, len(seed_sets))
     unc = graph.uncertain_edges
     probs = [graph.edges[i][2] for i in unc]
-    word, words = _word(graph)
-    # beyond _chunk_columns' vectors: the second lane and every node's counts
-    m = min(_chunk_columns(graph, 8 + graph.node_count * words).bit_length() - 1, len(unc))
+    # beyond _chunk_columns' vectors: the second lane of gains
+    m = min(_chunk_columns(graph, 8).bit_length() - 1, len(unc))
     low = np.ones(1)
     for p in probs[:m]:
         low = np.concatenate((low * (1.0 - p), low * p))
+    word = _word(graph)[0]
     ones = np.iinfo(word).max
     live = np.empty((len(unc), 1 << m), dtype=word)
     for j in range(m):
         halves = live[j].reshape(-1, 2, 1 << j)  # [:, 1] are the columns with bit j set
         halves[:, 0] = 0
         halves[:, 1] = ones
-    reach = nodes = None
+    reach = None
     pair = np.empty(1 << m, dtype=np.complex128)
     lanes = pair.view(np.float64).reshape(-1, 2)  # [:, 0] one set's gains, [:, 1] the next's
     totals = [0.0] * (len(seed_sets) + len(seed_sets) % 2)
-    singles = any(len(ids) == 1 for ids in seed_sets)
     for high in range(1 << (len(unc) - m)):
         weights = low
         for j in range(m, len(unc)):
@@ -401,18 +398,13 @@ def _exact_spreads(graph: Graph, seed_sets: list[list[int]]) -> list[float]:
             weights = weights * (probs[j] if live_high else 1.0 - probs[j])
             live[j] = ones if live_high else 0
         reach = _reach_columns(graph, live, out=reach)
-        if singles:
-            nodes = np.bitwise_count(reach, out=nodes)
         for k in range(0, len(seed_sets), 2):
             for lane, ids in enumerate(seed_sets[k:k + 2]):
-                if len(ids) == 1:
-                    counts = nodes[ids[0]]
-                else:
-                    union = reach[ids[0]] | reach[ids[1]]
-                    for s in ids[2:]:
-                        union |= reach[s]
-                    counts = np.bitwise_count(union)
-                np.multiply(counts[0] if words == 1 else counts.sum(axis=0), weights, out=lanes[:, lane])
+                union = reach[ids[0]]
+                for s in ids[1:]:
+                    union = union | reach[s]
+                counts = np.bitwise_count(union)  # one word needs no sum
+                np.multiply(counts[0] if len(counts) == 1 else counts.sum(axis=0), weights, out=lanes[:, lane])
             if k + 1 == len(seed_sets):
                 lanes[:, 1] = 0.0  # an odd set count leaves the last imaginary lane idle
             pair[0] += complex(totals[k], totals[k + 1])

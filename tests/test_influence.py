@@ -398,18 +398,17 @@ def _five_edge_graph() -> Graph:
     pytest.param(1, _five_edge_graph, 1, id="1"),
     pytest.param(1000, mixed_graph, 8, id="1000"),
     pytest.param(600, _REFERENCE_CASES["ring8"], 4, id="ring8"),
-    pytest.param(1_250_000, sim16_shaped_graph, 1 << 12, id="sim16-shaped"),
-    pytest.param(580_000, _REFERENCE_CASES["ring65"], 1 << 7, id="ring65"),
+    pytest.param(1_200_000, sim16_shaped_graph, 1 << 12, id="sim16-shaped"),
+    pytest.param(566_000, _REFERENCE_CASES["ring65"], 1 << 7, id="ring65"),
 ])
 def test_exact_spreads_carry_across_chunks(monkeypatch, kernel_bytes, make_graph, chunk) -> None:
     # 1 byte floors the chunk at one outcome, so every weight factor is a
-    # high-bit scalar; 1000 bytes, at 87 a column (72 in uint8 words, 8 for
-    # the second lane of sums and 7 for the nodes' bit counts), give
-    # mixed_graph chunks of 2^3 outcomes, three low bits built by doubling
-    # and seven high-bit scalars.  The others would take chunks twice as
-    # wide without the lane and the counts: ring8 (86 bytes a column) takes
-    # 16 chunks of 2^2, the sim16-shaped graph (166) 8 of 2^12 and ring65
-    # (2,346, two uint64 words a node) 8 of 2^7
+    # high-bit scalar; 1000 bytes, at 80 a column (72 in uint8 words and 8
+    # for the second lane of sums), give mixed_graph chunks of 2^3 outcomes,
+    # three low bits built by doubling and seven high-bit scalars.  The
+    # others would take chunks twice as wide without the lane: ring8 (78
+    # bytes a column) takes 16 chunks of 2^2, the sim16-shaped graph (150) 8
+    # of 2^12 and ring65 (2,216, two uint64 words a node) 8 of 2^7
     g = make_graph()
     monkeypatch.setattr(influence, "KERNEL_BYTES", kernel_bytes)
     columns: list[int] = []
@@ -607,9 +606,9 @@ def test_mc_paths_keep_their_samples_within_the_memory_bound(monkeypatch) -> Non
 
 @pytest.mark.parametrize("make_graph", [sim16_shaped_graph, _REFERENCE_CASES["ring65"]], ids=["sim16-shaped", "ring65"])
 def test_exact_paths_keep_their_outcomes_within_the_memory_bound(monkeypatch, make_graph) -> None:
-    # at a 64 KB bound the exact chunks, their second lane of sums and the
-    # nodes' bit counts keep the peak within 4x the bound, with the same
-    # values as at the default bound
+    # at a 64 KB bound the exact chunks and their second lane of sums keep
+    # the peak within 4x the bound, with the same values as at the default
+    # bound
     g = make_graph()
     n = g.node_count
     sets = [[v] for v in range(n)], [[v, (v + 1) % n, (v + 5) % n] for v in range(n)]
