@@ -256,7 +256,9 @@ def _chunk_columns(graph: Graph, extra_bytes: int = 0) -> int:
     of six outcome vectors (weights, gains, a union and its counts), plus
     extra_bytes for what the caller holds per column (draws, accepts, live
     edges, seeds; the exact path's second lane of gains).  _exact_spreads
-    rounds it down to a power of two; sampled paths take it as it is."""
+    rounds it down to a power of two; sampled paths take it as it is.
+    Temporaries computed from a chunk's rows are not counted, so its peak can
+    pass KERNEL_BYTES; the tests bound traced peaks at 4x KERNEL_BYTES."""
     word, words = _word(graph)
     column = np.dtype(word).itemsize * (2 * graph.node_count * words + len(graph.uncertain_edges)) + 8 * 6
     return max(1, KERNEL_BYTES // (column + extra_bytes))

@@ -107,6 +107,13 @@ class Instance:
     def c_max_index(self) -> int:
         return len(self.coupons) - 1
 
+    def user_cap(self, extended: bool) -> int | None:
+        """The most distinct users a run may probe: W in extended mode, which
+        refuses an instance without W, and None, no cap, otherwise."""
+        if extended and self.W is None:
+            raise ValueError("extended mode requires an instance with W set")
+        return self.W if extended else None
+
 
 @dataclass(frozen=True, order=True)
 class Action:

@@ -94,13 +94,11 @@ def optimal_adaptive_value(
     `restricted` additionally forces each user's offers into consecutive
     rounds, and `use_W` caps the number of distinct users probed.
     """
-    if use_W and instance.W is None:
-        raise ValueError("extended mode requires an instance with W set")
-
+    cap = instance.user_cap(use_W)
     n = instance.n_users
     K = instance.K
     L = len(instance.coupons)
-    cap = instance.W if use_W else n  # fresh users are offered while fewer are probed; n never binds
+    cap = n if cap is None else cap  # fresh users are offered while fewer are probed; n never binds
     spread_table = _spread_table(instance, range(n))
     # firsts[v][rej]: the first coupon v takes with probability q > 0 after
     # rejecting coupon rej, L if none; rej = -1, the last entry, is a user
@@ -321,12 +319,11 @@ def concave_relaxation_optimum(instance: Instance, use_W: bool = False) -> Fract
     group, costing the sum of its actions' costs and sized by its user count,
     with the budget B and, with use_W, the cap W.
     """
-    if use_W and instance.W is None:
-        raise ValueError("extended mode requires an instance with W set")
+    cap = instance.user_cap(use_W)
     actions = build_action_space(instance)
     profiles, values = _profile_columns(instance, actions)
     action_costs = [exact_expected_cost(instance, a) for a in actions]
     costs = [sum((action_costs[i] for i in p), Fraction(0)) for p in profiles]
-    cap = Fraction(instance.W) if use_W else None
-    lp = _ColumnLP([list(range(len(profiles)))], costs, Fraction(instance.B), [len(p) for p in profiles], cap)
+    lp = _ColumnLP([list(range(len(profiles)))], costs, Fraction(instance.B), [len(p) for p in profiles],
+                   None if cap is None else Fraction(cap))
     return sum((values[i] * v for i, v in lp.solve(scaled_integers(values)).items()), Fraction(0))

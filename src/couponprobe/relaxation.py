@@ -543,14 +543,13 @@ def _direction_lp(
 ) -> _ColumnLP:
     """The direction LP over the actions: one group per user, every size 1,
     the budget beta*B and the cap beta*W, or none without use_W."""
-    if use_W and instance.W is None:
-        raise ValueError("extended mode requires an instance with W set")
+    cap = instance.user_cap(use_W)
     if not 0.0 <= beta <= 0.5:
         raise ValueError("beta must lie in [0, 1/2]")
     scale = Fraction(beta)
-    cap = scale * Fraction(instance.W) if use_W else None
     groups = list(user_groups(actions).values())
-    return _ColumnLP(groups, [costs[a] for a in actions], scale * Fraction(instance.B), [1] * len(actions), cap)
+    return _ColumnLP(groups, [costs[a] for a in actions], scale * Fraction(instance.B), [1] * len(actions),
+                     None if cap is None else scale * cap)
 
 
 def solve_lp(

@@ -33,12 +33,11 @@ class Alg1Policy:
     """
 
     def __init__(self, instance: Instance, config: RelaxationConfig, extended: bool = False):
-        if extended and instance.W is None:
-            raise ValueError("extended mode requires an instance with W set")
+        self.cap = instance.user_cap(extended)
         self.instance = instance
         self.config = config
         self.extended = extended
-        self.vacuous = not low_value_coupons(instance) or instance.K < 1
+        self.vacuous = not self.applies(instance)
         self.fractional: dict[Action, float] | None = None
         if not self.vacuous:
             y = continuous_greedy(instance, config, use_W=extended)
@@ -56,6 +55,11 @@ class Alg1Policy:
                 self._attract[i, :len(coupons)] = [instance.attractiveness[action.user][c] for c in coupons]
             self._lengths = (self._offers >= 0).sum(axis=1)
             self._values = np.where(self._offers >= 0, np.array(instance.coupons)[self._offers], 0.0)
+
+    @staticmethod
+    def applies(instance: Instance) -> bool:
+        """Whether the route has an action to probe: a low-value coupon and K >= 1."""
+        return bool(low_value_coupons(instance)) and instance.K >= 1
 
     def run_block(self, thresholds: np.ndarray, uniforms: np.ndarray):
         """Round, resolve and execute the plan in a block of worlds.
@@ -82,10 +86,10 @@ class Alg1Policy:
         keys = np.where(present, uniforms[:, 1], 2.0).reshape(rows, n, m // n)
         chosen = keys.argmin(axis=2) + np.arange(0, m, m // n)
         alive = present.reshape(rows, n, m // n).any(axis=2)
-        if self.extended:
+        if self.cap is not None:
             ranked = np.argsort(np.where(present, uniforms[:, 2], 2.0), axis=1, kind="stable")
             kept = np.zeros((rows, m), dtype=bool)
-            np.put_along_axis(kept, ranked[:, :inst.W], True, axis=1)
+            np.put_along_axis(kept, ranked[:, :self.cap], True, axis=1)
             alive &= kept[every, chosen]
         chosen = np.where(alive, chosen, -1)
 

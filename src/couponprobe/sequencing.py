@@ -119,53 +119,44 @@ class Alg2Policy:
         singleton_table: Mapping[int, float] | None = None,
         extended: bool = False,
     ):
-        if extended and instance.W is None:
-            raise ValueError("extended mode requires an instance with W set")
-        value = instance.coupons[instance.c_max_index]
-        if value > instance.B:
-            raise ValueError(
-                f"largest coupon {value} exceeds the budget {instance.B}; this route is off"
-            )
-        if instance.K < 1:
-            raise ValueError("probing requires K >= 1")
-        self.instance = instance
+        cap = instance.user_cap(extended)
+        if (refusal := self.refusal(instance)) is not None:
+            raise ValueError(refusal)
         self.table = dict(instance.graph.singleton_table if singleton_table is None else singleton_table)
         self.extended = extended
-        if extended:
-            _, self.order = alg2_dp(instance, self.table, instance.W)
-        else:
-            self.order = alg2_plan(instance, self.table)
+        self.order = alg2_plan(instance, self.table) if cap is None else alg2_dp(instance, self.table, cap)[1]
+
+    @staticmethod
+    def refusal(instance: Instance) -> str | None:
+        """Why the route does not apply (largest coupon above B, or K = 0), or None."""
+        value = instance.coupons[instance.c_max_index]
+        if value > instance.B:
+            return f"largest coupon {value} exceeds the budget {instance.B}; this route is off"
+        if instance.K < 1:
+            return "probing requires K >= 1"
+        return None
 
 
 class StochCpPolicy:
     """Fair randomization between the fractional and largest-coupon routes.
 
-    When one route is degenerate (no low-value coupons, or the largest coupon
-    cannot fit in the budget) the other runs with probability one; when every
-    coupon is low-value the fractional route already covers the whole action
-    space and is used alone.  If neither route applies the instance cannot be
-    served by this method.
+    When one route does not apply (Alg1Policy.applies, Alg2Policy.refusal)
+    the other runs with probability one; when every coupon is low-value the
+    fractional route covers the whole action space and runs alone.  When
+    neither applies, it raises UnsolvableError, before any W refusal.
     """
 
     def __init__(self, instance: Instance, config: RelaxationConfig, extended: bool = False):
-        self.instance = instance
         self.extended = extended
-        c_max = instance.coupons[instance.c_max_index]
-        alg1_ok = bool(low_value_coupons(instance)) and instance.K >= 1
-        alg2_ok = c_max <= instance.B and instance.K >= 1
+        alg1_ok = Alg1Policy.applies(instance)
+        alg2_ok = Alg2Policy.refusal(instance) is None
         if not alg1_ok and not alg2_ok:
             raise UnsolvableError(
                 "neither route applies: every coupon exceeds B/2 and the largest "
                 "exceeds B (or K = 0); the instance is unsolvable by this method"
             )
-        if alg1_ok and c_max <= instance.B / 2.0:
-            self.alg1_weight = 1.0  # every coupon is low-value; nothing left for the other route
-        elif not alg2_ok:
-            self.alg1_weight = 1.0
-        elif not alg1_ok:
-            self.alg1_weight = 0.0
-        else:
-            self.alg1_weight = 0.5
+        every_low = instance.c_max_index in low_value_coupons(instance)  # then alg1 applies
+        self.alg1_weight = 1.0 if every_low or not alg2_ok else 0.5 if alg1_ok else 0.0
         self.branch_alg1 = (
             Alg1Policy(instance, config, extended=extended) if self.alg1_weight > 0.0 else None
         )
@@ -207,13 +198,16 @@ def evaluate_policy(
     total = 0
     total_sq = 0
     violations = 0
-    branch_counts: dict[str, int] = {}
-    for values, bad, notes in _simulate(instance, policy, worlds, rng_seed):
+    alg1_worlds = 0
+    for values, bad, alg1 in _simulate(instance, policy, worlds, rng_seed):
         total += int(values.sum())
         total_sq += int((values * values).sum())
         violations += bad
-        for note, count in notes.items():
-            branch_counts[note] = branch_counts.get(note, 0) + count
+        alg1_worlds += alg1
+    if isinstance(policy, StochCpPolicy):
+        counts = {"alg1": alg1_worlds, "alg2": worlds - alg1_worlds}
+    else:
+        counts = {"alg1-vacuous": alg1_worlds if isinstance(policy, Alg1Policy) and policy.vacuous else 0}
     # spreads are integers, so these sums are exact in any order
     mean = total / worlds
     var = max(0.0, total_sq / worlds - mean * mean)
@@ -223,13 +217,13 @@ def evaluate_policy(
         stderr=stderr,
         worlds=worlds,
         violations=violations,
-        branch_counts=branch_counts,
+        branch_counts={branch: count for branch, count in counts.items() if count},
     )
 
 
 def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     """Per chunk of worlds, in order: each world's realized spread (int64),
-    the number of infeasible runs and the count of each branch taken.
+    the number of infeasible runs and the number of alg1 worlds.
 
     A chunk is as many worlds of one block as influence._chunk_columns gives
     for what a world holds; the block's generators are drawn a chunk of rows
@@ -275,7 +269,6 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
             singly = coins[first:first + size]
             seeded = np.zeros((n, size), dtype=bool)
             bad = 0
-            notes: dict[str, int] = {}
             in_block = np.flatnonzero(~singly)
             if len(in_block):
                 accepts = np.ones((len(in_block), len(users) + 1), dtype=bool)  # last: nobody accepts
@@ -284,17 +277,10 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
                 took = positions < len(users)
                 seeded[users[positions[took]], in_block[took]] = True
                 bad = int(bad_at[positions].sum())
-                if stoch:
-                    notes["alg2"] = len(in_block)
             picked = np.flatnonzero(singly)
             if rounding is not None:
                 bad += _alg1_chunk(instance, alg1, rounding, thresholds, picked, seeded)
-            if len(picked):
-                if alg1.vacuous:
-                    notes["alg1-vacuous"] = len(picked)
-                if stoch:
-                    notes["alg1"] = len(picked)
-            yield sampled_spreads(graph, live, seeded), bad, notes
+            yield sampled_spreads(graph, live, seeded), bad, len(picked)
 
 
 def _alg1_chunk(instance: Instance, policy: Alg1Policy, rounding, thresholds, picked, seeded) -> int:

@@ -4,18 +4,19 @@ read in the package, the benchmark or the tests, every name
 tests/helpers.py defines is read by the tests or by helpers.py itself, no
 two test functions have the same arguments and body, no package module but
 the oracle imports the dense simplex, no package module but the
-relaxation names the parts of its LP solver, and no package module but
+relaxation names the parts of its LP solver, no package module but
 influence, which holds the one size rule, the one memory rule and the reach
 kernel's one word rule, writes a size refusal or names the memory rule's
-byte bound or an unsigned word.
+byte bound or an unsigned word, and no package module but model, which holds
+the one user-cap rule, writes the refusal of extended mode without W.
 
 No linter runs in the test suite, and deleting or moving code tends to leave
 stale imports, helpers and public names behind.  The import check parses each
 package module (but the package's __init__, which imports to re-export) and
-each test module; the private-name, simplex, LP, size-refusal, byte-bound
-and word checks parse the whole package, the public-name check reads it
-from the package but its __init__, perfbench/ and the tests, and the helper
-and duplicate checks parse the whole test directory.
+each test module; the private-name, simplex, LP, size-refusal, byte-bound,
+word and W-refusal checks parse the whole package, the public-name check
+reads it from the package but its __init__, perfbench/ and the tests, and
+the helper and duplicate checks parse the whole test directory.
 """
 
 from __future__ import annotations
@@ -185,11 +186,13 @@ def test_only_the_influence_names_a_word() -> None:
 
 # the phrase every size refusal ends with, which influence._admit writes
 LIMIT_PHRASE = "above the limit of"
+# the refusal of extended mode without W, which model.Instance.user_cap writes
+W_REFUSAL = "extended mode requires an instance with W set"
 
 
-def limit_phrasers(sources: dict[str, str]) -> list[str]:
+def phrasers(sources: dict[str, str], phrase: str) -> list[str]:
     """The modules, by name, with a string, an f-string's included, that
-    holds LIMIT_PHRASE outside a docstring."""
+    holds phrase outside a docstring."""
     phrasers = []
     for module, source in sources.items():
         tree = ast.parse(source)
@@ -198,7 +201,7 @@ def limit_phrasers(sources: dict[str, str]) -> list[str]:
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
             and node.body and isinstance(node.body[0], ast.Expr)
         }
-        if any(isinstance(node, ast.Constant) and isinstance(node.value, str) and LIMIT_PHRASE in node.value
+        if any(isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value
                and id(node) not in docstrings for node in ast.walk(tree)):
             phrasers.append(module)
     return phrasers
@@ -211,12 +214,18 @@ def test_limit_phrase_checker_flags_every_string_form() -> None:
         "c": 'def f():\n    """Refuses counts above the limit of N."""\n',
         "d": 'def f(n, m):\n    raise ValueError(f"at most {m} y, got {n}")\n',
     }
-    assert limit_phrasers(sources) == ["a", "b"]
+    assert phrasers(sources, LIMIT_PHRASE) == ["a", "b"]
 
 
 def test_only_the_size_rule_writes_a_size_refusal() -> None:
     # every other module hands its count, parts and limit to influence._admit
-    assert limit_phrasers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}) == ["influence"]
+    assert phrasers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}, LIMIT_PHRASE) == ["influence"]
+
+
+def test_only_the_cap_rule_writes_the_w_refusal() -> None:
+    # every entry point with an extended mode reads its cap from
+    # model.Instance.user_cap, which refuses an instance without W
+    assert phrasers({p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}, W_REFUSAL) == ["model"]
 
 
 def names_read(trees) -> set[str]:

@@ -26,9 +26,9 @@ from couponprobe.oracle import (
     multilinear_value_exact,
     optimal_adaptive_value,
 )
-from couponprobe.relaxation import RelaxationConfig, estimate_marginals, solve_lp
+from couponprobe.relaxation import RelaxationConfig, continuous_greedy, estimate_marginals, solve_lp
 from couponprobe.rounding import ROUNDING_DRAWS, Alg1Policy
-from couponprobe.sequencing import Alg2Policy, alg2_dp
+from couponprobe.sequencing import Alg2Policy, StochCpPolicy, alg2_dp
 
 from helpers import (
     PolicyTrace,
@@ -455,12 +455,6 @@ def test_check_trace_accepts_clean_run() -> None:
 _EDGE_CASES = {
     "alg2-K-zero": (lambda: Alg2Policy(single_user(0.5, K=0)), "probing requires K >= 1"),
     "alg2-dp-W-negative": (lambda: alg2_dp(single_user(0.5), {0: 1.0}, W=-1), "W must be non-negative"),
-    "oracle-use-W-without-W": (
-        lambda: optimal_adaptive_value(single_user(0.5), use_W=True),
-        "extended mode requires an instance with W set"),
-    "relaxation-optimum-use-W-without-W": (
-        lambda: concave_relaxation_optimum(single_user(0.5), use_W=True),
-        "extended mode requires an instance with W set"),
     "ledger-wrong-length": (
         lambda: check_trace(single_user(0.5), PolicyTrace(steps=[ProbeStep(0, 1.0, False)])),
         ["budget ledger length differs from step count"]),
@@ -489,3 +483,26 @@ def test_refusals_and_empty_inputs(case) -> None:
             call()
     else:
         assert call() == want
+
+
+# every entry point with an extended mode, each of which reads its cap from
+# Instance.user_cap
+_EXTENDED_ENTRY_POINTS = {
+    "Alg1Policy": lambda inst: Alg1Policy(inst, RelaxationConfig(), extended=True),
+    "Alg2Policy": lambda inst: Alg2Policy(inst, extended=True),
+    "StochCpPolicy": lambda inst: StochCpPolicy(inst, RelaxationConfig(), extended=True),
+    "solve_lp": lambda inst: solve_lp(dict.fromkeys(build_action_space(inst), 1.0), inst, 0.25, use_W=True),
+    "continuous_greedy": lambda inst: continuous_greedy(inst, RelaxationConfig(), use_W=True),
+    "optimal_adaptive_value": lambda inst: optimal_adaptive_value(inst, use_W=True),
+    "concave_relaxation_optimum": lambda inst: concave_relaxation_optimum(inst, use_W=True),
+}
+
+
+@pytest.mark.parametrize("entry", list(_EXTENDED_ENTRY_POINTS))
+def test_extended_entry_points_refuse_an_instance_without_w(entry) -> None:
+    # both routes apply (coupon 1 is low-value, 3 fits B), so stoch-cp builds both
+    inst = uniform_instance(2, (1.0, 3.0), ((0.5, 0.6), (0.4, 0.7)), K=1, B=4.0)
+    assert inst.W is None and inst.user_cap(False) is None
+    with pytest.raises(ValueError) as err:
+        _EXTENDED_ENTRY_POINTS[entry](inst)
+    assert str(err.value) == "extended mode requires an instance with W set"

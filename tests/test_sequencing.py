@@ -332,6 +332,13 @@ def test_combiner_reports_unsolvable_instances() -> None:
         StochCpPolicy(zero_k, RelaxationConfig())
 
 
+def test_combiner_refuses_an_unsolvable_instance_before_a_missing_w() -> None:
+    # W is unset too, but neither route applies, and that refusal comes first
+    inst = uniform_instance(2, (9.0,), ((0.5,), (0.6,)), K=1, B=3.0)
+    with pytest.raises(UnsolvableError):
+        StochCpPolicy(inst, RelaxationConfig(), extended=True)
+
+
 def test_extended_combiner_traces_respect_w() -> None:
     inst = _straddle_instance(W=1)
     config = RelaxationConfig(delta=0.25, marginal_samples=60, rng_seed=0)
@@ -483,7 +490,8 @@ def test_alg1_blocks_do_not_depend_on_draw_chunks(name, monkeypatch) -> None:
     assert size < 10 and [len(v) for v, _, _ in got] == _chunk_lengths((BLOCK, 300), size)
     assert np.concatenate([v for v, _, _ in got]).tolist() == np.concatenate([v for v, _, _ in want]).tolist()
     assert sum(bad for _, bad, _ in got) == sum(bad for _, bad, _ in want)
-    assert _summed_notes(got) == _summed_notes(want)
+    assert [k for _, _, k in want] == _alg1_worlds(policy, 6, (BLOCK, 300), BLOCK)
+    assert [k for _, _, k in got] == _alg1_worlds(policy, 6, (BLOCK, 300), size)
 
 
 @pytest.mark.parametrize("name", ["alg1", "stoch-cp"])
@@ -500,12 +508,15 @@ def test_evaluation_keeps_its_worlds_within_the_memory_bound(name, monkeypatch) 
     assert peak <= 4 * influence.KERNEL_BYTES, f"peak {peak} bytes"
 
 
-def _summed_notes(chunks) -> dict[str, int]:
-    total: dict[str, int] = {}
-    for _, _, notes in chunks:
-        for note, count in notes.items():
-            total[note] = total.get(note, 0) + count
-    return total
+def _alg1_worlds(policy, seed: int, blocks: tuple[int, ...], size: int) -> list[int]:
+    # each chunk's alg1 worlds: its rows whose coin picks alg1, for stoch-cp,
+    # and every row for alg1 itself
+    counts = []
+    for b, rows in enumerate(blocks):
+        coins = (np.random.default_rng([seed, b, 2]).random(rows) < policy.alg1_weight
+                 if isinstance(policy, StochCpPolicy) else np.ones(rows, dtype=bool))
+        counts += [int(coins[first:first + size].sum()) for first in range(0, rows, size)]
+    return counts
 
 
 def _values(inst, policy, worlds: int, seed: int) -> np.ndarray:
