@@ -456,6 +456,12 @@ def sampled_spreads(graph: Graph, live: np.ndarray, seeded: np.ndarray) -> np.nd
     return out
 
 
+def exact_singletons(graph: Graph) -> bool:
+    """Whether singleton_influence_table, and so graph.singleton_table, is
+    exact on graph: whether _admit_exact admits a set of every node."""
+    return _admit_exact(graph, graph.node_count, None)
+
+
 def influence_exact(graph: Graph, seeds: Iterable[int]) -> float:
     """Exact expected spread of a seed set, by live-edge enumeration.
 
@@ -513,7 +519,7 @@ def influence_mc_stats(
 def singleton_influence_table(
     graph: Graph, samples: int = 20000, rng_seed: int = 0
 ) -> dict[int, float]:
-    """Expected spread of each single node, exact when _admit_exact admits it.
+    """Expected spread of each single node, exact when exact_singletons says so.
 
     The exact table takes one kernel pass over the live-edge outcomes for all
     nodes.  The Monte Carlo fallback takes one over the samples of _mc_reach,
@@ -523,7 +529,7 @@ def singleton_influence_table(
     samples = _positive(samples, "samples")
     rng_seed = _count(rng_seed, "rng_seed")
     n = graph.node_count
-    if _admit_exact(graph, n, None):
+    if exact_singletons(graph):
         return dict(enumerate(_exact_spreads(graph, [[v] for v in range(n)])))
     totals = np.zeros(n, dtype=np.int64)
     for reach in _mc_reach(graph, samples, rng_seed, n):

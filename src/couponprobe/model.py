@@ -238,10 +238,12 @@ def check_steps(instance: Instance, steps: Steps, seeded: np.ndarray, extended: 
     1e-9 from B less the accepted coupons so far, when those total more than
     B + 1e-9, when a user is offered more than K coupons, or offers that do not
     strictly increase, or offers after an accept, or offers with another
-    user's between, when its seeds are not exactly the accepting users, and,
-    in extended mode, when more than W distinct users are probed or the
-    instance has no W.  Each rule is one test over the step arrays.
+    user's between, when its seeds are not exactly the accepting users, and
+    when more than Instance.user_cap(extended) distinct users are probed,
+    which refuses extended mode on an instance without W.  Each rule is one
+    test over the step arrays.
     """
+    cap = instance.user_cap(extended)
     user, offers, accepted, spend = steps
     rows, positions = user.shape
     n = instance.n_users
@@ -270,8 +272,8 @@ def check_steps(instance: Instance, steps: Steps, seeded: np.ndarray, extended: 
     accepting = np.zeros((n, rows), dtype=bool)
     accepting[user[won], every[won]] = True
     bad |= (accepting != seeded).any(axis=0)
-    if extended:
-        bad |= instance.W is None or (offered > 0).sum(axis=1) > instance.W
+    if cap is not None:
+        bad |= (offered > 0).sum(axis=1) > cap
 
     # rows where a user holds several positions: each pair of that user's
     # positions that are neighbours in one sort

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .influence import BLOCK, _chunk_columns, _count, _positive, live_edges, sampled_spreads
+from .influence import BLOCK, _chunk_columns, _count, _positive, exact_singletons, live_edges, sampled_spreads
 from .model import Instance, Steps, check_steps, low_value_coupons
 from .relaxation import RelaxationConfig
 from .rounding import ROUNDING_DRAWS, Alg1Policy
@@ -175,42 +175,63 @@ class PolicyEvaluation:
 def evaluate_policy(
     instance: Instance, policy, worlds: int, rng_seed: int = 0
 ) -> PolicyEvaluation:
-    """Mean realized spread of an Alg1Policy, Alg2Policy or StochCpPolicy
-    over independent worlds; any other policy raises TypeError.
+    """Mean spread of an Alg1Policy, Alg2Policy or StochCpPolicy over
+    independent worlds, with its standard error; any other policy raises
+    TypeError.
 
     Worlds are keyed in blocks of BLOCK: block b draws every user threshold
     and every uncertain-edge uniform of its worlds, a chunk of rows at a
-    time, on a stream keyed by (rng_seed, b, 0), so world i depends only on
+    time, on the stream _stream(rng_seed, b, 0), so world i depends only on
     (rng_seed, i), neither on `worlds` nor on the policy, and policies
     evaluated with one seed see the same worlds.  stoch-cp's coin is one
-    uniform per world from the block's stream keyed by (rng_seed, b, 2).
-    An alg2 world, stoch-cp's alg2 branch included, is seeded by its first
-    accept, read off the thresholds.  An alg1 world, stoch-cp's alg1 branch
-    included, is rounded and executed by Alg1Policy.run_block from row
-    i % BLOCK of its block's rounding draws: ROUNDING_DRAWS uniforms per
-    action, drawn on a stream keyed by (rng_seed, b, 1) for every row of the
-    block, whatever the coin says, so this too depends only on (rng_seed, i).
-    Worlds are then scored a chunk at a time, one reach-kernel pass each,
-    and checked for feasibility by check_steps (see _simulate).
+    uniform per world from _stream(rng_seed, b, 2).  An alg2 world,
+    stoch-cp's alg2 branch included, is seeded by its first accept, read off
+    the thresholds.  An alg1 world, stoch-cp's alg1 branch included, is
+    rounded and executed by Alg1Policy.run_block from row i % BLOCK of its
+    block's rounding draws: ROUNDING_DRAWS uniforms per action, drawn from
+    _stream(rng_seed, b, 1) for every row of the block, whatever the coin
+    says, so this too depends only on (rng_seed, i).
+
+    Where graph.singleton_table is exact (exact_singletons), an alg2 world
+    scores its first accepter's exact spread, and 0 when nobody accepts:
+    its seeds do not depend on its live edges, so that is its expected
+    spread given its thresholds, with the same mean as the realized spread
+    and less variance (_accepter_spreads).  Every other world scores its
+    realized spread, in one reach-kernel pass per chunk, and every run is
+    checked for feasibility by check_steps (see _simulate).  Both sums are
+    exact: realized spreads are integers, and exact spreads are added once,
+    per first-accept position, over their common power-of-two denominator,
+    so the report depends on no chunking.
     """
     worlds = _positive(worlds, "worlds")
     rng_seed = _count(rng_seed, "rng_seed")
+    spreads = _accepter_spreads(instance, policy)
     total = 0
     total_sq = 0
+    at_position = 0  # alg2 worlds per first-accept position, where spreads score them
     violations = 0
     alg1_worlds = 0
-    for values, bad, alg1 in _simulate(instance, policy, worlds, rng_seed):
+    for values, positions, bad, alg1 in _simulate(instance, policy, worlds, rng_seed):
         total += int(values.sum())
         total_sq += int((values * values).sum())
+        if positions is not None:
+            at_position = at_position + np.bincount(positions, minlength=len(spreads))
         violations += bad
         alg1_worlds += alg1
+    scale = 1  # the common denominator of every score
+    if spreads is not None:
+        ratios = [s.as_integer_ratio() for s in spreads]
+        scale = max(q for _, q in ratios)
+        scaled = [p * (scale // q) for p, q in ratios]
+        total = total * scale + sum(c * s for c, s in zip(at_position.tolist(), scaled))
+        total_sq = total_sq * scale * scale + sum(c * s * s for c, s in zip(at_position.tolist(), scaled))
     if isinstance(policy, StochCpPolicy):
         counts = {"alg1": alg1_worlds, "alg2": worlds - alg1_worlds}
     else:
         counts = {"alg1-vacuous": alg1_worlds if isinstance(policy, Alg1Policy) and policy.vacuous else 0}
-    # spreads are integers, so these sums are exact in any order
-    mean = total / worlds
-    var = max(0.0, total_sq / worlds - mean * mean)
+    # integer over integer rounds once, so neither depends on summation order
+    mean = total / (worlds * scale)
+    var = max(0.0, total_sq / (worlds * scale * scale) - mean * mean)
     stderr = (var / worlds) ** 0.5
     return PolicyEvaluation(
         mean=mean,
@@ -221,32 +242,67 @@ def evaluate_policy(
     )
 
 
+def _routes(policy) -> tuple[Alg1Policy | None, Alg2Policy | None]:
+    """The policy's alg1 and alg2 routes, None where it has none; any policy
+    but the three classes raises TypeError."""
+    if isinstance(policy, StochCpPolicy):
+        return policy.branch_alg1, policy.branch_alg2
+    if isinstance(policy, Alg1Policy):
+        return policy, None
+    if isinstance(policy, Alg2Policy):
+        return None, policy
+    raise TypeError(
+        f"evaluate_policy takes an Alg1Policy, Alg2Policy or StochCpPolicy, not {type(policy).__name__}"
+    )
+
+
+def _accepter_spreads(instance: Instance, policy) -> list[float] | None:
+    """The score of an alg2 world by its first-accept position: the exact
+    spread, from graph.singleton_table, of the user at each position of the
+    order, then 0 for nobody; None where the policy has no alg2 route or the
+    table is not exact.  A Monte Carlo table's own error is not in the
+    per-world variance, so there worlds keep their realized spread."""
+    alg2 = _routes(policy)[1]
+    if alg2 is None or not exact_singletons(instance.graph):
+        return None
+    table = instance.graph.singleton_table
+    return [table[v] for v in alg2.order] + [0.0]
+
+
+def _stream(rng_seed: int, block: int, kind: int) -> np.random.Generator:
+    """Evaluation stream `kind` of a block: 0 its worlds, 1 its rounding
+    draws, 2 stoch-cp's coins.  It is seeded by rng_seed with the spawn key
+    (block, kind), which SeedSequence keeps apart from every list-keyed
+    stream: the greedy's [rng_seed, iteration, block], which the CLI seeds
+    with the same number, and _mc_reach's [rng_seed, block], which
+    graph.singleton_table seeds with 0, the CLI's default."""
+    return np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(block, kind)))
+
+
 def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     """Per chunk of worlds, in order: each world's realized spread (int64),
-    the number of infeasible runs and the number of alg1 worlds.
+    each world's first-accept position (or None), the number of infeasible
+    runs and the number of alg1 worlds.
 
-    A chunk is as many worlds of one block as influence._chunk_columns gives
-    for what a world holds; the block's generators are drawn a chunk of rows
-    at a time, in order, so chunks change no draw.  Each world's seeds fill
-    its column of a bool (n, rows) seed matrix that one sampled_spreads call
-    scores.  An alg2 world's run, and so its verdict, depends only on its
-    first accept's position in the order, so check_steps judges each position
-    once per evaluation; it judges every alg1 run (_alg1_chunk).
+    Where _accepter_spreads scores alg2 worlds, their realized spread reads
+    0, and the positions hold each alg2 world's first-accept position and
+    len(order), which scores 0, for every alg1 world; elsewhere they are
+    None.  A chunk is as many worlds of one block as
+    influence._chunk_columns gives for what a world holds; the block's
+    generators are drawn a chunk of rows at a time, in order, so chunks
+    change no draw.  Each realized world's seeds fill its column of a bool
+    (n, rows) seed matrix that one sampled_spreads call scores; a chunk
+    where no such world has a seed samples no live edge and takes no kernel
+    pass.  An alg2 world's run, and so its verdict, depends only on its
+    first accept's position in the order, so check_steps judges each
+    position once per evaluation; it judges every alg1 run (_alg1_chunk).
     """
     graph = instance.graph
     n = instance.n_users
     unc = len(graph.uncertain_edges)
+    alg1, alg2 = _routes(policy)
     stoch = isinstance(policy, StochCpPolicy)
-    if stoch:
-        alg1, alg2 = policy.branch_alg1, policy.branch_alg2
-    elif isinstance(policy, Alg1Policy):
-        alg1, alg2 = policy, None
-    elif isinstance(policy, Alg2Policy):
-        alg1, alg2 = None, policy
-    else:
-        raise TypeError(
-            f"evaluate_policy takes an Alg1Policy, Alg2Policy or StochCpPolicy, not {type(policy).__name__}"
-        )
+    gather = _accepter_spreads(instance, policy) is not None
     if alg2 is not None:
         users = np.array(alg2.order, dtype=np.intp)
         accept_at = np.array([instance.attractiveness[v][instance.c_max_index] for v in alg2.order])
@@ -257,30 +313,37 @@ def _simulate(instance: Instance, policy, worlds: int, rng_seed: int):
     step = _chunk_columns(graph, 8 * (n + unc + 1 + ROUNDING_DRAWS * m) + unc + n + 1)
     for b, start in enumerate(range(0, worlds, BLOCK)):
         rows = min(BLOCK, worlds - start)
-        stream = np.random.default_rng([rng_seed, b, 0])
-        coins = (np.random.default_rng([rng_seed, b, 2]).random(rows) < policy.alg1_weight if stoch
+        stream = _stream(rng_seed, b, 0)
+        coins = (_stream(rng_seed, b, 2).random(rows) < policy.alg1_weight if stoch
                  else np.full(rows, alg2 is None))
         # rounding draws for every row of a block with an alg1 world
-        rounding = np.random.default_rng([rng_seed, b, 1]) if m and coins.any() else None
+        rounding = _stream(rng_seed, b, 1) if m and coins.any() else None
         for first in range(0, rows, step):
             size = min(step, rows - first)
             draws = stream.random((size, n + unc))
-            thresholds, live = draws[:, :n], live_edges(graph, draws[:, n:])
+            thresholds = draws[:, :n]
             singly = coins[first:first + size]
             seeded = np.zeros((n, size), dtype=bool)
+            positions = np.full(size, len(users)) if gather else None
             bad = 0
             in_block = np.flatnonzero(~singly)
             if len(in_block):
-                accepts = np.ones((len(in_block), len(users) + 1), dtype=bool)  # last: nobody accepts
-                accepts[:, :-1] = thresholds[np.ix_(in_block, users)] <= accept_at
-                positions = accepts.argmax(axis=1)
-                took = positions < len(users)
-                seeded[users[positions[took]], in_block[took]] = True
-                bad = int(bad_at[positions].sum())
+                # every row's, as taking whole columns is cheaper than picking rows too
+                accepts = np.ones((size, len(users) + 1), dtype=bool)  # last: nobody accepts
+                accepts[:, :-1] = thresholds[:, users] <= accept_at
+                at = accepts.argmax(axis=1)[in_block]
+                bad = int(bad_at[at].sum())
+                if gather:
+                    positions[in_block] = at
+                else:
+                    took = at < len(users)
+                    seeded[users[at[took]], in_block[took]] = True
             picked = np.flatnonzero(singly)
             if rounding is not None:
                 bad += _alg1_chunk(instance, alg1, rounding, thresholds, picked, seeded)
-            yield sampled_spreads(graph, live, seeded), bad, len(picked)
+            values = (sampled_spreads(graph, live_edges(graph, draws[:, n:]), seeded) if seeded.any()
+                      else np.zeros(size, dtype=np.int64))
+            yield values, positions, bad, len(picked)
 
 
 def _alg1_chunk(instance: Instance, policy: Alg1Policy, rounding, thresholds, picked, seeded) -> int:

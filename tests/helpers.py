@@ -132,6 +132,16 @@ def sim16_shaped_graph() -> Graph:
     return Graph(node_count=16, edges=tuple(edges))
 
 
+def beyond_exact_graph() -> Graph:
+    # 12 nodes on a cycle with chords: 21 uncertain edges, one more than
+    # influence.EXACT_EDGE_LIMIT, so the singleton table is Monte Carlo;
+    # one forced and one dead edge
+    edges = [(i, (i + 1) % 12, round(0.3 + 0.05 * (i % 5), 2)) for i in range(12)]
+    edges += [(i, (i + 5) % 12, round(0.2 + 0.1 * (i % 3), 2)) for i in range(9)]
+    edges += [(0, 6, 1.0), (3, 9, 0.0)]
+    return Graph(node_count=12, edges=tuple(edges))
+
+
 def wide_graph() -> Graph:
     # 130 nodes, so each reach spans three 64-bit words; uncertain edges
     # cross the word boundaries at 63/64 and 127/128
@@ -943,19 +953,27 @@ def optimal_adaptive_value_by_states(
     return best(PolicyState(tuple((0, -1, -1) for _ in range(n))))
 
 
+def evaluation_stream(rng_seed: int, block: int, kind: int) -> np.random.Generator:
+    """Reference for evaluate_policy's streams: kind 0 (worlds), 1 (rounding
+    draws) or 2 (stoch-cp's coins) of a block, seeded by rng_seed with the
+    spawn key (block, kind)."""
+    return np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(block, kind)))
+
+
 def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:
     """Reference for evaluate_policy's world stream, one world at a time.
 
-    World i is row i % BLOCK of block i // BLOCK's draws from the stream
-    keyed by (rng_seed, block, 0): the user thresholds, then one uniform per
-    uncertain edge, which makes the edge live when below its probability.
+    World i is row i % BLOCK of block i // BLOCK's draws from
+    evaluation_stream(rng_seed, block, 0): the user thresholds, then one
+    uniform per uncertain edge, which makes the edge live when below its
+    probability.
     """
     graph = instance.graph
     n = instance.n_users
     out = []
     for b, start in enumerate(range(0, worlds, BLOCK)):
         shape = (min(BLOCK, worlds - start), n + len(graph.uncertain_edges))
-        rows = np.random.default_rng([rng_seed, b, 0]).random(shape).tolist()
+        rows = evaluation_stream(rng_seed, b, 0).random(shape).tolist()
         out += [row_world(instance, row) for row in rows]
     return out
 
@@ -963,11 +981,20 @@ def block_worlds(instance: Instance, worlds: int, rng_seed: int) -> list[World]:
 def rounding_draws(policy, worlds: int, rng_seed: int) -> list[list[list[float]]]:
     """Reference for evaluate_policy's alg1 stream: world i's ROUNDING_DRAWS
     rows of one uniform per action are row i % BLOCK of block i // BLOCK's
-    draws from the stream keyed by (rng_seed, block, 1), one call per block."""
+    draws from evaluation_stream(rng_seed, block, 1), one call per block."""
     out = []
     for b, start in enumerate(range(0, worlds, BLOCK)):
         shape = (min(BLOCK, worlds - start), ROUNDING_DRAWS, len(policy.fractional))
-        out += np.random.default_rng([rng_seed, b, 1]).random(shape).tolist()
+        out += evaluation_stream(rng_seed, b, 1).random(shape).tolist()
+    return out
+
+
+def coin_draws(worlds: int, rng_seed: int) -> list[float]:
+    """Reference for stoch-cp's coins: world i's is row i % BLOCK of block
+    i // BLOCK's draws from evaluation_stream(rng_seed, block, 2)."""
+    out: list[float] = []
+    for b, start in enumerate(range(0, worlds, BLOCK)):
+        out += evaluation_stream(rng_seed, b, 2).random(min(BLOCK, worlds - start)).tolist()
     return out
 
 
@@ -1059,47 +1086,57 @@ def steps_trace(instance: Instance, steps: Steps, seeded, r: int) -> PolicyTrace
 
 def evaluate_world_by_world(
     instance: Instance, policy, worlds: int, rng_seed: int, check=check_trace
-) -> tuple[list[int], PolicyEvaluation]:
+) -> tuple[list[int | float], PolicyEvaluation]:
     """Reference for evaluate_policy: the same worlds and policy streams,
-    each world run through alg2_execute or alg1_trace, realized_influence
-    and check, and summed as `total += value`.
+    each world run through alg2_execute or alg1_trace, scored and checked by
+    check, and summed exactly, as rationals.
 
-    Returns every world's spread and the evaluation.  stoch-cp's coin for
-    world i is row i % BLOCK of its block's draws keyed by (rng_seed, block,
-    2), and alg1 worlds read their rounding_draws.
+    An alg2 world on a graph whose singleton table is exact scores
+    influence_exact of its seeds, at most its first accepter, and every
+    other world realized_influence.  Returns every world's score and the
+    evaluation.  stoch-cp's coins are coin_draws, and alg1 worlds read
+    their rounding_draws.
     """
-    coins: list[float] = []
-    for b, start in enumerate(range(0, worlds, BLOCK)):
-        coins += np.random.default_rng([rng_seed, b, 2]).random(min(BLOCK, worlds - start)).tolist()
+    graph = instance.graph
+    coins = coin_draws(worlds, rng_seed)
     alg1 = policy.branch_alg1 if isinstance(policy, StochCpPolicy) else policy
     if isinstance(alg1, Alg1Policy) and not alg1.vacuous:
         draws = rounding_draws(alg1, worlds, rng_seed)
-    values: list[int] = []
-    total = total_sq = 0.0
+    exact = influence.exact_singletons(graph)
+    spread_of: dict[frozenset[int], float] = {}  # influence_exact per seed set met
+    values: list[int | float] = []
+    total = total_sq = Fraction(0)
     violations = 0
     branch_counts: dict[str, int] = {}
     for i, world in enumerate(block_worlds(instance, worlds, rng_seed)):
         note = None
+        alg2 = False
         if isinstance(policy, StochCpPolicy):
             if coins[i] < policy.alg1_weight:
                 trace, note = alg1_trace(alg1, world, draws[i]), "alg1"
             else:
-                trace, note = alg2_execute(instance, policy.branch_alg2.order, world), "alg2"
+                trace, note, alg2 = alg2_execute(instance, policy.branch_alg2.order, world), "alg2", True
         elif isinstance(policy, Alg2Policy):
-            trace = alg2_execute(instance, policy.order, world)
+            trace, alg2 = alg2_execute(instance, policy.order, world), True
         else:
             trace = alg1_trace(policy, world, None if policy.vacuous else draws[i])
             note = "alg1-vacuous" if policy.vacuous else None
-        value = realized_influence(instance.graph, trace.seeds, world.live_mask)
+        if alg2 and exact:
+            assert len(trace.seeds) <= 1
+            if trace.seeds not in spread_of:
+                spread_of[trace.seeds] = influence_exact(graph, trace.seeds)
+            value = spread_of[trace.seeds]
+        else:
+            value = realized_influence(graph, trace.seeds, world.live_mask)
         values.append(value)
-        total += value
-        total_sq += value * value
+        total += Fraction(value)
+        total_sq += Fraction(value) ** 2
         if check(instance, trace, extended=policy.extended):
             violations += 1
         if note:
             branch_counts[note] = branch_counts.get(note, 0) + 1
-    mean = total / worlds
-    var = max(0.0, total_sq / worlds - mean * mean)
+    mean = float(total / worlds)
+    var = max(0.0, float(total_sq / worlds) - mean * mean)
     return values, PolicyEvaluation(
         mean=mean,
         stderr=(var / worlds) ** 0.5,

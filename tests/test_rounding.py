@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -312,6 +313,18 @@ def test_check_steps_flags_corrupted_rows_as_check_trace_does(case, extended) ->
     flagged = {name for name, r in rows.items() if verdicts[r]}
     assert flagged == set(rows) - {"split"} - (set() if extended else {"W+1 users"})
     assert verdicts.sum() == len(flagged)
+
+
+def test_check_steps_reads_the_cap_rule_in_extended_mode() -> None:
+    # without W, extended mode is refused as Instance.user_cap refuses it,
+    # not read as every row breaking the cap; threshold mode has no cap
+    policy = _shaped_policy("oracle4", False)
+    inst = dataclasses.replace(policy.instance, W=None)
+    _, _, steps = next(run_blocks(policy, 200, 7))
+    seeded = seeded_by(steps, inst.n_users)
+    with pytest.raises(ValueError, match="^extended mode requires an instance with W set$"):
+        check_steps(inst, steps, seeded, extended=True)
+    assert not check_steps(inst, steps, seeded).any()
 
 
 @functools.cache

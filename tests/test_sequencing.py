@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 import time
@@ -29,9 +30,12 @@ from couponprobe.sequencing import (
 
 from helpers import (
     alg2_execute,
+    beyond_exact_graph,
     check_trace,
+    coin_draws,
     dp_brute_force,
     evaluate_world_by_world,
+    evaluation_stream,
     forty_users,
     make_world,
     mixed_graph,
@@ -425,6 +429,8 @@ _BLOCK_CASES = {
         (0.0, 0.0), (0.2, 0.3), (0.0, 0.0), (0.1, 0.25), (0.5, 1.0), (0.3, 0.4), (0.05, 0.1),
     ]),
     "130-nodes": lambda: _on_graph(wide_graph()),
+    # a Monte Carlo singleton table: alg2 worlds keep their realized spread
+    "21-uncertain-edges": lambda: _on_graph(beyond_exact_graph()),
     # three alg1 actions per user ({1.0}, {1.5}, {1.0, 1.5}), so contention has contenders
     "three-actions-per-user": lambda: _on_graph(mixed_graph(), coupons=(1.0, 1.5, 3.0), K=2),
     "check-flags-one-position": lambda: _on_graph(mixed_graph()),
@@ -446,9 +452,9 @@ def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
     # chunks of one size split each block, the last of a block shorter: a
     # block's whole on the small graphs, on 130 nodes fewer worlds
     size = len(chunks[0][0])
-    assert [len(v) for v, _, _ in chunks] == _chunk_lengths((BLOCK, BLOCK, 37), size)
+    assert [len(v) for v, _, _, _ in chunks] == _chunk_lengths((BLOCK, BLOCK, 37), size)
     assert (size == BLOCK) == (case != "130-nodes")
-    assert np.concatenate([v for v, _, _ in chunks]).tolist() == values
+    assert _scores(inst, policy, chunks) == values
     got = evaluate_policy(inst, policy, worlds, 41)
     assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex())
     assert got.violations == want.violations
@@ -459,21 +465,35 @@ def test_block_scoring_matches_world_by_world(case, name, monkeypatch) -> None:
         assert got.violations == 0
 
 
+def _scores(inst, policy, chunks) -> list[int | float]:
+    # each world's score: its realized spread, plus, where alg2 worlds score
+    # their first accepter's exact spread, the spread at its position
+    spreads = sequencing._accepter_spreads(inst, policy)
+    out = []
+    for values, positions, _, _ in chunks:
+        assert (positions is None) == (spreads is None)
+        out += values.tolist() if positions is None else (values + np.array(spreads)[positions]).tolist()
+    return out
+
+
 def _chunk_lengths(blocks: tuple[int, ...], size: int) -> list[int]:
     # each block's rows split into chunks of size, the last shorter
     return [min(size, rows - first) for rows in blocks for first in range(0, rows, size)]
 
 
 def test_block_scoring_does_not_depend_on_kernel_chunks(monkeypatch) -> None:
-    # 710 bytes split each block into kernel chunks of three worlds
-    inst = _on_graph(mixed_graph())
-    policy = Alg2Policy(inst)
-    want = evaluate_policy(inst, policy, BLOCK + 300, 6)
-    monkeypatch.setattr(influence, "KERNEL_BYTES", 710)
-    assert influence._chunk_columns(inst.graph) < 10
-    assert evaluate_policy(inst, policy, BLOCK + 300, 6) == want
-    values, _ = evaluate_world_by_world(inst, policy, BLOCK + 300, 6)
-    assert np.concatenate([v for v, _, _ in sequencing._simulate(inst, policy, BLOCK + 300, 6)]).tolist() == values
+    # 710 bytes split each block into chunks of three worlds, in which alg2
+    # worlds add their first accepters' exact spreads; on the Monte Carlo
+    # graph 4 KB give chunks of nine worlds, one kernel pass each
+    for inst, bound in ((_on_graph(mixed_graph()), 710), (_on_graph(beyond_exact_graph()), 4 << 10)):
+        policy = Alg2Policy(inst)
+        want = evaluate_policy(inst, policy, BLOCK + 300, 6)
+        with monkeypatch.context() as patch:
+            patch.setattr(influence, "KERNEL_BYTES", bound)
+            assert len(next(sequencing._simulate(inst, policy, BLOCK, 6))[0]) < 10
+            assert evaluate_policy(inst, policy, BLOCK + 300, 6) == want
+            values, _ = evaluate_world_by_world(inst, policy, BLOCK + 300, 6)
+            assert _scores(inst, policy, sequencing._simulate(inst, policy, BLOCK + 300, 6)) == values
 
 
 @pytest.mark.parametrize("name", ["e-alg1", "stoch-cp"])
@@ -483,15 +503,15 @@ def test_alg1_blocks_do_not_depend_on_draw_chunks(name, monkeypatch) -> None:
     inst = _on_graph(mixed_graph())
     policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
     want = list(sequencing._simulate(inst, policy, BLOCK + 300, 6))
-    assert [len(v) for v, _, _ in want] == [BLOCK, 300]
+    assert [len(v) for v, _, _, _ in want] == [BLOCK, 300]
     monkeypatch.setattr(influence, "KERNEL_BYTES", 1500)
     got = list(sequencing._simulate(inst, policy, BLOCK + 300, 6))
     size = len(got[0][0])
-    assert size < 10 and [len(v) for v, _, _ in got] == _chunk_lengths((BLOCK, 300), size)
-    assert np.concatenate([v for v, _, _ in got]).tolist() == np.concatenate([v for v, _, _ in want]).tolist()
-    assert sum(bad for _, bad, _ in got) == sum(bad for _, bad, _ in want)
-    assert [k for _, _, k in want] == _alg1_worlds(policy, 6, (BLOCK, 300), BLOCK)
-    assert [k for _, _, k in got] == _alg1_worlds(policy, 6, (BLOCK, 300), size)
+    assert size < 10 and [len(v) for v, _, _, _ in got] == _chunk_lengths((BLOCK, 300), size)
+    assert _scores(inst, policy, got) == _scores(inst, policy, want)
+    assert sum(bad for _, _, bad, _ in got) == sum(bad for _, _, bad, _ in want)
+    assert [k for _, _, _, k in want] == _alg1_worlds(policy, 6, (BLOCK, 300), BLOCK)
+    assert [k for _, _, _, k in got] == _alg1_worlds(policy, 6, (BLOCK, 300), size)
 
 
 @pytest.mark.parametrize("name", ["alg1", "stoch-cp"])
@@ -513,14 +533,14 @@ def _alg1_worlds(policy, seed: int, blocks: tuple[int, ...], size: int) -> list[
     # and every row for alg1 itself
     counts = []
     for b, rows in enumerate(blocks):
-        coins = (np.random.default_rng([seed, b, 2]).random(rows) < policy.alg1_weight
+        coins = (evaluation_stream(seed, b, 2).random(rows) < policy.alg1_weight
                  if isinstance(policy, StochCpPolicy) else np.ones(rows, dtype=bool))
         counts += [int(coins[first:first + size].sum()) for first in range(0, rows, size)]
     return counts
 
 
 def _values(inst, policy, worlds: int, seed: int) -> np.ndarray:
-    return np.concatenate([v for v, _, _ in sequencing._simulate(inst, policy, worlds, seed)])
+    return np.array(_scores(inst, policy, sequencing._simulate(inst, policy, worlds, seed)))
 
 
 def test_world_i_depends_only_on_seed_and_i() -> None:
@@ -542,12 +562,26 @@ def test_policies_with_one_seed_see_the_same_worlds() -> None:
     worlds = BLOCK + 300
     config = RelaxationConfig(delta=0.25, marginal_samples=20)
     values = {name: _values(inst, make_policy(name, inst, config), worlds, 12) for name in ("alg1", "alg2", "stoch-cp")}
-    coins = np.concatenate([np.random.default_rng([12, b, 2]).random(min(BLOCK, worlds - start))
-                            for b, start in enumerate(range(0, worlds, BLOCK))])
-    heads = coins < 0.5
+    heads = np.array(coin_draws(worlds, 12)) < 0.5
     assert 0 < heads.sum() < worlds
     assert values["stoch-cp"].tolist() == np.where(heads, values["alg1"], values["alg2"]).tolist()
     assert (values["alg1"] != values["alg2"]).any()
+
+
+def test_evaluation_streams_are_apart_from_construction_streams() -> None:
+    # the greedy's marginal samples ([seed, iteration, block]) take the seed
+    # the CLI evaluates with, and the Monte Carlo singleton table
+    # ([seed, block]) seed 0, the CLI's default; list keys are zero-padded,
+    # so [seed, b] is [seed, b, 0]
+    for seed in (0, 1, 2):
+        built = {np.random.default_rng([seed, i, b]).random() for i in range(4) for b in range(4)}
+        built |= {np.random.default_rng([seed, b]).random() for b in range(4)}
+        assert np.random.default_rng([seed, 1]).random() == np.random.default_rng([seed, 1, 0]).random()
+        for b in range(4):
+            for kind in range(3):
+                first = sequencing._stream(seed, b, kind).random()
+                assert first == evaluation_stream(seed, b, kind).random()
+                assert first not in built, (seed, b, kind)
 
 
 def _check_position_verdicts(inst, order: tuple[int, ...], extended: bool) -> np.ndarray:
@@ -584,12 +618,51 @@ def test_position_verdicts_flag_orders_longer_than_w() -> None:
     assert _check_position_verdicts(inst, (), True).tolist() == [False]
 
 
-def test_million_world_alg2_evaluation_is_bounded() -> None:
-    # tracemalloc sees numpy's buffers, so its peak bounds what the run adds to RSS
+def _sim16_instance() -> Instance:
+    # coupon 1.0 is low-value and 3.0 is alg2's, so stoch-cp flips its coin
     gen = np.random.default_rng(3)
     rows = [(round(float(gen.uniform(0.05, 0.3)), 3), round(float(gen.uniform(0.35, 0.5)), 3))
             for _ in range(16)]
-    inst = Instance(graph=sim16_shaped_graph(), coupons=(1.0, 3.0), attractiveness=tuple(rows), K=1, B=3.0)
+    return Instance(graph=sim16_shaped_graph(), coupons=(1.0, 3.0), attractiveness=tuple(rows), K=1, B=3.0)
+
+
+def test_alg2_worlds_on_an_exact_graph_take_no_kernel_pass(monkeypatch) -> None:
+    # every alg2 world scores its first accepter's exact spread, so only
+    # stoch-cp's alg1 worlds are scored by the reach kernel
+    inst = dataclasses.replace(_sim16_instance(), W=3)
+    assert influence.exact_singletons(inst.graph)
+    columns = []
+
+    def counted(graph, live, seeded):
+        columns.append(int(seeded.any(axis=0).sum()))
+        return influence.sampled_spreads(graph, live, seeded)
+
+    monkeypatch.setattr(sequencing, "sampled_spreads", counted)
+    for name in ("alg2", "e-alg2"):
+        result = evaluate_policy(inst, make_policy(name, inst, RelaxationConfig()), 3000, 4)
+        assert result.mean > 0 and result.violations == 0
+        assert columns == []
+    policy = make_policy("stoch-cp", inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+    result = evaluate_policy(inst, policy, 3000, 4)
+    assert 0 < sum(columns) <= result.branch_counts["alg1"]
+
+
+def test_alg2_worlds_stay_realized_where_the_table_is_monte_carlo() -> None:
+    inst = _BLOCK_CASES["21-uncertain-edges"]()
+    assert len(inst.graph.uncertain_edges) == influence.EXACT_EDGE_LIMIT + 1
+    assert not influence.exact_singletons(inst.graph)
+    for name in ("alg2", "e-alg2", "stoch-cp"):
+        policy = make_policy(name, inst, RelaxationConfig(delta=0.25, marginal_samples=20))
+        chunks = list(sequencing._simulate(inst, policy, 700, 5))
+        assert all(positions is None for _, positions, _, _ in chunks)
+        values = np.concatenate([v for v, _, _, _ in chunks])
+        assert values.dtype == np.int64 and values.min() >= 0 and values.max() > 1
+        assert evaluate_policy(inst, policy, 700, 5).mean == int(values.sum()) / 700
+
+
+def test_million_world_alg2_evaluation_is_bounded() -> None:
+    # tracemalloc sees numpy's buffers, so its peak bounds what the run adds to RSS
+    inst = _sim16_instance()
     policy = Alg2Policy(inst)
     evaluate_policy(inst, policy, 100, 0)
     tracemalloc.start()
